@@ -23,8 +23,7 @@ from .localalg import (CAP_STEP, DEFAULT_CAP, INFINITE, MAX_CAP,
                        StandardBasis, colength, is_regular_on_V, lift,
                        minimal_power_membership, normal_form,
                        quotient_algebra, standard_basis)
-from .residues import (RelativeResidueSymbol, ResidueSymbol, form_index_basis,
-                       grothendieck_residue,
+from .residues import (ResidueForm, form_index_basis, grothendieck_residue,
                        intersection_multiplicity_both_ways, jacobian_minor,
                        lambda_map, lift_rows, monomial_residue,
                        relative_residue, residue_via_lift)
@@ -55,7 +54,7 @@ __all__ = [
     "LocalOrder", "QuotientAlgebra", "StandardBasis", "colength",
     "is_regular_on_V", "lift", "minimal_power_membership", "normal_form",
     "quotient_algebra", "standard_basis",
-    "RelativeResidueSymbol", "ResidueSymbol", "form_index_basis",
+    "ResidueForm", "form_index_basis",
     "grothendieck_residue", "intersection_multiplicity_both_ways",
     "jacobian_minor", "lambda_map", "lift_rows", "monomial_residue",
     "relative_residue", "residue_via_lift",

@@ -79,12 +79,26 @@ def _render_text(report: Dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _knob(flag: Optional[int], from_file: Optional[int], default: int) -> int:
+    """A flag overrides the germ file, which overrides the default."""
+    if flag is not None:
+        return flag
+    return from_file if from_file is not None else default
+
+
 class _Settings:
     def __init__(self, gf: Optional[GermFile], args):
-        self.cap = args.cap or (gf.cap if gf else None) or DEFAULT_CAP
-        self.max_cap = args.max_cap or (gf.max_cap if gf else None) or MAX_CAP
-        self.attempts = args.attempts or (gf.attempts if gf else None) \
-            or GOOD_COORD_ATTEMPTS
+        self.cap = _knob(args.cap, gf.cap if gf else None, DEFAULT_CAP)
+        self.max_cap = _knob(args.max_cap, gf.max_cap if gf else None, MAX_CAP)
+        self.attempts = _knob(args.attempts, gf.attempts if gf else None,
+                              GOOD_COORD_ATTEMPTS)
+        if self.cap < 1:
+            raise ValueError(f"cap must be at least 1, got {self.cap}")
+        if self.max_cap < self.cap:
+            raise ValueError(f"max_cap must be at least cap ({self.cap}), "
+                             f"got {self.max_cap}")
+        if self.attempts < 1:
+            raise ValueError(f"attempts must be at least 1, got {self.attempts}")
         if args.seed is not None:
             self.seed = args.seed
         else:

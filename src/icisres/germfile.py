@@ -20,6 +20,11 @@ from .polycore import Poly
 
 KEYS = ("vars", "f", "omega", "g", "seed", "cap", "max_cap", "attempts")
 
+# deepest parenthesis nesting an expression may use; each level costs the
+# recursive descent four stack frames, so this stays far below the
+# interpreter's recursion limit
+MAX_NESTING = 100
+
 
 @dataclass
 class Token:
@@ -107,6 +112,7 @@ class _ExprParser:
         self.names = names
         self.nvars = len(names)
         self.anchor = anchor     # for the empty-expression error position
+        self.depth = 0           # parentheses open at the current position
 
     def peek(self) -> Optional[Token]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -190,7 +196,13 @@ class _ExprParser:
                                       tok.line, tok.col)
             return Poly.variable(self.nvars, self.names[tok.text])
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise GermSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels",
+                    tok.line, tok.col)
+            self.depth += 1
             p = self.expr()
+            self.depth -= 1
             closing = self.take()
             if closing.kind != ")":
                 raise GermSyntaxError("expected ')'", closing.line, closing.col)

@@ -91,15 +91,20 @@ def _neg_key(k):
 
 
 def _reduce(terms: Terms, G: List[_Elem], order: LocalOrder, cap: int,
-            rep: Optional[List[Terms]] = None) -> Tuple[Terms, Optional[List[Terms]]]:
+            rep: Optional[List[Terms]] = None,
+            rep_cap: Optional[int] = None) -> Tuple[Terms, Optional[List[Terms]]]:
     """Canonical reduction of terms by G; remainder is supported off the leading ideal.
 
     Monomials are processed largest first; a reduction step only creates
     strictly smaller monomials, so each is handled once.  Mora's selection
     rule (divisor of least ecart) keeps tails short.  The remainder is the
     unique representative modulo the ideal supported on staircase
-    monomials, which makes the map linear in the dividend.
+    monomials, which makes the map linear in the dividend.  Quotients are
+    accumulated into rep truncated at rep_cap (default cap); they never
+    feed back into the remainder.
     """
+    if rep_cap is None:
+        rep_cap = cap
     h: Terms = {e: c for e, c in terms.items() if mono_deg(e) <= cap}
     if rep is not None:
         rep = [dict(r) for r in rep]
@@ -130,7 +135,7 @@ def _reduce(terms: Terms, G: List[_Elem], order: LocalOrder, cap: int,
         _add_scaled(h, chosen.terms, -c, mono, cap, sink=new_exps)
         if rep is not None and chosen.rep is not None:
             for j, r in enumerate(chosen.rep):
-                _add_scaled(rep[j], r, c, mono, cap)
+                _add_scaled(rep[j], r, c, mono, rep_cap)
         for ne in new_exps:
             if ne not in done:
                 heapq.heappush(heap, (_neg_key(order.key(ne)), ne))
@@ -146,20 +151,24 @@ def _monic(terms: Terms, lm: Exponent, rep: Optional[List[Terms]]):
     return terms, rep
 
 
-def _complete(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool):
-    """Truncated completion to a standard basis; returns the element list."""
+def _complete(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
+              rep_cap: int):
+    """Truncated completion to a standard basis; returns the element list.
+
+    Elements are truncated at cap, tracked representations at rep_cap.
+    """
     m = len(gens)
     G: List[_Elem] = []
 
     def insert(terms: Terms, rep):
-        # rep satisfies terms = sum(rep[j] * gens[j]) up to the cap.  The
+        # rep satisfies terms = sum(rep[j] * gens[j]) up to rep_cap.  The
         # reducer accumulates subtracted quotients, so feed it the negated
         # representation and negate the result to keep that identity for
         # the reduced element.
         neg = None
         if rep is not None:
             neg = [{e: -c for e, c in r.items()} for r in rep]
-        terms, neg = _reduce(terms, G, order, cap, neg)
+        terms, neg = _reduce(terms, G, order, cap, neg, rep_cap)
         if not terms:
             return
         if neg is not None:
@@ -203,10 +212,10 @@ def _complete(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool):
             rep = [dict() for _ in range(m)]
             if gi.rep is not None:
                 for t, r in enumerate(gi.rep):
-                    _add_scaled(rep[t], r, Fraction(1), mi, cap)
+                    _add_scaled(rep[t], r, Fraction(1), mi, rep_cap)
             if gj.rep is not None:
                 for t, r in enumerate(gj.rep):
-                    _add_scaled(rep[t], r, Fraction(-1), mj, cap)
+                    _add_scaled(rep[t], r, Fraction(-1), mj, rep_cap)
         before = len(G)
         insert(s, rep)
         if len(G) > before:
@@ -258,6 +267,7 @@ class StandardBasis:
     gens: Tuple[Poly, ...]
     order: LocalOrder
     cap: int
+    rep_cap: int        # tracked representations are exact up to this degree
     certified: bool
     elements: List[Poly] = field(repr=False)
     staircase: List[Exponent]
@@ -275,13 +285,14 @@ class StandardBasis:
 
 
 def _build(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
-           certified: bool) -> StandardBasis:
-    elems = _complete(gens, order, cap, track)
+           certified: bool, rep_cap: Optional[int] = None) -> StandardBasis:
+    rep_cap = cap if rep_cap is None else min(rep_cap, cap)
+    elems = _complete(gens, order, cap, track, rep_cap)
     stair = _staircase_min_gens(elems)
     quot = _quotient_monomials(stair, order.nvars)
     polys = [Poly(order.nvars, dict(e.terms)) for e in elems]
-    return StandardBasis(tuple(gens), order, cap, certified, polys, stair, quot,
-                         elems, track)
+    return StandardBasis(tuple(gens), order, cap, rep_cap, certified, polys,
+                         stair, quot, elems, track)
 
 
 def standard_basis(gens: Sequence[Poly], order: Optional[LocalOrder] = None,
@@ -320,12 +331,20 @@ def standard_basis(gens: Sequence[Poly], order: Optional[LocalOrder] = None,
 
 def standard_basis_at(gens: Sequence[Poly], cap: int,
                       order: Optional[LocalOrder] = None,
-                      track: bool = False) -> StandardBasis:
-    """Single run at a fixed cap, no certification; for internal re-runs."""
+                      track: bool = False,
+                      rep_cap: Optional[int] = None) -> StandardBasis:
+    """Single run at a fixed cap, no certification; for internal re-runs.
+
+    With track=True the representations of the elements through gens are
+    kept up to degree rep_cap (default, and at most, cap).  The elements,
+    the staircase and every remainder are the same whatever rep_cap is;
+    only the representation terms above it are dropped, so a lift read
+    only to low degree can skip the cost of the deep ones.
+    """
     gens = list(gens)
     nvars = gens[0].nvars
     order = order or LocalOrder(nvars)
-    return _build(gens, order, cap, track, certified=False)
+    return _build(gens, order, cap, track, certified=False, rep_cap=rep_cap)
 
 
 def colength(sb: StandardBasis):
@@ -346,8 +365,8 @@ def normal_form_with_lift(p: Poly, sb: StandardBasis):
     if not sb.tracked:
         raise ValueError("standard basis was built without lift tracking")
     rep = [dict() for _ in range(len(sb.gens))]
-    r, rep = _reduce(p.terms, sb._elems, sb.order, sb.cap, rep)
-    coeffs = [TruncatedSeries(Poly(p.nvars, cr), sb.cap) for cr in rep]
+    r, rep = _reduce(p.terms, sb._elems, sb.order, sb.cap, rep, sb.rep_cap)
+    coeffs = [TruncatedSeries(Poly(p.nvars, cr), sb.rep_cap) for cr in rep]
     return TruncatedSeries(Poly(p.nvars, r), sb.cap), coeffs
 
 
@@ -380,7 +399,7 @@ def lift(target: Poly, gens: Sequence[Poly], cap: int = DEFAULT_CAP,
     r, coeffs = normal_form_with_lift(target, sb)
     if not r.is_zero():
         raise NotMember(f"remainder {r.render()} is nonzero at cap {sb.cap}")
-    return LiftCertificate(target, tuple(sb.gens), coeffs, sb.cap)
+    return LiftCertificate(target, tuple(sb.gens), coeffs, sb.rep_cap)
 
 
 def minimal_power_membership(var_index: int, gens: Sequence[Poly],
@@ -412,7 +431,7 @@ def minimal_power_membership(var_index: int, gens: Sequence[Poly],
         p = Poly.monomial(nvars, exps)
         r, coeffs = normal_form_with_lift(p, sb)
         if r.is_zero():
-            return d, LiftCertificate(p, tuple(sb.gens), coeffs, sb.cap)
+            return d, LiftCertificate(p, tuple(sb.gens), coeffs, sb.rep_cap)
     raise PowerCapExceeded(
         f"no power of variable {var_index} below {min(max_power, sb.cap) + 1} "
         f"lies in the ideal at cap {sb.cap}")

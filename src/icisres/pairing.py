@@ -22,7 +22,7 @@ from .localalg import (DEFAULT_CAP, INFINITE, MAX_CAP, QuotientAlgebra,
                        colength, normal_form, quotient_algebra,
                        standard_basis)
 from .polycore import Exponent, Poly
-from .residues import grothendieck_residue
+from .residues import ResidueForm
 
 
 def rref(rows: List[List[Fraction]]) -> Tuple[int, List[int], List[List[Fraction]]]:
@@ -105,8 +105,9 @@ class ResidueFunctional:
 
     values[e] is the raw residue of the basis monomial z^e over
     (m_1, m_2, f); the oriented germ residue of h dz_1 ^ dz_2 is then
-    -<values, coordinates of h * DF>, matching germ_residue entrywise but
-    paying one residue computation per basis monomial instead of per call.
+    -<values, coordinates of h * DF>, matching germ_residue entrywise.
+    All values are read off one ResidueForm, so a functional costs one
+    residue computation however large B is.
     """
 
     algebra: QuotientAlgebra
@@ -135,11 +136,9 @@ def residue_functional(p: GermProblem, cap: int = DEFAULT_CAP,
     ms = minors(p)
     denoms = [ms.principal[0], ms.principal[1]] + list(p.f)
     n = p.nvars
-    values: Dict[Exponent, Fraction] = {}
-    for e in algebra.basis:
-        values[e] = grothendieck_residue(Poly.monomial(n, e, 1), denoms,
-                                         cap=cap, max_cap=max_cap,
-                                         caps_used=caps_used)
+    form = ResidueForm(denoms, cap=cap, max_cap=max_cap, base=algebra.sb)
+    values = {e: form.value(Poly.monomial(n, e, 1), caps_used)
+              for e in algebra.basis}
     sd = sigma_data(p)
     return ResidueFunctional(algebra, values, sd.df)
 

@@ -1,13 +1,29 @@
 """Exact Grothendieck residues via the transformation law.
 
-A residue of h over a regular sequence (g_1, ..., g_n) is computed by
-expressing minimal pure powers z_i^{d_i} through the g_j, taking the
-determinant of the coefficient matrix in truncated series arithmetic and
-reading off one Taylor coefficient of h * det.  The result is exact once
-the working cap reaches sum(d_i - 1) plus the staircase height of the
-denominator ideal: any two truncated lifts differ by syzygies plus terms
-too deep to reach the extracted coefficient.  Every value is certified by
-recomputation at cap + 4.
+A residue of h over a regular sequence (g_1, ..., g_n) with ideal I is
+computed by expressing minimal pure powers z_i^{d_i} through the g_j,
+z^d = A g, and reading off one Taylor coefficient: the residue is the
+coefficient of z^(d - 1) in h * det(A) (Griffiths-Harris, Principles of
+Algebraic Geometry, 5.1).  Only the coefficients of det(A) in the box
+{e : e_i <= d_i - 1} are ever read, and they do not depend on h, so a
+ResidueForm computes them once per ordered denominator tuple and each
+value is one coefficient extraction.
+
+With t the staircase height of I, m^(t+1) lies in I, so d_i <= t + 1 and
+the powers come from plain normal forms on the certified basis.  Write
+big = sum(d_i - 1), the highest degree in the box.  The lift rows come
+from a tracked basis at term cap work_cap >= big + t + 2 whose
+representations are kept only up to rep_cap = big + t + 2.  Cutting the
+representations at rep_cap leaves an error z^d - A' g in I and in
+m^(rep_cap + 1), the same kind of error the term cap leaves in
+m^(work_cap + 1).  Such an error does not reach the box.  Since m^(t+1)
+lies in I, an error in m^(N+1) is B g with every entry of B in m^(N-t),
+so A' + B is an exact lift.  For N >= big + t + 1 the entries of B have
+order above big, so det(A') agrees with det(A' + B) up to degree big, and
+every exact lift gives the same box: its coefficients are the residues
+of the monomials z^(d - 1 - e).  Every box is certified by recomputing it
+at work_cap + 4 with rep_cap + 4; the two must agree coefficient for
+coefficient.
 
 Residues of forms on the zero set of f reduce to residues on the ambient
 space by wedging with df_1 ^ ... ^ df_q; the reduction is a signed sum of
@@ -17,16 +33,14 @@ Jacobian minors over complementary index sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import CapExceeded, NotRegularSequence
+from .errors import CapExceeded, NotRegularSequence, PowerCapExceeded
 from .localalg import (DEFAULT_CAP, INFINITE, MAX_CAP, StandardBasis,
-                       colength, minimal_power_membership, standard_basis,
-                       standard_basis_at)
-from .polycore import (Poly, PolyMatrix, TruncatedSeries, mono_deg,
-                       series_determinant)
+                       colength, minimal_power_membership, normal_form,
+                       standard_basis, standard_basis_at)
+from .polycore import Poly, PolyMatrix, TruncatedSeries, series_determinant
 
 
 def monomial_residue(h: Poly, d: Sequence[int]) -> Fraction:
@@ -36,15 +50,6 @@ def monomial_residue(h: Poly, d: Sequence[int]) -> Fraction:
     if any(k < 1 for k in d):
         raise ValueError("powers must be positive")
     return h.coefficient([k - 1 for k in d])
-
-
-@dataclass
-class ResidueSymbol:
-    numerator: Poly
-    denominators: Tuple[Poly, ...]
-
-    def evaluate(self, **kw) -> Fraction:
-        return grothendieck_residue(self.numerator, self.denominators, **kw)
 
 
 def _coefficient_of_product(h: Poly, g: Poly, target: Tuple[int, ...]) -> Fraction:
@@ -57,14 +62,24 @@ def _coefficient_of_product(h: Poly, g: Poly, target: Tuple[int, ...]) -> Fracti
     return total
 
 
-def lift_rows(denoms: Sequence[Poly], powers: Sequence[int], cap: int) -> List[List[Poly]]:
-    """Truncated lift matrix: row i expresses z_i^{d_i} through the denominators."""
-    sb = standard_basis_at(list(denoms), cap, track=True)
+def lift_rows(denoms: Sequence[Poly], powers: Sequence[int], cap: int,
+              rep_cap: Optional[int] = None) -> List[List[Poly]]:
+    """Truncated lift matrix: row i expresses z_i^{d_i} through the denominators.
+
+    The basis behind it is built at term cap cap; the entries are kept up
+    to degree rep_cap (default cap).
+    """
+    sb = standard_basis_at(list(denoms), cap, track=True, rep_cap=rep_cap)
     rows = []
     for i, d in enumerate(powers):
         _, cert = minimal_power_membership(i, list(denoms), max_power=d, sb=sb)
         rows.append([c.poly for c in cert.coefficients])
     return rows
+
+
+def _lift_determinant(rows: Sequence[Sequence[Poly]], det_cap: int) -> Poly:
+    series = [[TruncatedSeries(p, det_cap) for p in row] for row in rows]
+    return series_determinant(series, det_cap).poly
 
 
 def residue_via_lift(numerator: Poly, rows: Sequence[Sequence[Poly]],
@@ -80,10 +95,106 @@ def residue_via_lift(numerator: Poly, rows: Sequence[Sequence[Poly]],
     if det_cap is None:
         big = sum(powers) - len(powers)
         det_cap = max(big - max(numerator.min_degree(), 0), 0)
-    series = [[TruncatedSeries(p, det_cap) for p in row] for row in rows]
-    det = series_determinant(series, det_cap)
     target = tuple(d - 1 for d in powers)
-    return _coefficient_of_product(numerator, det.poly, target)
+    return _coefficient_of_product(numerator, _lift_determinant(rows, det_cap),
+                                   target)
+
+
+def _denominator_list(denominators: Sequence[Poly]) -> List[Poly]:
+    denoms = list(denominators)
+    if not denoms:
+        raise NotRegularSequence("empty denominator list")
+    n = denoms[0].nvars
+    if len(denoms) != n:
+        raise NotRegularSequence(
+            f"{len(denoms)} denominators in {n} variables cannot be a regular "
+            "sequence with finite colength")
+    return denoms
+
+
+def _minimal_power(i: int, base: StandardBasis) -> int:
+    """Least d with z_i^d in the ideal of a certified finite basis.
+
+    With t the staircase height, m^(t+1) lies in the ideal and t is below
+    the cap, so the search ends by t + 1 and each normal form is exact.
+    """
+    n = base.order.nvars
+    t = base.max_quotient_degree()
+    for d in range(1, t + 2):
+        exps = [0] * n
+        exps[i] = d
+        if normal_form(Poly.monomial(n, exps), base).is_zero():
+            return d
+    raise PowerCapExceeded(
+        f"no power of variable {i} up to {t + 1} lies in the ideal at cap "
+        f"{base.cap}")
+
+
+class ResidueForm:
+    """The residue over one ordered denominator tuple, as a functional of h.
+
+    Holds the powers d and the coefficients of det(A) in the box
+    {e : e_i <= d_i - 1}.  The box is computed on the first value() call,
+    at that call's working cap, and again only when a later numerator's
+    degree asks for a higher cap.  base, when given, must be a certified
+    standard basis of the ideal the denominators generate; it saves
+    building one.  Raises NotRegularSequence when the denominators do not
+    cut out a finite quotient.
+    """
+
+    def __init__(self, denominators: Sequence[Poly], cap: int = DEFAULT_CAP,
+                 max_cap: int = MAX_CAP, base: Optional[StandardBasis] = None):
+        self.denominators = _denominator_list(denominators)
+        self.cap = cap
+        if base is None:
+            base = standard_basis(self.denominators, cap=cap, max_cap=max_cap)
+        size = colength(base)
+        if size == INFINITE:
+            raise NotRegularSequence("denominator ideal has infinite colength")
+        n = len(self.denominators)
+        self.height = base.max_quotient_degree()
+        # colength 0 means a unit among the denominators: the residue cycle
+        # is empty and every value is 0
+        self.powers: Tuple[int, ...] = tuple(
+            _minimal_power(i, base) for i in range(n)) if size else ()
+        self.big = sum(self.powers) - len(self.powers)
+        self.work_cap = 0       # term cap of the lifts behind box
+        self.box = Poly.zero(n)
+
+    def value(self, numerator: Poly,
+              caps_used: Optional[Dict[str, int]] = None) -> Fraction:
+        """Residue of numerator; records the working cap under "residue"."""
+        if numerator.is_zero() or not self.powers:
+            return Fraction(0)
+        # exactness bound: box degree + staircase height, and room for the
+        # numerator's own degree as a margin
+        work_cap = max(self.cap, self.big + self.height + 2,
+                       self.big + numerator.total_degree())
+        if work_cap > self.work_cap:
+            self.box = self._certified_box(work_cap)
+            self.work_cap = work_cap
+        if caps_used is not None:
+            caps_used["residue"] = max(caps_used.get("residue", 0), work_cap)
+        return _coefficient_of_product(numerator, self.box,
+                                       tuple(d - 1 for d in self.powers))
+
+    def _box(self, work_cap: int, rep_cap: int) -> Poly:
+        rows = lift_rows(self.denominators, self.powers, work_cap,
+                         rep_cap=rep_cap)
+        det = _lift_determinant(rows, self.big)
+        return Poly(det.nvars, {e: c for e, c in det.terms.items()
+                                if all(k < d for k, d in zip(e, self.powers))})
+
+    def _certified_box(self, work_cap: int) -> Poly:
+        rep_cap = self.big + self.height + 2
+        box = self._box(work_cap, rep_cap)
+        check = self._box(work_cap + 4, rep_cap + 4)
+        if box != check:
+            raise CapExceeded(
+                f"residue form did not stabilize: det(A) box at cap {work_cap} "
+                f"(rep cap {rep_cap}) differs from the box at cap "
+                f"{work_cap + 4} (rep cap {rep_cap + 4})")
+        return box
 
 
 def grothendieck_residue(numerator: Poly, denominators: Sequence[Poly],
@@ -93,51 +204,14 @@ def grothendieck_residue(numerator: Poly, denominators: Sequence[Poly],
 
     The value changes sign under denominator swaps; orientation is carried
     by the determinant of the lift matrix.  Raises NotRegularSequence when
-    the denominators do not cut out a finite quotient.
+    the denominators do not cut out a finite quotient.  Several numerators
+    over the same denominators should share one ResidueForm.
     """
-    denoms = list(denominators)
-    if not denoms:
-        raise NotRegularSequence("empty denominator list")
-    n = denoms[0].nvars
-    if len(denoms) != n:
-        raise NotRegularSequence(
-            f"{len(denoms)} denominators in {n} variables cannot be a regular "
-            "sequence with finite colength")
+    denoms = _denominator_list(denominators)
     if numerator.is_zero():
         return Fraction(0)
-    base = standard_basis(denoms, cap=cap, max_cap=max_cap)
-    if colength(base) == INFINITE:
-        raise NotRegularSequence("denominator ideal has infinite colength")
-    if colength(base) == 0:
-        # a unit among the denominators: the residue cycle is empty
-        return Fraction(0)
-    t = base.max_quotient_degree()
-
-    probe_cap = max(cap, t + 1)
-    probe = standard_basis_at(denoms, probe_cap, track=True)
-    powers = []
-    for i in range(n):
-        d, _ = minimal_power_membership(i, denoms, max_power=t + 1, sb=probe)
-        powers.append(d)
-    big = sum(powers) - n
-    # exactness bound: coefficient degree + staircase height, and room for
-    # the numerator's own degree as a margin
-    work_cap = max(cap, big + t + 2, big + max(numerator.total_degree(), 0))
-
-    def run(c: int) -> Fraction:
-        rows = lift_rows(denoms, powers, c)
-        det_cap = max(big - max(numerator.min_degree(), 0), 0)
-        return residue_via_lift(numerator, rows, powers, det_cap)
-
-    value = run(work_cap)
-    check = run(work_cap + 4)
-    if value != check:
-        raise CapExceeded(
-            f"residue value did not stabilize: {value} at cap {work_cap}, "
-            f"{check} at cap {work_cap + 4}")
-    if caps_used is not None:
-        caps_used["residue"] = max(caps_used.get("residue", 0), work_cap)
-    return value
+    return ResidueForm(denoms, cap=cap, max_cap=max_cap).value(numerator,
+                                                                caps_used)
 
 
 def _perm_sign(seq: Sequence[int]) -> int:
@@ -187,16 +261,6 @@ def lambda_map(form: Sequence[Poly], f: Sequence[Poly], nvars: int) -> Poly:
         piece = h * minor
         out = out + (piece if sign > 0 else -piece)
     return out
-
-
-@dataclass
-class RelativeResidueSymbol:
-    form: Tuple[Poly, ...]
-    denominators: Tuple[Poly, ...]
-    germ: Tuple[Poly, ...]
-
-    def evaluate(self, **kw) -> Fraction:
-        return relative_residue(self.form, self.denominators, self.germ, **kw)
 
 
 def relative_residue(form: Sequence[Poly], g: Sequence[Poly], f: Sequence[Poly],

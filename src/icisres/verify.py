@@ -445,8 +445,16 @@ def _trial_cor_mult(rng: random.Random, plan: VerificationPlan,
                 NotZeroDimensional):
             return None
 
-    pair = _resample(rng, make, lambda fg: compute(fg) is not None)
-    result = compute(pair)
+    # keep the predicate's result: an accepted pair is computed once; only a
+    # pair drawn after the resample limit has not been computed yet
+    tested = {}
+
+    def accepted(pair):
+        tested["pair"], tested["result"] = pair, compute(pair)
+        return tested["result"] is not None
+
+    pair = _resample(rng, make, accepted)
+    result = tested["result"] if tested.get("pair") is pair else compute(pair)
     if result is None:
         return None
     lhs, rhs = result

@@ -180,3 +180,48 @@ def test_discrepancy_exit_code(capsys, a1_file, monkeypatch):
     code, out, _ = run_cli(capsys, ["index", a1_file, "--format", "json"])
     assert code == 2
     assert json.loads(out)["discrepancies"] == ["synthetic"]
+
+
+def test_deep_nesting_exits_with_position(capsys, tmp_path):
+    path = tmp_path / "nested.germ"
+    path.write_text("vars = x, y, z\nf = " + "(" * 3000 + "x" + ")" * 3000
+                    + "\nomega = 0, 0, 1\n")
+    code, out, err = run_cli(capsys, ["all", str(path), "--format", "json"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 2, column ")
+
+
+@pytest.mark.parametrize("flags, bound", [
+    (["--cap", "-3"], "cap must be at least 1"),
+    (["--cap", "0"], "cap must be at least 1"),
+    (["--cap", "20", "--max-cap", "16"], "max_cap must be at least cap (20)"),
+    (["--max-cap", "8"], "max_cap must be at least cap (12)"),
+    (["--attempts", "0"], "attempts must be at least 1"),
+])
+def test_knob_flags_are_validated(capsys, a1_file, flags, bound):
+    code, out, err = run_cli(capsys, ["index", a1_file, "--format", "json"]
+                             + flags)
+    assert code == 1 and out == ""
+    assert bound in err
+
+
+@pytest.mark.parametrize("line, bound", [
+    ("cap = 0", "cap must be at least 1"),
+    ("cap = -3", "cap must be at least 1"),
+    ("max_cap = 5", "max_cap must be at least cap (12)"),
+    ("attempts = 0", "attempts must be at least 1"),
+])
+def test_knob_file_values_are_validated(capsys, tmp_path, line, bound):
+    path = tmp_path / "knob.germ"
+    path.write_text(A1_TEXT + line + "\n")
+    code, out, err = run_cli(capsys, ["index", str(path), "--format", "json"])
+    assert code == 1 and out == ""
+    assert bound in err
+
+
+def test_knob_flag_overrides_file_value(capsys, tmp_path):
+    path = tmp_path / "knob.germ"
+    path.write_text(A1_TEXT + "cap = 0\n")
+    code, _, _ = run_cli(capsys, ["index", str(path), "--format", "json",
+                                  "--cap", "12"])
+    assert code == 0

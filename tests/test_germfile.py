@@ -7,7 +7,7 @@ import pytest
 
 from icisres.errors import (ArityError, GermSyntaxError,
                             NonRationalCoefficient)
-from icisres.germfile import GermFile, parse_germ_file
+from icisres.germfile import MAX_NESTING, GermFile, parse_germ_file
 from icisres.polycore import Poly
 
 A1_TEXT = """\
@@ -128,3 +128,22 @@ def test_render_parse_roundtrip():
         text = f"vars = x, y\nomega = {p.render(names)}, 0\n"
         gf = parse_germ_file(text)
         assert gf.omega[0] == p
+
+
+def _nested(depth: int, inner: str = "x") -> str:
+    return ("vars = x, y, z\nf = " + "(" * depth + inner + ")" * depth
+            + "\nomega = 0, 0, 1\n")
+
+
+def test_deep_nesting_is_a_located_error():
+    with pytest.raises(GermSyntaxError) as info:
+        parse_germ_file(_nested(3000))
+    # "f = " takes columns 1-4; the first '(' past the bound is rejected
+    assert (info.value.line, info.value.column) == (2, 5 + MAX_NESTING)
+    assert "nested" in str(info.value)
+
+
+def test_moderate_nesting_parses():
+    x, y = Poly.variable(3, 0), Poly.variable(3, 1)
+    assert parse_germ_file(_nested(20, "x + y")).f == (x + y,)
+    assert parse_germ_file(_nested(MAX_NESTING)).f == (x,)

@@ -5,13 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from icisres.errors import NotRegularSequence
+from icisres import residues
+from icisres.errors import CapExceeded, NotRegularSequence
+from icisres.index import find_good_coordinates, minors
+from icisres.localalg import (colength, minimal_power_membership,
+                              standard_basis, standard_basis_at)
+from icisres.pairing import algebra_B, residue_functional
 from icisres.polycore import Poly
-from icisres.residues import (form_index_basis, grothendieck_residue,
+from icisres.residues import (ResidueForm, form_index_basis,
+                              grothendieck_residue,
                               intersection_multiplicity_both_ways,
                               jacobian_minor, lambda_map, lift_rows,
                               monomial_residue, relative_residue,
                               residue_via_lift)
+from icisres.verify import builtin_corpus
+
+from oracle_macaulay import stable_corank
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -226,3 +235,116 @@ def test_intersection_multiplicity_pairs():
 def test_intersection_multiplicity_rejects_wrong_dimension():
     with pytest.raises(NotRegularSequence):
         intersection_multiplicity_both_ways([], [X, X])
+
+
+# residue forms ---------------------------------------------------------------
+
+def _per_call_residue(h, denoms, cap=12):
+    """Reference: one residue with a tracked probe and lifts at full depth."""
+    base = standard_basis(denoms, cap=cap)
+    if colength(base) == 0:
+        return Fraction(0)
+    t = base.max_quotient_degree()
+    probe = standard_basis_at(denoms, max(cap, t + 1), track=True)
+    powers = [minimal_power_membership(i, denoms, max_power=t + 1, sb=probe)[0]
+              for i in range(len(denoms))]
+    big = sum(powers) - len(powers)
+    work_cap = max(cap, big + t + 2, big + h.total_degree())
+    return residue_via_lift(h, lift_rows(denoms, powers, work_cap), powers)
+
+
+def test_form_matches_per_call_residue_on_corpus_algebras():
+    for name, p in builtin_corpus():
+        _, good = find_good_coordinates(p)
+        ms = minors(good)
+        denoms = [ms.principal[0], ms.principal[1]] + list(good.f)
+        alg = algebra_B(good)
+        fn = residue_functional(good)
+        form = ResidueForm(denoms)
+        for e in alg.basis:
+            h = Poly.monomial(good.nvars, e, 1)
+            expected = _per_call_residue(h, denoms)
+            assert form.value(h) == expected, (name, e)
+            assert fn.values[e] == expected, (name, e)
+
+
+def test_form_finds_powers_off_the_staircase():
+    # x lies in the leading ideal of (x - y^2, y^3) but only x^2 in the ideal
+    denoms = [X - Y**2, Y**3]
+    form = ResidueForm(denoms)
+    assert form.powers == (2, 3)
+    for h in (ONE2, Y, Y**2, X * Y, X + (Y**2).scale(Fraction(3))):
+        assert form.value(h) == _per_call_residue(h, denoms)
+
+
+def test_form_lifts_once_for_many_numerators(monkeypatch):
+    tracked = []
+    real = residues.standard_basis_at
+
+    def counting(*args, **kwargs):
+        tracked.append(kwargs.get("track"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(residues, "standard_basis_at", counting)
+    denoms = [X**2 + Y**3, Y**2]
+    form = ResidueForm(denoms)
+    assert (form.powers, form.big, form.height) == ((2, 2), 2, 2)
+    caps = {}
+    for a in range(3):
+        for b in range(3):
+            h = X**a * Y**b
+            assert form.value(h, caps) == grothendieck_residue(h, denoms)
+    # the nine form values shared one lift and its recheck; each
+    # grothendieck_residue call built its own pair
+    assert tracked == [True, True] * 10
+    assert caps == {"residue": 12}
+    # a numerator of degree 11 asks for cap big + 11 = 13: one more pair
+    del tracked[:]
+    assert form.value(X * Y**10, caps) == 0
+    assert caps == {"residue": 13} and tracked == [True, True]
+
+
+def test_lift_rows_rep_cap_keeps_the_residue():
+    cases = [
+        ([X**2 + Y**3, Y**2], [ONE2, X * Y, X + Y, (X * Y).scale(Fraction(5)) + Y]),
+        ([X - Y**2, Y**3], [Y**2, X * Y**2, X + Y]),
+        ([x3, y3, SPHERE], [z3, ONE3 + z3, x3 * z3]),
+    ]
+    for denoms, numerators in cases:
+        form = ResidueForm(denoms)
+        rep_cap = form.big + form.height + 2
+        full = lift_rows(denoms, form.powers, 14)
+        cut = lift_rows(denoms, form.powers, 14, rep_cap=rep_cap)
+        for row_full, row_cut in zip(full, cut):
+            for a, b in zip(row_full, row_cut):
+                assert b == a.truncate(rep_cap)
+        for h in numerators:
+            value = residue_via_lift(h, full, form.powers)
+            assert residue_via_lift(h, cut, form.powers) == value
+            assert form.value(h) == value
+
+
+def test_trial_nine_ideal_against_macaulay_oracle():
+    # the accepted ideal of cor-mult trial 9 at seed 0: colength 2
+    f = (x3 * z3).scale(Fraction(-2)) + y3**2 + x3 + y3.scale(Fraction(2))
+    g = [x3**2 + (x3 * y3).scale(Fraction(2)) + (y3**2).scale(Fraction(2))
+         - y3 * z3 + z3**2 + y3.scale(Fraction(3)),
+         x3**2 + (x3 * y3).scale(Fraction(2)) + (x3 * z3).scale(Fraction(3))
+         + y3.scale(Fraction(3))]
+    assert stable_corank([f] + g) == 2
+    assert intersection_multiplicity_both_ways([f], g) == (2, Fraction(2))
+
+
+def test_form_recheck_rejects_disagreeing_boxes(monkeypatch):
+    real = residues.lift_rows
+
+    def drifting(denoms, powers, cap, rep_cap=None):
+        rows = real(denoms, powers, cap, rep_cap=rep_cap)
+        if cap > 12:
+            rows[0][0] = rows[0][0] + ONE2
+        return rows
+
+    monkeypatch.setattr(residues, "lift_rows", drifting)
+    with pytest.raises(CapExceeded, match=r"cap 12 \(rep cap 2\).*"
+                                          r"cap 16 \(rep cap 6\)"):
+        grothendieck_residue(ONE2, [X, Y])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from icisres import verify
 from icisres.verify import (DEFAULT_TRIALS, SUITES, VerificationPlan,
                             builtin_corpus, random_poly, run)
 
@@ -82,3 +83,18 @@ def test_theorem_suite_reaches_random_branch():
     out = run(plan)[0]
     assert out.ok
     assert out.trials_run == corpus_len + 2
+
+
+def test_cor_mult_computes_each_accepted_pair_once(monkeypatch):
+    computed = []
+    real = verify.intersection_multiplicity_both_ways
+
+    def counting(f, g, *args, **kwargs):
+        computed.append(tuple(verify._render(p) for p in list(f) + list(g)))
+        return real(f, g, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "intersection_multiplicity_both_ways", counting)
+    out = run(small_plan(["cor-mult"], trials=4, seed=0))[0]
+    assert out.ok
+    assert len(computed) >= 4
+    assert len(computed) == len(set(computed))
