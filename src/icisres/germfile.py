@@ -25,6 +25,12 @@ KEYS = ("vars", "f", "omega", "g", "seed", "cap", "max_cap", "attempts")
 # interpreter's recursion limit
 MAX_NESTING = 100
 
+# highest degree one `^` may expand to, a constant base counting as degree
+# 1 so that its exponent is bounded too; it lies above the default cap
+# ceiling (40), and the check comes before the expansion, so x^1000000000
+# fails at once instead of hanging
+MAX_POWER_DEGREE = 64
+
 
 @dataclass
 class Token:
@@ -174,7 +180,13 @@ class _ExprParser:
             if etok.kind != "int":
                 raise GermSyntaxError("exponent must be a nonnegative integer",
                                       etok.line, etok.col)
-            p = p ** int(etok.text)
+            k = int(etok.text)
+            degree = max(p.total_degree(), 1)
+            if k * degree > MAX_POWER_DEGREE:
+                raise GermSyntaxError(
+                    f"exponent {k} on a base of degree {degree} exceeds the "
+                    f"power degree bound {MAX_POWER_DEGREE}", etok.line, etok.col)
+            p = p ** k
         return p
 
     def primary(self) -> Poly:

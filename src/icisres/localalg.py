@@ -13,10 +13,36 @@ A basis is certified by recomputing at cap + 4 and checking the staircase
 is unchanged.  When the quotient staircase is finite and lies strictly
 below the cap this is a proof, not a heuristic: every monomial one degree
 above the staircase is then a verified member of the leading ideal.
+
+Bases, lifts and normal forms all run on one integer kernel (_Kernel),
+built per cap.  A monomial is one int: the total degree in the top field,
+then e_n, ..., e_1 below it (Bachmann and Schoenemann, "Monomial
+representations for Groebner bases computations", ISSAC 1998).  Each field
+holds 2 * cap, the largest degree of a product of two truncated
+monomials, plus a guard bit on top, so no product overflows a field.  Then
+the smallest int is the largest monomial, a product is an addition, the
+degree is a shift, truncation is one comparison against
+(cap + 1) << shift, and b divides a exactly when subtracting b from a with
+every guard bit set clears none of them.  LocalOrder.key remains the
+specification of the order.
+
+Coefficients inside the kernel are integers.  A basis element keeps its
+terms and its representation rows as one primitive integer vector, scaled
+by its leading coefficient lc.  A dividend and its representation rows
+share one denominator D; a reduction step on the coefficient c multiplies
+them by lc / gcd(lc, c) and subtracts c / gcd(lc, c) times the shifted
+element, so nothing is ever divided (fraction free, as in Bareiss
+elimination).  Fraction begins where values leave the kernel: remainder
+and lift coefficients as Fraction(c, D), basis elements as monic Polys
+(StandardBasis.elements), and from there TruncatedSeries and
+LiftCertificate.  Selection depends only on leading monomials and ecarts,
+so every staircase, element, remainder and representation is the one
+exact rational arithmetic gives.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -26,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (CapExceeded, NotMember, NotZeroDimensional,
                      PowerCapExceeded)
 from .polycore import (Exponent, Poly, Terms, TruncatedSeries, mono_deg,
-                       mono_div, mono_divides, mono_lcm, mono_mul)
+                       mono_divides, mono_lcm)
 
 INFINITE = math.inf
 
@@ -36,164 +62,234 @@ MAX_CAP = 40
 
 
 class LocalOrder:
-    """Negative degree reverse lexicographic order, optional variable permutation."""
+    """Negative degree reverse lexicographic order."""
 
-    def __init__(self, nvars: int, permutation: Optional[Sequence[int]] = None):
+    def __init__(self, nvars: int):
         self.nvars = nvars
-        self.permutation = tuple(permutation) if permutation is not None else None
-        if self.permutation is not None and sorted(self.permutation) != list(range(nvars)):
-            raise ValueError("permutation must rearrange 0..nvars-1")
 
     def key(self, e: Exponent):
         """Sort key; larger key means larger monomial (closer to 1)."""
-        if self.permutation is not None:
-            e = tuple(e[i] for i in self.permutation)
         return (-sum(e), tuple(-v for v in reversed(e)))
-
-    def leading_exponent(self, terms: Terms) -> Exponent:
-        return max(terms, key=self.key)
-
-    def sort_desc(self, monomials) -> List[Exponent]:
-        return sorted(monomials, key=self.key, reverse=True)
 
 
 class _Elem:
-    """One standard basis element, kept monic."""
+    """One standard basis element in the integer kernel.
 
-    __slots__ = ("terms", "lm", "ecart", "rep")
+    lm and lc are the leading term, exp is lm unpacked, and tail holds the
+    other (packed monomial, int) terms in ascending order, so smallest
+    degree first.  The terms and rep, the representation rows through the
+    generators (sorted the same way), form one primitive integer vector:
+    the monic element is terms / lc and its representation rep / lc.
+    """
 
-    def __init__(self, terms: Terms, lm: Exponent, rep: Optional[List[Terms]]):
-        self.terms = terms
-        self.lm = lm
-        self.ecart = max(mono_deg(e) for e in terms) - mono_deg(lm)
+    __slots__ = ("lm", "lc", "tail", "exp", "ecart", "rep")
+
+    def __init__(self, terms: List[Tuple[int, int]], exp: Exponent, ecart: int,
+                 rep: Optional[List[List[Tuple[int, int]]]]):
+        self.lm, self.lc = terms[0]
+        self.tail = terms[1:]
+        self.exp = exp
+        self.ecart = ecart
         self.rep = rep
 
 
-def _add_scaled(dst: Terms, src: Terms, coeff: Fraction, mono: Exponent, cap: int,
-                sink: Optional[List[Exponent]] = None) -> None:
-    """dst += coeff * mono * src, truncated at cap; new exponents go to sink."""
-    base = mono_deg(mono)
-    for e, c in src.items():
-        if base + mono_deg(e) > cap:
-            continue
-        me = mono_mul(mono, e)
-        s = dst.get(me, Fraction(0)) + coeff * c
+def _addmul(dst: Dict[int, int], k: int, mono: int,
+            src: List[Tuple[int, int]], limit: int) -> None:
+    """dst += k * mono * src over packed terms sorted ascending, cut at limit."""
+    for t, v in src:
+        m = mono + t
+        if m >= limit:
+            break
+        s = dst.get(m, 0) + k * v
         if s:
-            if me not in dst and sink is not None:
-                sink.append(me)
-            dst[me] = s
+            dst[m] = s
         else:
-            dst.pop(me, None)
+            del dst[m]
 
 
-def _neg_key(k):
-    return (-k[0], tuple(-v for v in k[1]))
+class _Kernel:
+    """Packed monomials and fraction-free reduction at one cap.
 
-
-def _reduce(terms: Terms, G: List[_Elem], order: LocalOrder, cap: int,
-            rep: Optional[List[Terms]] = None,
-            rep_cap: Optional[int] = None) -> Tuple[Terms, Optional[List[Terms]]]:
-    """Canonical reduction of terms by G; remainder is supported off the leading ideal.
-
-    Monomials are processed largest first; a reduction step only creates
-    strictly smaller monomials, so each is handled once.  Mora's selection
-    rule (divisor of least ecart) keeps tails short.  The remainder is the
-    unique representative modulo the ideal supported on staircase
-    monomials, which makes the map linear in the dividend.  Quotients are
-    accumulated into rep truncated at rep_cap (default cap); they never
-    feed back into the remainder.
+    The elements are kept twice: in insertion order, and stably sorted by
+    ecart, so the first divisor found there is Mora's choice (least ecart,
+    earliest inserted among equals).
     """
-    if rep_cap is None:
-        rep_cap = cap
-    h: Terms = {e: c for e, c in terms.items() if mono_deg(e) <= cap}
-    if rep is not None:
-        rep = [dict(r) for r in rep]
-    remainder: Terms = {}
-    heap = [(_neg_key(order.key(e)), e) for e in h]
-    heapq.heapify(heap)
-    done = set()
-    new_exps: List[Exponent] = []
-    while heap:
-        _, e = heapq.heappop(heap)
-        if e in done:
-            continue
-        done.add(e)
-        c = h.get(e)
-        if not c:
-            continue
-        chosen = None
-        for g in G:
-            if mono_divides(g.lm, e):
-                if chosen is None or g.ecart < chosen.ecart:
-                    chosen = g
-        if chosen is None:
-            remainder[e] = c
+
+    def __init__(self, nvars: int, cap: int, rep_cap: int):
+        # a field holds the degree of a product of two monomials of degree
+        # <= cap, plus the guard bit
+        width = (2 * cap).bit_length() + 1
+        self.nvars = nvars
+        self.width = width
+        self.shift = nvars * width
+        self.guards = sum(1 << (i * width + width - 1) for i in range(nvars))
+        self.cap = cap
+        self.limit = (cap + 1) << self.shift
+        self.rep_limit = (rep_cap + 1) << self.shift
+        self.elems: List[_Elem] = []
+        self._search: List[_Elem] = []
+
+    def pack(self, e: Exponent) -> int:
+        m = sum(e)
+        for v in reversed(e):
+            m = (m << self.width) | v
+        return m
+
+    def unpack(self, m: int) -> Exponent:
+        mask = (1 << self.width) - 1
+        out = []
+        for _ in range(self.nvars):
+            out.append(m & mask)
+            m >>= self.width
+        return tuple(out)
+
+    def divides(self, b: int, a: int) -> bool:
+        """b | a: a - b, taken with every guard bit of a set, clears none."""
+        return ((a | self.guards) - b) & self.guards == self.guards
+
+    def degree(self, m: int) -> int:
+        return m >> self.shift
+
+    def add(self, g: _Elem) -> None:
+        self.elems.append(g)
+        bisect.insort_right(self._search, g, key=lambda el: el.ecart)
+
+    def dividend(self, terms: Terms) -> Tuple[Dict[int, int], int]:
+        """Integer terms of degree <= cap and their common denominator."""
+        kept = [(e, c) for e, c in terms.items() if sum(e) <= self.cap]
+        den = math.lcm(*(c.denominator for _, c in kept))
+        return {self.pack(e): c.numerator * (den // c.denominator)
+                for e, c in kept}, den
+
+    def reduce(self, h: Dict[int, int],
+               rows: Optional[List[Dict[int, int]]] = None) -> Tuple[List[int], int]:
+        """Canonical reduction of h, in place; rows ride along.
+
+        h holds integer coefficients over a denominator the caller keeps,
+        and rows a representation over the same denominator.  Monomials
+        are processed largest first; a reduction step only creates
+        strictly smaller monomials, so each is handled once.  A step by an
+        element with leading coefficient lc on the coefficient c multiplies
+        h and rows by lc / gcd(lc, c) and subtracts c / gcd(lc, c) times
+        the shifted element and its representation; the rows' share of
+        the steps is added at the end, which gives the same rows without
+        rescaling them at every step.  Returns the remainder monomials,
+        largest first, whose coefficients stay in h, and the factor the
+        denominator grew by.  The remainder is the unique
+        representative modulo the ideal supported on staircase monomials,
+        which makes the map linear in the dividend.  Terms are cut at the
+        cap, rows at the representation cap; rows never feed back into h.
+        """
+        limit, search, divides = self.limit, self._search, self.divides
+        heap = sorted(h)
+        remainder: List[int] = []
+        steps = []
+        scale = 1
+        last = -1
+        while heap:
+            e = heapq.heappop(heap)
+            if e == last:
+                continue    # pushed twice: cancelled, then created again
+            last = e
+            c = h.get(e)
+            if c is None:
+                continue
+            for g in search:
+                if divides(g.lm, e):
+                    break
+            else:
+                remainder.append(e)
+                continue
+            mono = e - g.lm
+            d = math.gcd(c, g.lc)
+            a, b = g.lc // d, c // d
+            if a != 1:
+                scale *= a
+                for k in h:
+                    h[k] *= a
             del h[e]
-            continue
-        mono = mono_div(e, chosen.lm)
-        new_exps.clear()
-        _add_scaled(h, chosen.terms, -c, mono, cap, sink=new_exps)
-        if rep is not None and chosen.rep is not None:
-            for j, r in enumerate(chosen.rep):
-                _add_scaled(rep[j], r, c, mono, rep_cap)
-        for ne in new_exps:
-            if ne not in done:
-                heapq.heappush(heap, (_neg_key(order.key(ne)), ne))
-    return remainder, rep
+            for t, v in g.tail:
+                m = mono + t
+                if m >= limit:
+                    break
+                old = h.get(m)
+                if old is None:
+                    h[m] = -b * v
+                    heapq.heappush(heap, m)
+                else:
+                    s = old - b * v
+                    if s:
+                        h[m] = s
+                    else:
+                        del h[m]
+            if rows is not None:
+                steps.append((mono, b, g.rep, a))
+        if rows is not None:
+            # rows_end = scale * rows - sum over steps of b * (product of
+            # the later multipliers) * mono * rep, summed last step first
+            if scale != 1:
+                for r in rows:
+                    for k in r:
+                        r[k] *= scale
+            later = 1
+            for mono, b, rep, a in reversed(steps):
+                for r, gr in zip(rows, rep):
+                    _addmul(r, -b * later, mono, gr, self.rep_limit)
+                later *= a
+        return remainder, scale
 
 
-def _monic(terms: Terms, lm: Exponent, rep: Optional[List[Terms]]):
-    lc = terms[lm]
-    if lc != 1:
-        terms = {e: c / lc for e, c in terms.items()}
-        if rep is not None:
-            rep = [{e: c / lc for e, c in r.items()} for r in rep]
-    return terms, rep
-
-
-def _complete(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
-              rep_cap: int):
-    """Truncated completion to a standard basis; returns the element list.
+def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
+              rep_cap: int) -> _Kernel:
+    """Truncated completion to a standard basis; returns the kernel holding it.
 
     Elements are truncated at cap, tracked representations at rep_cap.
     """
+    kernel = _Kernel(nvars, cap, rep_cap)
+    G = kernel.elems
     m = len(gens)
-    G: List[_Elem] = []
 
-    def insert(terms: Terms, rep):
-        # rep satisfies terms = sum(rep[j] * gens[j]) up to rep_cap.  The
-        # reducer accumulates subtracted quotients, so feed it the negated
-        # representation and negate the result to keep that identity for
-        # the reduced element.
-        neg = None
-        if rep is not None:
-            neg = [{e: -c for e, c in r.items()} for r in rep]
-        terms, neg = _reduce(terms, G, order, cap, neg, rep_cap)
-        if not terms:
+    def insert(h: Dict[int, int], rows) -> None:
+        # h = sum(rows[j] * gens[j]) up to rep_cap, over any common scale;
+        # reduction keeps that identity for the remainder
+        remainder, _ = kernel.reduce(h, rows)
+        if not remainder:
             return
-        if neg is not None:
-            rep = [{e: -c for e, c in r.items()} for r in neg]
-        lm = order.leading_exponent(terms)
-        terms, rep = _monic(terms, lm, rep)
-        G.append(_Elem(terms, lm, rep))
+        terms = [(e, h[e]) for e in remainder]
+        values = [v for _, v in terms]
+        rep = None
+        if rows is not None:
+            rep = [sorted(r.items()) for r in rows]
+            values += [v for r in rep for _, v in r]
+        # a positive lc keeps the step multiplier lc / gcd(lc, c) at 1
+        # whenever lc divides c
+        k = math.gcd(*values)
+        if terms[0][1] < 0:
+            k = -k
+        terms = [(e, v // k) for e, v in terms]
+        if rep is not None:
+            rep = [[(e, v // k) for e, v in r] for r in rep]
+        ecart = kernel.degree(remainder[-1]) - kernel.degree(remainder[0])
+        kernel.add(_Elem(terms, kernel.unpack(remainder[0]), ecart, rep))
 
     for j, g in enumerate(gens):
         if g.is_zero():
             continue
-        rep = None
+        h, den = kernel.dividend(g.terms)
+        rows = None
         if track:
-            rep = [dict() for _ in range(m)]
-            rep[j] = {(0,) * g.nvars: Fraction(1)}
-        insert({e: c for e, c in g.terms.items() if mono_deg(e) <= cap}, rep)
+            rows = [dict() for _ in range(m)]
+            rows[j] = {0: den}
+        insert(h, rows)
 
     pairs = []
     def push_pairs(new_index: int):
         gi = G[new_index]
         for k in range(new_index):
-            lcm = mono_lcm(G[k].lm, gi.lm)
+            lcm = mono_lcm(G[k].exp, gi.exp)
             d = mono_deg(lcm)
             if d <= cap:
-                heapq.heappush(pairs, (d, k, new_index, lcm))
+                heapq.heappush(pairs, (d, k, new_index, kernel.pack(lcm)))
 
     for i in range(len(G)):
         push_pairs(i)
@@ -201,30 +297,28 @@ def _complete(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
         gi, gj = G[i], G[j]
-        mi, mj = mono_div(lcm, gi.lm), mono_div(lcm, gj.lm)
-        if mi is None or mj is None:
-            continue
-        s: Terms = {}
-        _add_scaled(s, gi.terms, Fraction(1), mi, cap)
-        _add_scaled(s, gj.terms, Fraction(-1), mj, cap)
-        rep = None
+        mi, mj = lcm - gi.lm, lcm - gj.lm
+        # lcj/d * mi * gi - lci/d * mj * gj: the leading terms cancel
+        d = math.gcd(gi.lc, gj.lc)
+        ki, kj = gj.lc // d, -(gi.lc // d)
+        s: Dict[int, int] = {}
+        _addmul(s, ki, mi, gi.tail, kernel.limit)
+        _addmul(s, kj, mj, gj.tail, kernel.limit)
+        rows = None
         if track:
-            rep = [dict() for _ in range(m)]
-            if gi.rep is not None:
-                for t, r in enumerate(gi.rep):
-                    _add_scaled(rep[t], r, Fraction(1), mi, rep_cap)
-            if gj.rep is not None:
-                for t, r in enumerate(gj.rep):
-                    _add_scaled(rep[t], r, Fraction(-1), mj, rep_cap)
+            rows = [dict() for _ in range(m)]
+            for r, ri, rj in zip(rows, gi.rep, gj.rep):
+                _addmul(r, ki, mi, ri, kernel.rep_limit)
+                _addmul(r, kj, mj, rj, kernel.rep_limit)
         before = len(G)
-        insert(s, rep)
+        insert(s, rows)
         if len(G) > before:
             push_pairs(before)
-    return G
+    return kernel
 
 
 def _staircase_min_gens(G: List[_Elem]) -> List[Exponent]:
-    lms = sorted({g.lm for g in G}, key=lambda e: (mono_deg(e), e))
+    lms = sorted({g.exp for g in G}, key=lambda e: (mono_deg(e), e))
     minimal: List[Exponent] = []
     for e in lms:
         if not any(mono_divides(f, e) for f in minimal):
@@ -272,7 +366,7 @@ class StandardBasis:
     elements: List[Poly] = field(repr=False)
     staircase: List[Exponent]
     quotient_monomials: Optional[List[Exponent]]
-    _elems: List[_Elem] = field(repr=False)
+    _kernel: _Kernel = field(repr=False)
     tracked: bool = False
 
     def is_finite(self) -> bool:
@@ -287,12 +381,14 @@ class StandardBasis:
 def _build(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
            certified: bool, rep_cap: Optional[int] = None) -> StandardBasis:
     rep_cap = cap if rep_cap is None else min(rep_cap, cap)
-    elems = _complete(gens, order, cap, track, rep_cap)
-    stair = _staircase_min_gens(elems)
+    kernel = _complete(gens, order.nvars, cap, track, rep_cap)
+    stair = _staircase_min_gens(kernel.elems)
     quot = _quotient_monomials(stair, order.nvars)
-    polys = [Poly(order.nvars, dict(e.terms)) for e in elems]
+    polys = [Poly(order.nvars, {kernel.unpack(m): Fraction(v, g.lc)
+                                for m, v in [(g.lm, g.lc)] + g.tail})
+             for g in kernel.elems]
     return StandardBasis(tuple(gens), order, cap, rep_cap, certified, polys,
-                         stair, quot, elems, track)
+                         stair, quot, kernel, track)
 
 
 def standard_basis(gens: Sequence[Poly], order: Optional[LocalOrder] = None,
@@ -354,20 +450,34 @@ def colength(sb: StandardBasis):
     return len(sb.quotient_monomials)
 
 
+def _remainder(p: Poly, sb: StandardBasis, rows=None):
+    """Remainder of p as a series, and the denominator rows end up over."""
+    kernel = sb._kernel
+    h, den = kernel.dividend(p.terms)
+    remainder, scale = kernel.reduce(h, rows)
+    den *= scale
+    r = {kernel.unpack(e): Fraction(h[e], den) for e in remainder}
+    return TruncatedSeries(Poly(p.nvars, r), sb.cap), den
+
+
 def normal_form(p: Poly, sb: StandardBasis) -> TruncatedSeries:
     """Canonical remainder of p modulo the ideal, supported on the staircase."""
-    r, _ = _reduce(p.terms, sb._elems, sb.order, sb.cap)
-    return TruncatedSeries(Poly(p.nvars, r), sb.cap)
+    return _remainder(p, sb)[0]
 
 
 def normal_form_with_lift(p: Poly, sb: StandardBasis):
     """Remainder plus coefficients on the original generators (needs track=True)."""
     if not sb.tracked:
         raise ValueError("standard basis was built without lift tracking")
-    rep = [dict() for _ in range(len(sb.gens))]
-    r, rep = _reduce(p.terms, sb._elems, sb.order, sb.cap, rep, sb.rep_cap)
-    coeffs = [TruncatedSeries(Poly(p.nvars, cr), sb.rep_cap) for cr in rep]
-    return TruncatedSeries(Poly(p.nvars, r), sb.cap), coeffs
+    rows = [dict() for _ in range(len(sb.gens))]
+    r, den = _remainder(p, sb, rows)
+    # the rows hold minus the quotients: p = r - sum(rows[j] * gens[j]) / den
+    unpack = sb._kernel.unpack
+    coeffs = [TruncatedSeries(Poly(p.nvars, {unpack(e): Fraction(-v, den)
+                                             for e, v in row.items()}),
+                              sb.rep_cap)
+              for row in rows]
+    return r, coeffs
 
 
 @dataclass

@@ -199,19 +199,22 @@ class ResidueForm:
 
 def grothendieck_residue(numerator: Poly, denominators: Sequence[Poly],
                          cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
-                         caps_used: Optional[Dict[str, int]] = None) -> Fraction:
+                         caps_used: Optional[Dict[str, int]] = None,
+                         base: Optional[StandardBasis] = None) -> Fraction:
     """Local residue of numerator over the ordered regular sequence.
 
     The value changes sign under denominator swaps; orientation is carried
     by the determinant of the lift matrix.  Raises NotRegularSequence when
     the denominators do not cut out a finite quotient.  Several numerators
-    over the same denominators should share one ResidueForm.
+    over the same denominators should share one ResidueForm.  base, when
+    given, is a certified standard basis of the denominators' ideal (see
+    ResidueForm).
     """
     denoms = _denominator_list(denominators)
     if numerator.is_zero():
         return Fraction(0)
-    return ResidueForm(denoms, cap=cap, max_cap=max_cap).value(numerator,
-                                                                caps_used)
+    return ResidueForm(denoms, cap=cap, max_cap=max_cap,
+                       base=base).value(numerator, caps_used)
 
 
 def _perm_sign(seq: Sequence[int]) -> int:
@@ -265,11 +268,13 @@ def lambda_map(form: Sequence[Poly], f: Sequence[Poly], nvars: int) -> Poly:
 
 def relative_residue(form: Sequence[Poly], g: Sequence[Poly], f: Sequence[Poly],
                      cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
-                     caps_used: Optional[Dict[str, int]] = None) -> Fraction:
+                     caps_used: Optional[Dict[str, int]] = None,
+                     base: Optional[StandardBasis] = None) -> Fraction:
     """Residue of a form over (g_1, ..., g_{n-q}) on the zero set of f.
 
     Reduces to an ambient residue with denominators (g..., f...), in that
     order; the numerator is lambda_map applied to the form coefficients.
+    base, when given, is a certified standard basis of (g, f).
     """
     if not g:
         raise NotRegularSequence("need at least one denominator on the germ")
@@ -281,7 +286,7 @@ def relative_residue(form: Sequence[Poly], g: Sequence[Poly], f: Sequence[Poly],
     num = lambda_map(form, list(f), nvars)
     denoms = list(g) + list(f)
     return grothendieck_residue(num, denoms, cap=cap, max_cap=max_cap,
-                                caps_used=caps_used)
+                                caps_used=caps_used, base=base)
 
 
 def intersection_multiplicity_both_ways(f: Sequence[Poly], g: Sequence[Poly],
@@ -306,6 +311,7 @@ def intersection_multiplicity_both_ways(f: Sequence[Poly], g: Sequence[Poly],
     k = len(g)
     form = [PolyMatrix([[gi.diff(j) for j in I] for gi in g]).determinant()
             for I in form_index_basis(nvars, k)]
+    # (g, f) is the ideal of (f, g): the residue reuses the colength basis
     rhs = relative_residue(form, g, f, cap=cap, max_cap=max_cap,
-                           caps_used=caps_used)
+                           caps_used=caps_used, base=sb)
     return lhs, rhs

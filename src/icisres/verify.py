@@ -339,15 +339,26 @@ def _trial_ann(rng: random.Random, plan: VerificationPlan,
         dfy = _compose(f_jacobian_minor(good, tuple(range(2, n))), cinv)
         return m1, m2, dfy
 
+    # keep the predicate's basis: an accepted matrix's ideal is certified
+    # once, and the right-hand residue reuses that basis
+    tested = {}
+
     def regular(c):
+        tested["matrix"], tested["basis"] = c, None
         if _det(c) == 0:
             return False
         m1, m2, _ = transformed_pair(c)
         sb = standard_basis([m1, m2] + list(p.f))
-        return colength(sb) != INFINITE
+        if colength(sb) == INFINITE:
+            return False
+        tested["basis"] = sb
+        return True
 
     c = _resample(rng, lambda: _random_matrix(rng, n), regular)
-    if not regular(c):
+    if tested.get("matrix") is not c:
+        regular(c)
+    sb = tested["basis"]
+    if sb is None:
         return None
     m1y, m2y, dfy = transformed_pair(c)
     h = random_poly(rng, n, min(2, plan.degree_bound), min_degree=0)
@@ -355,7 +366,7 @@ def _trial_ann(rng: random.Random, plan: VerificationPlan,
     lhs = grothendieck_residue(h * df,
                                list(p.f) + [ms.principal[0], ms.principal[1]])
     rhs = grothendieck_residue((h * dfy).scale(_det(c)),
-                               list(p.f) + [m1y, m2y])
+                               list(p.f) + [m1y, m2y], base=sb)
     if lhs != rhs:
         return {"germ": name, "matrix": _render_matrix(c), "h": _render(h),
                 "lhs": str(lhs), "rhs": str(rhs)}

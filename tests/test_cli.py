@@ -191,6 +191,15 @@ def test_deep_nesting_exits_with_position(capsys, tmp_path):
     assert err.startswith("error: line 2, column ")
 
 
+def test_huge_power_exits_with_position(capsys, tmp_path):
+    path = tmp_path / "power.germ"
+    path.write_text("vars = x, y, z\nf = x^1000000000 + y^2 + z^2\n"
+                    "omega = 0, 0, 1\n")
+    code, out, err = run_cli(capsys, ["all", str(path), "--format", "json"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 2, column 7:")
+
+
 @pytest.mark.parametrize("flags, bound", [
     (["--cap", "-3"], "cap must be at least 1"),
     (["--cap", "0"], "cap must be at least 1"),

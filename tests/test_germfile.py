@@ -7,7 +7,8 @@ import pytest
 
 from icisres.errors import (ArityError, GermSyntaxError,
                             NonRationalCoefficient)
-from icisres.germfile import MAX_NESTING, GermFile, parse_germ_file
+from icisres.germfile import (MAX_NESTING, MAX_POWER_DEGREE, GermFile,
+                              parse_germ_file)
 from icisres.polycore import Poly
 
 A1_TEXT = """\
@@ -147,3 +148,37 @@ def test_moderate_nesting_parses():
     x, y = Poly.variable(3, 0), Poly.variable(3, 1)
     assert parse_germ_file(_nested(20, "x + y")).f == (x + y,)
     assert parse_germ_file(_nested(MAX_NESTING)).f == (x,)
+
+
+def _no_expansion(monkeypatch):
+    def refuse(self, k):
+        raise AssertionError(f"expanded a power {k}")
+    monkeypatch.setattr(Poly, "__pow__", refuse)
+
+
+def test_huge_power_is_rejected_before_expanding(monkeypatch):
+    _no_expansion(monkeypatch)
+    text = "vars = x, y\nomega = (x + y)^1000000000, 1\n"
+    with pytest.raises(GermSyntaxError) as info:
+        parse_germ_file(text)
+    # the error sits on the exponent token
+    column = text.split("\n")[1].index("1000000000") + 1
+    assert (info.value.line, info.value.column) == (2, column)
+    assert str(MAX_POWER_DEGREE) in str(info.value)
+
+
+@pytest.mark.parametrize("power", [
+    f"(x*y)^{MAX_POWER_DEGREE // 2 + 1}",    # the base's degree counts
+    f"2^{MAX_POWER_DEGREE + 1}",             # a constant counts as degree 1
+])
+def test_power_bound_counts_the_base_degree(monkeypatch, power):
+    _no_expansion(monkeypatch)
+    with pytest.raises(GermSyntaxError, match="power degree bound"):
+        parse_germ_file(f"vars = x, y\nomega = {power}, 1\n")
+
+
+def test_powers_at_the_bound_parse():
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    k = MAX_POWER_DEGREE // 2
+    gf = parse_germ_file(f"vars = x, y\nomega = x^{MAX_POWER_DEGREE}, (x*y)^{k}\n")
+    assert gf.omega == (x ** MAX_POWER_DEGREE, (x * y) ** k)

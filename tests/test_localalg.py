@@ -7,10 +7,14 @@ from fractions import Fraction
 import pytest
 
 from icisres.errors import CapExceeded, NotMember, NotZeroDimensional
-from icisres.localalg import (INFINITE, LocalOrder, colength, is_regular_on_V,
-                              lift, minimal_power_membership, normal_form,
+from icisres.index import GermProblem, eg_index, find_good_coordinates, minors
+from icisres.localalg import (DEFAULT_CAP, INFINITE, LocalOrder, _Kernel,
+                              colength, is_regular_on_V, lift,
+                              minimal_power_membership, normal_form,
                               quotient_algebra, standard_basis)
-from icisres.polycore import Poly
+from icisres.polycore import Poly, mono_divides, mono_mul
+
+from oracle_macaulay import monomials_upto, stable_corank
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -33,6 +37,50 @@ def test_local_order_unit_is_largest():
     for e in itertools.product(range(3), repeat=3):
         if e != (0, 0, 0):
             assert lo.key((0, 0, 0)) > lo.key(e)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_packed_monomials_follow_the_order_spec(nvars):
+    kernel = _Kernel(nvars, DEFAULT_CAP, DEFAULT_CAP)
+    monos = monomials_upto(nvars, 12)
+    packed = {e: kernel.pack(e) for e in monos}
+    assert all(kernel.unpack(m) == e for e, m in packed.items())
+    assert all(kernel.degree(m) == sum(e) for e, m in packed.items())
+    # the smallest int is the largest monomial
+    assert sorted(monos, key=packed.get) == sorted(monos, key=LocalOrder(nvars).key,
+                                                   reverse=True)
+    # the multiples of a up to degree 12, which mono_divides(a, .) picks out
+    cofactors = [monomials_upto(nvars, k) for k in range(13)]
+    for a in monos:
+        multiples = {mono_mul(a, c) for c in cofactors[12 - sum(a)]}
+        assert all(mono_divides(a, b) for b in multiples)
+        pa = packed[a]
+        assert {b for b in monos if kernel.divides(pa, packed[b])} == multiples
+
+
+def test_packed_fields_widen_with_the_cap():
+    kernel = _Kernel(3, 300, 300)
+    assert kernel.width > _Kernel(3, DEFAULT_CAP, DEFAULT_CAP).width
+    monos = [(300, 0, 0), (0, 0, 300), (150, 150, 0), (100, 100, 100), (0, 299, 1)]
+    for a in monos:
+        for b in monos:
+            product = kernel.pack(a) + kernel.pack(b)
+            assert kernel.unpack(product) == mono_mul(a, b)
+            assert kernel.degree(product) == 600
+            # a product lies past the truncation bound, its factors below it
+            assert product >= kernel.limit > kernel.pack(a)
+            assert kernel.divides(kernel.pack(a), product)
+
+
+def test_colength_matches_oracle_in_random_coordinates():
+    # differential check of the integer kernel on dense generators
+    x, y, z = (Poly.variable(3, i) for i in range(3))
+    one = Poly.const(3, 1)
+    p = GermProblem(3, (x**2 + y**3 + z**5,), (one, one, one), seed=1)
+    _, q = find_good_coordinates(p, force_random=True)
+    ms = minors(q)
+    gens = list(q.f) + [ms.all[c] for c in sorted(ms.all)]
+    assert colength(standard_basis(gens)) == eg_index(q) == stable_corank(gens) == 10
 
 
 def test_standard_basis_sphere_section():

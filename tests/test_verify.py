@@ -98,3 +98,24 @@ def test_cor_mult_computes_each_accepted_pair_once(monkeypatch):
     assert out.ok
     assert len(computed) >= 4
     assert len(computed) == len(set(computed))
+
+
+def test_ann_invariance_certifies_each_ideal_once(monkeypatch):
+    # the accepted matrix's ideal is certified by the resample predicate,
+    # and the right-hand residue reuses that basis
+    from icisres import localalg, residues
+    real = localalg.standard_basis
+    for t in range(4):
+        certified = []
+
+        def counting(gens, *args, **kwargs):
+            certified.append(frozenset(verify._render(p) for p in gens))
+            return real(gens, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "standard_basis", counting)
+        monkeypatch.setattr(residues, "standard_basis", counting)
+        rng = random.Random(f"0:ann-invariance:{t}")
+        assert verify._trial_ann(rng, small_plan(["ann-invariance"]), t) is None
+        # one ideal per tried matrix plus the untransformed left-hand one
+        assert len(certified) >= 2
+        assert len(certified) == len(set(certified))
