@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (ArityError, GermSyntaxError, GermFileError,
@@ -30,6 +31,34 @@ MAX_NESTING = 100
 # ceiling (40), and the check comes before the expansion, so x^1000000000
 # fails at once instead of hanging
 MAX_POWER_DEGREE = 64
+
+# largest term count and coefficient bit length one `^` may expand to, by
+# the bounds of `power_size`, also checked before expanding: a power at the
+# degree bound in four or more variables has tens of thousands of terms,
+# and nested powers of constants multiply the bit length at every level
+MAX_POWER_TERMS = 10_000
+MAX_POWER_BITS = 4096
+
+
+def power_size(p: Poly, k: int) -> Tuple[int, int]:
+    """Bounds on the term count and coefficient bit length of p^k, k >= 1.
+
+    With t terms in v variables, p^k has at most C(t + k - 1, k) terms
+    (one per multiset of k terms) and at most C(v + k deg p, v) (one per
+    monomial of degree up to k deg p).  Over the common denominator D of
+    p, each numerator of p^k is a sum of at most t^k products of k
+    numerators of p, and its denominator divides D^k.
+    """
+    if not p.terms:
+        return 1, 0
+    t = len(p.terms)
+    v = sum(1 for i in range(p.nvars) if any(e[i] for e in p.terms))
+    terms = min(comb(t + k - 1, k), comb(v + k * p.total_degree(), v))
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    size = max([den.bit_length()] + [
+        (c.numerator * (den // c.denominator)).bit_length()
+        for c in p.terms.values()])
+    return terms, k * (size + t.bit_length())
 
 
 @dataclass
@@ -186,6 +215,16 @@ class _ExprParser:
                 raise GermSyntaxError(
                     f"exponent {k} on a base of degree {degree} exceeds the "
                     f"power degree bound {MAX_POWER_DEGREE}", etok.line, etok.col)
+            terms, bits = power_size(p, k)
+            if terms > MAX_POWER_TERMS:
+                raise GermSyntaxError(
+                    f"exponent {k} may expand to {terms} terms, above the "
+                    f"power term bound {MAX_POWER_TERMS}", etok.line, etok.col)
+            if bits > MAX_POWER_BITS:
+                raise GermSyntaxError(
+                    f"exponent {k} may give {bits}-bit coefficients, above "
+                    f"the power size bound {MAX_POWER_BITS} bits",
+                    etok.line, etok.col)
             p = p ** k
         return p
 

@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import GoodCoordsNotFound, NotIsolated
 from .localalg import (DEFAULT_CAP, INFINITE, MAX_CAP, colength,
                        is_regular_on_V, standard_basis)
-from .polycore import Poly, PolyMatrix, default_names
+from .polycore import (Poly, PolyMatrix, default_names, linear_forms,
+                       rational_det)
 from .residues import relative_residue
 
 GOOD_COORD_ATTEMPTS = 64
@@ -179,12 +180,11 @@ class CoordinateChange:
                    for i in range(n) for j in range(n))
 
     def determinant(self) -> Fraction:
-        return _num_det([list(r) for r in self.matrix])
+        return rational_det(self.matrix)
 
     def apply(self, p: GermProblem) -> GermProblem:
         n = p.nvars
-        targets = [sum((Poly.variable(n, j).scale(self.matrix[i][j])
-                        for j in range(n)), Poly.zero(n)) for i in range(n)]
+        targets = linear_forms(self.matrix)
         new_f = tuple(fi.substitute(targets) for fi in p.f)
         composed = [w.substitute(targets) for w in p.omega]
         new_omega = tuple(
@@ -192,25 +192,6 @@ class CoordinateChange:
                 Poly.zero(n))
             for j in range(n))
         return GermProblem(n, new_f, new_omega, seed=p.seed, names=p.names)
-
-
-def _num_det(m: List[List[Fraction]]) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            r = m[i][k] / m[k][k]
-            if r:
-                m[i] = [a - r * b for a, b in zip(m[i], m[k])]
-    return det
 
 
 def identity_change(n: int) -> CoordinateChange:
@@ -241,7 +222,7 @@ def find_good_coordinates(p: GermProblem, attempts: int = GOOD_COORD_ATTEMPTS,
     n = p.nvars
     for _ in range(attempts):
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        if _num_det(rows) == 0:
+        if rational_det(rows) == 0:
             continue
         change = CoordinateChange(tuple(tuple(r) for r in rows))
         q = change.apply(p)

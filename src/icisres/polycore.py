@@ -1,22 +1,37 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A polynomial in n variables is a mapping from exponent tuples of length n
-to nonzero Fractions.  All arithmetic is exact; nothing here ever touches
-floats.  Truncated power series reuse the same representation together
-with a total-degree cap, and a small polynomial matrix type provides
-exact determinants (cofactor expansion for tiny matrices, fraction-free
-Bareiss elimination above that).
+to nonzero Fractions, `Poly.terms`; every caller reads and builds that
+mapping, and nothing here ever touches floats.  Products and
+substitutions keep Fractions at that boundary only: each operand's terms
+become ints over one common denominator, one loop accumulates plain int
+sums in a dict, and one Fraction is built per nonzero output term.
+`Poly.__mul__`, `Poly.mul_truncated` (which pairs terms only up to a
+total-degree cap) and `Poly.substitute` share that loop; `substitute` is
+the one substitution, and `linear_forms` gives it the targets of a linear
+change of coordinates z = C y.
+
+Truncated power series reuse the representation together with a
+total-degree cap, and a small polynomial matrix type provides exact
+determinants (cofactor expansion for tiny matrices, fraction-free Bareiss
+elimination above that).  `rational_det` and `rational_inverse` are the
+one determinant and inverse of a rational matrix: Bareiss steps with
+exact integer division on the matrix scaled to one denominator.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from math import gcd, lcm, prod
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InexactDivision
 
 Exponent = Tuple[int, ...]
 Terms = Dict[Exponent, Fraction]
+IntTerms = List[Tuple[Exponent, int]]
 
 _DEFAULT_NAMES = ("x", "y", "z", "w", "u", "v")
 
@@ -57,6 +72,59 @@ def _grlex_key(e: Exponent) -> Tuple[int, Exponent]:
     return (sum(e), e)
 
 
+def _term_degree(term: Tuple[Exponent, int]) -> int:
+    return sum(term[0])
+
+
+def _ints(terms: Terms) -> Tuple[IntTerms, int]:
+    """The terms as (exponent, int) pairs over one common denominator."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if d != 1 and den % d:
+            den = den // gcd(den, d) * d
+    if den == 1:
+        return [(e, c.numerator) for e, c in terms.items()], 1
+    return [(e, c.numerator * (den // c.denominator))
+            for e, c in terms.items()], den
+
+
+def _accumulate(acc: Dict[Exponent, int], left: IntTerms, right: IntTerms,
+                cap: Optional[int] = None) -> None:
+    """Add the integer product left * right into acc.
+
+    With a cap, right is sorted by degree and each left term pairs only
+    with the prefix of right that keeps the total degree within the cap.
+    """
+    get = acc.get
+    if cap is not None:
+        right = sorted(right, key=_term_degree)
+        degrees = [sum(e) for e, _ in right]
+    for e1, c1 in left:
+        partners = right if cap is None else \
+            right[:bisect_right(degrees, cap - sum(e1))]
+        for e2, c2 in partners:
+            e = tuple(map(add, e1, e2))
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _from_ints(nvars: int, acc: Dict[Exponent, int], den: int) -> "Poly":
+    """The Poly with coefficients acc[e] / den; zero sums are dropped."""
+    if den == 1:
+        terms = {e: Fraction(c) for e, c in acc.items() if c}
+    else:
+        terms = {e: Fraction(c, den) for e, c in acc.items() if c}
+    return Poly._nonzero(nvars, terms)
+
+
+def _product(p: "Poly", q: "Poly", cap: Optional[int] = None) -> "Poly":
+    left, dl = _ints(p.terms)
+    right, dr = _ints(q.terms)
+    acc: Dict[Exponent, int] = {}
+    _accumulate(acc, left, right, cap)
+    return _from_ints(p.nvars, acc, dl * dr)
+
+
 class Poly:
     """Immutable sparse polynomial over Q."""
 
@@ -67,6 +135,13 @@ class Poly:
         self.terms: Terms = {e: c for e, c in terms.items() if c != 0}
 
     # construction -------------------------------------------------------
+
+    @classmethod
+    def _nonzero(cls, nvars: int, terms: Terms) -> "Poly":
+        """Wrap terms whose coefficients are already nonzero Fractions."""
+        p = object.__new__(cls)
+        p.nvars, p.terms = nvars, terms
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
@@ -143,17 +218,7 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
-        other = self._coerce(other)
-        out: Terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.nvars, out)
+        return _product(self, self._coerce(other))
 
     __rmul__ = __mul__
 
@@ -177,21 +242,7 @@ class Poly:
 
     def mul_truncated(self, other: "Poly", cap: int) -> "Poly":
         """Product dropping every monomial of total degree above cap."""
-        out: Terms = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            if d1 > cap:
-                continue
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > cap:
-                    continue
-                e = mono_mul(e1, e2)
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.nvars, out)
+        return _product(self, other, cap)
 
     def truncate(self, cap: int) -> "Poly":
         return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= cap})
@@ -207,23 +258,42 @@ class Poly:
         return Poly(self.nvars, out)
 
     def substitute(self, targets: Sequence["Poly"]) -> "Poly":
-        """Replace variable i by targets[i] (all over the same new ring)."""
+        """Replace variable i by targets[i] (all over the same new ring).
+
+        Target i is taken as integers over its denominator d_i, and its
+        powers are cached as integer term lists over d_i^k.  Every term of
+        self then expands into one integer accumulator over the common
+        denominator of all terms.
+        """
         if len(targets) != self.nvars:
             raise ValueError("substitution needs one target per variable")
         m = targets[0].nvars if targets else 0
-        result = Poly.zero(m)
-        powers: List[Dict[int, Poly]] = [dict() for _ in range(self.nvars)]
-        for e, c in self.terms.items():
-            term = Poly.const(m, c)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                cache = powers[i]
-                if k not in cache:
-                    cache[k] = targets[i] ** k
-                term = term * cache[k]
-            result = result + term
-        return result
+        one = (0,) * m
+        bases = [_ints(t.terms) for t in targets]
+        dens = [d for _, d in bases]
+        powers: List[List[IntTerms]] = [[[(one, 1)], b] for b, _ in bases]
+
+        def power(i: int, k: int) -> IntTerms:
+            cache = powers[i]
+            while len(cache) <= k:
+                acc: Dict[Exponent, int] = {}
+                _accumulate(acc, cache[-1], cache[1])
+                cache.append([t for t in acc.items() if t[1]])
+            return cache[k]
+
+        term_dens = [c.denominator * prod(d ** k for d, k in zip(dens, e))
+                     for e, c in self.terms.items()]
+        den = lcm(*term_dens)
+        acc: Dict[Exponent, int] = {}
+        for (e, c), d in zip(self.terms.items(), term_dens):
+            part = [(one, c.numerator * (den // d))]
+            factors = [power(i, k) for i, k in enumerate(e) if k] or [[(one, 1)]]
+            for f in factors[:-1]:
+                step: Dict[Exponent, int] = {}
+                _accumulate(step, part, f)
+                part = [t for t in step.items() if t[1]]
+            _accumulate(acc, part, factors[-1])
+        return _from_ints(m, acc, den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         vals = [Fraction(v) for v in point]
@@ -284,6 +354,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.render()})"
+
+
+def linear_forms(matrix: Sequence[Sequence]) -> List[Poly]:
+    """Row i of the matrix as the linear form sum_j matrix[i][j] * y_j.
+
+    These are the substitution targets of the linear map z = matrix * y.
+    """
+    n = len(matrix)
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return [Poly(n, {unit[j]: Fraction(a) for j, a in enumerate(row)})
+            for row in matrix]
 
 
 def exact_div(p: Poly, q: Poly) -> Poly:
@@ -432,6 +513,68 @@ def _det_bareiss(rows: List[List[Poly]]) -> Poly:
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
+
+
+def _bareiss(rows: List[List[int]], jordan: bool) -> int:
+    """Fraction-free elimination of integer rows in place.
+
+    Each step replaces row i by (pivot * row_i - row_i[k] * row_k) / prev,
+    an exact division, for the rows below the pivot (and with `jordan`
+    above it too, which leaves the square part diagonal).  Returns the
+    sign of the row swaps, or 0 when the square part is singular; the last
+    pivot times that sign is its determinant.
+    """
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i in range(n) if jordan else range(k + 1, n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * a - f * b) // prev
+                           for a, b in zip(rows[i], pivot_row)]
+        prev = p
+    return sign
+
+
+def _scaled(m: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+    """The rational matrix as integer rows over one common denominator."""
+    rows = [[Fraction(a) for a in row] for row in m]
+    den = lcm(*(a.denominator for row in rows for a in row))
+    return [[a.numerator * (den // a.denominator) for a in row]
+            for row in rows], den
+
+
+def rational_det(m: Sequence[Sequence]) -> Fraction:
+    """Exact determinant of a square rational matrix (1 when it is empty)."""
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    rows, den = _scaled(m)
+    sign = _bareiss(rows, jordan=False)
+    return Fraction(sign * rows[-1][-1], den ** n)
+
+
+def rational_inverse(m: Sequence[Sequence]) -> List[List[Fraction]]:
+    """Exact inverse of a nonsingular rational matrix.
+
+    Elimination turns [M | I] into [L | R] with L diagonal and R = L M^-1,
+    so row i of the inverse is den * R_i / L_ii for M = den * m.
+    """
+    n = len(m)
+    rows, den = _scaled(m)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    if not _bareiss(aug, jordan=True):
+        raise ZeroDivisionError("inverse of a singular matrix")
+    return [[Fraction(den * a, row[i]) for a in row[n:]]
+            for i, row in enumerate(aug)]
 
 
 def series_determinant(rows: Sequence[Sequence[TruncatedSeries]], cap: int) -> TruncatedSeries:

@@ -22,7 +22,8 @@ from .index import (CoordinateChange, GermProblem, eg_index,
                     f_jacobian_minor, main_residue, minor, minors,
                     sigma_data, solve)
 from .localalg import INFINITE, colength, normal_form, standard_basis
-from .polycore import Poly, PolyMatrix, default_names
+from .polycore import (Poly, PolyMatrix, default_names, linear_forms,
+                       rational_det, rational_inverse)
 from .residues import grothendieck_residue, intersection_multiplicity_both_ways
 from .pairing import pairing_report
 
@@ -136,51 +137,33 @@ def _resample(rng: random.Random, make: Callable, ok: Callable,
     return item
 
 
-def _det(m: List[List[Fraction]]) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            r = m[i][k] / m[k][k]
-            if r:
-                m[i] = [a - r * b for a, b in zip(m[i], m[k])]
-    return det
-
-
-def _inverse(m: List[List[Fraction]]) -> List[List[Fraction]]:
-    n = len(m)
-    aug = [list(map(Fraction, m[i])) + [Fraction(1 if j == i else 0)
-                                        for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if aug[i][k] != 0)
-        aug[k], aug[piv] = aug[piv], aug[k]
-        lead = aug[k][k]
-        aug[k] = [a / lead for a in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug]
-
-
 def _random_matrix(rng: random.Random, n: int) -> List[List[Fraction]]:
     return [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
 
 
+def _nonsingular_draw(rng: random.Random, n: int,
+                      block: Callable = lambda m: m):
+    """A random n x n matrix, resampled until block(matrix) is nonsingular.
+
+    Returns the matrix and det(block(matrix)), which is 0 when the resample
+    limit ran out.  The predicate's determinant is kept, so each drawn
+    matrix's block is evaluated once.
+    """
+    tested = {}
+
+    def nonsingular(m):
+        tested["matrix"], tested["det"] = m, rational_det(block(m))
+        return tested["det"] != 0
+
+    m = _resample(rng, lambda: _random_matrix(rng, n), nonsingular)
+    if tested.get("matrix") is not m:
+        nonsingular(m)
+    return m, tested["det"]
+
+
 def _compose(p: Poly, matrix: Sequence[Sequence[Fraction]]) -> Poly:
     """p(C y): substitute the linear map given by the matrix rows."""
-    n = p.nvars
-    targets = [sum((Poly.variable(n, j).scale(matrix[i][j]) for j in range(n)),
-                   Poly.zero(n)) for i in range(n)]
-    return p.substitute(targets)
+    return p.substitute(linear_forms(matrix))
 
 
 def _render(p: Poly) -> str:
@@ -212,11 +195,10 @@ def _trial_det_lemmas(rng: random.Random, plan: VerificationPlan,
         d = [row[j:] for row in h[j:]]
         return a, b, c, d
 
-    h = _resample(rng, lambda: _random_matrix(rng, n),
-                  lambda m: _det(blocks(m)[0]) != 0)
+    h, det_a = _nonsingular_draw(rng, n, lambda m: blocks(m)[0])
     a, b, c, d = blocks(h)
-    if _det(a) != 0:
-        ainv = _inverse(a)
+    if det_a != 0:
+        ainv = rational_inverse(a)
         # D - C A^{-1} B
         ca = [[sum(c[i][k] * ainv[k][l] for k in range(j)) for l in range(j)]
               for i in range(n - j)]
@@ -224,17 +206,16 @@ def _trial_det_lemmas(rng: random.Random, plan: VerificationPlan,
                for i in range(n - j)]
         schur = [[d[i][l] - cab[i][l] for l in range(n - j)]
                  for i in range(n - j)]
-        if _det(h) != _det(a) * _det(schur):
+        if rational_det(h) != det_a * rational_det(schur):
             return {"identity": "block-schur", "matrix": _render_matrix(h),
                     "split": str(j)}
 
-    h2 = _resample(rng, lambda: _random_matrix(rng, n),
-                   lambda m: _det(m) != 0)
-    if _det(h2) != 0:
-        inv = _inverse(h2)
+    h2, det_h2 = _nonsingular_draw(rng, n)
+    if det_h2 != 0:
+        inv = rational_inverse(h2)
         d2 = [row[j:] for row in h2[j:]]
         e2 = [row[:j] for row in inv[:j]]
-        if _det(d2) != _det(e2) * _det(h2):
+        if rational_det(d2) != rational_det(e2) * det_h2:
             return {"identity": "inverse-block", "matrix": _render_matrix(h2),
                     "split": str(j)}
     return None
@@ -297,22 +278,23 @@ def _trial_eq2(rng: random.Random, plan: VerificationPlan,
     n = rng.randint(2, min(4, plan.nvars_bound))
     degree = min(2, plan.degree_bound)
     p = _random_germ(rng, n, degree)
-    c = _resample(rng, lambda: _random_matrix(rng, n),
-                  lambda m: _det(m) != 0)
-    if _det(c) == 0:
+    c, detc = _nonsingular_draw(rng, n)
+    if detc == 0:
         return None
     change = CoordinateChange(tuple(tuple(row) for row in c))
     transformed = change.apply(p)
-    cinv = _inverse(c)
-    detc = _det(c)
+    cinv = rational_inverse(c)
     base = minors(p).principal
+    composed: Dict[int, Poly] = {}     # each minor composed at most once
     for i, lhs in enumerate(minors(transformed).principal):
         rhs = Poly.zero(n)
         for jj in range(n):
             coeff = detc * cinv[i][jj]
             if coeff == 0:
                 continue
-            piece = _compose(base[jj], c).scale(coeff)
+            if jj not in composed:
+                composed[jj] = _compose(base[jj], c)
+            piece = composed[jj].scale(coeff)
             rhs = rhs + piece if (i + jj) % 2 == 0 else rhs - piece
         if lhs != rhs:
             return {"f": "; ".join(_render(fi) for fi in p.f),
@@ -332,22 +314,24 @@ def _trial_ann(rng: random.Random, plan: VerificationPlan,
     def transformed_pair(c):
         change = CoordinateChange(tuple(tuple(row) for row in c))
         good = change.apply(p)
-        cinv = _inverse(c)
+        cinv = rational_inverse(c)
         msy = minors(good)
         m1 = _compose(msy.principal[0], cinv)
         m2 = _compose(msy.principal[1], cinv)
         dfy = _compose(f_jacobian_minor(good, tuple(range(2, n))), cinv)
         return m1, m2, dfy
 
-    # keep the predicate's basis: an accepted matrix's ideal is certified
-    # once, and the right-hand residue reuses that basis
+    # keep the predicate's determinant, transformed pair and basis: an
+    # accepted matrix's ideal is certified once, and the right-hand residue
+    # reuses that basis
     tested = {}
 
     def regular(c):
         tested["matrix"], tested["basis"] = c, None
-        if _det(c) == 0:
+        tested["det"] = rational_det(c)
+        if tested["det"] == 0:
             return False
-        m1, m2, _ = transformed_pair(c)
+        tested["pair"] = m1, m2, _ = transformed_pair(c)
         sb = standard_basis([m1, m2] + list(p.f))
         if colength(sb) == INFINITE:
             return False
@@ -360,12 +344,12 @@ def _trial_ann(rng: random.Random, plan: VerificationPlan,
     sb = tested["basis"]
     if sb is None:
         return None
-    m1y, m2y, dfy = transformed_pair(c)
+    m1y, m2y, dfy = tested["pair"]
     h = random_poly(rng, n, min(2, plan.degree_bound), min_degree=0)
     df = f_jacobian_minor(p, tuple(range(2, n)))
     lhs = grothendieck_residue(h * df,
                                list(p.f) + [ms.principal[0], ms.principal[1]])
-    rhs = grothendieck_residue((h * dfy).scale(_det(c)),
+    rhs = grothendieck_residue((h * dfy).scale(tested["det"]),
                                list(p.f) + [m1y, m2y], base=sb)
     if lhs != rhs:
         return {"germ": name, "matrix": _render_matrix(c), "h": _render(h),

@@ -7,8 +7,9 @@ import pytest
 
 from icisres.errors import (ArityError, GermSyntaxError,
                             NonRationalCoefficient)
-from icisres.germfile import (MAX_NESTING, MAX_POWER_DEGREE, GermFile,
-                              parse_germ_file)
+from icisres.germfile import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_DEGREE,
+                              MAX_POWER_TERMS, GermFile, parse_germ_file,
+                              power_size)
 from icisres.polycore import Poly
 
 A1_TEXT = """\
@@ -182,3 +183,55 @@ def test_powers_at_the_bound_parse():
     k = MAX_POWER_DEGREE // 2
     gf = parse_germ_file(f"vars = x, y\nomega = x^{MAX_POWER_DEGREE}, (x*y)^{k}\n")
     assert gf.omega == (x ** MAX_POWER_DEGREE, (x * y) ** k)
+
+
+def test_power_term_bound_rejects_before_expanding(monkeypatch):
+    _no_expansion(monkeypatch)
+    # within the degree bound, but C(43, 3) = 12341 terms
+    text = "vars = x, y, z, w\nomega = (x + y + z + w)^40, 0, 0, 1\n"
+    with pytest.raises(GermSyntaxError, match="power term bound") as info:
+        parse_germ_file(text)
+    column = text.split("\n")[1].index("40") + 1
+    assert (info.value.line, info.value.column) == (2, column)
+    assert str(MAX_POWER_TERMS) in str(info.value)
+
+
+def test_nested_constant_powers_are_bounded(monkeypatch):
+    expanded = []
+    real = Poly.__pow__
+
+    def recording(self, k):
+        expanded.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(Poly, "__pow__", recording)
+    text = "vars = x, y\nomega = (((2^64)^64)^64)^64, 1\n"
+    with pytest.raises(GermSyntaxError, match="power size bound") as info:
+        parse_germ_file(text)
+    assert expanded == [64]             # 2^64 only; its 64th power is refused
+    column = text.split("\n")[1].index(")^64") + 3
+    assert (info.value.line, info.value.column) == (2, column)
+    assert str(MAX_POWER_BITS) in str(info.value)
+
+
+def test_power_at_the_size_bound_parses():
+    # (2^62)^64: 64 * (63 + 1) bits, exactly the bound
+    gf = parse_germ_file("vars = x, y\nomega = (2^62)^64, 1\n")
+    assert gf.omega[0] == Poly.const(2, 2 ** (62 * 64))
+
+
+def test_power_size_bounds_the_expansion():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        p = Poly.zero(n)
+        for _ in range(rng.randint(0, 4)):
+            e = tuple(rng.randint(0, 2) for _ in range(n))
+            c = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7]))
+            p = p + Poly(n, {e: c})
+        for k in range(1, 6):
+            terms, bits = power_size(p, k)
+            q = p ** k
+            assert len(q.terms) <= terms
+            assert all(max(c.numerator.bit_length(), c.denominator.bit_length())
+                       <= bits for c in q.terms.values())

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from icisres import verify
 from icisres.errors import InexactDivision
+from icisres.index import CoordinateChange, GermProblem
 from icisres.polycore import (Poly, PolyMatrix, TruncatedSeries, default_names,
-                              exact_div, series_determinant)
+                              exact_div, rational_det, rational_inverse,
+                              series_determinant)
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -206,3 +209,169 @@ def test_series_determinant_identity():
     one = TruncatedSeries(Poly.const(2, Fraction(1)), 3)
     zero = TruncatedSeries(Poly.zero(2), 3)
     assert series_determinant([[one, zero], [zero, one]], 3).poly == Poly.const(2, Fraction(1))
+
+
+# reference: the term-by-term Fraction loops the integer kernel replaced ------
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return Poly(p.nvars, out)
+
+
+def ref_mul_truncated(p, q, cap):
+    out = {}
+    for e1, c1 in p.terms.items():
+        d1 = sum(e1)
+        if d1 > cap:
+            continue
+        for e2, c2 in q.terms.items():
+            if d1 + sum(e2) > cap:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return Poly(p.nvars, out)
+
+
+def ref_substitute(p, targets):
+    m = targets[0].nvars if targets else 0
+    result = Poly.zero(m)
+    for e, c in p.terms.items():
+        term = Poly.const(m, c)
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = ref_mul(term, targets[i])
+        result = result + term
+    return result
+
+
+def ref_det(m):
+    n = len(m)
+    m = [[Fraction(a) for a in row] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            r = m[i][k] / m[k][k]
+            if r:
+                m[i] = [a - r * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def mixed_poly(rng, n, deg, terms):
+    """Random terms with mixed denominators; repeats and zeros cancel."""
+    out = Poly.zero(n)
+    for _ in range(rng.randint(0, terms)):
+        e = [0] * n
+        for _ in range(rng.randint(0, deg) if n else 0):
+            e[rng.randrange(n)] += 1
+        c = Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3, 4, 6]))
+        out = out + Poly(n, {tuple(e): c})
+    return out
+
+
+def assert_stored_nonzero_fractions(p):
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+def test_products_match_the_fraction_loop():
+    rng = random.Random(47)
+    for n in range(5):
+        for _ in range(40):
+            a = mixed_poly(rng, n, 3, 6)
+            b = mixed_poly(rng, n, 3, 6)
+            c = mixed_poly(rng, n, 2, 3)
+            # (a + c)(a - c): the cross terms cancel
+            for p, q in [(a, b), (a + c, a - c), (b, Poly.zero(n)),
+                         (a, Poly.const(n, Fraction(-2, 3)))]:
+                prod = p * q
+                assert prod == ref_mul(p, q)
+                assert_stored_nonzero_fractions(prod)
+                for cap in range(max(p.total_degree() + q.total_degree(), 0) + 2):
+                    cut = p.mul_truncated(q, cap)
+                    assert cut == ref_mul_truncated(p, q, cap)
+                    assert_stored_nonzero_fractions(cut)
+
+
+def test_substitute_matches_the_fraction_loop():
+    rng = random.Random(48)
+    for n in range(5):
+        for _ in range(25):
+            m = rng.randint(0, 4)
+            p = mixed_poly(rng, n, 3, 5)
+            targets = [mixed_poly(rng, m, 2, 3) for _ in range(n)]
+            out = p.substitute(targets)
+            assert out.nvars == (m if n else 0)
+            assert out == ref_substitute(p, targets)
+            assert_stored_nonzero_fractions(out)
+
+
+def test_substitute_cancels_to_zero():
+    U = Poly.variable(1, 0)
+    t = U.scale(Fraction(1, 3)) + Poly.const(1, Fraction(1, 2))
+    assert (X - Y).substitute([t, t]).terms == {}
+    assert (X**2 - Y**2).substitute([t, -t]).terms == {}
+
+
+def _inverse_pair(rng, n):
+    while True:
+        c = [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+              for _ in range(n)] for _ in range(n)]
+        if ref_det(c) != 0:
+            return c, rational_inverse(c)
+
+
+def test_matrix_then_inverse_gives_the_germ_back():
+    rng = random.Random(49)
+    for n in range(2, 5):
+        for _ in range(4):
+            f = tuple(mixed_poly(rng, n, 3, 4) for _ in range(n - 2))
+            f = tuple(fi - Poly.const(n, fi.constant_term()) for fi in f)
+            omega = tuple(mixed_poly(rng, n, 2, 4) for _ in range(n))
+            germ = GermProblem(n, f, omega)
+            c, cinv = _inverse_pair(rng, n)
+            there = CoordinateChange(tuple(map(tuple, c))).apply(germ)
+            back = CoordinateChange(tuple(map(tuple, cinv))).apply(there)
+            assert (back.f, back.omega) == (germ.f, germ.omega)
+            for p in f + omega:
+                assert verify._compose(verify._compose(p, c), cinv) == p
+
+
+def test_rational_det_and_inverse_match_fraction_elimination():
+    rng = random.Random(50)
+    assert rational_det([]) == 1
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = [[Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 5]))
+              for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:                 # force row swaps
+            for row in m:
+                row[0] = Fraction(0) if rng.random() < 0.6 else row[0]
+        det = rational_det(m)
+        assert det == ref_det(m)
+        if det == 0:
+            with pytest.raises(ZeroDivisionError):
+                rational_inverse(m)
+            continue
+        inv = rational_inverse(m)
+        assert all(type(a) is Fraction for row in inv for a in row)
+        for i in range(n):
+            for j in range(n):
+                assert sum(m[i][k] * inv[k][j] for k in range(n)) == (i == j)

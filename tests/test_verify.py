@@ -119,3 +119,53 @@ def test_ann_invariance_certifies_each_ideal_once(monkeypatch):
         # one ideal per tried matrix plus the untransformed left-hand one
         assert len(certified) >= 2
         assert len(certified) == len(set(certified))
+
+
+def test_eq2_composes_each_principal_minor_once(monkeypatch):
+    # substitutions outside CoordinateChange.apply are the compositions of
+    # the untransformed principal minors; none may repeat within a trial
+    from icisres.index import CoordinateChange
+    from icisres.polycore import Poly
+    real_apply, real_substitute = CoordinateChange.apply, Poly.substitute
+    applying, composed = [], []
+
+    def apply(self, p):
+        applying.append(p)
+        try:
+            return real_apply(self, p)
+        finally:
+            applying.pop()
+
+    def substitute(self, targets):
+        if not applying:
+            composed.append(self)
+        return real_substitute(self, targets)
+
+    monkeypatch.setattr(CoordinateChange, "apply", apply)
+    monkeypatch.setattr(Poly, "substitute", substitute)
+    for t in range(8):
+        composed.clear()
+        rng = random.Random(f"0:eq2-transform:{t}")
+        assert verify._trial_eq2(rng, small_plan(["eq2-transform"]), t) is None
+        assert 1 <= len(composed) <= 4
+        assert len({id(p) for p in composed}) == len(composed)
+
+
+@pytest.mark.parametrize("suite, trial", [("det-lemmas", verify._trial_det_lemmas),
+                                          ("eq2-transform", verify._trial_eq2)])
+def test_trials_evaluate_each_determinant_once(monkeypatch, suite, trial):
+    # the resample predicate's determinant is kept, not evaluated again
+    real = verify.rational_det
+    evaluated = []
+
+    def counting(m):
+        evaluated.append(m)         # kept alive, so ids stay distinct
+        return real(m)
+
+    monkeypatch.setattr(verify, "rational_det", counting)
+    for t in range(10):
+        evaluated.clear()
+        rng = random.Random(f"0:{suite}:{t}")
+        assert trial(rng, small_plan([suite]), t) is None
+        assert evaluated
+        assert len({id(m) for m in evaluated}) == len(evaluated)
