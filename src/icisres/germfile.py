@@ -32,12 +32,26 @@ MAX_NESTING = 100
 # fails at once instead of hanging
 MAX_POWER_DEGREE = 64
 
-# largest term count and coefficient bit length one `^` may expand to, by
-# the bounds of `power_size`, also checked before expanding: a power at the
-# degree bound in four or more variables has tens of thousands of terms,
-# and nested powers of constants multiply the bit length at every level
+# largest term count and coefficient bit length one `^` or `*` may expand
+# to, by the bounds of `power_size` and `product_size`, also checked before
+# expanding: a power at the degree bound in four or more variables has tens
+# of thousands of terms, nested powers of constants multiply the bit length
+# at every level, and a product of powers that each pass multiplies their
+# term counts
 MAX_POWER_TERMS = 10_000
 MAX_POWER_BITS = 4096
+
+
+def _variables(p: Poly) -> set:
+    return {i for e in p.terms for i, v in enumerate(e) if v}
+
+
+def _numerator_bits(p: Poly) -> int:
+    """Bit length of the largest numerator over p's common denominator D, or of D."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return max([den.bit_length()] + [
+        (c.numerator * (den // c.denominator)).bit_length()
+        for c in p.terms.values()])
 
 
 def power_size(p: Poly, k: int) -> Tuple[int, int]:
@@ -52,13 +66,26 @@ def power_size(p: Poly, k: int) -> Tuple[int, int]:
     if not p.terms:
         return 1, 0
     t = len(p.terms)
-    v = sum(1 for i in range(p.nvars) if any(e[i] for e in p.terms))
+    v = len(_variables(p))
     terms = min(comb(t + k - 1, k), comb(v + k * p.total_degree(), v))
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    size = max([den.bit_length()] + [
-        (c.numerator * (den // c.denominator)).bit_length()
-        for c in p.terms.values()])
-    return terms, k * (size + t.bit_length())
+    return terms, k * (_numerator_bits(p) + t.bit_length())
+
+
+def product_size(p: Poly, q: Poly) -> Tuple[int, int]:
+    """Bounds on the term count and coefficient bit length of p * q.
+
+    With t1 and t2 terms in v variables between them, p * q has at most
+    t1 t2 terms and at most C(v + deg p + deg q, v).  Over the product of
+    the common denominators, each numerator is a sum of at most
+    min(t1, t2) products of a numerator of p and one of q.
+    """
+    if not p.terms or not q.terms:
+        return 0, 0
+    t1, t2 = len(p.terms), len(q.terms)
+    v = len(_variables(p) | _variables(q))
+    terms = min(t1 * t2, comb(v + p.total_degree() + q.total_degree(), v))
+    return terms, (_numerator_bits(p) + _numerator_bits(q)
+                   + min(t1, t2).bit_length())
 
 
 @dataclass
@@ -192,7 +219,17 @@ class _ExprParser:
                 return p
             if tok.kind == "*":
                 self.take()
-                p = p * self.factor()
+                q = self.factor()
+                terms, bits = product_size(p, q)
+                if terms > MAX_POWER_TERMS:
+                    raise GermSyntaxError(
+                        f"product may expand to {terms} terms, above the "
+                        f"term bound {MAX_POWER_TERMS}", tok.line, tok.col)
+                if bits > MAX_POWER_BITS:
+                    raise GermSyntaxError(
+                        f"product may give {bits}-bit coefficients, above the "
+                        f"size bound {MAX_POWER_BITS} bits", tok.line, tok.col)
+                p = p * q
             elif tok.kind in _PRIMARY_START:
                 raise GermSyntaxError(
                     "implicit multiplication is not allowed; write '*'",

@@ -14,6 +14,20 @@ is unchanged.  When the quotient staircase is finite and lies strictly
 below the cap this is a proof, not a heuristic: every monomial one degree
 above the staircase is then a verified member of the leading ideal.
 
+An untracked completion also stops at the highest corner (Greuel and
+Pfister, A Singular Introduction to Commutative Algebra, 1.7).  Once the
+leading monomials so far leave finitely many quotient monomials, let top
+be their largest degree (-1 for the unit ideal).  If top < cap, every
+monomial of degree top + 1 leads an element of I + m^(cap+1), so
+m^(top+1) lies in I + m^(top+2), and by Nakayama's lemma in I.  A
+reduction step only creates monomials of the same or higher degree, so
+no term above top can change a coefficient at or below it: the
+completion cuts every element, S-polynomial and later dividend at top and
+drops the pairs whose lcm lies above it, and its staircase, quotient
+monomials and remainders are those of the uncut run.  A tracked basis
+keeps its full tails, because a lift reads representations up to rep_cap,
+far above the corner; an infinite staircase never cuts.
+
 Bases, lifts and normal forms all run on one integer kernel (_Kernel),
 built per cap.  A monomial is one int: the total degree in the top field,
 then e_n, ..., e_1 below it (Bachmann and Schoenemann, "Monomial
@@ -123,7 +137,7 @@ class _Kernel:
         self.width = width
         self.shift = nvars * width
         self.guards = sum(1 << (i * width + width - 1) for i in range(nvars))
-        self.cap = cap
+        self.bound = cap
         self.limit = (cap + 1) << self.shift
         self.rep_limit = (rep_cap + 1) << self.shift
         self.elems: List[_Elem] = []
@@ -154,9 +168,20 @@ class _Kernel:
         self.elems.append(g)
         bisect.insort_right(self._search, g, key=lambda el: el.ecart)
 
+    def cut(self, bound: int) -> None:
+        """Drop every term above degree bound, in the elements and from now on.
+
+        Ecarts stay as they were at insertion, so every later choice of
+        divisor is the one the uncut run makes.
+        """
+        self.bound = bound
+        self.limit = (bound + 1) << self.shift
+        for g in self.elems:
+            g.tail = g.tail[:bisect.bisect_left(g.tail, (self.limit,))]
+
     def dividend(self, terms: Terms) -> Tuple[Dict[int, int], int]:
-        """Integer terms of degree <= cap and their common denominator."""
-        kept = [(e, c) for e, c in terms.items() if sum(e) <= self.cap]
+        """Integer terms of degree <= bound and their common denominator."""
+        kept = [(e, c) for e, c in terms.items() if sum(e) <= self.bound]
         den = math.lcm(*(c.denominator for _, c in kept))
         return {self.pack(e): c.numerator * (den // c.denominator)
                 for e, c in kept}, den
@@ -244,10 +269,26 @@ def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
     """Truncated completion to a standard basis; returns the kernel holding it.
 
     Elements are truncated at cap, tracked representations at rep_cap.
+    Untracked, the terms are cut further at the highest corner as soon as
+    the leading monomials leave finitely many quotient monomials.
     """
     kernel = _Kernel(nvars, cap, rep_cap)
     G = kernel.elems
     m = len(gens)
+    pure = set()        # variables with a pure power among the leading monomials
+
+    def corner() -> None:
+        # the staircase only shrinks, so each new leading monomial may lower
+        # the corner; nothing above it changes a staircase or a remainder
+        support = [i for i, v in enumerate(G[-1].exp) if v]
+        if len(support) <= 1:
+            pure.update(support or range(nvars))
+        if len(pure) < nvars:
+            return
+        quot = _quotient_monomials(_staircase_min_gens(G), nvars)
+        top = max((mono_deg(e) for e in quot), default=-1)
+        if top < kernel.bound:
+            kernel.cut(top)
 
     def insert(h: Dict[int, int], rows) -> None:
         # h = sum(rows[j] * gens[j]) up to rep_cap, over any common scale;
@@ -271,6 +312,8 @@ def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
             rep = [[(e, v // k) for e, v in r] for r in rep]
         ecart = kernel.degree(remainder[-1]) - kernel.degree(remainder[0])
         kernel.add(_Elem(terms, kernel.unpack(remainder[0]), ecart, rep))
+        if not track:
+            corner()
 
     for j, g in enumerate(gens):
         if g.is_zero():
@@ -288,14 +331,16 @@ def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
         for k in range(new_index):
             lcm = mono_lcm(G[k].exp, gi.exp)
             d = mono_deg(lcm)
-            if d <= cap:
+            if d <= kernel.bound:
                 heapq.heappush(pairs, (d, k, new_index, kernel.pack(lcm)))
 
     for i in range(len(G)):
         push_pairs(i)
 
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
+        deg, i, j, lcm = heapq.heappop(pairs)
+        if deg > kernel.bound:
+            break       # pairs come by degree: the rest lie above the corner
         gi, gj = G[i], G[j]
         mi, mj = lcm - gi.lm, lcm - gj.lm
         # lcj/d * mi * gi - lci/d * mj * gj: the leading terms cancel
@@ -339,15 +384,19 @@ def _quotient_monomials(stair: List[Exponent], nvars: int) -> Optional[List[Expo
     out: List[Exponent] = []
 
     def walk(prefix: List[int], i: int):
-        if i == nvars:
-            e = tuple(prefix)
-            if not any(mono_divides(s, e) for s in stair):
-                out.append(e)
-            return
+        # prefix + (k, 0, ..., 0) in the leading ideal puts every monomial
+        # that starts with prefix + (k', ...), k' >= k, there too
+        rest = (0,) * (nvars - i - 1)
         for k in range(bounds[i]):
-            prefix.append(k)
-            walk(prefix, i + 1)
-            prefix.pop()
+            e = tuple(prefix) + (k,) + rest
+            if any(mono_divides(s, e) for s in stair):
+                return
+            if rest:
+                prefix.append(k)
+                walk(prefix, i + 1)
+                prefix.pop()
+            else:
+                out.append(e)
 
     walk([], 0)
     out.sort(key=lambda e: (mono_deg(e), e))
@@ -363,6 +412,9 @@ class StandardBasis:
     cap: int
     rep_cap: int        # tracked representations are exact up to this degree
     certified: bool
+    # monic elements; untracked ones are exact only up to the highest corner
+    # (max_quotient_degree() when the staircase is finite), their tails cut
+    # there, and nothing reads those tails
     elements: List[Poly] = field(repr=False)
     staircase: List[Exponent]
     quotient_monomials: Optional[List[Exponent]]

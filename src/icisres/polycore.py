@@ -199,20 +199,36 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
+            old = out.get(e)
+            if old is None:
+                out[e] = c
             else:
-                out.pop(e, None)
-        return Poly(self.nvars, out)
+                s = old + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return Poly._nonzero(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._nonzero(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            old = out.get(e)
+            if old is None:
+                out[e] = -c
+            else:
+                s = old - c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return Poly._nonzero(self.nvars, out)
 
     def __rsub__(self, other) -> "Poly":
         return self._coerce(other) - self

@@ -9,6 +9,7 @@ or residue machinery it cross-checks.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
@@ -30,22 +31,34 @@ def monomials_upto(n: int, degree: int) -> List[tuple]:
 
 
 def _sparse_rank(rows: List[Dict[int, Fraction]]) -> int:
-    pivots: Dict[int, Dict[int, Fraction]] = {}
+    """Rank by fraction-free elimination of the rows scaled to integers.
+
+    Each step replaces a row by (a * row - b * pivot) / content with a, b
+    the two leading coefficients over their gcd, so every entry stays an
+    integer and the row stays primitive.
+    """
+    pivots: Dict[int, Dict[int, int]] = {}
     for row in rows:
-        row = dict(row)
+        den = math.lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
         while row:
             lead = min(row)
-            if lead not in pivots:
-                inv = Fraction(1) / row[lead]
-                pivots[lead] = {c: v * inv for c, v in row.items()}
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
                 break
-            factor = row[lead]
-            for c, v in pivots[lead].items():
-                acc = row.get(c, Fraction(0)) - factor * v
+            g = math.gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            row = {c: a * v for c, v in row.items()}
+            for c, v in pivot.items():
+                acc = row.get(c, 0) - b * v
                 if acc:
                     row[c] = acc
                 else:
                     row.pop(c, None)
+            content = math.gcd(*row.values())
+            if content > 1:
+                row = {c: v // content for c, v in row.items()}
     return len(pivots)
 
 

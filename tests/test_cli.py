@@ -210,6 +210,17 @@ def test_oversized_power_exits_with_position(capsys, tmp_path):
     assert "power term bound" in err
 
 
+def test_oversized_product_exits_with_position(capsys, tmp_path):
+    path = tmp_path / "product.germ"
+    path.write_text("vars = x, y, z, w\n"
+                    "f = (x + y + z + w)^30 * (x + y + z + w)^30, x\n"
+                    "omega = 0, 0, 0, 1\n")
+    code, out, err = run_cli(capsys, ["all", str(path), "--format", "json"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 2, column 24:")
+    assert "term bound" in err
+
+
 @pytest.mark.parametrize("flags, bound", [
     (["--cap", "-3"], "cap must be at least 1"),
     (["--cap", "0"], "cap must be at least 1"),

@@ -9,7 +9,7 @@ from icisres.errors import (ArityError, GermSyntaxError,
                             NonRationalCoefficient)
 from icisres.germfile import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_DEGREE,
                               MAX_POWER_TERMS, GermFile, parse_germ_file,
-                              power_size)
+                              power_size, product_size)
 from icisres.polycore import Poly
 
 A1_TEXT = """\
@@ -235,3 +235,83 @@ def test_power_size_bounds_the_expansion():
             assert len(q.terms) <= terms
             assert all(max(c.numerator.bit_length(), c.denominator.bit_length())
                        <= bits for c in q.terms.values())
+
+
+# no accepted product or power in the tests below multiplies more term
+# pairs than this; a refused product would multiply far more
+_REFUSED_PAIRS = 100 * MAX_POWER_TERMS
+
+
+def _no_large_product(monkeypatch):
+    real = Poly.__mul__
+
+    def refuse(self, other):
+        if isinstance(other, Poly) and \
+                len(self.terms) * len(other.terms) > _REFUSED_PAIRS:
+            raise AssertionError(f"expanded a product of {len(self.terms)} "
+                                 f"by {len(other.terms)} terms")
+        return real(self, other)
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+
+
+@pytest.mark.parametrize("expr, star", [
+    # 5456 terms each, C(4 + 60, 4) = 635376 > MAX_POWER_TERMS
+    ("(x + y + z + w)^30 * (x + y + z + w)^30", 0),
+    # 220 terms each; the first product has C(4 + 18, 4) = 7315 terms, the
+    # running product's bound at the second '*' is C(4 + 27, 4) = 31465
+    ("(x + y + z + w)^9 * (x + y + z + w)^9 * (x + y + z + w)^9", 1),
+])
+def test_product_term_bound_rejects_before_expanding(monkeypatch, expr, star):
+    _no_large_product(monkeypatch)
+    text = f"vars = x, y, z, w\nomega = {expr}, 0, 0, 1\n"
+    with pytest.raises(GermSyntaxError, match="term bound") as info:
+        parse_germ_file(text)
+    line = text.split("\n")[1]
+    column = [i for i, ch in enumerate(line) if ch == "*"][star] + 1
+    assert (info.value.line, info.value.column) == (2, column)
+    assert str(MAX_POWER_TERMS) in str(info.value)
+
+
+def test_product_at_the_term_bound_parses(monkeypatch):
+    _no_large_product(monkeypatch)
+    # running products of 10, 100, 1000 and exactly MAX_POWER_TERMS terms
+    gf = parse_germ_file("vars = x, y, z, w\n"
+                         "omega = (1 + x)^9*(1 + y)^9*(1 + z)^9*(1 + w)^9, 0, 0, 1\n")
+    assert len(gf.omega[0].terms) == MAX_POWER_TERMS
+    with pytest.raises(GermSyntaxError, match="term bound"):
+        parse_germ_file("vars = x, y, z, w\n"
+                        "omega = (1 + x)^9*(1 + y)^9*(1 + z)^9*(1 + w)^10, 0, 0, 1\n")
+
+
+def test_product_size_bound():
+    # 2^3968 has 3969 bits and 2^126 has 127; the product bound adds one
+    # bit for the single term pair, 4097 in all
+    text = "vars = x, y\nomega = (2^62)^64 * (2^63)^2, 1\n"
+    with pytest.raises(GermSyntaxError, match="size bound") as info:
+        parse_germ_file(text)
+    column = text.split("\n")[1].index("*") + 1
+    assert (info.value.line, info.value.column) == (2, column)
+    assert str(MAX_POWER_BITS) in str(info.value)
+    gf = parse_germ_file("vars = x, y\nomega = (2^62)^64 * (2^62)^2 * x, 1\n")
+    assert gf.omega[0] == Poly.monomial(2, (1, 0), 2 ** (62 * 66))
+
+
+def test_product_size_bounds_the_product():
+    rng = random.Random(11)
+
+    def random_poly(n):
+        p = Poly.zero(n)
+        for _ in range(rng.randint(0, 5)):
+            e = tuple(rng.randint(0, 3) for _ in range(n))
+            c = Fraction(rng.randint(-99, 99), rng.choice([1, 2, 3, 5, 7, 9]))
+            p = p + Poly(n, {e: c})
+        return p
+
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        p, q = random_poly(n), random_poly(n)
+        terms, bits = product_size(p, q)
+        r = p * q
+        assert len(r.terms) <= terms
+        assert all(max(c.numerator.bit_length(), c.denominator.bit_length())
+                   <= bits for c in r.terms.values())

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 from icisres.errors import CapExceeded, NotMember, NotZeroDimensional
-from icisres.index import GermProblem, eg_index, find_good_coordinates, minors
+from icisres.index import (GermProblem, eg_index, find_good_coordinates,
+                            ideal_J, minors)
 from icisres.localalg import (DEFAULT_CAP, INFINITE, LocalOrder, _Kernel,
                               colength, is_regular_on_V, lift,
                               minimal_power_membership, normal_form,
                               quotient_algebra, standard_basis)
 from icisres.polycore import Poly, mono_divides, mono_mul
+from icisres.verify import builtin_corpus
 
 from oracle_macaulay import monomials_upto, stable_corank
 
@@ -230,3 +232,130 @@ def test_is_regular_on_V():
     assert not is_regular_on_V([SPHERE], Poly.zero(3), x3)
     assert not is_regular_on_V([], X, X)
     assert is_regular_on_V([], X, Y)
+
+
+# the highest-corner cut ------------------------------------------------------
+#
+# An untracked basis cuts every term above the highest corner once the
+# leading monomials leave finitely many quotient monomials; a tracked one
+# keeps its full tails for the lifts.  The tracked run is the uncut
+# reference: the two must agree on everything a caller can read.
+
+def _ade_section(name, seed):
+    """(f, m1, m2) for E6, E7 or E8 with the form (1, 2, 3) in random coordinates."""
+    f = {"E6": x3**2 + y3**3 + z3**4,
+         "E7": x3**2 + y3**3 + y3 * z3**3,
+         "E8": x3**2 + y3**3 + z3**5}[name]
+    omega = tuple(Poly.const(3, c) for c in (1, 2, 3))
+    _, q = find_good_coordinates(GermProblem(3, (f,), omega, seed=seed),
+                                 force_random=True)
+    return list(q.f) + list(minors(q).principal)
+
+
+def _random_zero_dimensional(rng, n):
+    """A pure power of every variable plus higher terms, and dense extras."""
+    zs = [Poly.variable(n, i) for i in range(n)]
+    gens = []
+    for z in zs:
+        a = rng.randint(1, 3)
+        g = z**a
+        for _ in range(rng.randint(0, 3)):
+            e = [0] * n
+            for _ in range(a + rng.randint(1, 2)):
+                e[rng.randrange(n)] += 1
+            g = g + Poly(n, {tuple(e): Fraction(rng.randint(-3, 3))})
+        gens.append(g)
+    for _ in range(rng.randint(0, 2)):
+        g = Poly.zero(n)
+        for _ in range(4):
+            e = [0] * n
+            for _ in range(rng.randint(2, 3)):
+                e[rng.randrange(n)] += 1
+            g = g + Poly(n, {tuple(e): Fraction(rng.randint(-3, 3), rng.randint(1, 2))})
+        gens.append(g)
+    return gens
+
+
+_RANDOM_IDEALS = [_random_zero_dimensional(random.Random(60 + k), 2 + k % 3)
+                  for k in range(9)]
+_INFINITE = [x3 * y3 + x3**2 * z3 + y3**3, x3 * z3 + y3 * z3**2]
+_UNIT = [Poly.const(2, 1) + X, X * Y]
+
+
+def _random_dividends(gens, cap, count=8):
+    rng = random.Random(len(gens) * 1000 + cap)
+    n = gens[0].nvars
+    out = []
+    for _ in range(count):
+        p = Poly.zero(n)
+        for _ in range(rng.randint(1, 6)):
+            e = [0] * n
+            for _ in range(rng.randint(0, cap + 2)):
+                e[rng.randrange(n)] += 1
+            p = p + Poly(n, {tuple(e): Fraction(rng.randint(-5, 5), rng.randint(1, 3))})
+        out.append(p)
+    return out + [g * h for g, h in zip(gens, out)]
+
+
+def _assert_cut_matches_tracked(gens):
+    cut = standard_basis(gens)
+    full = standard_basis(gens, track=True)
+    assert cut.certified and full.certified
+    assert cut.staircase == full.staircase
+    assert cut.quotient_monomials == full.quotient_monomials
+    assert cut.cap == full.cap
+    for p in _random_dividends(gens, cut.cap):
+        assert normal_form(p, cut) == normal_form(p, full)
+    return cut
+
+
+@pytest.mark.parametrize("name", [name for name, _ in builtin_corpus()])
+def test_corner_cut_on_corpus_ideals(name):
+    gens = ideal_J(dict(builtin_corpus())[name])
+    sb = _assert_cut_matches_tracked(gens)
+    assert colength(sb) == stable_corank(gens)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_corner_cut_on_ade_in_random_coordinates(name, seed):
+    gens = _ade_section(name, seed)
+    sb = _assert_cut_matches_tracked(gens)
+    assert colength(sb) == stable_corank(gens) == {"E6": 8, "E7": 9, "E8": 10}[name]
+
+
+@pytest.mark.parametrize("k", range(len(_RANDOM_IDEALS)))
+def test_corner_cut_on_random_zero_dimensional_ideals(k):
+    gens = _RANDOM_IDEALS[k]
+    sb = _assert_cut_matches_tracked(gens)
+    assert colength(sb) == stable_corank(gens)
+
+
+def test_corner_cut_on_infinite_and_unit_ideals():
+    assert colength(_assert_cut_matches_tracked(_INFINITE)) == INFINITE
+    unit = _assert_cut_matches_tracked(_UNIT)
+    assert colength(unit) == 0 == stable_corank(_UNIT)
+    assert all(normal_form(p, unit).is_zero()
+               for p in _random_dividends(_UNIT, unit.cap))
+
+
+def _tail_degrees(sb):
+    """Total degree of every term of every element but its leading one."""
+    out = []
+    for p in sb.elements:
+        lead = max(p.terms, key=sb.order.key)
+        out += [sum(e) for e in p.terms if e != lead]
+    return out
+
+
+def test_untracked_elements_stop_at_the_corner():
+    # dense generators: uncut, the tails run up to the cap
+    for gens in [_ade_section("E8", 1), _RANDOM_IDEALS[2]]:
+        sb = standard_basis(gens)
+        top = sb.max_quotient_degree()
+        assert max(_tail_degrees(standard_basis(gens, track=True))) > top
+        assert max(_tail_degrees(sb)) <= top
+    # an infinite staircase never cuts
+    sb = standard_basis(_INFINITE)
+    assert not sb.is_finite()
+    assert max(_tail_degrees(sb)) == sb.cap

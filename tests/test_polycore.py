@@ -1,5 +1,6 @@
 """Polynomial kernel tests: arithmetic, division, determinants, series."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -310,6 +311,36 @@ def test_products_match_the_fraction_loop():
                     assert_stored_nonzero_fractions(cut)
 
 
+def ref_add(p, q, sign=1):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        s = out.get(e, Fraction(0)) + sign * c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return Poly(p.nvars, out)
+
+
+def test_sums_and_differences_match_the_fraction_loop():
+    rng = random.Random(51)
+    for n in range(4):
+        for _ in range(60):
+            a = mixed_poly(rng, n, 3, 6)
+            b = mixed_poly(rng, n, 3, 6)
+            # a - a and a + (-a) cancel every term; a + b - a leaves b
+            for p, q in [(a, b), (b, a), (a, a), (a, -a), (a + b, a),
+                         (a, Poly.zero(n)), (Poly.zero(n), b)]:
+                for got, want in [(p + q, ref_add(p, q)),
+                                  (p - q, ref_add(p, q, -1))]:
+                    assert got == want
+                    assert_stored_nonzero_fractions(got)
+            assert (a - a).terms == {} and (a + (-a)).terms == {}
+            assert a + b - a == b
+            assert 2 - a == ref_add(Poly.const(n, 2), a, -1)
+            assert a - Fraction(1, 3) == ref_add(a, Poly.const(n, Fraction(1, 3)), -1)
+
+
 def test_substitute_matches_the_fraction_loop():
     rng = random.Random(48)
     for n in range(5):
@@ -375,3 +406,48 @@ def test_rational_det_and_inverse_match_fraction_elimination():
         for i in range(n):
             for j in range(n):
                 assert sum(m[i][k] * inv[k][j] for k in range(n)) == (i == j)
+
+
+def leibniz_det(rows):
+    """Sum over permutations, on the reference Fraction loops."""
+    n = len(rows)
+    total = Poly.zero(rows[0][0].nvars)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = Poly.const(total.nvars, 1)
+        for i, j in enumerate(perm):
+            term = ref_mul(term, rows[i][j])
+        total = ref_add(total, term, -1 if inversions % 2 else 1)
+    return total
+
+
+def test_bareiss_determinant_matches_leibniz():
+    rng = random.Random(52)
+    zero = Poly.zero(2)
+
+    def entry():
+        while True:
+            p = mixed_poly(rng, 2, 1, 3)
+            if not p.is_zero():
+                return p
+
+    for n in (5, 6):
+        for case in range(4):
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            if case == 1:
+                # a zero leading pivot forces a row swap at the first step
+                rows[0][0] = zero
+            elif case == 2:
+                # rows 0 and 1 agree on the first two columns, so the second
+                # pivot vanishes after one elimination step
+                rows[1][:2] = rows[0][:2]
+            elif case == 3:
+                # the last row is a polynomial combination of the first two
+                p, q = mixed_poly(rng, 2, 1, 2), mixed_poly(rng, 2, 1, 2)
+                rows[-1] = [ref_add(ref_mul(p, a), ref_mul(q, b))
+                            for a, b in zip(rows[0], rows[1])]
+            det = PolyMatrix(rows).determinant()
+            assert det == leibniz_det(rows)
+            assert_stored_nonzero_fractions(det)
+            assert det.is_zero() == (case == 3)
