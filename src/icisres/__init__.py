@@ -12,12 +12,10 @@ rational arithmetic.  Entry points:
 """
 
 from .errors import (ArityError, CapExceeded, GermFileError, GermSyntaxError,
-                     GoodCoordsNotFound, IcisresError, InexactDivision,
-                     NonRationalCoefficient, NotIsolated, NotMember,
-                     NotRegularSequence, NotZeroDimensional,
-                     PowerCapExceeded)
-from .polycore import (Poly, PolyMatrix, TruncatedSeries, default_names,
-                       exact_div, series_determinant)
+                     GoodCoordsNotFound, IcisresError, NonRationalCoefficient,
+                     NotIsolated, NotMember, NotRegularSequence,
+                     NotZeroDimensional, PowerCapExceeded)
+from .polycore import Poly, PolyMatrix, default_names, series_determinant
 from .localalg import (CAP_STEP, DEFAULT_CAP, INFINITE, MAX_CAP,
                        LiftCertificate, LocalOrder, QuotientAlgebra,
                        StandardBasis, colength, is_regular_on_V, lift,
@@ -29,9 +27,9 @@ from .residues import (ResidueForm, form_index_basis, grothendieck_residue,
                        relative_residue, residue_via_lift)
 from .index import (CoordinateChange, GOOD_COORD_ATTEMPTS, GermProblem,
                     MinorSet, SigmaData, SurfaceIndexReport, curve_index,
-                    eg_index, f_jacobian_minor, find_good_coordinates,
-                    germ_residue, ideal_J, identity_change, main_residue,
-                    minor, minors, sigma_data, solve)
+                    eg_index, find_good_coordinates, germ_residue, ideal_J,
+                    identity_change, main_residue, minor, minors, sigma_data,
+                    solve)
 from .pairing import (CQuotient, GramData, PairingReport, ResidueFunctional,
                       algebra_B, algebra_C, gram_beta, index_algebra,
                       kernel_basis, matrix_rank, pairing_report,
@@ -45,11 +43,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArityError", "CapExceeded", "GermFileError", "GermSyntaxError",
-    "GoodCoordsNotFound", "IcisresError", "InexactDivision",
-    "NonRationalCoefficient", "NotIsolated", "NotMember",
-    "NotRegularSequence", "NotZeroDimensional", "PowerCapExceeded",
-    "Poly", "PolyMatrix", "TruncatedSeries", "default_names", "exact_div",
-    "series_determinant",
+    "GoodCoordsNotFound", "IcisresError", "NonRationalCoefficient",
+    "NotIsolated", "NotMember", "NotRegularSequence", "NotZeroDimensional",
+    "PowerCapExceeded",
+    "Poly", "PolyMatrix", "default_names", "series_determinant",
     "CAP_STEP", "DEFAULT_CAP", "INFINITE", "MAX_CAP", "LiftCertificate",
     "LocalOrder", "QuotientAlgebra", "StandardBasis", "colength",
     "is_regular_on_V", "lift", "minimal_power_membership", "normal_form",
@@ -60,9 +57,8 @@ __all__ = [
     "relative_residue", "residue_via_lift",
     "CoordinateChange", "GOOD_COORD_ATTEMPTS", "GermProblem", "MinorSet",
     "SigmaData", "SurfaceIndexReport", "curve_index", "eg_index",
-    "f_jacobian_minor", "find_good_coordinates", "germ_residue", "ideal_J",
-    "identity_change", "main_residue", "minor", "minors", "sigma_data",
-    "solve",
+    "find_good_coordinates", "germ_residue", "ideal_J", "identity_change",
+    "main_residue", "minor", "minors", "sigma_data", "solve",
     "CQuotient", "GramData", "PairingReport", "ResidueFunctional",
     "algebra_B", "algebra_C", "gram_beta", "index_algebra", "kernel_basis",
     "matrix_rank", "pairing_report", "residue_functional", "socle",

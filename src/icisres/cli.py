@@ -5,7 +5,7 @@ result, caps_used, seed, discrepancies}.  Rationals are serialized as
 ints when integral and "p/q" strings otherwise, never floats, so JSON
 output round-trips exactly and identical inputs give identical bytes.
 Exit codes: 0 clean, 2 when a mathematical expectation failed (the
-report still prints), 1 on any error.
+report still prints), 1 on any error, a usage error included.
 """
 
 from __future__ import annotations
@@ -250,22 +250,26 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--cap", type=int, default=None)
-    common.add_argument("--max-cap", type=int, default=None, dest="max_cap")
-    common.add_argument("--attempts", type=int, default=None)
     for name in COMMANDS:
+        sp = sub.add_parser(name, parents=[common])
         if name == "verify":
-            sp = sub.add_parser(name, parents=[common])
             sp.add_argument("--suite", choices=SUITES, default=None)
             sp.add_argument("--trials", type=int, default=None)
         else:
-            sp = sub.add_parser(name, parents=[common])
+            sp.add_argument("--cap", type=int, default=None)
+            sp.add_argument("--max-cap", type=int, default=None, dest="max_cap")
+            sp.add_argument("--attempts", type=int, default=None)
             sp.add_argument("germfile")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage or the help; its exit 2 for a
+        # usage error would read as a failed cross-check
+        return 1 if exc.code else 0
     try:
         if args.command == "verify":
             result, caps, disc, seed = _cmd_verify(args)

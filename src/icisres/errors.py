@@ -11,10 +11,6 @@ class IcisresError(Exception):
     """Base class for all package errors."""
 
 
-class InexactDivision(IcisresError):
-    """Polynomial division that was expected to be exact left a remainder."""
-
-
 class CapExceeded(IcisresError):
     """A truncation cap escalation hit the hard maximum without stabilizing."""
 

@@ -21,7 +21,7 @@ from .localalg import (DEFAULT_CAP, INFINITE, MAX_CAP, colength,
                        is_regular_on_V, standard_basis)
 from .polycore import (Poly, PolyMatrix, default_names, linear_forms,
                        rational_det)
-from .residues import relative_residue
+from .residues import jacobian_minor, relative_residue
 
 GOOD_COORD_ATTEMPTS = 64
 
@@ -75,15 +75,6 @@ def minor(p: GermProblem, columns: Sequence[int]) -> Poly:
     return stacked_matrix(p, columns).determinant()
 
 
-def f_jacobian_minor(p: GermProblem, columns: Sequence[int]) -> Poly:
-    """d(f_1..f_q)/d(z_{columns}): the germ's own Jacobian minor."""
-    if len(columns) != p.q:
-        raise ValueError(f"need {p.q} column indices")
-    if p.q == 0:
-        return Poly.const(p.nvars, 1)
-    return PolyMatrix([[fi.diff(j) for j in columns] for fi in p.f]).determinant()
-
-
 @dataclass
 class MinorSet:
     """Maximal minors over ascending column sets, plus the two named slices."""
@@ -103,7 +94,7 @@ def minors(p: GermProblem) -> MinorSet:
     for l in range(n):
         for k in range(l + 1, n):
             cols = tuple(j for j in range(n) if j not in (l, k))
-            fm[(l, k)] = f_jacobian_minor(p, cols)
+            fm[(l, k)] = jacobian_minor(p.f, cols, n)
     return MinorSet(allm, principal, fm)
 
 
@@ -164,7 +155,7 @@ def sigma_data(p: GermProblem, transpose: bool = False) -> SigmaData:
     for i in range(n):
         for j in range(i + 1, n):
             sigma = sigma + (mat[i][i] * mat[j][j] - mat[i][j] * mat[j][i])
-    df = f_jacobian_minor(p, tuple(range(2, n)))
+    df = jacobian_minor(p.f, tuple(range(2, n)), n)
     return SigmaData(ms, mat, sigma, df)
 
 

@@ -48,10 +48,10 @@ them by lc / gcd(lc, c) and subtracts c / gcd(lc, c) times the shifted
 element, so nothing is ever divided (fraction free, as in Bareiss
 elimination).  Fraction begins where values leave the kernel: remainder
 and lift coefficients as Fraction(c, D), basis elements as monic Polys
-(StandardBasis.elements), and from there TruncatedSeries and
-LiftCertificate.  Selection depends only on leading monomials and ecarts,
-so every staircase, element, remainder and representation is the one
-exact rational arithmetic gives.
+(StandardBasis.elements), and from there LiftCertificate.  Selection
+depends only on leading monomials and ecarts, so every staircase,
+element, remainder and representation is the one exact rational
+arithmetic gives.
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (CapExceeded, NotMember, NotZeroDimensional,
                      PowerCapExceeded)
-from .polycore import (Exponent, Poly, Terms, TruncatedSeries, mono_deg,
-                       mono_divides, mono_lcm)
+from .polycore import Exponent, Poly, Terms, mono_deg, mono_divides, mono_lcm
 
 INFINITE = math.inf
 
@@ -503,16 +502,20 @@ def colength(sb: StandardBasis):
 
 
 def _remainder(p: Poly, sb: StandardBasis, rows=None):
-    """Remainder of p as a series, and the denominator rows end up over."""
+    """Remainder of p, and the denominator rows end up over.
+
+    The kernel cuts the remainder at the cap and rows at the
+    representation cap, so neither needs truncating here.
+    """
     kernel = sb._kernel
     h, den = kernel.dividend(p.terms)
     remainder, scale = kernel.reduce(h, rows)
     den *= scale
     r = {kernel.unpack(e): Fraction(h[e], den) for e in remainder}
-    return TruncatedSeries(Poly(p.nvars, r), sb.cap), den
+    return Poly(p.nvars, r), den
 
 
-def normal_form(p: Poly, sb: StandardBasis) -> TruncatedSeries:
+def normal_form(p: Poly, sb: StandardBasis) -> Poly:
     """Canonical remainder of p modulo the ideal, supported on the staircase."""
     return _remainder(p, sb)[0]
 
@@ -525,9 +528,8 @@ def normal_form_with_lift(p: Poly, sb: StandardBasis):
     r, den = _remainder(p, sb, rows)
     # the rows hold minus the quotients: p = r - sum(rows[j] * gens[j]) / den
     unpack = sb._kernel.unpack
-    coeffs = [TruncatedSeries(Poly(p.nvars, {unpack(e): Fraction(-v, den)
-                                             for e, v in row.items()}),
-                              sb.rep_cap)
+    coeffs = [Poly(p.nvars, {unpack(e): Fraction(-v, den)
+                             for e, v in row.items()})
               for row in rows]
     return r, coeffs
 
@@ -538,14 +540,14 @@ class LiftCertificate:
 
     target: Poly
     gens: Tuple[Poly, ...]
-    coefficients: List[TruncatedSeries]
+    coefficients: List[Poly]
     cap: int
 
     def defect(self) -> Poly:
         """target - sum(c_j g_j); every surviving monomial has degree > cap."""
         acc = self.target
         for c, g in zip(self.coefficients, self.gens):
-            acc = acc - c.poly * g
+            acc = acc - c * g
         return acc
 
     def check(self) -> bool:
@@ -615,7 +617,7 @@ class QuotientAlgebra:
         nf = normal_form(p, self.sb)
         index = {e: i for i, e in enumerate(self.basis)}
         vec = [Fraction(0)] * len(self.basis)
-        for e, c in nf.poly.terms.items():
+        for e, c in nf.terms.items():
             vec[index[e]] = c
         return vec
 
@@ -649,7 +651,7 @@ def quotient_algebra(sb: StandardBasis) -> QuotientAlgebra:
             shifted = list(e)
             shifted[i] += 1
             nf = normal_form(Poly.monomial(nvars, shifted), sb)
-            for me, mc in nf.poly.terms.items():
+            for me, mc in nf.terms.items():
                 mat[index[me]][c] = mc
         matrices.append(mat)
     return QuotientAlgebra(sb, basis, matrices)

@@ -21,33 +21,21 @@ from .index import (GOOD_COORD_ATTEMPTS, GermProblem, find_good_coordinates,
 from .localalg import (DEFAULT_CAP, INFINITE, MAX_CAP, QuotientAlgebra,
                        colength, normal_form, quotient_algebra,
                        standard_basis)
-from .polycore import Exponent, Poly
+from .polycore import Exponent, Poly, _bareiss, _scaled
 from .residues import ResidueForm
 
 
 def rref(rows: List[List[Fraction]]) -> Tuple[int, List[int], List[List[Fraction]]]:
-    """Reduced row echelon form over the rationals: (rank, pivot cols, rows)."""
-    m = [[Fraction(a) for a in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        lead = m[r][c]
-        m[r] = [a / lead for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots, m
+    """Reduced row echelon form over the rationals: (rank, pivot cols, rows).
+
+    Fraction-free Gauss-Jordan on the rows scaled to integers, then each
+    pivot row divided by its pivot; the rows below the rank are zero.
+    """
+    m, _ = _scaled(rows)
+    pivots, _ = _bareiss(m, jordan=True)
+    leads = [m[r][c] for r, c in enumerate(pivots)] + [1] * (len(m) - len(pivots))
+    return len(pivots), pivots, [[Fraction(a, d) for a in row]
+                                 for row, d in zip(m, leads)]
 
 
 def matrix_rank(rows: List[List[Fraction]]) -> int:
@@ -117,7 +105,7 @@ class ResidueFunctional:
     def raw(self, numerator: Poly) -> Fraction:
         nf = normal_form(numerator, self.algebra.sb)
         total = Fraction(0)
-        for e, c in nf.poly.terms.items():
+        for e, c in nf.terms.items():
             total += c * self.values[e]
         return total
 

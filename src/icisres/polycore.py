@@ -11,12 +11,13 @@ total-degree cap) and `Poly.substitute` share that loop; `substitute` is
 the one substitution, and `linear_forms` gives it the targets of a linear
 change of coordinates z = C y.
 
-Truncated power series reuse the representation together with a
-total-degree cap, and a small polynomial matrix type provides exact
-determinants (cofactor expansion for tiny matrices, fraction-free Bareiss
-elimination above that).  `rational_det` and `rational_inverse` are the
-one determinant and inverse of a rational matrix: Bareiss steps with
-exact integer division on the matrix scaled to one denominator.
+`series_determinant` is the one determinant of a polynomial matrix
+(`PolyMatrix.determinant` calls it): a division-free expansion column by
+column over the sets of used rows, which can cut every product at a
+total-degree cap.  `_bareiss` is the one elimination of a rational
+matrix: fraction-free Bareiss steps with exact integer division on the
+matrix scaled to one denominator, skipping a column without a pivot.
+`rational_det`, `rational_inverse` and `pairing.rref` are built on it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from .errors import InexactDivision
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 Terms = Dict[Exponent, Fraction]
@@ -44,16 +43,6 @@ def default_names(nvars: int) -> Tuple[str, ...]:
 
 def mono_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a: Exponent, b: Exponent) -> Optional[Exponent]:
-    """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
 
 
 def mono_divides(b: Exponent, a: Exponent) -> bool:
@@ -383,83 +372,6 @@ def linear_forms(matrix: Sequence[Sequence]) -> List[Poly]:
             for row in matrix]
 
 
-def exact_div(p: Poly, q: Poly) -> Poly:
-    """Quotient p/q when the division is exact; raises InexactDivision otherwise."""
-    if q.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero():
-        return Poly.zero(p.nvars)
-    qe, qc = max(q.terms.items(), key=lambda t: _grlex_key(t[0]))
-    rem = dict(p.terms)
-    out: Terms = {}
-    while rem:
-        re, rc = max(rem.items(), key=lambda t: _grlex_key(t[0]))
-        e = mono_div(re, qe)
-        if e is None:
-            raise InexactDivision(f"{q.render()} does not divide {p.render()}")
-        c = rc / qc
-        out[e] = c
-        for fe, fc in q.terms.items():
-            ge = mono_mul(e, fe)
-            s = rem.get(ge, Fraction(0)) - c * fc
-            if s:
-                rem[ge] = s
-            else:
-                rem.pop(ge, None)
-    return Poly(p.nvars, out)
-
-
-class TruncatedSeries:
-    """Polynomial data plus a total-degree cap; arithmetic re-truncates."""
-
-    __slots__ = ("poly", "cap")
-
-    def __init__(self, poly: Poly, cap: int):
-        self.poly = poly.truncate(cap)
-        self.cap = cap
-
-    @classmethod
-    def from_poly(cls, p: Poly, cap: int) -> "TruncatedSeries":
-        return cls(p, cap)
-
-    def _join(self, other) -> Tuple[Poly, int]:
-        if isinstance(other, TruncatedSeries):
-            return other.poly, min(self.cap, other.cap)
-        return Poly.const(self.poly.nvars, other), self.cap
-
-    def __add__(self, other) -> "TruncatedSeries":
-        q, cap = self._join(other)
-        return TruncatedSeries(self.poly + q, cap)
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        q, cap = self._join(other)
-        return TruncatedSeries(self.poly - q, cap)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-self.poly, self.cap)
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        q, cap = self._join(other)
-        return TruncatedSeries(self.poly.mul_truncated(q, cap), cap)
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TruncatedSeries):
-            return self.cap == other.cap and self.poly == other.poly
-        return self.poly == other
-
-    def __hash__(self):
-        return hash((self.cap, self.poly))
-
-    def render(self, names=None) -> str:
-        return self.poly.render(names)
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({self.poly.render()}, cap={self.cap})"
-
-
 class PolyMatrix:
     """Dense matrix of Poly entries."""
 
@@ -471,93 +383,93 @@ class PolyMatrix:
             if len(r) != self.ncols:
                 raise ValueError("ragged matrix")
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.rows[i][j]
-
-    def submatrix(self, keep_rows: Iterable[int], keep_cols: Iterable[int]) -> "PolyMatrix":
-        kr, kc = list(keep_rows), list(keep_cols)
-        return PolyMatrix([[self.rows[i][j] for j in kc] for i in kr])
-
     def determinant(self) -> Poly:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
+        if self.nrows == 0:
             raise ValueError("empty determinant needs an explicit variable count; "
                              "build the constant 1 at the call site")
-        if n <= 4:
-            return _det_cofactor(self.rows)
-        return _det_bareiss(self.rows)
+        return series_determinant(self.rows)
 
 
-def _det_cofactor(rows: List[List[Poly]]) -> Poly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Poly.zero(rows[0][0].nvars)
-    for j in range(n):
-        a = rows[0][j]
-        if a.is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        piece = a * _det_cofactor(minor)
-        total = total + piece if j % 2 == 0 else total - piece
-    return total
+def series_determinant(rows: Sequence[Sequence[Poly]],
+                       cap: Optional[int] = None) -> Poly:
+    """Determinant of a nonempty square matrix, expanded column by column.
 
-
-def _det_bareiss(rows: List[List[Poly]]) -> Poly:
-    """Fraction-free elimination; every division is exact over the poly ring."""
-    n = len(rows)
-    m = [[p for p in row] for row in rows]
-    nv = m[0][0].nvars
-    sign = 1
-    prev = Poly.const(nv, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot is None:
-                return Poly.zero(nv)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev)
-            m[i][k] = Poly.zero(nv)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _bareiss(rows: List[List[int]], jordan: bool) -> int:
-    """Fraction-free elimination of integer rows in place.
-
-    Each step replaces row i by (pivot * row_i - row_i[k] * row_k) / prev,
-    an exact division, for the rows below the pivot (and with `jordan`
-    above it too, which leaves the square part diagonal).  Returns the
-    sign of the row swaps, or 0 when the square part is singular; the last
-    pivot times that sign is its determinant.
+    A state is a set of rows (a bit mask) that fills the first columns,
+    with the signed sum of every way of placing them there; each unused
+    row extends it into the next column.  Nothing is divided, so with a
+    cap the entries are truncated once, every product is cut at the cap,
+    and the result is the determinant truncated at the cap.  Costs
+    O(2^n * n) products, fine for the n <= 8 germs handled here.
     """
     n = len(rows)
+    if cap is not None:
+        rows = [[p.truncate(cap) for p in row] for row in rows]
+    states = {1 << r: rows[r][0] for r in range(n) if not rows[r][0].is_zero()}
+    for col in range(1, n):
+        nxt: Dict[int, Poly] = {}
+        for mask, val in states.items():
+            if val.is_zero():
+                continue
+            seen = 0
+            for row in range(n):
+                bit = 1 << row
+                if mask & bit:
+                    seen += 1
+                    continue
+                entry = rows[row][col]
+                if entry.is_zero():
+                    continue
+                piece = val * entry if cap is None else val.mul_truncated(entry, cap)
+                # the col - seen used rows after `row` each make one
+                # inversion with it: that parity is the sign
+                key = mask | bit
+                old = nxt.get(key)
+                if (seen + col) % 2 == 0:
+                    nxt[key] = piece if old is None else old + piece
+                else:
+                    nxt[key] = -piece if old is None else old - piece
+        states = nxt
+    return states.get((1 << n) - 1) or Poly.zero(rows[0][0].nvars)
+
+
+def _bareiss(rows: List[List[int]], jordan: bool) -> Tuple[List[int], int]:
+    """Fraction-free elimination of integer rows in place.
+
+    Column by column, the first row at or below the next pivot position
+    with a nonzero entry becomes the pivot row; a column without one is
+    skipped.  Each step replaces row i by (pivot * row_i - row_i[c] *
+    pivot_row) / prev, an exact division, for the rows below the pivot
+    (and with `jordan` above it too, which leaves every pivot row zero in
+    the other pivot columns).  Returns the pivot columns and the sign of
+    the row swaps; for a nonsingular square matrix the last pivot times
+    that sign is its determinant.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
     sign, prev = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k]), None)
+    for c in range(ncols):
+        k = len(pivots)
+        if k == nrows:
+            break
+        piv = next((i for i in range(k, nrows) if rows[i][c]), None)
         if piv is None:
-            return 0
+            continue
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
         pivot_row = rows[k]
-        p = pivot_row[k]
-        for i in range(n) if jordan else range(k + 1, n):
+        p = pivot_row[c]
+        for i in range(nrows) if jordan else range(k + 1, nrows):
             if i != k:
-                f = rows[i][k]
+                f = rows[i][c]
                 rows[i] = [(p * a - f * b) // prev
                            for a, b in zip(rows[i], pivot_row)]
+        pivots.append(c)
         prev = p
-    return sign
+    return pivots, sign
 
 
 def _scaled(m: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
@@ -574,7 +486,9 @@ def rational_det(m: Sequence[Sequence]) -> Fraction:
     if n == 0:
         return Fraction(1)
     rows, den = _scaled(m)
-    sign = _bareiss(rows, jordan=False)
+    pivots, sign = _bareiss(rows, jordan=False)
+    if len(pivots) < n:
+        return Fraction(0)
     return Fraction(sign * rows[-1][-1], den ** n)
 
 
@@ -587,46 +501,7 @@ def rational_inverse(m: Sequence[Sequence]) -> List[List[Fraction]]:
     n = len(m)
     rows, den = _scaled(m)
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    if not _bareiss(aug, jordan=True):
+    if _bareiss(aug, jordan=True)[0] != list(range(n)):
         raise ZeroDivisionError("inverse of a singular matrix")
     return [[Fraction(den * a, row[i]) for a in row[n:]]
             for i, row in enumerate(aug)]
-
-
-def series_determinant(rows: Sequence[Sequence[TruncatedSeries]], cap: int) -> TruncatedSeries:
-    """Determinant of a matrix of truncated series via subset dynamic programming.
-
-    Avoids division entirely, so truncation error never compounds; cost is
-    O(2^n * n) series products, fine for the n <= 8 germs handled here.
-    """
-    n = len(rows)
-    nv = rows[0][0].poly.nvars if n else 0
-    one = TruncatedSeries(Poly.const(nv, 1), cap)
-    if n == 0:
-        return one
-    # state: subset of rows already consumed while filling columns 0..popcount-1
-    states = {0: one}
-    for col in range(n):
-        nxt: Dict[int, TruncatedSeries] = {}
-        for mask, val in states.items():
-            if val.is_zero():
-                continue
-            seen = 0
-            for row in range(n):
-                bit = 1 << row
-                if mask & bit:
-                    seen += 1
-                    continue
-                entry = rows[row][col]
-                if entry.is_zero():
-                    continue
-                piece = val * entry
-                # Laplace sign for placing `row` as the entry of column `col`:
-                # parity of (rows already used below it) + (column index)
-                if (seen + col) % 2 == 1:
-                    piece = -piece
-                key = mask | bit
-                nxt[key] = nxt[key] + piece if key in nxt else piece
-        states = nxt
-    full = (1 << n) - 1
-    return states.get(full, TruncatedSeries(Poly.zero(nv), cap))

@@ -40,7 +40,7 @@ from .errors import CapExceeded, NotRegularSequence, PowerCapExceeded
 from .localalg import (DEFAULT_CAP, INFINITE, MAX_CAP, StandardBasis,
                        colength, minimal_power_membership, normal_form,
                        standard_basis, standard_basis_at)
-from .polycore import Poly, PolyMatrix, TruncatedSeries, series_determinant
+from .polycore import Poly, PolyMatrix, series_determinant
 
 
 def monomial_residue(h: Poly, d: Sequence[int]) -> Fraction:
@@ -73,13 +73,8 @@ def lift_rows(denoms: Sequence[Poly], powers: Sequence[int], cap: int,
     rows = []
     for i, d in enumerate(powers):
         _, cert = minimal_power_membership(i, list(denoms), max_power=d, sb=sb)
-        rows.append([c.poly for c in cert.coefficients])
+        rows.append(cert.coefficients)
     return rows
-
-
-def _lift_determinant(rows: Sequence[Sequence[Poly]], det_cap: int) -> Poly:
-    series = [[TruncatedSeries(p, det_cap) for p in row] for row in rows]
-    return series_determinant(series, det_cap).poly
 
 
 def residue_via_lift(numerator: Poly, rows: Sequence[Sequence[Poly]],
@@ -96,8 +91,8 @@ def residue_via_lift(numerator: Poly, rows: Sequence[Sequence[Poly]],
         big = sum(powers) - len(powers)
         det_cap = max(big - max(numerator.min_degree(), 0), 0)
     target = tuple(d - 1 for d in powers)
-    return _coefficient_of_product(numerator, _lift_determinant(rows, det_cap),
-                                   target)
+    return _coefficient_of_product(numerator,
+                                   series_determinant(rows, det_cap), target)
 
 
 def _denominator_list(denominators: Sequence[Poly]) -> List[Poly]:
@@ -181,7 +176,7 @@ class ResidueForm:
     def _box(self, work_cap: int, rep_cap: int) -> Poly:
         rows = lift_rows(self.denominators, self.powers, work_cap,
                          rep_cap=rep_cap)
-        det = _lift_determinant(rows, self.big)
+        det = series_determinant(rows, self.big)
         return Poly(det.nvars, {e: c for e, c in det.terms.items()
                                 if all(k < d for k, d in zip(e, self.powers))})
 
@@ -231,15 +226,14 @@ def form_index_basis(n: int, k: int) -> List[Tuple[int, ...]]:
     return list(itertools.combinations(range(n), k))
 
 
-def jacobian_minor(f: Sequence[Poly], columns: Sequence[int]) -> Poly:
-    """Determinant of the partial derivative block d(f_1..f_q)/d(z_{columns})."""
-    q = len(f)
-    if q == 0:
-        raise ValueError("empty minor needs a variable count; handled by caller")
-    if len(columns) != q:
-        raise ValueError("need as many columns as functions")
-    rows = [[fi.diff(j) for j in columns] for fi in f]
-    return PolyMatrix(rows).determinant()
+def jacobian_minor(f: Sequence[Poly], columns: Sequence[int],
+                   nvars: int) -> Poly:
+    """det d(f_1..f_q)/d(z_{columns}) in nvars variables; 1 when f is empty."""
+    if len(columns) != len(f):
+        raise ValueError(f"need {len(f)} column indices")
+    if not f:
+        return Poly.const(nvars, 1)
+    return PolyMatrix([[fi.diff(j) for j in columns] for fi in f]).determinant()
 
 
 def lambda_map(form: Sequence[Poly], f: Sequence[Poly], nvars: int) -> Poly:
@@ -249,9 +243,7 @@ def lambda_map(form: Sequence[Poly], f: Sequence[Poly], nvars: int) -> Poly:
     form_index_basis(n, n-q); the result collects, per multi-index I, the
     complementary Jacobian minor of f with the shuffle sign of (I, I^c).
     """
-    q = len(f)
-    k = nvars - q
-    basis = form_index_basis(nvars, k)
+    basis = form_index_basis(nvars, nvars - len(f))
     if len(form) != len(basis):
         raise ValueError(f"form needs {len(basis)} coefficients, got {len(form)}")
     out = Poly.zero(nvars)
@@ -260,8 +252,7 @@ def lambda_map(form: Sequence[Poly], f: Sequence[Poly], nvars: int) -> Poly:
             continue
         comp = tuple(j for j in range(nvars) if j not in I)
         sign = _perm_sign(list(I) + list(comp))
-        minor = Poly.const(nvars, 1) if q == 0 else jacobian_minor(f, comp)
-        piece = h * minor
+        piece = h * jacobian_minor(f, comp, nvars)
         out = out + (piece if sign > 0 else -piece)
     return out
 
@@ -308,9 +299,8 @@ def intersection_multiplicity_both_ways(f: Sequence[Poly], g: Sequence[Poly],
         raise NotRegularSequence("(f, g) is not zero dimensional")
     if caps_used is not None:
         caps_used["colength"] = max(caps_used.get("colength", 0), sb.cap)
-    k = len(g)
-    form = [PolyMatrix([[gi.diff(j) for j in I] for gi in g]).determinant()
-            for I in form_index_basis(nvars, k)]
+    form = [jacobian_minor(g, I, nvars)
+            for I in form_index_basis(nvars, len(g))]
     # (g, f) is the ideal of (f, g): the residue reuses the colength basis
     rhs = relative_residue(form, g, f, cap=cap, max_cap=max_cap,
                            caps_used=caps_used, base=sb)

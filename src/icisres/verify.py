@@ -18,13 +18,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (CapExceeded, GoodCoordsNotFound, NotIsolated,
                      NotRegularSequence, NotZeroDimensional)
-from .index import (CoordinateChange, GermProblem, eg_index,
-                    f_jacobian_minor, main_residue, minor, minors,
-                    sigma_data, solve)
+from .index import (CoordinateChange, GermProblem, eg_index, main_residue,
+                    minor, minors, sigma_data, solve)
 from .localalg import INFINITE, colength, normal_form, standard_basis
-from .polycore import (Poly, PolyMatrix, default_names, linear_forms,
-                       rational_det, rational_inverse)
-from .residues import grothendieck_residue, intersection_multiplicity_both_ways
+from .polycore import (Poly, default_names, linear_forms, rational_det,
+                       rational_inverse)
+from .residues import (grothendieck_residue, intersection_multiplicity_both_ways,
+                       jacobian_minor)
 from .pairing import pairing_report
 
 RESAMPLE_LIMIT = 20
@@ -229,11 +229,11 @@ def _trial_eq1(rng: random.Random, plan: VerificationPlan,
     p = _random_germ(rng, n, degree)
     i_cols = tuple(rng.randrange(n) for _ in range(q))
     j_cols = tuple(rng.randrange(n) for _ in range(q + 1))
-    lhs = f_jacobian_minor(p, i_cols) * minor(p, j_cols)
+    lhs = jacobian_minor(p.f, i_cols, n) * minor(p, j_cols)
     rhs = Poly.zero(n)
     for l, jl in enumerate(j_cols):
         rest = j_cols[:l] + j_cols[l + 1:]
-        piece = f_jacobian_minor(p, rest) * minor(p, (jl,) + i_cols)
+        piece = jacobian_minor(p.f, rest, n) * minor(p, (jl,) + i_cols)
         rhs = rhs + piece if l % 2 == 0 else rhs - piece
     if lhs != rhs:
         return {"f": "; ".join(_render(fi) for fi in p.f),
@@ -261,12 +261,10 @@ def _trial_lem2(rng: random.Random, plan: VerificationPlan,
         return None
     sd = sigma_data(p)
     for (j, k) in [(0, 1), (0, 2), (1, 2)]:
-        rows = [[fi.diff(c) for c in range(3)] for fi in p.f]
-        rows.append([ms.principal[j].diff(c) for c in range(3)])
-        rows.append([ms.principal[k].diff(c) for c in range(3)])
-        jac = PolyMatrix(rows).determinant()
+        jac = jacobian_minor(list(p.f) + [ms.principal[j], ms.principal[k]],
+                             range(3), 3)
         target = jac + ms.f_minors[(j, k)] * sd.sigma
-        if not normal_form(target, sb).poly.is_zero():
+        if not normal_form(target, sb).is_zero():
             return {"f": _render(p.f[0]),
                     "omega": "; ".join(_render(w) for w in p.omega),
                     "pair": str((j + 1, k + 1))}
@@ -318,7 +316,7 @@ def _trial_ann(rng: random.Random, plan: VerificationPlan,
         msy = minors(good)
         m1 = _compose(msy.principal[0], cinv)
         m2 = _compose(msy.principal[1], cinv)
-        dfy = _compose(f_jacobian_minor(good, tuple(range(2, n))), cinv)
+        dfy = _compose(jacobian_minor(good.f, tuple(range(2, n)), n), cinv)
         return m1, m2, dfy
 
     # keep the predicate's determinant, transformed pair and basis: an
@@ -346,7 +344,7 @@ def _trial_ann(rng: random.Random, plan: VerificationPlan,
         return None
     m1y, m2y, dfy = tested["pair"]
     h = random_poly(rng, n, min(2, plan.degree_bound), min_degree=0)
-    df = f_jacobian_minor(p, tuple(range(2, n)))
+    df = jacobian_minor(p.f, tuple(range(2, n)), n)
     lhs = grothendieck_residue(h * df,
                                list(p.f) + [ms.principal[0], ms.principal[1]])
     rhs = grothendieck_residue((h * dfy).scale(tested["det"]),

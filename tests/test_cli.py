@@ -255,3 +255,24 @@ def test_knob_flag_overrides_file_value(capsys, tmp_path):
     code, _, _ = run_cli(capsys, ["index", str(path), "--format", "json",
                                   "--cap", "12"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["all"], "the following arguments are required: germfile"),
+    (["all", "a1.germ", "--cap", "x"], "argument --cap: invalid int value: 'x'"),
+    (["verify", "--suite", "eq1", "--trials", "1", "--cap", "3"],
+     "unrecognized arguments: --cap 3"),
+    (["verify", "--max-cap", "-5"], "unrecognized arguments: --max-cap -5"),
+    (["verify", "--attempts", "0"], "unrecognized arguments: --attempts 0"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    # exit 2 means a failed cross-check, so a usage error must not use it
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, ["all", "--help"])
+    assert code == 0
+    assert "--max-cap" in out and "germfile" in out

@@ -7,9 +7,9 @@ import pytest
 
 from icisres.errors import GoodCoordsNotFound, NotIsolated
 from icisres.index import (CoordinateChange, GermProblem, curve_index,
-                           eg_index, f_jacobian_minor, find_good_coordinates,
-                           germ_residue, ideal_J, identity_change,
-                           main_residue, minor, minors, sigma_data, solve)
+                           eg_index, find_good_coordinates, germ_residue,
+                           ideal_J, identity_change, main_residue, minor,
+                           minors, sigma_data, solve)
 from icisres.localalg import standard_basis
 from icisres.polycore import Poly
 
@@ -55,11 +55,6 @@ def test_minor_alternating():
     assert minor(p, (0, 1)) == x3.scale(Fraction(2))
     assert minor(p, (1, 0)) == x3.scale(Fraction(-2))
     assert minor(p, (0, 0)).is_zero()
-
-
-def test_f_jacobian_minor_empty_is_one():
-    p = diagonal(1, 1)
-    assert f_jacobian_minor(p, ()) == Poly.const(2, Fraction(1))
 
 
 def test_sigma_sphere_dz():

@@ -39,6 +39,71 @@ def test_rref_and_rank():
     assert rank == 1 and pivots == [1]
 
 
+def ref_rref(rows):
+    """Gauss-Jordan on Fractions, the elimination the integer rref
+    replaced: the specification."""
+    m = [[Fraction(a) for a in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        lead = m[r][c]
+        m[r] = [a / lead for a in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots, m
+
+
+def random_rows(rng):
+    """Rectangular, often rank deficient, with zero columns and mixed
+    denominators."""
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    zero_cols = {c for c in range(ncols) if rng.random() < 0.25}
+    rows = [[Fraction(0) if c in zero_cols or rng.random() < 0.3 else
+             Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 7]))
+             for c in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        if i >= 2 and rng.random() < 0.4:    # a combination of two rows
+            a = Fraction(rng.randint(-2, 2), rng.choice([1, 3]))
+            b = rng.randint(-2, 2)
+            rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+def test_rref_rank_and_kernel_match_the_fraction_elimination():
+    rng = random.Random(61)
+    for _ in range(1000):
+        rows = random_rows(rng)
+        want = ref_rref(rows)
+        got = rref(rows)
+        assert got == want
+        assert all(type(a) is Fraction for row in got[2] for a in row)
+        rank, pivots, ref = want
+        assert matrix_rank(rows) == rank
+        ncols = len(rows[0])
+        expected = []
+        for fc in (c for c in range(ncols) if c not in pivots):
+            v = [Fraction(int(c == fc)) for c in range(ncols)]
+            for r, pc in enumerate(pivots):
+                v[pc] = -ref[r][fc]
+            expected.append(v)
+        kernel = kernel_basis(rows, ncols)
+        assert kernel == expected
+        for v in kernel:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
 def test_kernel_basis():
     # x + y + z = 0 has a two dimensional kernel
     vecs = kernel_basis([F(1, 1, 1)], 3)

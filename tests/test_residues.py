@@ -181,11 +181,15 @@ def _powers_of(denoms):
 
 def test_jacobian_minor():
     f = [x3**2 + y3 * z3]
-    assert jacobian_minor(f, [0]) == x3.scale(Fraction(2))
-    assert jacobian_minor(f, [2]) == y3
+    assert jacobian_minor(f, [0], 3) == x3.scale(Fraction(2))
+    assert jacobian_minor(f, [2], 3) == y3
     two = [x3 + y3, y3 + z3]
-    m = jacobian_minor(two, [0, 1])
+    m = jacobian_minor(two, [0, 1], 3)
     assert m == ONE3
+
+
+def test_jacobian_minor_empty_is_one():
+    assert jacobian_minor((), (), 2) == Poly.const(2, Fraction(1))
 
 
 def test_form_index_basis():
