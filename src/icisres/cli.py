@@ -20,8 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import ArityError, IcisresError
 from .germfile import GermFile, parse_germ_file
 from .index import (GOOD_COORD_ATTEMPTS, GermProblem, curve_index, eg_index,
-                    find_good_coordinates, main_residue, minors, sigma_data,
-                    solve)
+                    find_good_coordinates, main_residue, sigma_data, solve)
 from .localalg import DEFAULT_CAP, MAX_CAP
 from .pairing import pairing_report
 from .polycore import Poly

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (ArityError, GermSyntaxError, GermFileError,
-                     NonRationalCoefficient)
+from .errors import ArityError, GermSyntaxError, NonRationalCoefficient
 from .polycore import Poly
 
 KEYS = ("vars", "f", "omega", "g", "seed", "cap", "max_cap", "attempts")
@@ -43,15 +42,12 @@ MAX_POWER_BITS = 4096
 
 
 def _variables(p: Poly) -> set:
-    return {i for e in p.terms for i, v in enumerate(e) if v}
+    return {i for e in p.ints for i, v in enumerate(e) if v}
 
 
 def _numerator_bits(p: Poly) -> int:
     """Bit length of the largest numerator over p's common denominator D, or of D."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return max([den.bit_length()] + [
-        (c.numerator * (den // c.denominator)).bit_length()
-        for c in p.terms.values()])
+    return max([p.den.bit_length()] + [c.bit_length() for c in p.ints.values()])
 
 
 def power_size(p: Poly, k: int) -> Tuple[int, int]:
@@ -63,9 +59,9 @@ def power_size(p: Poly, k: int) -> Tuple[int, int]:
     p, each numerator of p^k is a sum of at most t^k products of k
     numerators of p, and its denominator divides D^k.
     """
-    if not p.terms:
+    if not p.ints:
         return 1, 0
-    t = len(p.terms)
+    t = len(p.ints)
     v = len(_variables(p))
     terms = min(comb(t + k - 1, k), comb(v + k * p.total_degree(), v))
     return terms, k * (_numerator_bits(p) + t.bit_length())
@@ -79,9 +75,9 @@ def product_size(p: Poly, q: Poly) -> Tuple[int, int]:
     the common denominators, each numerator is a sum of at most
     min(t1, t2) products of a numerator of p and one of q.
     """
-    if not p.terms or not q.terms:
+    if not p.ints or not q.ints:
         return 0, 0
-    t1, t2 = len(p.terms), len(q.terms)
+    t1, t2 = len(p.ints), len(q.ints)
     v = len(_variables(p) | _variables(q))
     terms = min(t1 * t2, comb(v + p.total_degree() + q.total_degree(), v))
     return terms, (_numerator_bits(p) + _numerator_bits(q)

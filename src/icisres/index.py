@@ -59,9 +59,11 @@ class GermProblem:
                 f"surface germ needs {self.nvars - 2} equations, got {self.q}")
 
 
-def stacked_matrix(p: GermProblem, columns: Sequence[int]) -> PolyMatrix:
-    rows = [[fi.diff(j) for j in columns] for fi in p.f]
-    rows.append([p.omega[j] for j in columns])
+def stacked_matrix(f: Sequence[Poly], omega: Sequence[Poly],
+                   columns: Sequence[int]) -> PolyMatrix:
+    """The Jacobian of f over the row of omega's coefficients, in columns."""
+    rows = [[fi.diff(j) for j in columns] for fi in f]
+    rows.append([omega[j] for j in columns])
     return PolyMatrix(rows)
 
 
@@ -72,16 +74,15 @@ def minor(p: GermProblem, columns: Sequence[int]) -> Poly:
     """
     if len(columns) != p.q + 1:
         raise ValueError(f"need {p.q + 1} column indices")
-    return stacked_matrix(p, columns).determinant()
+    return stacked_matrix(p.f, p.omega, columns).determinant()
 
 
 @dataclass
 class MinorSet:
-    """Maximal minors over ascending column sets, plus the two named slices."""
+    """Maximal minors over ascending column sets, plus the principal slice."""
 
     all: Dict[Tuple[int, ...], Poly]
     principal: Tuple[Poly, ...]       # principal[i]: columns with i omitted
-    f_minors: Dict[Tuple[int, int], Poly]  # (l, k), l < k: omit both columns
 
 
 def minors(p: GermProblem) -> MinorSet:
@@ -90,12 +91,7 @@ def minors(p: GermProblem) -> MinorSet:
     allm = {cols: minor(p, cols)
             for cols in itertools.combinations(range(n), p.q + 1)}
     principal = tuple(allm[tuple(j for j in range(n) if j != i)] for i in range(n))
-    fm = {}
-    for l in range(n):
-        for k in range(l + 1, n):
-            cols = tuple(j for j in range(n) if j not in (l, k))
-            fm[(l, k)] = jacobian_minor(p.f, cols, n)
-    return MinorSet(allm, principal, fm)
+    return MinorSet(allm, principal)
 
 
 def ideal_J(p: GermProblem) -> List[Poly]:
@@ -270,9 +266,7 @@ def curve_index(f: Sequence[Poly], omega: Sequence[Poly],
     n = omega[0].nvars
     if len(f) != n - 1:
         raise ValueError(f"curve germ needs {n - 1} equations, got {len(f)}")
-    rows = [[fi.diff(j) for j in range(n)] for fi in f]
-    rows.append(list(omega))
-    m = PolyMatrix(rows).determinant()
+    m = stacked_matrix(f, omega, range(n)).determinant()
     if m.is_unit():
         return 0
     sb = standard_basis(f + [m], cap=cap, max_cap=max_cap)

@@ -42,16 +42,17 @@ specification of the order.
 
 Coefficients inside the kernel are integers.  A basis element keeps its
 terms and its representation rows as one primitive integer vector, scaled
-by its leading coefficient lc.  A dividend and its representation rows
-share one denominator D; a reduction step on the coefficient c multiplies
-them by lc / gcd(lc, c) and subtracts c / gcd(lc, c) times the shifted
-element, so nothing is ever divided (fraction free, as in Bareiss
-elimination).  Fraction begins where values leave the kernel: remainder
-and lift coefficients as Fraction(c, D), basis elements as monic Polys
-(StandardBasis.elements), and from there LiftCertificate.  Selection
-depends only on leading monomials and ecarts, so every staircase,
-element, remainder and representation is the one exact rational
-arithmetic gives.
+by its leading coefficient lc.  A dividend starts as the Poly's own ints
+over its denominator D, and its representation rows share D; a reduction
+step on the coefficient c multiplies them by lc / gcd(lc, c) and
+subtracts c / gcd(lc, c) times the shifted element, so nothing is ever
+divided (fraction free, as in Bareiss elimination).  Values leave the
+kernel the same way, as ints over one denominator (Poly.from_ints):
+remainders and lift coefficients over D, basis elements as monic Polys
+over lc (StandardBasis.elements), and from there LiftCertificate.
+Selection depends only on leading monomials and ecarts, so every
+staircase, element, remainder and representation is the one exact
+rational arithmetic gives.
 """
 
 from __future__ import annotations
@@ -178,12 +179,10 @@ class _Kernel:
         for g in self.elems:
             g.tail = g.tail[:bisect.bisect_left(g.tail, (self.limit,))]
 
-    def dividend(self, terms: Terms) -> Tuple[Dict[int, int], int]:
-        """Integer terms of degree <= bound and their common denominator."""
-        kept = [(e, c) for e, c in terms.items() if sum(e) <= self.bound]
-        den = math.lcm(*(c.denominator for _, c in kept))
-        return {self.pack(e): c.numerator * (den // c.denominator)
-                for e, c in kept}, den
+    def dividend(self, p: Poly) -> Tuple[Dict[int, int], int]:
+        """p's integer terms of degree <= bound, and p's denominator."""
+        bound, pack = self.bound, self.pack
+        return {pack(e): c for e, c in p.ints.items() if sum(e) <= bound}, p.den
 
     def reduce(self, h: Dict[int, int],
                rows: Optional[List[Dict[int, int]]] = None) -> Tuple[List[int], int]:
@@ -317,7 +316,7 @@ def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
     for j, g in enumerate(gens):
         if g.is_zero():
             continue
-        h, den = kernel.dividend(g.terms)
+        h, den = kernel.dividend(g)
         rows = None
         if track:
             rows = [dict() for _ in range(m)]
@@ -435,8 +434,9 @@ def _build(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
     kernel = _complete(gens, order.nvars, cap, track, rep_cap)
     stair = _staircase_min_gens(kernel.elems)
     quot = _quotient_monomials(stair, order.nvars)
-    polys = [Poly(order.nvars, {kernel.unpack(m): Fraction(v, g.lc)
-                                for m, v in [(g.lm, g.lc)] + g.tail})
+    polys = [Poly.from_ints(order.nvars,
+                            {kernel.unpack(m): v
+                             for m, v in [(g.lm, g.lc)] + g.tail}, g.lc)
              for g in kernel.elems]
     return StandardBasis(tuple(gens), order, cap, rep_cap, certified, polys,
                          stair, quot, kernel, track)
@@ -508,11 +508,11 @@ def _remainder(p: Poly, sb: StandardBasis, rows=None):
     representation cap, so neither needs truncating here.
     """
     kernel = sb._kernel
-    h, den = kernel.dividend(p.terms)
+    h, den = kernel.dividend(p)
     remainder, scale = kernel.reduce(h, rows)
     den *= scale
-    r = {kernel.unpack(e): Fraction(h[e], den) for e in remainder}
-    return Poly(p.nvars, r), den
+    r = {kernel.unpack(e): h[e] for e in remainder}
+    return Poly.from_ints(p.nvars, r, den), den
 
 
 def normal_form(p: Poly, sb: StandardBasis) -> Poly:
@@ -528,8 +528,8 @@ def normal_form_with_lift(p: Poly, sb: StandardBasis):
     r, den = _remainder(p, sb, rows)
     # the rows hold minus the quotients: p = r - sum(rows[j] * gens[j]) / den
     unpack = sb._kernel.unpack
-    coeffs = [Poly(p.nvars, {unpack(e): Fraction(-v, den)
-                             for e, v in row.items()})
+    coeffs = [Poly.from_ints(p.nvars, {unpack(e): -v for e, v in row.items()},
+                             den)
               for row in rows]
     return r, coeffs
 
@@ -617,8 +617,8 @@ class QuotientAlgebra:
         nf = normal_form(p, self.sb)
         index = {e: i for i, e in enumerate(self.basis)}
         vec = [Fraction(0)] * len(self.basis)
-        for e, c in nf.terms.items():
-            vec[index[e]] = c
+        for e, c in nf.ints.items():
+            vec[index[e]] = Fraction(c, nf.den)
         return vec
 
     def element(self, vec: Sequence[Fraction]) -> Poly:
@@ -651,8 +651,8 @@ def quotient_algebra(sb: StandardBasis) -> QuotientAlgebra:
             shifted = list(e)
             shifted[i] += 1
             nf = normal_form(Poly.monomial(nvars, shifted), sb)
-            for me, mc in nf.terms.items():
-                mat[index[me]][c] = mc
+            for me, mc in nf.ints.items():
+                mat[index[me]][c] = Fraction(mc, nf.den)
         matrices.append(mat)
     return QuotientAlgebra(sb, basis, matrices)
 

@@ -104,10 +104,8 @@ class ResidueFunctional:
 
     def raw(self, numerator: Poly) -> Fraction:
         nf = normal_form(numerator, self.algebra.sb)
-        total = Fraction(0)
-        for e, c in nf.terms.items():
-            total += c * self.values[e]
-        return total
+        return sum((c * self.values[e] for e, c in nf.ints.items()),
+                   Fraction(0)) / nf.den
 
     def v_residue(self, h: Poly) -> Fraction:
         return -self.raw(h * self.df)

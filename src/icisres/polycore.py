@@ -1,15 +1,26 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial in n variables is a mapping from exponent tuples of length n
-to nonzero Fractions, `Poly.terms`; every caller reads and builds that
-mapping, and nothing here ever touches floats.  Products and
-substitutions keep Fractions at that boundary only: each operand's terms
-become ints over one common denominator, one loop accumulates plain int
-sums in a dict, and one Fraction is built per nonzero output term.
-`Poly.__mul__`, `Poly.mul_truncated` (which pairs terms only up to a
-total-degree cap) and `Poly.substitute` share that loop; `substitute` is
-the one substitution, and `linear_forms` gives it the targets of a linear
-change of coordinates z = C y.
+A polynomial in n variables is stored as nonzero ints over one positive
+denominator in lowest terms: `Poly.ints` maps exponent tuples of length n
+to ints and `Poly.den` divides every one of them, with
+gcd(den, *ints.values()) == 1.  So each rational polynomial has exactly
+one stored form, and equality and hashing compare it directly.  Nothing
+here ever touches floats.
+
+Every operation works on the ints and builds no Fraction: a sum brings
+both operands over the least common denominator, a product multiplies
+the denominators, and each result is brought to lowest terms once, by
+one gcd over its denominator and its coefficients (`Poly.from_ints`,
+skipped when the denominator is 1).  `Poly.terms` is the rational view
+for callers that want values: a fresh mapping from exponents to
+Fractions, built on each access and never kept.
+
+Products and substitutions share one loop, `_accumulate`, which adds the
+integer product of two term lists into a dict.  `Poly.__mul__`,
+`Poly.mul_truncated` (which pairs terms only up to a total-degree cap)
+and `Poly.substitute` run on it; `substitute` is the one substitution,
+and `linear_forms` gives it the targets of a linear change of coordinates
+z = C y.
 
 `series_determinant` is the one determinant of a polynomial matrix
 (`PolyMatrix.determinant` calls it): a division-free expansion column by
@@ -26,11 +37,11 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 Terms = Dict[Exponent, Fraction]
-IntTerms = List[Tuple[Exponent, int]]
+IntTerms = Iterable[Tuple[Exponent, int]]
 
 _DEFAULT_NAMES = ("x", "y", "z", "w", "u", "v")
 
@@ -65,19 +76,6 @@ def _term_degree(term: Tuple[Exponent, int]) -> int:
     return sum(term[0])
 
 
-def _ints(terms: Terms) -> Tuple[IntTerms, int]:
-    """The terms as (exponent, int) pairs over one common denominator."""
-    den = 1
-    for c in terms.values():
-        d = c.denominator
-        if d != 1 and den % d:
-            den = den // gcd(den, d) * d
-    if den == 1:
-        return [(e, c.numerator) for e, c in terms.items()], 1
-    return [(e, c.numerator * (den // c.denominator))
-            for e, c in terms.items()], den
-
-
 def _accumulate(acc: Dict[Exponent, int], left: IntTerms, right: IntTerms,
                 cap: Optional[int] = None) -> None:
     """Add the integer product left * right into acc.
@@ -97,85 +95,115 @@ def _accumulate(acc: Dict[Exponent, int], left: IntTerms, right: IntTerms,
             acc[e] = get(e, 0) + c1 * c2
 
 
-def _from_ints(nvars: int, acc: Dict[Exponent, int], den: int) -> "Poly":
-    """The Poly with coefficients acc[e] / den; zero sums are dropped."""
-    if den == 1:
-        terms = {e: Fraction(c) for e, c in acc.items() if c}
-    else:
-        terms = {e: Fraction(c, den) for e, c in acc.items() if c}
-    return Poly._nonzero(nvars, terms)
-
-
 def _product(p: "Poly", q: "Poly", cap: Optional[int] = None) -> "Poly":
-    left, dl = _ints(p.terms)
-    right, dr = _ints(q.terms)
     acc: Dict[Exponent, int] = {}
-    _accumulate(acc, left, right, cap)
-    return _from_ints(p.nvars, acc, dl * dr)
+    _accumulate(acc, p.ints.items(), q.ints.items(), cap)
+    return Poly.from_ints(p.nvars, {e: c for e, c in acc.items() if c},
+                          p.den * q.den)
 
 
 class Poly:
-    """Immutable sparse polynomial over Q."""
+    """Immutable sparse polynomial over Q: nonzero ints over one denominator.
 
-    __slots__ = ("nvars", "terms")
+    ints maps exponents to nonzero ints and den > 0 divides them, in
+    lowest terms; the zero polynomial is ({}, 1).  The constructor takes
+    an exponent -> rational mapping (Fractions, ints, or anything Fraction
+    accepts) and drops zero values; `terms` gives the same mapping back
+    as Fractions, in a new dict each time.
+    """
 
-    def __init__(self, nvars: int, terms: Terms):
+    __slots__ = ("nvars", "ints", "den")
+
+    def __init__(self, nvars: int, terms: Mapping[Exponent, object]):
+        # over the lcm of the denominators of fractions in lowest terms,
+        # each prime power of the lcm is one term's whole denominator, and
+        # that term's numerator is prime to it: the ints are in lowest terms
+        values = []
+        for e, c in terms.items():
+            if not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
+            if c:
+                values.append((e, c))
+        den = lcm(*(c.denominator for _, c in values))
         self.nvars = nvars
-        self.terms: Terms = {e: c for e, c in terms.items() if c != 0}
+        self.ints: Dict[Exponent, int] = {
+            e: c.numerator * (den // c.denominator) for e, c in values}
+        self.den = den
 
     # construction -------------------------------------------------------
 
     @classmethod
-    def _nonzero(cls, nvars: int, terms: Terms) -> "Poly":
-        """Wrap terms whose coefficients are already nonzero Fractions."""
+    def _wrap(cls, nvars: int, ints: Dict[Exponent, int], den: int) -> "Poly":
+        """Wrap ints and den that are already nonzero and in lowest terms."""
         p = object.__new__(cls)
-        p.nvars, p.terms = nvars, terms
+        p.nvars, p.ints, p.den = nvars, ints, den
         return p
 
     @classmethod
+    def from_ints(cls, nvars: int, ints: Dict[Exponent, int],
+                  den: int) -> "Poly":
+        """The polynomial ints / den, for nonzero ints and den > 0.
+
+        One gcd over den and the ints brings them to lowest terms.
+        """
+        if den != 1:
+            g = gcd(den, *ints.values())
+            if g != 1:
+                den //= g
+                ints = {e: c // g for e, c in ints.items()}
+        return cls._wrap(nvars, ints, den)
+
+    @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars, {})
+        return cls._wrap(nvars, {}, 1)
 
     @classmethod
     def const(cls, nvars: int, c) -> "Poly":
-        c = Fraction(c)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls._wrap(nvars, {tuple(e): 1}, 1)
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], c=1) -> "Poly":
-        return cls(nvars, {tuple(exps): Fraction(c)})
+        return cls(nvars, {tuple(exps): c})
 
     # queries ------------------------------------------------------------
 
+    @property
+    def terms(self) -> Terms:
+        """Exponent -> nonzero Fraction, a new dict on every access."""
+        den = self.den
+        if den == 1:
+            return {e: Fraction(c) for e, c in self.ints.items()}
+        return {e: Fraction(c, den) for e, c in self.ints.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def is_unit(self) -> bool:
         """Nonzero constant term, i.e. invertible in the local ring."""
-        return self.constant_term() != 0
+        return (0,) * self.nvars in self.ints
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.coefficient((0,) * self.nvars)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.ints.get(tuple(exps), 0), self.den)
 
     def total_degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.ints)
 
     def min_degree(self) -> int:
-        if not self.terms:
+        if not self.ints:
             return -1
-        return min(sum(e) for e in self.terms)
+        return min(sum(e) for e in self.ints)
 
     # arithmetic ---------------------------------------------------------
 
@@ -184,40 +212,35 @@ class Poly:
             return other
         return Poly.const(self.nvars, other)
 
-    def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            old = out.get(e)
-            if old is None:
-                out[e] = c
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the least common denominator."""
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            den, out, k = d1, dict(self.ints), sign
+        else:
+            den = d1 // gcd(d1, d2) * d2
+            a, k = den // d1, sign * (den // d2)
+            out = {e: c * a for e, c in self.ints.items()}
+        get = out.get
+        for e, c in other.ints.items():
+            s = get(e, 0) + k * c
+            if s:
+                out[e] = s
             else:
-                s = old + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Poly._nonzero(self.nvars, out)
+                del out[e]
+        return Poly.from_ints(self.nvars, out, den)
+
+    def __add__(self, other) -> "Poly":
+        return self._combine(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._nonzero(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._wrap(self.nvars, {e: -c for e, c in self.ints.items()},
+                          self.den)
 
     def __sub__(self, other) -> "Poly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            old = out.get(e)
-            if old is None:
-                out[e] = -c
-            else:
-                s = old - c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Poly._nonzero(self.nvars, out)
+        return self._combine(self._coerce(other), -1)
 
     def __rsub__(self, other) -> "Poly":
         return self._coerce(other) - self
@@ -240,32 +263,36 @@ class Poly:
         return result
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
         if c == 0:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        num = c.numerator
+        return Poly.from_ints(self.nvars,
+                              {e: num * v for e, v in self.ints.items()},
+                              self.den * c.denominator)
 
     def mul_truncated(self, other: "Poly", cap: int) -> "Poly":
         """Product dropping every monomial of total degree above cap."""
         return _product(self, other, cap)
 
     def truncate(self, cap: int) -> "Poly":
-        return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= cap})
+        return Poly.from_ints(
+            self.nvars, {e: c for e, c in self.ints.items() if sum(e) <= cap},
+            self.den)
 
     def diff(self, i: int) -> "Poly":
-        out: Terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            d = list(e)
-            d[i] -= 1
-            out[tuple(d)] = c * e[i]
-        return Poly(self.nvars, out)
+        out: Dict[Exponent, int] = {}
+        for e, c in self.ints.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return Poly.from_ints(self.nvars, out, self.den)
 
     def substitute(self, targets: Sequence["Poly"]) -> "Poly":
         """Replace variable i by targets[i] (all over the same new ring).
 
-        Target i is taken as integers over its denominator d_i, and its
+        Target i is taken as its ints over its denominator d_i, and its
         powers are cached as integer term lists over d_i^k.  Every term of
         self then expands into one integer accumulator over the common
         denominator of all terms.
@@ -274,11 +301,11 @@ class Poly:
             raise ValueError("substitution needs one target per variable")
         m = targets[0].nvars if targets else 0
         one = (0,) * m
-        bases = [_ints(t.terms) for t in targets]
-        dens = [d for _, d in bases]
-        powers: List[List[IntTerms]] = [[[(one, 1)], b] for b, _ in bases]
+        dens = [t.den for t in targets]
+        powers: List[List[List[Tuple[Exponent, int]]]] = [
+            [[(one, 1)], list(t.ints.items())] for t in targets]
 
-        def power(i: int, k: int) -> IntTerms:
+        def power(i: int, k: int) -> List[Tuple[Exponent, int]]:
             cache = powers[i]
             while len(cache) <= k:
                 acc: Dict[Exponent, int] = {}
@@ -286,30 +313,31 @@ class Poly:
                 cache.append([t for t in acc.items() if t[1]])
             return cache[k]
 
-        term_dens = [c.denominator * prod(d ** k for d, k in zip(dens, e))
-                     for e, c in self.terms.items()]
+        # term e lies over self.den * prod(d_i^e_i)
+        term_dens = [prod(d ** k for d, k in zip(dens, e)) for e in self.ints]
         den = lcm(*term_dens)
         acc: Dict[Exponent, int] = {}
-        for (e, c), d in zip(self.terms.items(), term_dens):
-            part = [(one, c.numerator * (den // d))]
+        for (e, c), d in zip(self.ints.items(), term_dens):
+            part = [(one, c * (den // d))]
             factors = [power(i, k) for i, k in enumerate(e) if k] or [[(one, 1)]]
             for f in factors[:-1]:
                 step: Dict[Exponent, int] = {}
                 _accumulate(step, part, f)
                 part = [t for t in step.items() if t[1]]
             _accumulate(acc, part, factors[-1])
-        return _from_ints(m, acc, den)
+        return Poly.from_ints(m, {e: c for e, c in acc.items() if c},
+                              den * self.den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         vals = [Fraction(v) for v in point]
         total = Fraction(0)
-        for e, c in self.terms.items():
-            prod = c
+        for e, c in self.ints.items():
+            term = Fraction(c)
             for i, k in enumerate(e):
                 if k:
-                    prod *= vals[i] ** k
-            total += prod
-        return total
+                    term *= vals[i] ** k
+            total += term
+        return total / self.den
 
     # comparison / rendering ---------------------------------------------
 
@@ -318,14 +346,15 @@ class Poly:
             other = Poly.const(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.ints == other.ints)
 
     def __ne__(self, other) -> bool:
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
+        return hash((self.nvars, self.den, frozenset(self.ints.items())))
 
     def sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
         """Terms in descending graded lexicographic order, for stable output."""
@@ -334,7 +363,7 @@ class Poly:
     def render(self, names: Optional[Sequence[str]] = None) -> str:
         if names is None:
             names = default_names(self.nvars)
-        if not self.terms:
+        if not self.ints:
             return "0"
         pieces: List[str] = []
         for e, c in self.sorted_terms():

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded, NotRegularSequence, PowerCapExceeded
@@ -53,13 +54,11 @@ def monomial_residue(h: Poly, d: Sequence[int]) -> Fraction:
 
 
 def _coefficient_of_product(h: Poly, g: Poly, target: Tuple[int, ...]) -> Fraction:
-    total = Fraction(0)
-    for e, c in h.terms.items():
-        rest = tuple(t - x for t, x in zip(target, e))
-        if any(v < 0 for v in rest):
-            continue
-        total += c * g.terms.get(rest, Fraction(0))
-    return total
+    """Coefficient of z^target in h * g, summed on the ints."""
+    other = g.ints
+    total = sum(c * other.get(tuple(map(sub, target, e)), 0)
+                for e, c in h.ints.items())
+    return Fraction(total, h.den * g.den)
 
 
 def lift_rows(denoms: Sequence[Poly], powers: Sequence[int], cap: int,
@@ -177,8 +176,9 @@ class ResidueForm:
         rows = lift_rows(self.denominators, self.powers, work_cap,
                          rep_cap=rep_cap)
         det = series_determinant(rows, self.big)
-        return Poly(det.nvars, {e: c for e, c in det.terms.items()
-                                if all(k < d for k, d in zip(e, self.powers))})
+        return Poly.from_ints(det.nvars, {
+            e: c for e, c in det.ints.items()
+            if all(k < d for k, d in zip(e, self.powers))}, det.den)
 
     def _certified_box(self, work_cap: int) -> Poly:
         rep_cap = self.big + self.height + 2

@@ -12,14 +12,14 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (CapExceeded, GoodCoordsNotFound, NotIsolated,
                      NotRegularSequence, NotZeroDimensional)
-from .index import (CoordinateChange, GermProblem, eg_index, main_residue,
-                    minor, minors, sigma_data, solve)
+from .index import (CoordinateChange, GermProblem, eg_index, minor, minors,
+                    sigma_data, solve)
 from .localalg import INFINITE, colength, normal_form, standard_basis
 from .polycore import (Poly, default_names, linear_forms, rational_det,
                        rational_inverse)
@@ -263,7 +263,8 @@ def _trial_lem2(rng: random.Random, plan: VerificationPlan,
     for (j, k) in [(0, 1), (0, 2), (1, 2)]:
         jac = jacobian_minor(list(p.f) + [ms.principal[j], ms.principal[k]],
                              range(3), 3)
-        target = jac + ms.f_minors[(j, k)] * sd.sigma
+        rest = tuple(c for c in range(3) if c not in (j, k))
+        target = jac + jacobian_minor(p.f, rest, 3) * sd.sigma
         if not normal_form(target, sb).is_zero():
             return {"f": _render(p.f[0]),
                     "omega": "; ".join(_render(w) for w in p.omega),

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -249,8 +250,17 @@ def mixed_poly(rng, n, deg, terms):
     return out
 
 
+def assert_lowest_terms(p):
+    """The stored form: nonzero ints over a positive denominator, gcd 1."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.ints.values())
+    assert gcd(p.den, *p.ints.values()) == 1
+
+
 def assert_stored_nonzero_fractions(p):
+    """The .terms view holds nonzero Fractions; the stored ints are canonical."""
     assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    assert_lowest_terms(p)
 
 
 def test_products_match_the_fraction_loop():
@@ -420,3 +430,68 @@ def test_bareiss_determinant_matches_leibniz():
                 cut = series_determinant(rows, cap)
                 assert cut == exact.truncate(cap)
                 assert_stored_nonzero_fractions(cut)
+
+
+# the stored form: one per polynomial, whatever route built it ---------------
+
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+def assert_same_stored_form(p, q):
+    assert p == q and hash(p) == hash(q)
+    assert (p.nvars, p.ints, p.den) == (q.nvars, q.ints, q.den)
+    assert_lowest_terms(p)
+
+
+def test_routes_to_one_polynomial_store_one_form():
+    mixed = X.scale(HALF) + Y.scale(THIRD)
+    three_x_two_y = Poly(2, {(1, 0): 3, (0, 1): 2})
+    # unreduced and mixed-denominator Fractions, ints, and the same by sums
+    assert_same_stored_form(
+        Poly(2, {(1, 0): Fraction(2, 4), (0, 1): Fraction(-3, 9)}),
+        X.scale(HALF) - Y.scale(THIRD))
+    assert_same_stored_form(Poly(2, {(0, 1): Fraction(4, 2)}), Y + Y)
+    # (x/2 + y/3) * 6 = 3x + 2y: the product's denominator cancels
+    assert_same_stored_form(mixed * 6, three_x_two_y)
+    assert_same_stored_form(mixed * Poly.const(2, 6), three_x_two_y)
+    assert_same_stored_form(mixed.scale(6), three_x_two_y)
+    assert_same_stored_form(6 * mixed, three_x_two_y)
+    assert three_x_two_y.den == 1
+    # every term cancels, or the scale is zero: the zero polynomial over 1
+    for zero in (mixed - mixed, mixed + (-mixed), mixed.scale(0),
+                 mixed * Poly.zero(2), Poly(2, {(1, 1): Fraction(0, 5)})):
+        assert_same_stored_form(zero, Poly.zero(2))
+        assert (zero.ints, zero.den) == ({}, 1)
+    # dropping the only term over 6 leaves a polynomial over 2
+    cut = (X.scale(HALF) + (Y ** 2).scale(Fraction(1, 6))).truncate(1)
+    assert_same_stored_form(cut, X.scale(HALF))
+    assert cut.den == 2
+    # a sum whose coefficients share a factor with the denominator
+    assert_same_stored_form(X.scale(HALF) + X.scale(HALF), X)
+    assert_same_stored_form((X ** 2).scale(HALF).diff(0), X)
+    assert_same_stored_form(Poly.from_ints(2, {(1, 0): 4, (0, 1): -6}, 8),
+                            Poly(2, {(1, 0): HALF, (0, 1): Fraction(-3, 4)}))
+
+
+def test_random_routes_store_one_form():
+    rng = random.Random(53)
+    for n in range(1, 4):
+        for _ in range(30):
+            a, b, c = (mixed_poly(rng, n, 2, 4) for _ in range(3))
+            assert_same_stored_form((a + b) * c, a * c + b * c)
+            assert_same_stored_form(a - b, -(b - a))
+            k = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            assert_same_stored_form(a.scale(k), a * Poly.const(n, k))
+            assert_same_stored_form((a * b).truncate(2), a.mul_truncated(b, 2))
+            assert_same_stored_form(Poly(n, a.terms), a)
+
+
+def test_terms_is_a_fresh_view():
+    p = X.scale(HALF) + Y
+    view = p.terms
+    view[(1, 0)] = Fraction(5)
+    view[(3, 3)] = Fraction(1)
+    del view[(0, 1)]
+    assert p.terms == {(1, 0): HALF, (0, 1): Fraction(1)}
+    assert p == X.scale(HALF) + Y
+    assert p.terms is not p.terms
