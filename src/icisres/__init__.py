@@ -15,55 +15,22 @@ from .errors import (ArityError, CapExceeded, GermFileError, GermSyntaxError,
                      GoodCoordsNotFound, IcisresError, NonRationalCoefficient,
                      NotIsolated, NotMember, NotRegularSequence,
                      NotZeroDimensional, PowerCapExceeded)
-from .polycore import Poly, PolyMatrix, default_names, series_determinant
-from .localalg import (CAP_STEP, DEFAULT_CAP, INFINITE, MAX_CAP,
-                       LiftCertificate, LocalOrder, QuotientAlgebra,
-                       StandardBasis, colength, is_regular_on_V, lift,
-                       minimal_power_membership, normal_form,
-                       quotient_algebra, standard_basis)
-from .residues import (ResidueForm, form_index_basis, grothendieck_residue,
-                       intersection_multiplicity_both_ways, jacobian_minor,
-                       lambda_map, lift_rows, monomial_residue,
-                       relative_residue, residue_via_lift)
-from .index import (CoordinateChange, GOOD_COORD_ATTEMPTS, GermProblem,
-                    MinorSet, SigmaData, SurfaceIndexReport, curve_index,
-                    eg_index, find_good_coordinates, germ_residue, ideal_J,
-                    identity_change, main_residue, minor, minors, sigma_data,
-                    solve)
-from .pairing import (CQuotient, GramData, PairingReport, ResidueFunctional,
-                      algebra_B, algebra_C, gram_beta, index_algebra,
-                      kernel_basis, matrix_rank, pairing_report,
-                      residue_functional, socle)
-from .verify import (DEFAULT_TRIALS, SUITES, VerificationOutcome,
-                     VerificationPlan, builtin_corpus)
+from .polycore import Poly
+from .localalg import Ctx
+from .index import GermProblem, solve
+from .pairing import pairing_report
+from .verify import VerificationPlan
 from .verify import run as run_verification
 from .germfile import GermFile, parse_germ_file
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Poly", "GermProblem", "solve", "pairing_report", "run_verification",
+    "VerificationPlan", "Ctx", "parse_germ_file", "GermFile",
     "ArityError", "CapExceeded", "GermFileError", "GermSyntaxError",
     "GoodCoordsNotFound", "IcisresError", "NonRationalCoefficient",
     "NotIsolated", "NotMember", "NotRegularSequence", "NotZeroDimensional",
     "PowerCapExceeded",
-    "Poly", "PolyMatrix", "default_names", "series_determinant",
-    "CAP_STEP", "DEFAULT_CAP", "INFINITE", "MAX_CAP", "LiftCertificate",
-    "LocalOrder", "QuotientAlgebra", "StandardBasis", "colength",
-    "is_regular_on_V", "lift", "minimal_power_membership", "normal_form",
-    "quotient_algebra", "standard_basis",
-    "ResidueForm", "form_index_basis",
-    "grothendieck_residue", "intersection_multiplicity_both_ways",
-    "jacobian_minor", "lambda_map", "lift_rows", "monomial_residue",
-    "relative_residue", "residue_via_lift",
-    "CoordinateChange", "GOOD_COORD_ATTEMPTS", "GermProblem", "MinorSet",
-    "SigmaData", "SurfaceIndexReport", "curve_index", "eg_index",
-    "find_good_coordinates", "germ_residue", "ideal_J", "identity_change",
-    "main_residue", "minor", "minors", "sigma_data", "solve",
-    "CQuotient", "GramData", "PairingReport", "ResidueFunctional",
-    "algebra_B", "algebra_C", "gram_beta", "index_algebra", "kernel_basis",
-    "matrix_rank", "pairing_report", "residue_functional", "socle",
-    "DEFAULT_TRIALS", "SUITES", "VerificationOutcome", "VerificationPlan",
-    "builtin_corpus", "run_verification",
-    "GermFile", "parse_germ_file",
     "__version__",
 ]

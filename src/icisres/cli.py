@@ -19,9 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import ArityError, IcisresError
 from .germfile import GermFile, parse_germ_file
-from .index import (GOOD_COORD_ATTEMPTS, GermProblem, curve_index, eg_index,
+from .index import (GermProblem, curve_index, eg_index,
                     find_good_coordinates, main_residue, sigma_data, solve)
-from .localalg import DEFAULT_CAP, MAX_CAP
+from .localalg import Ctx
 from .pairing import pairing_report
 from .polycore import Poly
 from .residues import intersection_multiplicity_both_ways
@@ -78,30 +78,19 @@ def _render_text(report: Dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _knob(flag: Optional[int], from_file: Optional[int], default: int) -> int:
-    """A flag overrides the germ file, which overrides the default."""
-    if flag is not None:
-        return flag
-    return from_file if from_file is not None else default
+def _knob(flag: Optional[int], from_file: Optional[int]) -> Optional[int]:
+    """A flag overrides the germ file; None leaves Ctx's default."""
+    return flag if flag is not None else from_file
 
 
 class _Settings:
-    def __init__(self, gf: Optional[GermFile], args):
-        self.cap = _knob(args.cap, gf.cap if gf else None, DEFAULT_CAP)
-        self.max_cap = _knob(args.max_cap, gf.max_cap if gf else None, MAX_CAP)
-        self.attempts = _knob(args.attempts, gf.attempts if gf else None,
-                              GOOD_COORD_ATTEMPTS)
-        if self.cap < 1:
-            raise ValueError(f"cap must be at least 1, got {self.cap}")
-        if self.max_cap < self.cap:
-            raise ValueError(f"max_cap must be at least cap ({self.cap}), "
-                             f"got {self.max_cap}")
-        if self.attempts < 1:
-            raise ValueError(f"attempts must be at least 1, got {self.attempts}")
-        if args.seed is not None:
-            self.seed = args.seed
-        else:
-            self.seed = gf.seed if gf else 0
+    """One Ctx for the command, from flags over file values, and the seed."""
+
+    def __init__(self, gf: GermFile, args):
+        knobs = {name: _knob(getattr(args, name), getattr(gf, name))
+                 for name in ("cap", "max_cap", "attempts")}
+        self.ctx = Ctx(**{k: v for k, v in knobs.items() if v is not None})
+        self.seed = args.seed if args.seed is not None else gf.seed
 
 
 def _surface_problem(gf: GermFile, seed: int) -> GermProblem:
@@ -112,26 +101,22 @@ def _surface_problem(gf: GermFile, seed: int) -> GermProblem:
     return GermProblem(gf.nvars, gf.f, gf.omega, seed=seed, names=gf.names)
 
 
-def _cmd_index(gf: GermFile, st: _Settings) -> Tuple[Dict, Dict, List[str]]:
-    caps: Dict[str, int] = {}
+def _cmd_index(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
     p = _surface_problem(gf, st.seed)
-    idx = eg_index(p, cap=st.cap, max_cap=st.max_cap, caps_used=caps)
-    return {"index": idx}, caps, []
+    return {"index": eg_index(p, st.ctx)}, []
 
 
-def _cmd_residue(gf: GermFile, st: _Settings) -> Tuple[Dict, Dict, List[str]]:
-    caps: Dict[str, int] = {}
+def _cmd_residue(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
     p = _surface_problem(gf, st.seed)
-    change, good = find_good_coordinates(p, attempts=st.attempts, cap=st.cap,
-                                         max_cap=st.max_cap)
-    res = main_residue(good, cap=st.cap, max_cap=st.max_cap, caps_used=caps)
+    change, good = find_good_coordinates(p, st.ctx)
+    res = main_residue(good, st.ctx)
     return {"residue": _fr(res), "change": _mat(change.matrix),
-            "identity_change": change.is_identity()}, caps, []
+            "identity_change": change.is_identity()}, []
 
 
-def _cmd_sigma(gf: GermFile, st: _Settings) -> Tuple[Dict, Dict, List[str]]:
+def _cmd_sigma(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
     p = _surface_problem(gf, st.seed)
-    sd = sigma_data(p)
+    sd = sigma_data(p, st.ctx)
     all_minors = {f"m_{','.join(str(c + 1) for c in cols)}": _pol(m, gf.names)
                   for cols, m in sd.minors.all.items()}
     return {"sigma": _pol(sd.sigma, gf.names),
@@ -140,23 +125,21 @@ def _cmd_sigma(gf: GermFile, st: _Settings) -> Tuple[Dict, Dict, List[str]]:
                          for row in sd.m_matrix],
             "principal_minors": [_pol(m, gf.names)
                                  for m in sd.minors.principal],
-            "all_minors": all_minors}, {}, []
+            "all_minors": all_minors}, []
 
 
-def _cmd_good_coords(gf: GermFile, st: _Settings) -> Tuple[Dict, Dict, List[str]]:
+def _cmd_good_coords(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
     p = _surface_problem(gf, st.seed)
-    change, good = find_good_coordinates(p, attempts=st.attempts, cap=st.cap,
-                                         max_cap=st.max_cap)
+    change, good = find_good_coordinates(p, st.ctx)
     return {"matrix": _mat(change.matrix),
             "identity": change.is_identity(),
             "f": [_pol(fi, gf.names) for fi in good.f],
-            "omega": [_pol(w, gf.names) for w in good.omega]}, {}, []
+            "omega": [_pol(w, gf.names) for w in good.omega]}, []
 
 
-def _cmd_pairing(gf: GermFile, st: _Settings) -> Tuple[Dict, Dict, List[str]]:
+def _cmd_pairing(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
     p = _surface_problem(gf, st.seed)
-    rep = pairing_report(p, cap=st.cap, max_cap=st.max_cap,
-                         attempts=st.attempts)
+    rep = pairing_report(p, st.ctx)
     mono_names = ["*".join(f"{nm}^{e}" if e > 1 else nm
                            for nm, e in zip(gf.names, expo) if e)
                   or "1" for expo in rep.gram.basis]
@@ -170,37 +153,31 @@ def _cmd_pairing(gf: GermFile, st: _Settings) -> Tuple[Dict, Dict, List[str]]:
               "sigma_in_soc_c": rep.sigma_in_soc_c,
               "bound_holds": rep.bound_holds,
               "change": _mat(rep.change_matrix)}
-    return result, rep.caps_used, list(rep.discrepancies)
+    return result, list(rep.discrepancies)
 
 
-def _cmd_curve_index(gf: GermFile, st: _Settings) -> Tuple[Dict, Dict, List[str]]:
-    caps: Dict[str, int] = {}
+def _cmd_curve_index(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
     if len(gf.f) != gf.nvars - 1:
         raise ArityError(f"curve-index needs {gf.nvars - 1} equations for "
                          f"{gf.nvars} variables, got {len(gf.f)}")
-    dim = curve_index(list(gf.f), list(gf.omega), cap=st.cap,
-                      max_cap=st.max_cap, caps_used=caps)
-    return {"curve_index": dim}, caps, []
+    return {"curve_index": curve_index(gf.f, gf.omega, st.ctx)}, []
 
 
-def _cmd_mult(gf: GermFile, st: _Settings) -> Tuple[Dict, Dict, List[str]]:
-    caps: Dict[str, int] = {}
+def _cmd_mult(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
     if not gf.g:
         raise ArityError("mult needs a 'g' entry with the map components")
     if len(gf.f) + len(gf.g) != gf.nvars:
         raise ArityError(f"mult needs len(f) + len(g) = {gf.nvars}, got "
                          f"{len(gf.f)} + {len(gf.g)}")
-    lhs, rhs = intersection_multiplicity_both_ways(
-        list(gf.f), list(gf.g), cap=st.cap, max_cap=st.max_cap,
-        caps_used=caps)
+    lhs, rhs = intersection_multiplicity_both_ways(gf.f, gf.g, st.ctx)
     equal = lhs == rhs
     disc = [] if equal else ["multiplicity_mismatch"]
-    return {"colength": lhs, "residue": _fr(rhs), "equal": equal}, caps, disc
+    return {"colength": lhs, "residue": _fr(rhs), "equal": equal}, disc
 
 
-def _cmd_all(gf: GermFile, st: _Settings) -> Tuple[Dict, Dict, List[str]]:
+def _cmd_all(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
     p = _surface_problem(gf, st.seed)
-    rep = solve(p, cap=st.cap, max_cap=st.max_cap, attempts=st.attempts)
+    rep = solve(p, st.ctx)
     verdict = "EQUAL" if rep.match else "UNEQUAL"
     disc = [] if rep.match else ["index_residue_mismatch"]
     result = {"index": rep.index, "residue": _fr(rep.residue),
@@ -209,7 +186,7 @@ def _cmd_all(gf: GermFile, st: _Settings) -> Tuple[Dict, Dict, List[str]]:
               "change": _mat(rep.change.matrix),
               "identity_change": rep.change.is_identity(),
               "verdict": verdict}
-    return result, rep.caps_used, disc
+    return result, disc
 
 
 _GERM_COMMANDS = {
@@ -224,7 +201,7 @@ _GERM_COMMANDS = {
 }
 
 
-def _cmd_verify(args) -> Tuple[Dict, Dict, List[str], int]:
+def _cmd_verify(args) -> Tuple[Dict, List[str], int]:
     suites = (args.suite,) if args.suite else SUITES
     seed = args.seed if args.seed is not None else 0
     plan = VerificationPlan(suites=suites, trials=args.trials, seed=seed)
@@ -237,7 +214,7 @@ def _cmd_verify(args) -> Tuple[Dict, Dict, List[str], int]:
                                      for s, data in o.failures]})
         if o.failures:
             disc.append(f"{o.suite}:{len(o.failures)} failures")
-    return {"suites": payload}, {}, disc, seed
+    return {"suites": payload}, disc, seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,17 +248,17 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         if args.command == "verify":
-            result, caps, disc, seed = _cmd_verify(args)
-            report = _report("verify", None, seed, result, caps, disc)
+            result, disc, seed = _cmd_verify(args)
+            report = _report("verify", None, seed, result, {}, disc)
         else:
             with open(args.germfile, "rb") as fh:
                 raw = fh.read()
             gf = parse_germ_file(raw.decode("utf-8"))
             st = _Settings(gf, args)
-            result, caps, disc = _GERM_COMMANDS[args.command](gf, st)
+            result, disc = _GERM_COMMANDS[args.command](gf, st)
             input_hash = hashlib.sha256(raw).hexdigest()
             report = _report(args.command, input_hash, st.seed, result,
-                             caps, disc)
+                             st.ctx.caps_used, disc)
     except (IcisresError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,6 +6,10 @@ Stacking the Jacobian of f on top of omega's coefficient row gives a
 ideal whose colength is the index.  The same data feeds a residue
 formula: a signed Jacobian sigma of the principal minors, the last-block
 minor DF of f, and the pair (m_1, m_2) as denominators on the germ.
+
+Every computation takes an optional localalg.Ctx.  Calls that share one
+compute each germ's minors and sigma once (germ_minors, germ_sigma) and
+certify each ideal once.
 """
 
 from __future__ import annotations
@@ -17,13 +21,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GoodCoordsNotFound, NotIsolated
-from .localalg import (DEFAULT_CAP, INFINITE, MAX_CAP, colength,
-                       is_regular_on_V, standard_basis)
+from .localalg import INFINITE, Ctx, colength, is_regular_on_V
 from .polycore import (Poly, PolyMatrix, default_names, linear_forms,
                        rational_det)
 from .residues import jacobian_minor, relative_residue
-
-GOOD_COORD_ATTEMPTS = 64
 
 
 @dataclass(frozen=True)
@@ -94,14 +95,20 @@ def minors(p: GermProblem) -> MinorSet:
     return MinorSet(allm, principal)
 
 
-def ideal_J(p: GermProblem) -> List[Poly]:
+def germ_minors(p: GermProblem, ctx: Optional[Ctx]) -> MinorSet:
+    """minors(p), computed once per germ in ctx (afresh without one)."""
+    if ctx is None:
+        return minors(p)
+    return ctx.once(("minors", p), lambda: minors(p))
+
+
+def ideal_J(p: GermProblem, ctx: Optional[Ctx] = None) -> List[Poly]:
     """Equations plus every maximal minor; its colength is the index."""
-    ms = minors(p)
+    ms = germ_minors(p, ctx)
     return list(p.f) + [ms.all[c] for c in sorted(ms.all)]
 
 
-def eg_index(p: GermProblem, cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
-             caps_used: Optional[Dict[str, int]] = None):
+def eg_index(p: GermProblem, ctx: Optional[Ctx] = None):
     """Dimension of the local algebra attached to the form on the germ.
 
     A minor that is a unit means the form does not vanish on the germ, so
@@ -109,16 +116,14 @@ def eg_index(p: GermProblem, cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
     isolated; that raises NotIsolated.
     """
     p.require_surface()
-    ms = minors(p)
-    if any(m.is_unit() for m in ms.all.values()):
+    ctx = ctx or Ctx()
+    if any(m.is_unit() for m in germ_minors(p, ctx).all.values()):
         return 0
-    gens = list(p.f) + [ms.all[c] for c in sorted(ms.all)]
-    sb = standard_basis(gens, cap=cap, max_cap=max_cap)
+    sb = ctx.basis(ideal_J(p, ctx))
     dim = colength(sb)
     if dim == INFINITE:
         raise NotIsolated("the form vanishes along a curve on the germ")
-    if caps_used is not None:
-        caps_used["index"] = max(caps_used.get("index", 0), sb.cap)
+    ctx.record("index", sb.cap)
     return dim
 
 
@@ -132,27 +137,31 @@ class SigmaData:
     df: Poly                     # last-block Jacobian minor of f
 
 
-def sigma_data(p: GermProblem, transpose: bool = False) -> SigmaData:
-    """sigma, DF and the signed minor Jacobian.
+def sigma_data(p: GermProblem, ctx: Optional[Ctx] = None) -> SigmaData:
+    """sigma, DF and the signed minor Jacobian, from the minors in ctx.
 
     The matrix rows are indexed by the omitted-column index of the
     principal minor (with alternating sign) and columns by the variable
-    of differentiation; `transpose` flips that pairing for inspection.
-    sigma, as a sum of principal 2x2 minors, is the same either way.
+    of differentiation.
     """
     p.require_surface()
-    ms = minors(p)
+    ms = germ_minors(p, ctx)
     n = p.nvars
     mat = [[ms.principal[i].diff(j) if (i + 1) % 2 == 0 else -ms.principal[i].diff(j)
             for j in range(n)] for i in range(n)]
-    if transpose:
-        mat = [[mat[j][i] for j in range(n)] for i in range(n)]
     sigma = Poly.zero(n)
     for i in range(n):
         for j in range(i + 1, n):
             sigma = sigma + (mat[i][i] * mat[j][j] - mat[i][j] * mat[j][i])
     df = jacobian_minor(p.f, tuple(range(2, n)), n)
     return SigmaData(ms, mat, sigma, df)
+
+
+def germ_sigma(p: GermProblem, ctx: Optional[Ctx]) -> SigmaData:
+    """sigma_data(p), computed once per germ in ctx (afresh without one)."""
+    if ctx is None:
+        return sigma_data(p)
+    return ctx.once(("sigma", p), lambda: sigma_data(p, ctx))
 
 
 @dataclass(frozen=True)
@@ -186,28 +195,28 @@ def identity_change(n: int) -> CoordinateChange:
                                         for j in range(n)) for i in range(n)))
 
 
-def find_good_coordinates(p: GermProblem, attempts: int = GOOD_COORD_ATTEMPTS,
-                          cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
+def find_good_coordinates(p: GermProblem, ctx: Optional[Ctx] = None,
                           force_random: bool = False):
     """Linear coordinates in which (m_1, m_2) is a regular pair on the germ.
 
-    Tries the identity first, then random integer matrices with entries in
-    [-3, 3] and nonzero determinant, drawn from the problem's seed; the
-    search is deterministic per seed.  Returns (change, transformed germ).
+    Tries the identity first, then ctx.attempts random integer matrices
+    with entries in [-3, 3] and nonzero determinant, drawn from the
+    problem's seed; the search is deterministic per seed.  Returns
+    (change, transformed germ).
     """
     p.require_surface()
+    ctx = ctx or Ctx()
 
     def regular(pp: GermProblem) -> bool:
-        ms = minors(pp)
-        return is_regular_on_V(list(pp.f), ms.principal[0], ms.principal[1],
-                               cap=cap, max_cap=max_cap)
+        ms = germ_minors(pp, ctx)
+        return is_regular_on_V(pp.f, ms.principal[0], ms.principal[1], ctx)
 
     if not force_random:
         if regular(p):
             return identity_change(p.nvars), p
     rng = random.Random(p.seed)
     n = p.nvars
-    for _ in range(attempts):
+    for _ in range(ctx.attempts):
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         if rational_det(rows) == 0:
             continue
@@ -215,12 +224,12 @@ def find_good_coordinates(p: GermProblem, attempts: int = GOOD_COORD_ATTEMPTS,
         q = change.apply(p)
         if regular(q):
             return change, q
-    raise GoodCoordsNotFound(f"no good coordinates after {attempts} attempts")
+    raise GoodCoordsNotFound(
+        f"no good coordinates after {ctx.attempts} attempts")
 
 
-def germ_residue(p: GermProblem, h: Poly, cap: int = DEFAULT_CAP,
-                 max_cap: int = MAX_CAP,
-                 caps_used: Optional[Dict[str, int]] = None) -> Fraction:
+def germ_residue(p: GermProblem, h: Poly,
+                 ctx: Optional[Ctx] = None) -> Fraction:
     """Residue of h dz_1 ^ dz_2 over (m_1, m_2) on the germ, index-oriented.
 
     The principal minors are labelled by the column they omit, so the pair
@@ -231,29 +240,26 @@ def germ_residue(p: GermProblem, h: Poly, cap: int = DEFAULT_CAP,
     """
     p.require_surface()
     n = p.nvars
-    ms = minors(p)
+    ms = germ_minors(p, ctx)
     nbasis = n * (n - 1) // 2
     form = [h] + [Poly.zero(n)] * (nbasis - 1)
     raw = relative_residue(form, [ms.principal[0], ms.principal[1]], list(p.f),
-                           cap=cap, max_cap=max_cap, caps_used=caps_used)
+                           ctx)
     return -raw
 
 
-def main_residue(p: GermProblem, cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
-                 caps_used: Optional[Dict[str, int]] = None) -> Fraction:
+def main_residue(p: GermProblem, ctx: Optional[Ctx] = None) -> Fraction:
     """Residue of sigma over (m_1, m_2) on the germ.
 
     pre: (m_1, m_2) is a regular pair (run find_good_coordinates first);
     otherwise the underlying residue raises NotRegularSequence.
     """
-    sd = sigma_data(p)
-    return germ_residue(p, sd.sigma, cap=cap, max_cap=max_cap,
-                        caps_used=caps_used)
+    ctx = ctx or Ctx()
+    return germ_residue(p, germ_sigma(p, ctx).sigma, ctx)
 
 
 def curve_index(f: Sequence[Poly], omega: Sequence[Poly],
-                cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
-                caps_used: Optional[Dict[str, int]] = None):
+                ctx: Optional[Ctx] = None):
     """Index of a 1-form on the curve germ cut out by n - 1 equations.
 
     The single stacked determinant m joins the equations; the index is the
@@ -269,12 +275,12 @@ def curve_index(f: Sequence[Poly], omega: Sequence[Poly],
     m = stacked_matrix(f, omega, range(n)).determinant()
     if m.is_unit():
         return 0
-    sb = standard_basis(f + [m], cap=cap, max_cap=max_cap)
+    ctx = ctx or Ctx()
+    sb = ctx.basis(f + [m])
     dim = colength(sb)
     if dim == INFINITE:
         raise NotIsolated("the form vanishes along the curve germ")
-    if caps_used is not None:
-        caps_used["curve"] = max(caps_used.get("curve", 0), sb.cap)
+    ctx.record("curve", sb.cap)
     return dim
 
 
@@ -296,13 +302,12 @@ class SurfaceIndexReport:
         return self.residue == self.index
 
 
-def solve(p: GermProblem, cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
-          attempts: int = GOOD_COORD_ATTEMPTS) -> SurfaceIndexReport:
+def solve(p: GermProblem, ctx: Optional[Ctx] = None) -> SurfaceIndexReport:
     """Index as a dimension and as a residue, plus the data connecting them."""
-    caps: Dict[str, int] = {}
-    idx = eg_index(p, cap=cap, max_cap=max_cap, caps_used=caps)
-    change, good = find_good_coordinates(p, attempts=attempts, cap=cap,
-                                         max_cap=max_cap)
-    sd = sigma_data(good)
-    res = main_residue(good, cap=cap, max_cap=max_cap, caps_used=caps)
-    return SurfaceIndexReport(p, idx, res, change, good, sd.sigma, sd.df, caps)
+    ctx = ctx or Ctx()
+    idx = eg_index(p, ctx)
+    change, good = find_good_coordinates(p, ctx)
+    sd = germ_sigma(good, ctx)
+    res = main_residue(good, ctx)
+    return SurfaceIndexReport(p, idx, res, change, good, sd.sigma, sd.df,
+                              dict(ctx.caps_used))

@@ -62,7 +62,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple)
 
 from .errors import (CapExceeded, NotMember, NotZeroDimensional,
                      PowerCapExceeded)
@@ -73,6 +74,7 @@ INFINITE = math.inf
 DEFAULT_CAP = 12
 CAP_STEP = 4
 MAX_CAP = 40
+GOOD_COORD_ATTEMPTS = 64
 
 
 class LocalOrder:
@@ -442,8 +444,8 @@ def _build(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
                          stair, quot, kernel, track)
 
 
-def standard_basis(gens: Sequence[Poly], order: Optional[LocalOrder] = None,
-                   cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
+def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
+                   max_cap: int = MAX_CAP,
                    track: bool = False) -> StandardBasis:
     """Standard basis with cap escalation until the staircase stabilizes.
 
@@ -454,8 +456,7 @@ def standard_basis(gens: Sequence[Poly], order: Optional[LocalOrder] = None,
     gens = list(gens)
     if not gens:
         raise ValueError("standard_basis needs at least one generator")
-    nvars = gens[0].nvars
-    order = order or LocalOrder(nvars)
+    order = LocalOrder(gens[0].nvars)
     # a generator supported entirely above the cap would be invisible to the
     # truncated runs, so the cap must reach every generator's degree
     deepest = max((g.total_degree() for g in gens if not g.is_zero()), default=0)
@@ -476,9 +477,7 @@ def standard_basis(gens: Sequence[Poly], order: Optional[LocalOrder] = None,
     raise CapExceeded(f"staircase did not stabilize below cap {max_cap}")
 
 
-def standard_basis_at(gens: Sequence[Poly], cap: int,
-                      order: Optional[LocalOrder] = None,
-                      track: bool = False,
+def standard_basis_at(gens: Sequence[Poly], cap: int, track: bool = False,
                       rep_cap: Optional[int] = None) -> StandardBasis:
     """Single run at a fixed cap, no certification; for internal re-runs.
 
@@ -489,9 +488,55 @@ def standard_basis_at(gens: Sequence[Poly], cap: int,
     only to low degree can skip the cost of the deep ones.
     """
     gens = list(gens)
-    nvars = gens[0].nvars
-    order = order or LocalOrder(nvars)
-    return _build(gens, order, cap, track, certified=False, rep_cap=rep_cap)
+    return _build(gens, LocalOrder(gens[0].nvars), cap, track,
+                  certified=False, rep_cap=rep_cap)
+
+
+@dataclass
+class Ctx:
+    """One computation's cap budget, its record of caps, and its memo.
+
+    cap and max_cap bound every certified standard basis, and attempts
+    the search for good coordinates.  caps_used keeps, per step, the
+    highest cap that step needed.  The memo holds each certified
+    untracked basis under the set of its generators: its staircase,
+    quotient monomials and normal forms depend only on the ideal, not on
+    the order of the generators.  It also holds per-germ data the index
+    module derives once, such as each germ's minors.
+    """
+
+    cap: int = DEFAULT_CAP
+    max_cap: int = MAX_CAP
+    attempts: int = GOOD_COORD_ATTEMPTS
+    caps_used: Dict[str, int] = field(default_factory=dict, init=False)
+    memo: Dict[Hashable, object] = field(default_factory=dict, init=False,
+                                         repr=False)
+
+    def __post_init__(self):
+        if self.cap < 1:
+            raise ValueError(f"cap must be at least 1, got {self.cap}")
+        if self.max_cap < self.cap:
+            raise ValueError(f"max_cap must be at least cap ({self.cap}), "
+                             f"got {self.max_cap}")
+        if self.attempts < 1:
+            raise ValueError(
+                f"attempts must be at least 1, got {self.attempts}")
+
+    def record(self, key: str, cap: int) -> None:
+        """Note that the step key needed cap."""
+        self.caps_used[key] = max(self.caps_used.get(key, 0), cap)
+
+    def once(self, key: Hashable, compute: Callable[[], object]):
+        """compute() on the first request for key, the memo afterwards."""
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def basis(self, gens: Sequence[Poly]) -> StandardBasis:
+        """Certified untracked standard basis of the ideal gens generate."""
+        gens = list(gens)
+        return self.once(("basis", frozenset(gens)),
+                         lambda: standard_basis(gens, self.cap, self.max_cap))
 
 
 def colength(sb: StandardBasis):
@@ -658,7 +703,7 @@ def quotient_algebra(sb: StandardBasis) -> QuotientAlgebra:
 
 
 def is_regular_on_V(f: Sequence[Poly], g1: Poly, g2: Poly,
-                    cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP) -> bool:
+                    ctx: Optional[Ctx] = None) -> bool:
     """True when (g1, g2) cuts a finite quotient on the complete intersection.
 
     On a two dimensional Cohen Macaulay germ a pair is a regular sequence
@@ -666,6 +711,5 @@ def is_regular_on_V(f: Sequence[Poly], g1: Poly, g2: Poly,
     """
     if g1.is_zero() or g2.is_zero():
         return False
-    gens = list(f) + [g1, g2]
-    sb = standard_basis(gens, cap=cap, max_cap=max_cap)
+    sb = (ctx or Ctx()).basis(list(f) + [g1, g2])
     return colength(sb) != INFINITE

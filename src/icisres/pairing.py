@@ -16,11 +16,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotIsolated, NotRegularSequence
-from .index import (GOOD_COORD_ATTEMPTS, GermProblem, find_good_coordinates,
-                    ideal_J, minors, sigma_data)
-from .localalg import (DEFAULT_CAP, INFINITE, MAX_CAP, QuotientAlgebra,
-                       colength, normal_form, quotient_algebra,
-                       standard_basis)
+from .index import (GermProblem, find_good_coordinates, germ_minors,
+                    germ_sigma, ideal_J)
+from .localalg import (INFINITE, Ctx, QuotientAlgebra, colength, normal_form,
+                       quotient_algebra)
 from .polycore import Exponent, Poly, _bareiss, _scaled
 from .residues import ResidueForm
 
@@ -61,29 +60,25 @@ def kernel_basis(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]
     return basis
 
 
-def algebra_B(p: GermProblem, cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
-              caps_used: Optional[Dict[str, int]] = None) -> QuotientAlgebra:
+def algebra_B(p: GermProblem, ctx: Optional[Ctx] = None) -> QuotientAlgebra:
     """Quotient by (m_1, m_2, f): finite only in good coordinates."""
     p.require_surface()
-    ms = minors(p)
-    gens = [ms.principal[0], ms.principal[1]] + list(p.f)
-    sb = standard_basis(gens, cap=cap, max_cap=max_cap)
+    ctx = ctx or Ctx()
+    ms = germ_minors(p, ctx)
+    sb = ctx.basis([ms.principal[0], ms.principal[1]] + list(p.f))
     if colength(sb) == INFINITE:
         raise NotRegularSequence("(m_1, m_2) is not regular on the germ")
-    if caps_used is not None:
-        caps_used["pairing"] = max(caps_used.get("pairing", 0), sb.cap)
+    ctx.record("pairing", sb.cap)
     return quotient_algebra(sb)
 
 
-def index_algebra(p: GermProblem, cap: int = DEFAULT_CAP,
-                  max_cap: int = MAX_CAP,
-                  caps_used: Optional[Dict[str, int]] = None) -> QuotientAlgebra:
+def index_algebra(p: GermProblem, ctx: Optional[Ctx] = None) -> QuotientAlgebra:
     """The index algebra A: quotient by the equations and all minors."""
-    sb = standard_basis(ideal_J(p), cap=cap, max_cap=max_cap)
+    ctx = ctx or Ctx()
+    sb = ctx.basis(ideal_J(p, ctx))
     if colength(sb) == INFINITE:
         raise NotIsolated("the form vanishes along a curve on the germ")
-    if caps_used is not None:
-        caps_used["index"] = max(caps_used.get("index", 0), sb.cap)
+    ctx.record("index", sb.cap)
     return quotient_algebra(sb)
 
 
@@ -111,22 +106,18 @@ class ResidueFunctional:
         return -self.raw(h * self.df)
 
 
-def residue_functional(p: GermProblem, cap: int = DEFAULT_CAP,
-                       max_cap: int = MAX_CAP,
-                       caps_used: Optional[Dict[str, int]] = None,
+def residue_functional(p: GermProblem, ctx: Optional[Ctx] = None,
                        algebra: Optional[QuotientAlgebra] = None
                        ) -> ResidueFunctional:
     p.require_surface()
+    ctx = ctx or Ctx()
     if algebra is None:
-        algebra = algebra_B(p, cap=cap, max_cap=max_cap, caps_used=caps_used)
-    ms = minors(p)
-    denoms = [ms.principal[0], ms.principal[1]] + list(p.f)
-    n = p.nvars
-    form = ResidueForm(denoms, cap=cap, max_cap=max_cap, base=algebra.sb)
-    values = {e: form.value(Poly.monomial(n, e, 1), caps_used)
+        algebra = algebra_B(p, ctx)
+    ms = germ_minors(p, ctx)
+    form = ResidueForm([ms.principal[0], ms.principal[1]] + list(p.f), ctx)
+    values = {e: form.value(Poly.monomial(p.nvars, e, 1))
               for e in algebra.basis}
-    sd = sigma_data(p)
-    return ResidueFunctional(algebra, values, sd.df)
+    return ResidueFunctional(algebra, values, germ_sigma(p, ctx).df)
 
 
 @dataclass
@@ -141,16 +132,16 @@ class CQuotient:
     ann_elements: List[Poly]
 
 
-def algebra_C(p: GermProblem, cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
-              caps_used: Optional[Dict[str, int]] = None,
+def algebra_C(p: GermProblem, ctx: Optional[Ctx] = None,
               algebra: Optional[QuotientAlgebra] = None) -> CQuotient:
+    ctx = ctx or Ctx()
     if algebra is None:
-        algebra = algebra_B(p, cap=cap, max_cap=max_cap, caps_used=caps_used)
-    sd = sigma_data(p)
-    mat = algebra.multiplication_matrix(sd.df)
+        algebra = algebra_B(p, ctx)
+    df = germ_sigma(p, ctx).df
+    mat = algebra.multiplication_matrix(df)
     dim_c = matrix_rank(mat)
     ann = kernel_basis(mat, algebra.dim)
-    return CQuotient(algebra, sd.df, algebra.dim, dim_c, ann,
+    return CQuotient(algebra, df, algebra.dim, dim_c, ann,
                      [algebra.element(v) for v in ann])
 
 
@@ -163,15 +154,14 @@ class GramData:
     rank: int
 
 
-def gram_beta(p: GermProblem, cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
-              caps_used: Optional[Dict[str, int]] = None,
+def gram_beta(p: GermProblem, ctx: Optional[Ctx] = None,
               functional: Optional[ResidueFunctional] = None,
               alg_a: Optional[QuotientAlgebra] = None) -> GramData:
+    ctx = ctx or Ctx()
     if functional is None:
-        functional = residue_functional(p, cap=cap, max_cap=max_cap,
-                                        caps_used=caps_used)
+        functional = residue_functional(p, ctx)
     if alg_a is None:
-        alg_a = index_algebra(p, cap=cap, max_cap=max_cap, caps_used=caps_used)
+        alg_a = index_algebra(p, ctx)
     n = alg_a.sb.order.nvars
     d = alg_a.dim
     mons = [Poly.monomial(n, e, 1) for e in alg_a.basis]
@@ -214,25 +204,20 @@ class PairingReport:
     discrepancies: List[str] = field(default_factory=list)
 
 
-def pairing_report(p: GermProblem, cap: int = DEFAULT_CAP,
-                   max_cap: int = MAX_CAP,
-                   attempts: int = GOOD_COORD_ATTEMPTS) -> PairingReport:
-    caps: Dict[str, int] = {}
-    change, good = find_good_coordinates(p, attempts=attempts, cap=cap,
-                                         max_cap=max_cap)
-    alg_b = algebra_B(good, cap=cap, max_cap=max_cap, caps_used=caps)
-    functional = residue_functional(good, cap=cap, max_cap=max_cap,
-                                    caps_used=caps, algebra=alg_b)
-    cdata = algebra_C(good, cap=cap, max_cap=max_cap, algebra=alg_b)
-    alg_a = index_algebra(good, cap=cap, max_cap=max_cap, caps_used=caps)
+def pairing_report(p: GermProblem, ctx: Optional[Ctx] = None) -> PairingReport:
+    ctx = ctx or Ctx()
+    change, good = find_good_coordinates(p, ctx)
+    alg_b = algebra_B(good, ctx)
+    functional = residue_functional(good, ctx, algebra=alg_b)
+    cdata = algebra_C(good, ctx, algebra=alg_b)
+    alg_a = index_algebra(good, ctx)
     dim_a = alg_a.dim
-    gram = gram_beta(good, cap=cap, max_cap=max_cap, caps_used=caps,
-                     functional=functional, alg_a=alg_a)
+    gram = gram_beta(good, ctx, functional=functional, alg_a=alg_a)
 
     soc_vecs = socle(alg_a)
     soc_elems = [alg_a.element(v) for v in soc_vecs]
 
-    sd = sigma_data(good)
+    sd = germ_sigma(good, ctx)
     sigma_res = functional.v_residue(sd.sigma)
     if dim_a == 0:
         sigma_ok: Optional[bool] = None
@@ -258,4 +243,5 @@ def pairing_report(p: GermProblem, cap: int = DEFAULT_CAP,
 
     return PairingReport(p, change.matrix, dim_a, cdata.dim_b, cdata.dim_c,
                          gram.rank, gram, soc_a_dim, soc_elems, sigma_res,
-                         sigma_ok, bound_holds, caps, discrepancies)
+                         sigma_ok, bound_holds, dict(ctx.caps_used),
+                         discrepancies)

@@ -35,12 +35,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from operator import sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded, NotRegularSequence, PowerCapExceeded
-from .localalg import (DEFAULT_CAP, INFINITE, MAX_CAP, StandardBasis,
-                       colength, minimal_power_membership, normal_form,
-                       standard_basis, standard_basis_at)
+from .localalg import (INFINITE, Ctx, StandardBasis, colength,
+                       minimal_power_membership, normal_form,
+                       standard_basis_at)
 from .polycore import Poly, PolyMatrix, series_determinant
 
 
@@ -130,18 +130,17 @@ class ResidueForm:
     Holds the powers d and the coefficients of det(A) in the box
     {e : e_i <= d_i - 1}.  The box is computed on the first value() call,
     at that call's working cap, and again only when a later numerator's
-    degree asks for a higher cap.  base, when given, must be a certified
-    standard basis of the ideal the denominators generate; it saves
-    building one.  Raises NotRegularSequence when the denominators do not
-    cut out a finite quotient.
+    degree asks for a higher cap.  The certified basis of the denominators'
+    ideal comes from ctx, so a basis the context already holds for the
+    same generators in any order is not built again.  Raises
+    NotRegularSequence when the denominators do not cut out a finite
+    quotient.
     """
 
-    def __init__(self, denominators: Sequence[Poly], cap: int = DEFAULT_CAP,
-                 max_cap: int = MAX_CAP, base: Optional[StandardBasis] = None):
+    def __init__(self, denominators: Sequence[Poly], ctx: Optional[Ctx] = None):
         self.denominators = _denominator_list(denominators)
-        self.cap = cap
-        if base is None:
-            base = standard_basis(self.denominators, cap=cap, max_cap=max_cap)
+        self.ctx = ctx or Ctx()
+        base = self.ctx.basis(self.denominators)
         size = colength(base)
         if size == INFINITE:
             raise NotRegularSequence("denominator ideal has infinite colength")
@@ -155,20 +154,18 @@ class ResidueForm:
         self.work_cap = 0       # term cap of the lifts behind box
         self.box = Poly.zero(n)
 
-    def value(self, numerator: Poly,
-              caps_used: Optional[Dict[str, int]] = None) -> Fraction:
+    def value(self, numerator: Poly) -> Fraction:
         """Residue of numerator; records the working cap under "residue"."""
         if numerator.is_zero() or not self.powers:
             return Fraction(0)
         # exactness bound: box degree + staircase height, and room for the
         # numerator's own degree as a margin
-        work_cap = max(self.cap, self.big + self.height + 2,
+        work_cap = max(self.ctx.cap, self.big + self.height + 2,
                        self.big + numerator.total_degree())
         if work_cap > self.work_cap:
             self.box = self._certified_box(work_cap)
             self.work_cap = work_cap
-        if caps_used is not None:
-            caps_used["residue"] = max(caps_used.get("residue", 0), work_cap)
+        self.ctx.record("residue", work_cap)
         return _coefficient_of_product(numerator, self.box,
                                        tuple(d - 1 for d in self.powers))
 
@@ -193,23 +190,18 @@ class ResidueForm:
 
 
 def grothendieck_residue(numerator: Poly, denominators: Sequence[Poly],
-                         cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
-                         caps_used: Optional[Dict[str, int]] = None,
-                         base: Optional[StandardBasis] = None) -> Fraction:
+                         ctx: Optional[Ctx] = None) -> Fraction:
     """Local residue of numerator over the ordered regular sequence.
 
     The value changes sign under denominator swaps; orientation is carried
     by the determinant of the lift matrix.  Raises NotRegularSequence when
     the denominators do not cut out a finite quotient.  Several numerators
-    over the same denominators should share one ResidueForm.  base, when
-    given, is a certified standard basis of the denominators' ideal (see
-    ResidueForm).
+    over the same denominators should share one ResidueForm.
     """
     denoms = _denominator_list(denominators)
     if numerator.is_zero():
         return Fraction(0)
-    return ResidueForm(denoms, cap=cap, max_cap=max_cap,
-                       base=base).value(numerator, caps_used)
+    return ResidueForm(denoms, ctx).value(numerator)
 
 
 def _perm_sign(seq: Sequence[int]) -> int:
@@ -258,14 +250,11 @@ def lambda_map(form: Sequence[Poly], f: Sequence[Poly], nvars: int) -> Poly:
 
 
 def relative_residue(form: Sequence[Poly], g: Sequence[Poly], f: Sequence[Poly],
-                     cap: int = DEFAULT_CAP, max_cap: int = MAX_CAP,
-                     caps_used: Optional[Dict[str, int]] = None,
-                     base: Optional[StandardBasis] = None) -> Fraction:
+                     ctx: Optional[Ctx] = None) -> Fraction:
     """Residue of a form over (g_1, ..., g_{n-q}) on the zero set of f.
 
     Reduces to an ambient residue with denominators (g..., f...), in that
     order; the numerator is lambda_map applied to the form coefficients.
-    base, when given, is a certified standard basis of (g, f).
     """
     if not g:
         raise NotRegularSequence("need at least one denominator on the germ")
@@ -276,14 +265,11 @@ def relative_residue(form: Sequence[Poly], g: Sequence[Poly], f: Sequence[Poly],
             f"{nvars} variables")
     num = lambda_map(form, list(f), nvars)
     denoms = list(g) + list(f)
-    return grothendieck_residue(num, denoms, cap=cap, max_cap=max_cap,
-                                caps_used=caps_used, base=base)
+    return grothendieck_residue(num, denoms, ctx)
 
 
 def intersection_multiplicity_both_ways(f: Sequence[Poly], g: Sequence[Poly],
-                                        cap: int = DEFAULT_CAP,
-                                        max_cap: int = MAX_CAP,
-                                        caps_used: Optional[Dict[str, int]] = None):
+                                        ctx: Optional[Ctx] = None):
     """Colength of (f, g) next to the residue of dg_1 ^ ... ^ dg_{n-q} over g.
 
     Returns the pair (dimension count, residue value); the two agree for
@@ -293,15 +279,15 @@ def intersection_multiplicity_both_ways(f: Sequence[Poly], g: Sequence[Poly],
     if not g:
         raise NotRegularSequence("need at least one g")
     nvars = g[0].nvars
-    sb = standard_basis(f + g, cap=cap, max_cap=max_cap)
+    ctx = ctx or Ctx()
+    sb = ctx.basis(f + g)
     lhs = colength(sb)
     if lhs == INFINITE:
         raise NotRegularSequence("(f, g) is not zero dimensional")
-    if caps_used is not None:
-        caps_used["colength"] = max(caps_used.get("colength", 0), sb.cap)
+    ctx.record("colength", sb.cap)
     form = [jacobian_minor(g, I, nvars)
             for I in form_index_basis(nvars, len(g))]
-    # (g, f) is the ideal of (f, g): the residue reuses the colength basis
-    rhs = relative_residue(form, g, f, cap=cap, max_cap=max_cap,
-                           caps_used=caps_used, base=sb)
+    # (g, f) is the ideal of (f, g): the residue finds the colength basis
+    # in ctx
+    rhs = relative_residue(form, g, f, ctx)
     return lhs, rhs

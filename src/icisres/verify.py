@@ -18,9 +18,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (CapExceeded, GoodCoordsNotFound, NotIsolated,
                      NotRegularSequence, NotZeroDimensional)
-from .index import (CoordinateChange, GermProblem, eg_index, minor, minors,
-                    sigma_data, solve)
-from .localalg import INFINITE, colength, normal_form, standard_basis
+from .index import (CoordinateChange, GermProblem, eg_index, germ_minors,
+                    germ_sigma, ideal_J, minor, minors, solve)
+from .localalg import INFINITE, Ctx, colength, normal_form
 from .polycore import (Poly, default_names, linear_forms, rational_det,
                        rational_inverse)
 from .residues import (grothendieck_residue, intersection_multiplicity_both_ways,
@@ -28,6 +28,8 @@ from .residues import (grothendieck_residue, intersection_multiplicity_both_ways
 from .pairing import pairing_report
 
 RESAMPLE_LIMIT = 20
+DEGREE = 2          # total degree of every random polynomial
+MAX_NVARS = 4       # variables of eq1's germs; eq2-transform draws 2..MAX_NVARS
 
 DEFAULT_TRIALS = {
     "det-lemmas": 100,
@@ -50,8 +52,6 @@ class VerificationPlan:
     suites: Tuple[str, ...] = SUITES
     trials: Optional[int] = None        # None: per-suite default
     seed: int = 0
-    degree_bound: int = 2
-    nvars_bound: int = 4
 
     def __post_init__(self):
         for s in self.suites:
@@ -59,10 +59,6 @@ class VerificationPlan:
                 raise ValueError(f"unknown suite {s!r}")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be positive")
-        if not 2 <= self.nvars_bound <= 4:
-            raise ValueError("nvars_bound must stay in 2..4")
-        if not 1 <= self.degree_bound <= 3:
-            raise ValueError("degree_bound must stay in 1..3")
 
 
 @dataclass
@@ -183,8 +179,7 @@ def _random_germ(rng: random.Random, n: int, degree: int) -> GermProblem:
 
 # suites --------------------------------------------------------------------
 
-def _trial_det_lemmas(rng: random.Random, plan: VerificationPlan,
-                      t: int) -> Optional[Dict[str, str]]:
+def _trial_det_lemmas(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
     n = rng.randint(2, 6)
     j = rng.randint(1, n - 1)
 
@@ -221,12 +216,10 @@ def _trial_det_lemmas(rng: random.Random, plan: VerificationPlan,
     return None
 
 
-def _trial_eq1(rng: random.Random, plan: VerificationPlan,
-               t: int) -> Optional[Dict[str, str]]:
-    n = plan.nvars_bound
+def _trial_eq1(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
+    n = MAX_NVARS
     q = n - 2
-    degree = min(2, plan.degree_bound)
-    p = _random_germ(rng, n, degree)
+    p = _random_germ(rng, n, DEGREE)
     i_cols = tuple(rng.randrange(n) for _ in range(q))
     j_cols = tuple(rng.randrange(n) for _ in range(q + 1))
     lhs = jacobian_minor(p.f, i_cols, n) * minor(p, j_cols)
@@ -242,24 +235,21 @@ def _trial_eq1(rng: random.Random, plan: VerificationPlan,
     return None
 
 
-def _trial_lem2(rng: random.Random, plan: VerificationPlan,
-                t: int) -> Optional[Dict[str, str]]:
-    degree = min(2, plan.degree_bound)
+def _trial_lem2(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
+    ctx = Ctx()
 
     def make():
-        return _random_germ(rng, 3, degree)
+        return _random_germ(rng, 3, DEGREE)
 
     def proper(p):
-        return not any(m.is_unit() for m in minors(p).all.values())
+        return not any(m.is_unit() for m in germ_minors(p, ctx).all.values())
 
     p = _resample(rng, make, proper)
-    ms = minors(p)
-    gens = list(p.f) + [ms.all[c] for c in sorted(ms.all)]
     try:
-        sb = standard_basis(gens)
+        sb = ctx.basis(ideal_J(p, ctx))
     except CapExceeded:
         return None
-    sd = sigma_data(p)
+    ms, sd = germ_minors(p, ctx), germ_sigma(p, ctx)
     for (j, k) in [(0, 1), (0, 2), (1, 2)]:
         jac = jacobian_minor(list(p.f) + [ms.principal[j], ms.principal[k]],
                              range(3), 3)
@@ -272,11 +262,9 @@ def _trial_lem2(rng: random.Random, plan: VerificationPlan,
     return None
 
 
-def _trial_eq2(rng: random.Random, plan: VerificationPlan,
-               t: int) -> Optional[Dict[str, str]]:
-    n = rng.randint(2, min(4, plan.nvars_bound))
-    degree = min(2, plan.degree_bound)
-    p = _random_germ(rng, n, degree)
+def _trial_eq2(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
+    n = rng.randint(2, MAX_NVARS)
+    p = _random_germ(rng, n, DEGREE)
     c, detc = _nonsingular_draw(rng, n)
     if detc == 0:
         return None
@@ -302,13 +290,13 @@ def _trial_eq2(rng: random.Random, plan: VerificationPlan,
     return None
 
 
-def _trial_ann(rng: random.Random, plan: VerificationPlan,
-               t: int) -> Optional[Dict[str, str]]:
+def _trial_ann(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
     corpus = builtin_corpus()
     name, p = corpus[0] if t % 2 == 0 else ("diag-2-2", GermProblem(
         2, (), (Poly.variable(2, 0) ** 2, Poly.variable(2, 1) ** 2)))
     n = p.nvars
     ms = minors(p)
+    ctx = Ctx()
 
     def transformed_pair(c):
         change = CoordinateChange(tuple(tuple(row) for row in c))
@@ -320,56 +308,53 @@ def _trial_ann(rng: random.Random, plan: VerificationPlan,
         dfy = _compose(jacobian_minor(good.f, tuple(range(2, n)), n), cinv)
         return m1, m2, dfy
 
-    # keep the predicate's determinant, transformed pair and basis: an
-    # accepted matrix's ideal is certified once, and the right-hand residue
-    # reuses that basis
+    # keep the predicate's determinant and transformed pair; ctx keeps its
+    # basis, so an accepted matrix's ideal is certified once, and the
+    # right-hand residue finds that basis there
     tested = {}
 
     def regular(c):
-        tested["matrix"], tested["basis"] = c, None
+        tested["matrix"], tested["ok"] = c, False
         tested["det"] = rational_det(c)
         if tested["det"] == 0:
             return False
         tested["pair"] = m1, m2, _ = transformed_pair(c)
-        sb = standard_basis([m1, m2] + list(p.f))
-        if colength(sb) == INFINITE:
-            return False
-        tested["basis"] = sb
-        return True
+        tested["ok"] = colength(ctx.basis([m1, m2] + list(p.f))) != INFINITE
+        return tested["ok"]
 
     c = _resample(rng, lambda: _random_matrix(rng, n), regular)
     if tested.get("matrix") is not c:
         regular(c)
-    sb = tested["basis"]
-    if sb is None:
+    if not tested["ok"]:
         return None
     m1y, m2y, dfy = tested["pair"]
-    h = random_poly(rng, n, min(2, plan.degree_bound), min_degree=0)
+    h = random_poly(rng, n, DEGREE, min_degree=0)
     df = jacobian_minor(p.f, tuple(range(2, n)), n)
     lhs = grothendieck_residue(h * df,
-                               list(p.f) + [ms.principal[0], ms.principal[1]])
+                               list(p.f) + [ms.principal[0], ms.principal[1]],
+                               ctx)
     rhs = grothendieck_residue((h * dfy).scale(tested["det"]),
-                               list(p.f) + [m1y, m2y], base=sb)
+                               list(p.f) + [m1y, m2y], ctx)
     if lhs != rhs:
         return {"germ": name, "matrix": _render_matrix(c), "h": _render(h),
                 "lhs": str(lhs), "rhs": str(rhs)}
     return None
 
 
-def _trial_theorem1(rng: random.Random, plan: VerificationPlan,
-                    t: int) -> Optional[Dict[str, str]]:
+def _trial_theorem1(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
     corpus = builtin_corpus()
+    ctx = Ctx()
     if t < len(corpus):
         name, p = corpus[t]
     else:
         name = "random"
 
         def make():
-            return _random_germ(rng, 3, min(2, plan.degree_bound))
+            return _random_germ(rng, 3, DEGREE)
 
         def solvable(p):
             try:
-                eg_index(p)
+                eg_index(p, ctx)
                 return True
             except (NotIsolated, CapExceeded):
                 return False
@@ -378,7 +363,7 @@ def _trial_theorem1(rng: random.Random, plan: VerificationPlan,
         if not solvable(p):
             return None
     try:
-        report = solve(p)
+        report = solve(p, ctx)
     except (NotIsolated, GoodCoordsNotFound, CapExceeded) as exc:
         if name == "random":
             return None
@@ -389,24 +374,24 @@ def _trial_theorem1(rng: random.Random, plan: VerificationPlan,
     return None
 
 
-def _trial_smooth_duality(rng: random.Random, plan: VerificationPlan,
+def _trial_smooth_duality(rng: random.Random,
                           t: int) -> Optional[Dict[str, str]]:
-    degree = min(2, plan.degree_bound)
+    ctx = Ctx()
 
     def make():
-        return GermProblem(2, (), (random_poly(rng, 2, degree),
-                                   random_poly(rng, 2, degree)))
+        return GermProblem(2, (), (random_poly(rng, 2, DEGREE),
+                                   random_poly(rng, 2, DEGREE)))
 
     def finite(p):
         try:
-            return colength(standard_basis(list(p.omega))) != INFINITE
+            return colength(ctx.basis(p.omega)) != INFINITE
         except CapExceeded:
             return False
 
     p = _resample(rng, make, finite)
     if not finite(p):
         return None
-    rep = pairing_report(p)
+    rep = pairing_report(p, ctx)
     problems = []
     if rep.rank_beta != rep.dim_a:
         problems.append(f"rank {rep.rank_beta} != dimA {rep.dim_a}")
@@ -420,15 +405,13 @@ def _trial_smooth_duality(rng: random.Random, plan: VerificationPlan,
     return None
 
 
-def _trial_cor_mult(rng: random.Random, plan: VerificationPlan,
-                    t: int) -> Optional[Dict[str, str]]:
-    degree = min(2, plan.degree_bound)
+def _trial_cor_mult(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
     q = t % 2
     n = q + 2
 
     def make():
-        f = [random_poly(rng, n, degree) for _ in range(q)]
-        g = [random_poly(rng, n, degree) for _ in range(n - q)]
+        f = [random_poly(rng, n, DEGREE) for _ in range(q)]
+        g = [random_poly(rng, n, DEGREE) for _ in range(n - q)]
         return f, g
 
     def compute(pair):
@@ -482,7 +465,7 @@ def run(plan: VerificationPlan) -> List[VerificationOutcome]:
         for t in range(trials):
             trial_seed = f"{plan.seed}:{suite}:{t}"
             rng = random.Random(trial_seed)
-            payload = fn(rng, plan, t)
+            payload = fn(rng, t)
             if payload is not None:
                 failures.append((trial_seed, payload))
         outcomes.append(VerificationOutcome(suite, trials, failures,

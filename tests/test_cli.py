@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from icisres import cli
+from icisres.localalg import Ctx
 
 A1_TEXT = """\
 vars = x, y, z
@@ -176,7 +177,7 @@ def test_surface_arity_error(capsys, tmp_path):
 def test_discrepancy_exit_code(capsys, a1_file, monkeypatch):
     # a command reporting a discrepancy must exit 2
     monkeypatch.setitem(cli._GERM_COMMANDS, "index",
-                        lambda gf, st: ({"index": 1}, {}, ["synthetic"]))
+                        lambda gf, st: ({"index": 1}, ["synthetic"]))
     code, out, _ = run_cli(capsys, ["index", a1_file, "--format", "json"])
     assert code == 2
     assert json.loads(out)["discrepancies"] == ["synthetic"]
@@ -276,3 +277,19 @@ def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, ["all", "--help"])
     assert code == 0
     assert "--max-cap" in out and "germfile" in out
+
+
+@pytest.mark.parametrize("knobs, flags, message", [
+    ({"cap": 0}, ["--cap", "0"], "cap must be at least 1, got 0"),
+    ({"max_cap": 8}, ["--max-cap", "8"],
+     "max_cap must be at least cap (12), got 8"),
+    ({"attempts": 0}, ["--attempts", "0"],
+     "attempts must be at least 1, got 0"),
+])
+def test_ctx_raises_the_cli_messages(capsys, a1_file, knobs, flags, message):
+    # library callers get the knob checks the command line applies
+    with pytest.raises(ValueError) as exc:
+        Ctx(**knobs)
+    assert str(exc.value) == message
+    code, out, err = run_cli(capsys, ["all", a1_file] + flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")

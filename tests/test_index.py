@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from icisres.errors import GoodCoordsNotFound, NotIsolated
+from icisres import index
 from icisres.index import (CoordinateChange, GermProblem, curve_index,
                            eg_index, find_good_coordinates, germ_residue,
                            ideal_J, identity_change, main_residue, minor,
                            minors, sigma_data, solve)
-from icisres.localalg import standard_basis
+from icisres.localalg import Ctx, standard_basis
+from icisres.pairing import pairing_report
 from icisres.polycore import Poly
 
 N3 = ("x", "y", "z")
@@ -66,8 +68,17 @@ def test_sigma_sphere_dz():
 
 
 def test_sigma_transpose_invariant():
+    # sigma, a sum of principal 2x2 minors, is the same for the transpose
     for p in (sphere_dz(), diagonal(2, 3)):
-        assert sigma_data(p, transpose=True).sigma == sigma_data(p).sigma
+        sd = sigma_data(p)
+        n = p.nvars
+        mat = [[sd.m_matrix[j][i] for j in range(n)] for i in range(n)]
+        transposed = Poly.zero(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                transposed = transposed + (mat[i][i] * mat[j][j]
+                                           - mat[i][j] * mat[j][i])
+        assert transposed == sd.sigma
 
 
 def test_sigma_smooth_model_is_one():
@@ -128,9 +139,9 @@ def test_not_isolated():
 
 
 def test_caps_recorded():
-    caps = {}
-    eg_index(sphere_dz(), caps_used=caps)
-    assert caps["index"] >= 12
+    ctx = Ctx()
+    eg_index(sphere_dz(), ctx)
+    assert ctx.caps_used["index"] >= 12
 
 
 def test_germ_residue_matches_main():
@@ -193,7 +204,7 @@ def test_find_good_coordinates_random_when_degenerate():
 def test_find_good_coordinates_failure():
     p = GermProblem(3, (SPHERE,), (Poly.zero(3),) * 3)
     with pytest.raises(GoodCoordsNotFound):
-        find_good_coordinates(p, attempts=4)
+        find_good_coordinates(p, Ctx(attempts=4))
 
 
 def test_solve_report():
@@ -206,6 +217,26 @@ def test_solve_report():
     assert rep.caps_used["index"] >= 12
     assert rep.caps_used["residue"] >= 12
 
+
+
+def test_solve_and_pairing_evaluate_each_minor_once(monkeypatch):
+    # one Ctx per call: every layer reads the germ's minors from it
+    real = index.minor
+    evaluated = []
+
+    def counting(p, columns):
+        evaluated.append((p, tuple(columns)))
+        return real(p, columns)
+
+    monkeypatch.setattr(index, "minor", counting)
+    moved = GermProblem(3, (SPHERE,), (ONE3, Poly.zero(3), Poly.zero(3)),
+                        seed=2)
+    for germ in (sphere_dz(), moved):
+        for run in (solve, pairing_report):
+            evaluated.clear()
+            run(germ)
+            assert len(evaluated) >= 3
+            assert len(evaluated) == len(set(evaluated))
 
 def test_curve_index_cusp():
     cusp = X**2 - Y**3

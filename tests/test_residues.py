@@ -8,7 +8,7 @@ import pytest
 from icisres import residues
 from icisres.errors import CapExceeded, NotRegularSequence
 from icisres.index import find_good_coordinates, minors
-from icisres.localalg import (colength, minimal_power_membership,
+from icisres.localalg import (Ctx, colength, minimal_power_membership,
                               standard_basis, standard_basis_at)
 from icisres.pairing import algebra_B, residue_functional
 from icisres.polycore import Poly
@@ -129,9 +129,9 @@ def test_residue_multiplicative_denominator_scaling():
 
 
 def test_residue_caps_recorded():
-    caps = {}
-    grothendieck_residue(z3.scale(Fraction(2)), [x3, y3, SPHERE], caps_used=caps)
-    assert caps["residue"] >= 12
+    ctx = Ctx()
+    grothendieck_residue(z3.scale(Fraction(2)), [x3, y3, SPHERE], ctx)
+    assert ctx.caps_used["residue"] >= 12
 
 
 def test_lift_rows_shape_and_validity():
@@ -291,21 +291,21 @@ def test_form_lifts_once_for_many_numerators(monkeypatch):
 
     monkeypatch.setattr(residues, "standard_basis_at", counting)
     denoms = [X**2 + Y**3, Y**2]
-    form = ResidueForm(denoms)
+    ctx = Ctx()
+    form = ResidueForm(denoms, ctx)
     assert (form.powers, form.big, form.height) == ((2, 2), 2, 2)
-    caps = {}
     for a in range(3):
         for b in range(3):
             h = X**a * Y**b
-            assert form.value(h, caps) == grothendieck_residue(h, denoms)
+            assert form.value(h) == grothendieck_residue(h, denoms)
     # the nine form values shared one lift and its recheck; each
     # grothendieck_residue call built its own pair
     assert tracked == [True, True] * 10
-    assert caps == {"residue": 12}
+    assert ctx.caps_used == {"residue": 12}
     # a numerator of degree 11 asks for cap big + 11 = 13: one more pair
     del tracked[:]
-    assert form.value(X * Y**10, caps) == 0
-    assert caps == {"residue": 13} and tracked == [True, True]
+    assert form.value(X * Y**10) == 0
+    assert ctx.caps_used == {"residue": 13} and tracked == [True, True]
 
 
 def test_lift_rows_rep_cap_keeps_the_residue():

@@ -24,10 +24,6 @@ def test_plan_validation():
         VerificationPlan(suites=("no-such-suite",))
     with pytest.raises(ValueError):
         VerificationPlan(trials=0)
-    with pytest.raises(ValueError):
-        VerificationPlan(nvars_bound=9)
-    with pytest.raises(ValueError):
-        VerificationPlan(degree_bound=0)
 
 
 def test_builtin_corpus_shape():
@@ -103,7 +99,7 @@ def test_cor_mult_computes_each_accepted_pair_once(monkeypatch):
 def test_ann_invariance_certifies_each_ideal_once(monkeypatch):
     # the accepted matrix's ideal is certified by the resample predicate,
     # and the right-hand residue reuses that basis
-    from icisres import localalg, residues
+    from icisres import localalg
     real = localalg.standard_basis
     for t in range(4):
         certified = []
@@ -112,14 +108,33 @@ def test_ann_invariance_certifies_each_ideal_once(monkeypatch):
             certified.append(frozenset(verify._render(p) for p in gens))
             return real(gens, *args, **kwargs)
 
-        monkeypatch.setattr(verify, "standard_basis", counting)
-        monkeypatch.setattr(residues, "standard_basis", counting)
+        monkeypatch.setattr(localalg, "standard_basis", counting)
         rng = random.Random(f"0:ann-invariance:{t}")
-        assert verify._trial_ann(rng, small_plan(["ann-invariance"]), t) is None
+        assert verify._trial_ann(rng, t) is None
         # one ideal per tried matrix plus the untransformed left-hand one
         assert len(certified) >= 2
         assert len(certified) == len(set(certified))
 
+
+
+def test_theorem1_certifies_each_ideal_once(monkeypatch):
+    # one Ctx per trial: the resample predicate, the check after it and
+    # solve share J, and the residue finds the basis of (m_1, m_2, f) that
+    # the coordinate search certified
+    from icisres import localalg
+    real = localalg.standard_basis
+    certified = []
+
+    def counting(gens, *args, **kwargs):
+        certified.append(frozenset(verify._render(p) for p in gens))
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr(localalg, "standard_basis", counting)
+    for t in range(len(builtin_corpus()) + 3):
+        certified.clear()
+        rng = random.Random(f"0:theorem1:{t}")
+        assert verify._trial_theorem1(rng, t) is None
+        assert len(certified) == len(set(certified)), t
 
 def test_eq2_composes_each_principal_minor_once(monkeypatch):
     # substitutions outside CoordinateChange.apply are the compositions of
@@ -146,7 +161,7 @@ def test_eq2_composes_each_principal_minor_once(monkeypatch):
     for t in range(8):
         composed.clear()
         rng = random.Random(f"0:eq2-transform:{t}")
-        assert verify._trial_eq2(rng, small_plan(["eq2-transform"]), t) is None
+        assert verify._trial_eq2(rng, t) is None
         assert 1 <= len(composed) <= 4
         assert len({id(p) for p in composed}) == len(composed)
 
@@ -166,6 +181,6 @@ def test_trials_evaluate_each_determinant_once(monkeypatch, suite, trial):
     for t in range(10):
         evaluated.clear()
         rng = random.Random(f"0:{suite}:{t}")
-        assert trial(rng, small_plan([suite]), t) is None
+        assert trial(rng, t) is None
         assert evaluated
         assert len({id(m) for m in evaluated}) == len(evaluated)
