@@ -431,7 +431,7 @@ class StandardBasis:
 
 
 def _build(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
-           certified: bool, rep_cap: Optional[int] = None) -> StandardBasis:
+           rep_cap: Optional[int] = None) -> StandardBasis:
     rep_cap = cap if rep_cap is None else min(rep_cap, cap)
     kernel = _complete(gens, order.nvars, cap, track, rep_cap)
     stair = _staircase_min_gens(kernel.elems)
@@ -440,7 +440,7 @@ def _build(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
                             {kernel.unpack(m): v
                              for m, v in [(g.lm, g.lc)] + g.tail}, g.lc)
              for g in kernel.elems]
-    return StandardBasis(tuple(gens), order, cap, rep_cap, certified, polys,
+    return StandardBasis(tuple(gens), order, cap, rep_cap, False, polys,
                          stair, quot, kernel, track)
 
 
@@ -465,11 +465,11 @@ def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
         raise CapExceeded(
             f"generator degree {deepest} exceeds the cap ceiling {max_cap}")
     while c <= max_cap:
-        base = _build(gens, order, c, track, certified=False)
+        base = _build(gens, order, c, track)
         if base.is_finite() and base.max_quotient_degree() >= c:
             c = max(c + CAP_STEP, base.max_quotient_degree() + 1)
             continue
-        check = _build(gens, order, c + CAP_STEP, track, certified=False)
+        check = _build(gens, order, c + CAP_STEP, track)
         if base.staircase == check.staircase:
             base.certified = True
             return base
@@ -488,8 +488,7 @@ def standard_basis_at(gens: Sequence[Poly], cap: int, track: bool = False,
     only to low degree can skip the cost of the deep ones.
     """
     gens = list(gens)
-    return _build(gens, LocalOrder(gens[0].nvars), cap, track,
-                  certified=False, rep_cap=rep_cap)
+    return _build(gens, LocalOrder(gens[0].nvars), cap, track, rep_cap)
 
 
 @dataclass
@@ -501,8 +500,9 @@ class Ctx:
     highest cap that step needed.  The memo holds each certified
     untracked basis under the set of its generators: its staircase,
     quotient monomials and normal forms depend only on the ideal, not on
-    the order of the generators.  It also holds per-germ data the index
-    module derives once, such as each germ's minors.
+    the order of the generators.  It holds each finite basis's quotient
+    algebra the same way, and per-germ data the index and pairing modules
+    derive once, such as each germ's minors and residue functional.
     """
 
     cap: int = DEFAULT_CAP
@@ -537,6 +537,12 @@ class Ctx:
         gens = list(gens)
         return self.once(("basis", frozenset(gens)),
                          lambda: standard_basis(gens, self.cap, self.max_cap))
+
+    def algebra(self, gens: Sequence[Poly]) -> QuotientAlgebra:
+        """Quotient algebra on the certified basis of the ideal gens generate."""
+        gens = list(gens)
+        return self.once(("algebra", frozenset(gens)),
+                         lambda: quotient_algebra(self.basis(gens)))
 
 
 def colength(sb: StandardBasis):

@@ -7,6 +7,10 @@ the staircase basis of A, the auxiliary quotients B (by the two principal
 minors) and C (B modulo the annihilator of DF), the socle of A, whether
 sigma represents the distinguished socle class, and the dimension bound
 soc A <= dim A - dim C + 1.
+
+Each function takes the germ and an optional Ctx.  The algebras A and B
+and the residue functional live in the Ctx memo, so the functions called
+on one Ctx build each of them once.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import NotIsolated, NotRegularSequence
 from .index import (GermProblem, find_good_coordinates, germ_minors,
                     germ_sigma, ideal_J)
-from .localalg import (INFINITE, Ctx, QuotientAlgebra, colength, normal_form,
-                       quotient_algebra)
+from .localalg import INFINITE, Ctx, QuotientAlgebra, colength, normal_form
 from .polycore import Exponent, Poly, _bareiss, _scaled
 from .residues import ResidueForm
 
@@ -65,21 +68,23 @@ def algebra_B(p: GermProblem, ctx: Optional[Ctx] = None) -> QuotientAlgebra:
     p.require_surface()
     ctx = ctx or Ctx()
     ms = germ_minors(p, ctx)
-    sb = ctx.basis([ms.principal[0], ms.principal[1]] + list(p.f))
+    gens = [ms.principal[0], ms.principal[1]] + list(p.f)
+    sb = ctx.basis(gens)
     if colength(sb) == INFINITE:
         raise NotRegularSequence("(m_1, m_2) is not regular on the germ")
     ctx.record("pairing", sb.cap)
-    return quotient_algebra(sb)
+    return ctx.algebra(gens)
 
 
 def index_algebra(p: GermProblem, ctx: Optional[Ctx] = None) -> QuotientAlgebra:
     """The index algebra A: quotient by the equations and all minors."""
     ctx = ctx or Ctx()
-    sb = ctx.basis(ideal_J(p, ctx))
+    gens = ideal_J(p, ctx)
+    sb = ctx.basis(gens)
     if colength(sb) == INFINITE:
         raise NotIsolated("the form vanishes along a curve on the germ")
     ctx.record("index", sb.cap)
-    return quotient_algebra(sb)
+    return ctx.algebra(gens)
 
 
 @dataclass
@@ -106,18 +111,21 @@ class ResidueFunctional:
         return -self.raw(h * self.df)
 
 
-def residue_functional(p: GermProblem, ctx: Optional[Ctx] = None,
-                       algebra: Optional[QuotientAlgebra] = None
-                       ) -> ResidueFunctional:
+def residue_functional(p: GermProblem,
+                       ctx: Optional[Ctx] = None) -> ResidueFunctional:
+    """The germ's residue functional, computed once per germ in ctx."""
     p.require_surface()
     ctx = ctx or Ctx()
-    if algebra is None:
+
+    def compute() -> ResidueFunctional:
         algebra = algebra_B(p, ctx)
-    ms = germ_minors(p, ctx)
-    form = ResidueForm([ms.principal[0], ms.principal[1]] + list(p.f), ctx)
-    values = {e: form.value(Poly.monomial(p.nvars, e, 1))
-              for e in algebra.basis}
-    return ResidueFunctional(algebra, values, germ_sigma(p, ctx).df)
+        ms = germ_minors(p, ctx)
+        form = ResidueForm([ms.principal[0], ms.principal[1]] + list(p.f), ctx)
+        values = {e: form.value(Poly.monomial(p.nvars, e, 1))
+                  for e in algebra.basis}
+        return ResidueFunctional(algebra, values, germ_sigma(p, ctx).df)
+
+    return ctx.once(("functional", p), compute)
 
 
 @dataclass
@@ -132,11 +140,9 @@ class CQuotient:
     ann_elements: List[Poly]
 
 
-def algebra_C(p: GermProblem, ctx: Optional[Ctx] = None,
-              algebra: Optional[QuotientAlgebra] = None) -> CQuotient:
+def algebra_C(p: GermProblem, ctx: Optional[Ctx] = None) -> CQuotient:
     ctx = ctx or Ctx()
-    if algebra is None:
-        algebra = algebra_B(p, ctx)
+    algebra = algebra_B(p, ctx)
     df = germ_sigma(p, ctx).df
     mat = algebra.multiplication_matrix(df)
     dim_c = matrix_rank(mat)
@@ -154,14 +160,10 @@ class GramData:
     rank: int
 
 
-def gram_beta(p: GermProblem, ctx: Optional[Ctx] = None,
-              functional: Optional[ResidueFunctional] = None,
-              alg_a: Optional[QuotientAlgebra] = None) -> GramData:
+def gram_beta(p: GermProblem, ctx: Optional[Ctx] = None) -> GramData:
     ctx = ctx or Ctx()
-    if functional is None:
-        functional = residue_functional(p, ctx)
-    if alg_a is None:
-        alg_a = index_algebra(p, ctx)
+    functional = residue_functional(p, ctx)
+    alg_a = index_algebra(p, ctx)
     n = alg_a.sb.order.nvars
     d = alg_a.dim
     mons = [Poly.monomial(n, e, 1) for e in alg_a.basis]
@@ -207,12 +209,11 @@ class PairingReport:
 def pairing_report(p: GermProblem, ctx: Optional[Ctx] = None) -> PairingReport:
     ctx = ctx or Ctx()
     change, good = find_good_coordinates(p, ctx)
-    alg_b = algebra_B(good, ctx)
-    functional = residue_functional(good, ctx, algebra=alg_b)
-    cdata = algebra_C(good, ctx, algebra=alg_b)
+    functional = residue_functional(good, ctx)
+    cdata = algebra_C(good, ctx)
     alg_a = index_algebra(good, ctx)
     dim_a = alg_a.dim
-    gram = gram_beta(good, ctx, functional=functional, alg_a=alg_a)
+    gram = gram_beta(good, ctx)
 
     soc_vecs = socle(alg_a)
     soc_elems = [alg_a.element(v) for v in soc_vecs]

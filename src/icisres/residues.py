@@ -38,9 +38,8 @@ from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded, NotRegularSequence, PowerCapExceeded
-from .localalg import (INFINITE, Ctx, StandardBasis, colength,
-                       minimal_power_membership, normal_form,
-                       standard_basis_at)
+from .localalg import (INFINITE, Ctx, StandardBasis, colength, lift,
+                       normal_form, standard_basis_at)
 from .polycore import Poly, PolyMatrix, series_determinant
 
 
@@ -66,14 +65,15 @@ def lift_rows(denoms: Sequence[Poly], powers: Sequence[int], cap: int,
     """Truncated lift matrix: row i expresses z_i^{d_i} through the denominators.
 
     The basis behind it is built at term cap cap; the entries are kept up
-    to degree rep_cap (default cap).
+    to degree rep_cap (default cap).  Raises NotMember when some z_i^{d_i}
+    is not in the ideal at that cap.
     """
-    sb = standard_basis_at(list(denoms), cap, track=True, rep_cap=rep_cap)
-    rows = []
-    for i, d in enumerate(powers):
-        _, cert = minimal_power_membership(i, list(denoms), max_power=d, sb=sb)
-        rows.append(cert.coefficients)
-    return rows
+    denoms = list(denoms)
+    sb = standard_basis_at(denoms, cap, track=True, rep_cap=rep_cap)
+    n = denoms[0].nvars
+    return [lift(Poly.monomial(n, [d if j == i else 0 for j in range(n)]),
+                 denoms, sb=sb).coefficients
+            for i, d in enumerate(powers)]
 
 
 def residue_via_lift(numerator: Poly, rows: Sequence[Sequence[Poly]],

@@ -4,7 +4,10 @@ Every suite draws deterministic instances from a seeded generator and
 asserts an exact identity; a failure is data (the trial seed plus a
 payload that reproduces the instance), never an exception.  Degenerate
 draws (non-isolated zeros, singular matrices) are resampled with a
-bounded counter so a run can never loop forever.
+bounded counter so a run can never loop forever; each draw is tested
+once and its test value is what the trial goes on with.  One run shares
+one Ctx across all its trials, so an ideal or germ that recurs is
+certified or derived once.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ DEFAULT_TRIALS = {
 }
 
 SUITES = tuple(DEFAULT_TRIALS)
+
+Payload = Optional[Dict[str, str]]      # a trial's failure data, or None
 
 
 @dataclass
@@ -123,14 +128,18 @@ def random_poly(rng: random.Random, n: int, degree: int,
     return Poly(n, terms)
 
 
-def _resample(rng: random.Random, make: Callable, ok: Callable,
-              limit: int = RESAMPLE_LIMIT):
-    item = make()
-    for _ in range(limit):
-        if ok(item):
-            return item
+def _resample(make: Callable, test: Callable, limit: int = RESAMPLE_LIMIT):
+    """Draw with make() until test(draw) is truthy, at most limit + 1 times.
+
+    Each draw is tested once, right after it is drawn.  Returns the last
+    draw and its test value, which is falsy when every draw was rejected.
+    """
+    for _ in range(limit + 1):
         item = make()
-    return item
+        value = test(item)
+        if value:
+            break
+    return item, value
 
 
 def _random_matrix(rng: random.Random, n: int) -> List[List[Fraction]]:
@@ -142,19 +151,10 @@ def _nonsingular_draw(rng: random.Random, n: int,
     """A random n x n matrix, resampled until block(matrix) is nonsingular.
 
     Returns the matrix and det(block(matrix)), which is 0 when the resample
-    limit ran out.  The predicate's determinant is kept, so each drawn
-    matrix's block is evaluated once.
+    limit ran out.
     """
-    tested = {}
-
-    def nonsingular(m):
-        tested["matrix"], tested["det"] = m, rational_det(block(m))
-        return tested["det"] != 0
-
-    m = _resample(rng, lambda: _random_matrix(rng, n), nonsingular)
-    if tested.get("matrix") is not m:
-        nonsingular(m)
-    return m, tested["det"]
+    return _resample(lambda: _random_matrix(rng, n),
+                     lambda m: rational_det(block(m)))
 
 
 def _compose(p: Poly, matrix: Sequence[Sequence[Fraction]]) -> Poly:
@@ -179,7 +179,7 @@ def _random_germ(rng: random.Random, n: int, degree: int) -> GermProblem:
 
 # suites --------------------------------------------------------------------
 
-def _trial_det_lemmas(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
+def _trial_det_lemmas(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     n = rng.randint(2, 6)
     j = rng.randint(1, n - 1)
 
@@ -216,7 +216,7 @@ def _trial_det_lemmas(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
     return None
 
 
-def _trial_eq1(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
+def _trial_eq1(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     n = MAX_NVARS
     q = n - 2
     p = _random_germ(rng, n, DEGREE)
@@ -235,16 +235,14 @@ def _trial_eq1(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
     return None
 
 
-def _trial_lem2(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
-    ctx = Ctx()
-
+def _trial_lem2(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     def make():
         return _random_germ(rng, 3, DEGREE)
 
     def proper(p):
         return not any(m.is_unit() for m in germ_minors(p, ctx).all.values())
 
-    p = _resample(rng, make, proper)
+    p, _ = _resample(make, proper)
     try:
         sb = ctx.basis(ideal_J(p, ctx))
     except CapExceeded:
@@ -262,7 +260,7 @@ def _trial_lem2(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
     return None
 
 
-def _trial_eq2(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
+def _trial_eq2(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     n = rng.randint(2, MAX_NVARS)
     p = _random_germ(rng, n, DEGREE)
     c, detc = _nonsingular_draw(rng, n)
@@ -290,13 +288,12 @@ def _trial_eq2(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
     return None
 
 
-def _trial_ann(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
+def _trial_ann(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     corpus = builtin_corpus()
     name, p = corpus[0] if t % 2 == 0 else ("diag-2-2", GermProblem(
         2, (), (Poly.variable(2, 0) ** 2, Poly.variable(2, 1) ** 2)))
     n = p.nvars
     ms = minors(p)
-    ctx = Ctx()
 
     def transformed_pair(c):
         change = CoordinateChange(tuple(tuple(row) for row in c))
@@ -308,32 +305,27 @@ def _trial_ann(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
         dfy = _compose(jacobian_minor(good.f, tuple(range(2, n)), n), cinv)
         return m1, m2, dfy
 
-    # keep the predicate's determinant and transformed pair; ctx keeps its
-    # basis, so an accepted matrix's ideal is certified once, and the
-    # right-hand residue finds that basis there
-    tested = {}
-
+    # ctx keeps the accepted matrix's basis, and the right-hand residue
+    # finds it there
     def regular(c):
-        tested["matrix"], tested["ok"] = c, False
-        tested["det"] = rational_det(c)
-        if tested["det"] == 0:
-            return False
-        tested["pair"] = m1, m2, _ = transformed_pair(c)
-        tested["ok"] = colength(ctx.basis([m1, m2] + list(p.f))) != INFINITE
-        return tested["ok"]
+        det = rational_det(c)
+        if det == 0:
+            return None
+        m1, m2, dfy = transformed_pair(c)
+        if colength(ctx.basis([m1, m2] + list(p.f))) == INFINITE:
+            return None
+        return det, m1, m2, dfy
 
-    c = _resample(rng, lambda: _random_matrix(rng, n), regular)
-    if tested.get("matrix") is not c:
-        regular(c)
-    if not tested["ok"]:
+    c, accepted = _resample(lambda: _random_matrix(rng, n), regular)
+    if not accepted:
         return None
-    m1y, m2y, dfy = tested["pair"]
+    det, m1y, m2y, dfy = accepted
     h = random_poly(rng, n, DEGREE, min_degree=0)
     df = jacobian_minor(p.f, tuple(range(2, n)), n)
     lhs = grothendieck_residue(h * df,
                                list(p.f) + [ms.principal[0], ms.principal[1]],
                                ctx)
-    rhs = grothendieck_residue((h * dfy).scale(tested["det"]),
+    rhs = grothendieck_residue((h * dfy).scale(det),
                                list(p.f) + [m1y, m2y], ctx)
     if lhs != rhs:
         return {"germ": name, "matrix": _render_matrix(c), "h": _render(h),
@@ -341,9 +333,8 @@ def _trial_ann(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
     return None
 
 
-def _trial_theorem1(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
+def _trial_theorem1(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     corpus = builtin_corpus()
-    ctx = Ctx()
     if t < len(corpus):
         name, p = corpus[t]
     else:
@@ -359,8 +350,8 @@ def _trial_theorem1(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
             except (NotIsolated, CapExceeded):
                 return False
 
-        p = _resample(rng, make, solvable)
-        if not solvable(p):
+        p, ok = _resample(make, solvable)
+        if not ok:
             return None
     try:
         report = solve(p, ctx)
@@ -374,10 +365,7 @@ def _trial_theorem1(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
     return None
 
 
-def _trial_smooth_duality(rng: random.Random,
-                          t: int) -> Optional[Dict[str, str]]:
-    ctx = Ctx()
-
+def _trial_smooth_duality(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     def make():
         return GermProblem(2, (), (random_poly(rng, 2, DEGREE),
                                    random_poly(rng, 2, DEGREE)))
@@ -388,8 +376,8 @@ def _trial_smooth_duality(rng: random.Random,
         except CapExceeded:
             return False
 
-    p = _resample(rng, make, finite)
-    if not finite(p):
+    p, ok = _resample(make, finite)
+    if not ok:
         return None
     rep = pairing_report(p, ctx)
     problems = []
@@ -405,7 +393,7 @@ def _trial_smooth_duality(rng: random.Random,
     return None
 
 
-def _trial_cor_mult(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
+def _trial_cor_mult(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     q = t % 2
     n = q + 2
 
@@ -417,21 +405,12 @@ def _trial_cor_mult(rng: random.Random, t: int) -> Optional[Dict[str, str]]:
     def compute(pair):
         f, g = pair
         try:
-            return intersection_multiplicity_both_ways(f, g)
+            return intersection_multiplicity_both_ways(f, g, ctx)
         except (NotRegularSequence, CapExceeded, NotIsolated,
                 NotZeroDimensional):
             return None
 
-    # keep the predicate's result: an accepted pair is computed once; only a
-    # pair drawn after the resample limit has not been computed yet
-    tested = {}
-
-    def accepted(pair):
-        tested["pair"], tested["result"] = pair, compute(pair)
-        return tested["result"] is not None
-
-    pair = _resample(rng, make, accepted)
-    result = tested["result"] if tested.get("pair") is pair else compute(pair)
+    pair, result = _resample(make, compute)
     if result is None:
         return None
     lhs, rhs = result
@@ -457,6 +436,7 @@ _TRIALS: Dict[str, Callable] = {
 
 def run(plan: VerificationPlan) -> List[VerificationOutcome]:
     outcomes = []
+    ctx = Ctx()
     for suite in plan.suites:
         start = time.perf_counter()
         trials = plan.trials if plan.trials is not None else DEFAULT_TRIALS[suite]
@@ -465,7 +445,7 @@ def run(plan: VerificationPlan) -> List[VerificationOutcome]:
         for t in range(trials):
             trial_seed = f"{plan.seed}:{suite}:{t}"
             rng = random.Random(trial_seed)
-            payload = fn(rng, t)
+            payload = fn(rng, t, ctx)
             if payload is not None:
                 failures.append((trial_seed, payload))
         outcomes.append(VerificationOutcome(suite, trials, failures,

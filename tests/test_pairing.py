@@ -7,6 +7,7 @@ import pytest
 
 from icisres.errors import NotRegularSequence
 from icisres.index import GermProblem, main_residue, minors, sigma_data
+from icisres.localalg import Ctx
 from icisres.pairing import (algebra_B, algebra_C, gram_beta, index_algebra,
                              kernel_basis, matrix_rank, pairing_report,
                              residue_functional, rref, socle)
@@ -201,6 +202,25 @@ def test_gram_smooth_diagonal():
     anti = [[Fraction(int(i + j == 3)) for j in range(4)] for i in range(4)]
     assert g.matrix == anti
     assert g.rank == 4
+
+
+def test_one_ctx_builds_each_quotient_algebra_once(monkeypatch):
+    # algebra_C and residue_functional share B; gram_beta finds the
+    # functional and A in the memo
+    from icisres import localalg
+    real = localalg.quotient_algebra
+    built = []
+
+    def counting(sb):
+        built.append(sb)
+        return real(sb)
+
+    monkeypatch.setattr(localalg, "quotient_algebra", counting)
+    p, ctx = sphere_dz(), Ctx()
+    algebra_C(p, ctx)
+    residue_functional(p, ctx)
+    gram_beta(p, ctx)
+    assert len(built) == 2
 
 
 def test_gram_symmetric():

@@ -152,6 +152,14 @@ def test_residue_via_lift_matches_engine():
     assert residue_via_lift(num, rows, [2, 3]) == 6
 
 
+def test_lift_rows_lifts_the_given_power():
+    # X^2 is the least power of X in (X^2, Y^3), but row 0 must lift X^3:
+    # the residue of X Y^2 over (X^3, Y^3) is 1
+    rows = lift_rows([X**2, Y**3], [3, 3], cap=12)
+    assert rows[0] == [X, Poly.zero(2)]
+    assert residue_via_lift(X * Y**2, rows, [3, 3]) == 1
+
+
 def test_residue_lift_independence():
     # a syzygy perturbation of any two rows leaves the value fixed
     denoms = [X**2 + Y**3, Y**2]

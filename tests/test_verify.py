@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from icisres import verify
+from icisres.localalg import Ctx
 from icisres.verify import (DEFAULT_TRIALS, SUITES, VerificationPlan,
                             builtin_corpus, random_poly, run)
 
@@ -110,17 +111,34 @@ def test_ann_invariance_certifies_each_ideal_once(monkeypatch):
 
         monkeypatch.setattr(localalg, "standard_basis", counting)
         rng = random.Random(f"0:ann-invariance:{t}")
-        assert verify._trial_ann(rng, t) is None
+        assert verify._trial_ann(rng, t, Ctx()) is None
         # one ideal per tried matrix plus the untransformed left-hand one
         assert len(certified) >= 2
         assert len(certified) == len(set(certified))
 
 
+def test_ann_invariance_run_certifies_each_ideal_once(monkeypatch):
+    # the run's one Ctx keeps the two untransformed left-hand ideals, so
+    # later trials find them there
+    from icisres import localalg
+    real = localalg.standard_basis
+    certified = []
+
+    def counting(gens, *args, **kwargs):
+        certified.append(frozenset(verify._render(p) for p in gens))
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr(localalg, "standard_basis", counting)
+    out = run(VerificationPlan(suites=("ann-invariance",), seed=0))[0]
+    assert out.ok
+    assert len(certified) >= 2
+    assert len(certified) == len(set(certified))
+
 
 def test_theorem1_certifies_each_ideal_once(monkeypatch):
-    # one Ctx per trial: the resample predicate, the check after it and
-    # solve share J, and the residue finds the basis of (m_1, m_2, f) that
-    # the coordinate search certified
+    # within a trial's Ctx, the resample predicate and solve share J, and
+    # the residue finds the basis of (m_1, m_2, f) that the coordinate
+    # search certified
     from icisres import localalg
     real = localalg.standard_basis
     certified = []
@@ -133,7 +151,7 @@ def test_theorem1_certifies_each_ideal_once(monkeypatch):
     for t in range(len(builtin_corpus()) + 3):
         certified.clear()
         rng = random.Random(f"0:theorem1:{t}")
-        assert verify._trial_theorem1(rng, t) is None
+        assert verify._trial_theorem1(rng, t, Ctx()) is None
         assert len(certified) == len(set(certified)), t
 
 def test_eq2_composes_each_principal_minor_once(monkeypatch):
@@ -161,7 +179,7 @@ def test_eq2_composes_each_principal_minor_once(monkeypatch):
     for t in range(8):
         composed.clear()
         rng = random.Random(f"0:eq2-transform:{t}")
-        assert verify._trial_eq2(rng, t) is None
+        assert verify._trial_eq2(rng, t, Ctx()) is None
         assert 1 <= len(composed) <= 4
         assert len({id(p) for p in composed}) == len(composed)
 
@@ -181,6 +199,25 @@ def test_trials_evaluate_each_determinant_once(monkeypatch, suite, trial):
     for t in range(10):
         evaluated.clear()
         rng = random.Random(f"0:{suite}:{t}")
-        assert trial(rng, t) is None
+        assert trial(rng, t, Ctx()) is None
         assert evaluated
         assert len({id(m) for m in evaluated}) == len(evaluated)
+
+
+@pytest.mark.parametrize("accept_at, expected", [(3, (3, "accepted")),
+                                                  (None, (5, None))])
+def test_resample_tests_each_draw_once(accept_at, expected):
+    # at most limit + 1 draws; with every draw rejected, the last one and
+    # its falsy value come back
+    draws, tested = [], []
+
+    def make():
+        draws.append(len(draws))
+        return draws[-1]
+
+    def test(item):
+        tested.append(item)
+        return "accepted" if item == accept_at else None
+
+    assert verify._resample(make, test, limit=5) == expected
+    assert draws == tested == list(range(expected[0] + 1))
