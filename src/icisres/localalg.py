@@ -9,10 +9,12 @@ agrees with the true one on every monomial of degree <= cap.  Unit
 denominators never appear; the geometric series a unit would contribute
 unfolds automatically inside the capped reduction loop.
 
-A basis is certified by recomputing at cap + 4 and checking the staircase
-is unchanged.  When the quotient staircase is finite and lies strictly
-below the cap this is a proof, not a heuristic: every monomial one degree
-above the staircase is then a verified member of the leading ideal.
+A finite staircase is proved exact by the run that built it once its
+largest quotient degree top lies below the cap: every monomial of degree
+top + 1 <= cap then lies in the computed leading ideal, which agrees
+with the true one up to the cap, so both contain m^(top+1) and agree
+below it.  An infinite staircase has no such proof; it is only observed
+to be stable, when a second run at cap + CAP_STEP gives the same one.
 
 An untracked completion also stops at the highest corner (Greuel and
 Pfister, A Singular Introduction to Commutative Algebra, 1.7).  Once the
@@ -445,12 +447,13 @@ def _build(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
 
 
 def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
-                   max_cap: int = MAX_CAP,
-                   track: bool = False) -> StandardBasis:
-    """Standard basis with cap escalation until the staircase stabilizes.
+                   max_cap: int = MAX_CAP) -> StandardBasis:
+    """Certified untracked standard basis, escalating the cap by CAP_STEP.
 
-    Escalates the cap by CAP_STEP until the staircase at cap and cap + 4
-    agree and, in the finite case, lies strictly below the cap; raises
+    A finite staircase is returned as soon as it lies strictly below the
+    cap, which proves it exact; one reaching the cap raises the cap above
+    its top degree.  An infinite staircase is returned once the run at
+    cap + CAP_STEP gives the same one: stable, not proved.  Raises
     CapExceeded past max_cap.
     """
     gens = list(gens)
@@ -465,12 +468,14 @@ def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
         raise CapExceeded(
             f"generator degree {deepest} exceeds the cap ceiling {max_cap}")
     while c <= max_cap:
-        base = _build(gens, order, c, track)
+        base = _build(gens, order, c, False)
         if base.is_finite() and base.max_quotient_degree() >= c:
             c = max(c + CAP_STEP, base.max_quotient_degree() + 1)
             continue
-        check = _build(gens, order, c + CAP_STEP, track)
-        if base.staircase == check.staircase:
+        # below the cap a finite staircase is exact; an infinite one must
+        # hold one step up
+        if base.is_finite() or (_build(gens, order, c + CAP_STEP, False)
+                                .staircase == base.staircase):
             base.certified = True
             return base
         c += CAP_STEP
@@ -495,9 +500,10 @@ def standard_basis_at(gens: Sequence[Poly], cap: int, track: bool = False,
 class Ctx:
     """One computation's cap budget, its record of caps, and its memo.
 
-    cap and max_cap bound every certified standard basis, and attempts
-    the search for good coordinates.  caps_used keeps, per step, the
-    highest cap that step needed.  The memo holds each certified
+    cap and max_cap bound every certified standard basis (the run that
+    checks an infinite staircase may reach max_cap + CAP_STEP), and
+    attempts the search for good coordinates.  caps_used keeps, per step,
+    the highest cap that step needed.  The memo holds each certified
     untracked basis under the set of its generators: its staircase,
     quotient monomials and normal forms depend only on the ideal, not on
     the order of the generators.  It holds each finite basis's quotient

@@ -21,9 +21,8 @@ lies in I, an error in m^(N+1) is B g with every entry of B in m^(N-t),
 so A' + B is an exact lift.  For N >= big + t + 1 the entries of B have
 order above big, so det(A') agrees with det(A' + B) up to degree big, and
 every exact lift gives the same box: its coefficients are the residues
-of the monomials z^(d - 1 - e).  Every box is certified by recomputing it
-at work_cap + 4 with rep_cap + 4; the two must agree coefficient for
-coefficient.
+of the monomials z^(d - 1 - e).  So one lift per work_cap proves its box,
+and nothing is recomputed.
 
 Residues of forms on the zero set of f reduce to residues on the ambient
 space by wedging with df_1 ^ ... ^ df_q; the reduction is a signed sum of
@@ -37,7 +36,7 @@ from fractions import Fraction
 from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import CapExceeded, NotRegularSequence, PowerCapExceeded
+from .errors import NotRegularSequence, PowerCapExceeded
 from .localalg import (INFINITE, Ctx, StandardBasis, colength, lift,
                        normal_form, standard_basis_at)
 from .polycore import Poly, PolyMatrix, series_determinant
@@ -163,30 +162,19 @@ class ResidueForm:
         work_cap = max(self.ctx.cap, self.big + self.height + 2,
                        self.big + numerator.total_degree())
         if work_cap > self.work_cap:
-            self.box = self._certified_box(work_cap)
+            self.box = self._box(work_cap)
             self.work_cap = work_cap
         self.ctx.record("residue", work_cap)
         return _coefficient_of_product(numerator, self.box,
                                        tuple(d - 1 for d in self.powers))
 
-    def _box(self, work_cap: int, rep_cap: int) -> Poly:
+    def _box(self, work_cap: int) -> Poly:
         rows = lift_rows(self.denominators, self.powers, work_cap,
-                         rep_cap=rep_cap)
+                         rep_cap=self.big + self.height + 2)
         det = series_determinant(rows, self.big)
         return Poly.from_ints(det.nvars, {
             e: c for e, c in det.ints.items()
             if all(k < d for k, d in zip(e, self.powers))}, det.den)
-
-    def _certified_box(self, work_cap: int) -> Poly:
-        rep_cap = self.big + self.height + 2
-        box = self._box(work_cap, rep_cap)
-        check = self._box(work_cap + 4, rep_cap + 4)
-        if box != check:
-            raise CapExceeded(
-                f"residue form did not stabilize: det(A) box at cap {work_cap} "
-                f"(rep cap {rep_cap}) differs from the box at cap "
-                f"{work_cap + 4} (rep cap {rep_cap + 4})")
-        return box
 
 
 def grothendieck_residue(numerator: Poly, denominators: Sequence[Poly],

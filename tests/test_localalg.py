@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from icisres import localalg
 from icisres.errors import CapExceeded, NotMember, NotZeroDimensional
 from icisres.index import (GermProblem, eg_index, find_good_coordinates,
                             ideal_J, minors)
-from icisres.localalg import (DEFAULT_CAP, INFINITE, LocalOrder, _Kernel,
-                              colength, is_regular_on_V, lift,
+from icisres.localalg import (CAP_STEP, DEFAULT_CAP, INFINITE, LocalOrder,
+                              _Kernel, colength, is_regular_on_V, lift,
                               minimal_power_membership, normal_form,
-                              quotient_algebra, standard_basis)
+                              quotient_algebra, standard_basis,
+                              standard_basis_at)
 from icisres.polycore import Poly, mono_divides, mono_mul
 from icisres.verify import builtin_corpus
 
@@ -136,6 +138,24 @@ def test_cap_reaches_deep_generators():
     assert sb.cap >= 13
     sb30 = standard_basis([x3, y3, z3**30])
     assert colength(sb30) == 30
+
+
+def test_a_finite_basis_is_built_once(monkeypatch):
+    caps = []
+    real = localalg._build
+
+    def counting(gens, order, cap, track, rep_cap=None):
+        caps.append(cap)
+        return real(gens, order, cap, track, rep_cap)
+
+    monkeypatch.setattr(localalg, "_build", counting)
+    # a finite staircase below the cap is proved exact by its one run
+    assert colength(standard_basis([X**2, Y**3])) == 6
+    assert caps == [DEFAULT_CAP]
+    # an infinite one is accepted when the run one step up agrees
+    del caps[:]
+    assert colength(standard_basis([X])) == INFINITE
+    assert caps == [DEFAULT_CAP, DEFAULT_CAP + CAP_STEP]
 
 
 def test_cap_exceeded():
@@ -299,11 +319,13 @@ def _random_dividends(gens, cap, count=8):
 
 def _assert_cut_matches_tracked(gens):
     cut = standard_basis(gens)
-    full = standard_basis(gens, track=True)
-    assert cut.certified and full.certified
+    full = standard_basis_at(gens, cut.cap, track=True)
+    assert cut.certified
+    # one step up the staircase stays put: what the proof says for a finite
+    # one, and what certified an infinite one
+    assert standard_basis_at(gens, cut.cap + CAP_STEP).staircase == cut.staircase
     assert cut.staircase == full.staircase
     assert cut.quotient_monomials == full.quotient_monomials
-    assert cut.cap == full.cap
     for p in _random_dividends(gens, cut.cap):
         assert normal_form(p, cut) == normal_form(p, full)
     return cut
@@ -353,7 +375,8 @@ def test_untracked_elements_stop_at_the_corner():
     for gens in [_ade_section("E8", 1), _RANDOM_IDEALS[2]]:
         sb = standard_basis(gens)
         top = sb.max_quotient_degree()
-        assert max(_tail_degrees(standard_basis(gens, track=True))) > top
+        assert max(_tail_degrees(standard_basis_at(gens, sb.cap,
+                                                   track=True))) > top
         assert max(_tail_degrees(sb)) <= top
     # an infinite staircase never cuts
     sb = standard_basis(_INFINITE)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from icisres import residues
-from icisres.errors import CapExceeded, NotRegularSequence
+from icisres.errors import NotRegularSequence
 from icisres.index import find_good_coordinates, minors
 from icisres.localalg import (Ctx, colength, minimal_power_membership,
                               standard_basis, standard_basis_at)
@@ -30,6 +30,12 @@ z3 = Poly.variable(3, 2)
 SPHERE = x3**2 + y3**2 + z3**2
 ONE2 = Poly.const(2, Fraction(1))
 ONE3 = Poly.const(3, Fraction(1))
+# the accepted ideal of cor-mult trial 9 at seed 0: (f, g) has colength 2
+TRIAL_NINE_F = (x3 * z3).scale(Fraction(-2)) + y3**2 + x3 + y3.scale(Fraction(2))
+TRIAL_NINE_G = [x3**2 + (x3 * y3).scale(Fraction(2)) + (y3**2).scale(Fraction(2))
+                - y3 * z3 + z3**2 + y3.scale(Fraction(3)),
+                x3**2 + (x3 * y3).scale(Fraction(2)) + (x3 * z3).scale(Fraction(3))
+                + y3.scale(Fraction(3))]
 
 
 def test_monomial_residue():
@@ -306,14 +312,14 @@ def test_form_lifts_once_for_many_numerators(monkeypatch):
         for b in range(3):
             h = X**a * Y**b
             assert form.value(h) == grothendieck_residue(h, denoms)
-    # the nine form values shared one lift and its recheck; each
-    # grothendieck_residue call built its own pair
-    assert tracked == [True, True] * 10
+    # the nine form values shared one lift; each grothendieck_residue call
+    # built its own
+    assert tracked == [True] * 10
     assert ctx.caps_used == {"residue": 12}
-    # a numerator of degree 11 asks for cap big + 11 = 13: one more pair
+    # a numerator of degree 11 asks for cap big + 11 = 13: one more lift
     del tracked[:]
     assert form.value(X * Y**10) == 0
-    assert ctx.caps_used == {"residue": 13} and tracked == [True, True]
+    assert ctx.caps_used == {"residue": 13} and tracked == [True]
 
 
 def test_lift_rows_rep_cap_keeps_the_residue():
@@ -321,6 +327,11 @@ def test_lift_rows_rep_cap_keeps_the_residue():
         ([X**2 + Y**3, Y**2], [ONE2, X * Y, X + Y, (X * Y).scale(Fraction(5)) + Y]),
         ([X - Y**2, Y**3], [Y**2, X * Y**2, X + Y]),
         ([x3, y3, SPHERE], [z3, ONE3 + z3, x3 * z3]),
+        # with the numerator intersection_multiplicity_both_ways builds
+        (TRIAL_NINE_G + [TRIAL_NINE_F],
+         [ONE3, x3 + y3, lambda_map([jacobian_minor(TRIAL_NINE_G, I, 3)
+                                     for I in form_index_basis(3, 2)],
+                                    [TRIAL_NINE_F], 3)]),
     ]
     for denoms, numerators in cases:
         form = ResidueForm(denoms)
@@ -334,29 +345,15 @@ def test_lift_rows_rep_cap_keeps_the_residue():
             value = residue_via_lift(h, full, form.powers)
             assert residue_via_lift(h, cut, form.powers) == value
             assert form.value(h) == value
+            # one step up both caps gives the same value, as the residues
+            # module docstring proves
+            for cap, rc in [(form.work_cap, rep_cap),
+                            (form.work_cap + 4, rep_cap + 4)]:
+                rows = lift_rows(denoms, form.powers, cap, rep_cap=rc)
+                assert residue_via_lift(h, rows, form.powers) == value
 
 
 def test_trial_nine_ideal_against_macaulay_oracle():
-    # the accepted ideal of cor-mult trial 9 at seed 0: colength 2
-    f = (x3 * z3).scale(Fraction(-2)) + y3**2 + x3 + y3.scale(Fraction(2))
-    g = [x3**2 + (x3 * y3).scale(Fraction(2)) + (y3**2).scale(Fraction(2))
-         - y3 * z3 + z3**2 + y3.scale(Fraction(3)),
-         x3**2 + (x3 * y3).scale(Fraction(2)) + (x3 * z3).scale(Fraction(3))
-         + y3.scale(Fraction(3))]
+    f, g = TRIAL_NINE_F, TRIAL_NINE_G
     assert stable_corank([f] + g) == 2
     assert intersection_multiplicity_both_ways([f], g) == (2, Fraction(2))
-
-
-def test_form_recheck_rejects_disagreeing_boxes(monkeypatch):
-    real = residues.lift_rows
-
-    def drifting(denoms, powers, cap, rep_cap=None):
-        rows = real(denoms, powers, cap, rep_cap=rep_cap)
-        if cap > 12:
-            rows[0][0] = rows[0][0] + ONE2
-        return rows
-
-    monkeypatch.setattr(residues, "lift_rows", drifting)
-    with pytest.raises(CapExceeded, match=r"cap 12 \(rep cap 2\).*"
-                                          r"cap 16 \(rep cap 6\)"):
-        grothendieck_residue(ONE2, [X, Y])
