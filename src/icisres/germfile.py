@@ -110,9 +110,9 @@ def _tokenize_line(text: str, lineno: int) -> List[Token]:
             toks.append(Token("name", text[i:j], lineno, col))
             i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":    # str.isdigit would also take '²' and '٣'
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             if j < len(text) and text[j] == ".":
                 raise NonRationalCoefficient(
@@ -159,6 +159,19 @@ def _split_commas(toks: List[Token]) -> List[List[Token]]:
 
 
 _PRIMARY_START = ("name", "int", "(")
+
+
+def _check_size(size: Tuple[int, int], what: str, kind: str, tok: Token):
+    """Reject an expansion whose (terms, bits) bound exceeds the limits."""
+    terms, bits = size
+    if terms > MAX_POWER_TERMS:
+        raise GermSyntaxError(
+            f"{what} may expand to {terms} terms, above the {kind}term bound "
+            f"{MAX_POWER_TERMS}", tok.line, tok.col)
+    if bits > MAX_POWER_BITS:
+        raise GermSyntaxError(
+            f"{what} may give {bits}-bit coefficients, above the {kind}size "
+            f"bound {MAX_POWER_BITS} bits", tok.line, tok.col)
 
 
 class _ExprParser:
@@ -216,15 +229,7 @@ class _ExprParser:
             if tok.kind == "*":
                 self.take()
                 q = self.factor()
-                terms, bits = product_size(p, q)
-                if terms > MAX_POWER_TERMS:
-                    raise GermSyntaxError(
-                        f"product may expand to {terms} terms, above the "
-                        f"term bound {MAX_POWER_TERMS}", tok.line, tok.col)
-                if bits > MAX_POWER_BITS:
-                    raise GermSyntaxError(
-                        f"product may give {bits}-bit coefficients, above the "
-                        f"size bound {MAX_POWER_BITS} bits", tok.line, tok.col)
+                _check_size(product_size(p, q), "product", "", tok)
                 p = p * q
             elif tok.kind in _PRIMARY_START:
                 raise GermSyntaxError(
@@ -248,16 +253,7 @@ class _ExprParser:
                 raise GermSyntaxError(
                     f"exponent {k} on a base of degree {degree} exceeds the "
                     f"power degree bound {MAX_POWER_DEGREE}", etok.line, etok.col)
-            terms, bits = power_size(p, k)
-            if terms > MAX_POWER_TERMS:
-                raise GermSyntaxError(
-                    f"exponent {k} may expand to {terms} terms, above the "
-                    f"power term bound {MAX_POWER_TERMS}", etok.line, etok.col)
-            if bits > MAX_POWER_BITS:
-                raise GermSyntaxError(
-                    f"exponent {k} may give {bits}-bit coefficients, above "
-                    f"the power size bound {MAX_POWER_BITS} bits",
-                    etok.line, etok.col)
+            _check_size(power_size(p, k), f"exponent {k}", "power ", etok)
             p = p ** k
         return p
 

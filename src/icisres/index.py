@@ -9,7 +9,10 @@ minor DF of f, and the pair (m_1, m_2) as denominators on the germ.
 
 Every computation takes an optional localalg.Ctx.  Calls that share one
 compute each germ's minors and sigma once (germ_minors, germ_sigma) and
-certify each ideal once.
+certify each ideal once.  An ideal whose colength is the index passes
+Ctx.finite: eg_index records its cap under "index" and curve_index under
+"curve", and an infinite staircase raises NotIsolated before anything is
+recorded.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GoodCoordsNotFound, NotIsolated
-from .localalg import INFINITE, Ctx, colength, is_regular_on_V
+from .localalg import Ctx, colength, is_regular_on_V
 from .polycore import (Poly, PolyMatrix, default_names, linear_forms,
                        rational_det)
 from .residues import jacobian_minor, relative_residue
@@ -97,9 +100,7 @@ def minors(p: GermProblem) -> MinorSet:
 
 def germ_minors(p: GermProblem, ctx: Optional[Ctx]) -> MinorSet:
     """minors(p), computed once per germ in ctx (afresh without one)."""
-    if ctx is None:
-        return minors(p)
-    return ctx.once(("minors", p), lambda: minors(p))
+    return (ctx or Ctx()).once(("minors", p), lambda: minors(p))
 
 
 def ideal_J(p: GermProblem, ctx: Optional[Ctx] = None) -> List[Poly]:
@@ -119,12 +120,9 @@ def eg_index(p: GermProblem, ctx: Optional[Ctx] = None):
     ctx = ctx or Ctx()
     if any(m.is_unit() for m in germ_minors(p, ctx).all.values()):
         return 0
-    sb = ctx.basis(ideal_J(p, ctx))
-    dim = colength(sb)
-    if dim == INFINITE:
-        raise NotIsolated("the form vanishes along a curve on the germ")
-    ctx.record("index", sb.cap)
-    return dim
+    return colength(ctx.finite(
+        ideal_J(p, ctx),
+        NotIsolated("the form vanishes along a curve on the germ"), "index"))
 
 
 @dataclass
@@ -159,9 +157,7 @@ def sigma_data(p: GermProblem, ctx: Optional[Ctx] = None) -> SigmaData:
 
 def germ_sigma(p: GermProblem, ctx: Optional[Ctx]) -> SigmaData:
     """sigma_data(p), computed once per germ in ctx (afresh without one)."""
-    if ctx is None:
-        return sigma_data(p)
-    return ctx.once(("sigma", p), lambda: sigma_data(p, ctx))
+    return (ctx or Ctx()).once(("sigma", p), lambda: sigma_data(p, ctx))
 
 
 @dataclass(frozen=True)
@@ -275,13 +271,9 @@ def curve_index(f: Sequence[Poly], omega: Sequence[Poly],
     m = stacked_matrix(f, omega, range(n)).determinant()
     if m.is_unit():
         return 0
-    ctx = ctx or Ctx()
-    sb = ctx.basis(f + [m])
-    dim = colength(sb)
-    if dim == INFINITE:
-        raise NotIsolated("the form vanishes along the curve germ")
-    ctx.record("curve", sb.cap)
-    return dim
+    return colength((ctx or Ctx()).finite(
+        f + [m], NotIsolated("the form vanishes along the curve germ"),
+        "curve"))
 
 
 @dataclass

@@ -502,13 +502,22 @@ class Ctx:
 
     cap and max_cap bound every certified standard basis (the run that
     checks an infinite staircase may reach max_cap + CAP_STEP), and
-    attempts the search for good coordinates.  caps_used keeps, per step,
-    the highest cap that step needed.  The memo holds each certified
-    untracked basis under the set of its generators: its staircase,
-    quotient monomials and normal forms depend only on the ideal, not on
-    the order of the generators.  It holds each finite basis's quotient
-    algebra the same way, and per-germ data the index and pairing modules
-    derive once, such as each germ's minors and residue functional.
+    attempts the search for good coordinates.  The memo holds each
+    certified untracked basis under the set of its generators: its
+    staircase, quotient monomials and normal forms depend only on the
+    ideal, not on the order of the generators.  It holds each finite
+    basis's quotient algebra the same way, and per-germ data the index
+    and pairing modules derive once, such as each germ's minors and
+    residue functional.
+
+    finite() is the one gate to a finite quotient, and algebra() passes
+    it too.  It raises the caller's error on an infinite staircase;
+    otherwise it records the basis's cap under the caller's step, and
+    caps_used keeps per step the highest cap it needed.  The steps are
+    "index" (eg_index, index_algebra), "curve" (curve_index), "pairing"
+    (algebra_B) and "colength" (intersection_multiplicity_both_ways).  A
+    ResidueForm passes the gate with no step and records its working cap
+    under "residue" itself.
     """
 
     cap: int = DEFAULT_CAP
@@ -544,11 +553,26 @@ class Ctx:
         return self.once(("basis", frozenset(gens)),
                          lambda: standard_basis(gens, self.cap, self.max_cap))
 
-    def algebra(self, gens: Sequence[Poly]) -> QuotientAlgebra:
-        """Quotient algebra on the certified basis of the ideal gens generate."""
-        gens = list(gens)
+    def finite(self, gens: Sequence[Poly], error: Exception,
+               step: Optional[str] = None) -> StandardBasis:
+        """Certified basis of a zero-dimensional ideal, or raise error.
+
+        An infinite staircase raises error and records nothing; a finite
+        one records its cap under step, when there is one.
+        """
+        sb = self.basis(gens)
+        if not sb.is_finite():
+            raise error
+        if step is not None:
+            self.record(step, sb.cap)
+        return sb
+
+    def algebra(self, gens: Sequence[Poly], error: Exception,
+                step: Optional[str] = None) -> QuotientAlgebra:
+        """Quotient algebra of a zero-dimensional ideal, through finite()."""
+        sb = self.finite(gens, error, step)
         return self.once(("algebra", frozenset(gens)),
-                         lambda: quotient_algebra(self.basis(gens)))
+                         lambda: quotient_algebra(sb))
 
 
 def colength(sb: StandardBasis):
@@ -666,16 +690,18 @@ class QuotientAlgebra:
     basis: List[Exponent]
     matrices: List[List[List[Fraction]]]  # matrices[i][r][c]: z_i * basis[c] -> basis[r]
 
+    def __post_init__(self):
+        self._position = {e: i for i, e in enumerate(self.basis)}
+
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def coordinates(self, p: Poly) -> List[Fraction]:
         nf = normal_form(p, self.sb)
-        index = {e: i for i, e in enumerate(self.basis)}
         vec = [Fraction(0)] * len(self.basis)
         for e, c in nf.ints.items():
-            vec[index[e]] = Fraction(c, nf.den)
+            vec[self._position[e]] = Fraction(c, nf.den)
         return vec
 
     def element(self, vec: Sequence[Fraction]) -> Poly:
@@ -687,31 +713,19 @@ class QuotientAlgebra:
 
     def multiplication_matrix(self, p: Poly) -> List[List[Fraction]]:
         """Matrix of multiplication by p on the monomial basis."""
-        n = self.dim
-        cols = []
-        for e in self.basis:
-            cols.append(self.coordinates(p * Poly.monomial(self.sb.order.nvars, e)))
-        return [[cols[c][r] for c in range(n)] for r in range(n)]
+        nvars = self.sb.order.nvars
+        cols = [self.coordinates(p * Poly.monomial(nvars, e)) for e in self.basis]
+        return [list(row) for row in zip(*cols)]
 
 
 def quotient_algebra(sb: StandardBasis) -> QuotientAlgebra:
-    if sb.quotient_monomials is None:
+    if not sb.is_finite():
         raise NotZeroDimensional("staircase leaves a coordinate direction unbounded")
     nvars = sb.order.nvars
-    basis = list(sb.quotient_monomials)
-    index = {e: i for i, e in enumerate(basis)}
-    matrices = []
-    for i in range(nvars):
-        n = len(basis)
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for c, e in enumerate(basis):
-            shifted = list(e)
-            shifted[i] += 1
-            nf = normal_form(Poly.monomial(nvars, shifted), sb)
-            for me, mc in nf.ints.items():
-                mat[index[me]][c] = Fraction(mc, nf.den)
-        matrices.append(mat)
-    return QuotientAlgebra(sb, basis, matrices)
+    alg = QuotientAlgebra(sb, list(sb.quotient_monomials), [])
+    alg.matrices = [alg.multiplication_matrix(Poly.variable(nvars, i))
+                    for i in range(nvars)]
+    return alg
 
 
 def is_regular_on_V(f: Sequence[Poly], g1: Poly, g2: Poly,
@@ -723,5 +737,4 @@ def is_regular_on_V(f: Sequence[Poly], g1: Poly, g2: Poly,
     """
     if g1.is_zero() or g2.is_zero():
         return False
-    sb = (ctx or Ctx()).basis(list(f) + [g1, g2])
-    return colength(sb) != INFINITE
+    return (ctx or Ctx()).basis(list(f) + [g1, g2]).is_finite()

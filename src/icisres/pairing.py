@@ -10,7 +10,11 @@ soc A <= dim A - dim C + 1.
 
 Each function takes the germ and an optional Ctx.  The algebras A and B
 and the residue functional live in the Ctx memo, so the functions called
-on one Ctx build each of them once.
+on one Ctx build each of them once.  Both algebras pass the gate
+Ctx.algebra: index_algebra records A's cap under "index" and raises
+NotIsolated on an infinite staircase, algebra_B records B's cap under
+"pairing" and raises NotRegularSequence, and neither records anything
+when it raises.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import NotIsolated, NotRegularSequence
 from .index import (GermProblem, find_good_coordinates, germ_minors,
                     germ_sigma, ideal_J)
-from .localalg import INFINITE, Ctx, QuotientAlgebra, colength, normal_form
+from .localalg import Ctx, QuotientAlgebra, normal_form
 from .polycore import Exponent, Poly, _bareiss, _scaled
 from .residues import ResidueForm
 
@@ -68,23 +72,17 @@ def algebra_B(p: GermProblem, ctx: Optional[Ctx] = None) -> QuotientAlgebra:
     p.require_surface()
     ctx = ctx or Ctx()
     ms = germ_minors(p, ctx)
-    gens = [ms.principal[0], ms.principal[1]] + list(p.f)
-    sb = ctx.basis(gens)
-    if colength(sb) == INFINITE:
-        raise NotRegularSequence("(m_1, m_2) is not regular on the germ")
-    ctx.record("pairing", sb.cap)
-    return ctx.algebra(gens)
+    return ctx.algebra(
+        [ms.principal[0], ms.principal[1]] + list(p.f),
+        NotRegularSequence("(m_1, m_2) is not regular on the germ"), "pairing")
 
 
 def index_algebra(p: GermProblem, ctx: Optional[Ctx] = None) -> QuotientAlgebra:
     """The index algebra A: quotient by the equations and all minors."""
     ctx = ctx or Ctx()
-    gens = ideal_J(p, ctx)
-    sb = ctx.basis(gens)
-    if colength(sb) == INFINITE:
-        raise NotIsolated("the form vanishes along a curve on the germ")
-    ctx.record("index", sb.cap)
-    return ctx.algebra(gens)
+    return ctx.algebra(
+        ideal_J(p, ctx),
+        NotIsolated("the form vanishes along a curve on the germ"), "index")
 
 
 @dataclass

@@ -37,8 +37,8 @@ from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import NotRegularSequence, PowerCapExceeded
-from .localalg import (INFINITE, Ctx, StandardBasis, colength, lift,
-                       normal_form, standard_basis_at)
+from .localalg import (Ctx, StandardBasis, colength, lift, normal_form,
+                       standard_basis_at)
 from .polycore import Poly, PolyMatrix, series_determinant
 
 
@@ -139,16 +139,14 @@ class ResidueForm:
     def __init__(self, denominators: Sequence[Poly], ctx: Optional[Ctx] = None):
         self.denominators = _denominator_list(denominators)
         self.ctx = ctx or Ctx()
-        base = self.ctx.basis(self.denominators)
-        size = colength(base)
-        if size == INFINITE:
-            raise NotRegularSequence("denominator ideal has infinite colength")
+        base = self.ctx.finite(self.denominators, NotRegularSequence(
+            "denominator ideal has infinite colength"))
         n = len(self.denominators)
         self.height = base.max_quotient_degree()
         # colength 0 means a unit among the denominators: the residue cycle
         # is empty and every value is 0
         self.powers: Tuple[int, ...] = tuple(
-            _minimal_power(i, base) for i in range(n)) if size else ()
+            _minimal_power(i, base) for i in range(n)) if colength(base) else ()
         self.big = sum(self.powers) - len(self.powers)
         self.work_cap = 0       # term cap of the lifts behind box
         self.box = Poly.zero(n)
@@ -268,11 +266,9 @@ def intersection_multiplicity_both_ways(f: Sequence[Poly], g: Sequence[Poly],
         raise NotRegularSequence("need at least one g")
     nvars = g[0].nvars
     ctx = ctx or Ctx()
-    sb = ctx.basis(f + g)
-    lhs = colength(sb)
-    if lhs == INFINITE:
-        raise NotRegularSequence("(f, g) is not zero dimensional")
-    ctx.record("colength", sb.cap)
+    lhs = colength(ctx.finite(
+        f + g, NotRegularSequence("(f, g) is not zero dimensional"),
+        "colength"))
     form = [jacobian_minor(g, I, nvars)
             for I in form_index_basis(nvars, len(g))]
     # (g, f) is the ideal of (f, g): the residue finds the colength basis

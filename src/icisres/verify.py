@@ -23,7 +23,7 @@ from .errors import (CapExceeded, GoodCoordsNotFound, NotIsolated,
                      NotRegularSequence, NotZeroDimensional)
 from .index import (CoordinateChange, GermProblem, eg_index, germ_minors,
                     germ_sigma, ideal_J, minor, minors, solve)
-from .localalg import INFINITE, Ctx, colength, normal_form
+from .localalg import Ctx, normal_form
 from .polycore import (Poly, default_names, linear_forms, rational_det,
                        rational_inverse)
 from .residues import (grothendieck_residue, intersection_multiplicity_both_ways,
@@ -312,7 +312,7 @@ def _trial_ann(rng: random.Random, t: int, ctx: Ctx) -> Payload:
         if det == 0:
             return None
         m1, m2, dfy = transformed_pair(c)
-        if colength(ctx.basis([m1, m2] + list(p.f))) == INFINITE:
+        if not ctx.basis([m1, m2] + list(p.f)).is_finite():
             return None
         return det, m1, m2, dfy
 
@@ -372,7 +372,7 @@ def _trial_smooth_duality(rng: random.Random, t: int, ctx: Ctx) -> Payload:
 
     def finite(p):
         try:
-            return colength(ctx.basis(p.omega)) != INFINITE
+            return ctx.basis(p.omega).is_finite()
         except CapExceeded:
             return False
 

@@ -315,3 +315,14 @@ def test_product_size_bounds_the_product():
         assert len(r.terms) <= terms
         assert all(max(c.numerator.bit_length(), c.denominator.bit_length())
                    <= bits for c in r.terms.values())
+
+
+@pytest.mark.parametrize("text, char, line, column", [
+    ("vars = x, y, z\nf = x^2 + y^2 + z^2\nomega = 0, 0, 2²\n", "²", 3, 16),
+    ("vars = x, y\nomega = x, y\n\ncap = ٣\n", "٣", 4, 7),
+], ids=["superscript-two", "arabic-indic-three"])
+def test_only_ascii_digits_make_integers(text, char, line, column):
+    with pytest.raises(GermSyntaxError) as info:
+        parse_germ_file(text)
+    assert str(info.value) == (f"line {line}, column {column}: "
+                               f"unexpected character {char!r}")
