@@ -94,10 +94,6 @@ class _Settings:
 
 
 def _surface_problem(gf: GermFile, seed: int) -> GermProblem:
-    need = gf.nvars - 2
-    if len(gf.f) != need:
-        raise ArityError(f"surface commands need {need} equations for "
-                         f"{gf.nvars} variables, got {len(gf.f)}")
     return GermProblem(gf.nvars, gf.f, gf.omega, seed=seed, names=gf.names)
 
 
@@ -117,14 +113,14 @@ def _cmd_residue(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
 def _cmd_sigma(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
     p = _surface_problem(gf, st.seed)
     sd = sigma_data(p, st.ctx)
-    all_minors = {f"m_{','.join(str(c + 1) for c in cols)}": _pol(m, gf.names)
-                  for cols, m in sd.minors.all.items()}
+    # minor i omits column i; its key lists the 1-based columns it keeps
+    all_minors = {"m_" + ",".join(str(c + 1) for c in range(p.nvars) if c != i):
+                  _pol(m, gf.names) for i, m in enumerate(sd.minors)}
     return {"sigma": _pol(sd.sigma, gf.names),
             "df": _pol(sd.df, gf.names),
             "m_matrix": [[_pol(e, gf.names) for e in row]
                          for row in sd.m_matrix],
-            "principal_minors": [_pol(m, gf.names)
-                                 for m in sd.minors.principal],
+            "principal_minors": [_pol(m, gf.names) for m in sd.minors],
             "all_minors": all_minors}, []
 
 

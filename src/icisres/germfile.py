@@ -40,6 +40,10 @@ MAX_POWER_DEGREE = 64
 MAX_POWER_TERMS = 10_000
 MAX_POWER_BITS = 4096
 
+# longest digit run of an integer literal: a longer one exceeds
+# 2^MAX_POWER_BITS, and int() rejects 4300 digits with no position
+MAX_LITERAL_DIGITS = len(str(2 ** MAX_POWER_BITS))
+
 
 def _variables(p: Poly) -> set:
     return {i for e in p.ints for i, v in enumerate(e) if v}
@@ -118,6 +122,10 @@ def _tokenize_line(text: str, lineno: int) -> List[Token]:
                 raise NonRationalCoefficient(
                     "decimal literals are not rational; write p/q",
                     lineno, col)
+            if j - i > MAX_LITERAL_DIGITS:
+                raise GermSyntaxError(
+                    f"integer literal of {j - i} digits exceeds the "
+                    f"{MAX_POWER_BITS}-bit coefficient bound", lineno, col)
             toks.append(Token("int", text[i:j], lineno, col))
             i = j
             continue

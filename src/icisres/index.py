@@ -1,11 +1,12 @@
 """Index of a holomorphic 1-form on an isolated complete intersection surface germ.
 
-The germ is cut out by q = n - 2 equations f and carries a 1-form omega.
-Stacking the Jacobian of f on top of omega's coefficient row gives a
-(q+1) x n matrix whose maximal minors, together with f, generate the
-ideal whose colength is the index.  The same data feeds a residue
-formula: a signed Jacobian sigma of the principal minors, the last-block
-minor DF of f, and the pair (m_1, m_2) as denominators on the germ.
+A GermProblem is by construction a surface germ cut out by q = n - 2
+equations f, with a 1-form omega.  Stacking the Jacobian of f on top of
+omega's coefficient row gives an (n-1) x n matrix whose n maximal minors,
+m_{i+1} omitting column i, generate with f the ideal whose colength is
+the index.  The same data feeds a residue formula: a signed Jacobian
+sigma of the minors, the last-block minor DF of f, and the ordered
+denominators (m_1, m_2, f) of residue_denominators.
 
 Every computation takes an optional localalg.Ctx.  Calls that share one
 compute each germ's minors and sigma once (germ_minors, germ_sigma) and
@@ -17,25 +18,25 @@ recorded.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import GoodCoordsNotFound, NotIsolated
+from .errors import ArityError, GoodCoordsNotFound, NotIsolated
 from .localalg import Ctx, colength, is_regular_on_V
 from .polycore import (Poly, PolyMatrix, default_names, linear_forms,
                        rational_det)
-from .residues import jacobian_minor, relative_residue
+from .residues import grothendieck_residue, jacobian_minor
 
 
 @dataclass(frozen=True)
 class GermProblem:
-    """Equations plus 1-form at the origin of C^n.
+    """A 1-form at the origin of C^n on the surface germ cut out by f.
 
-    invariant: every equation vanishes at 0; omega has one component per
-    variable.  Surface operations additionally require len(f) == n - 2.
+    invariant, checked here and nowhere else: n >= 2, len(f) == n - 2
+    (ArityError otherwise), every equation vanishes at 0 and omega has one
+    component per variable (ValueError otherwise).
     """
 
     nvars: int
@@ -45,6 +46,13 @@ class GermProblem:
     names: Tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.nvars < 2:
+            raise ArityError(f"surface commands need at least 2 variables, "
+                             f"got {self.nvars}")
+        if len(self.f) != self.nvars - 2:
+            raise ArityError(f"surface commands need {self.nvars - 2} "
+                             f"equations for {self.nvars} variables, "
+                             f"got {len(self.f)}")
         if len(self.omega) != self.nvars:
             raise ValueError("omega needs one component per variable")
         for fi in self.f:
@@ -52,15 +60,6 @@ class GermProblem:
                 raise ValueError("equations must vanish at the origin")
         if not self.names:
             object.__setattr__(self, "names", default_names(self.nvars))
-
-    @property
-    def q(self) -> int:
-        return len(self.f)
-
-    def require_surface(self):
-        if self.q != self.nvars - 2:
-            raise ValueError(
-                f"surface germ needs {self.nvars - 2} equations, got {self.q}")
 
 
 def stacked_matrix(f: Sequence[Poly], omega: Sequence[Poly],
@@ -76,37 +75,35 @@ def minor(p: GermProblem, columns: Sequence[int]) -> Poly:
 
     Repeated columns give 0 and swaps flip the sign, as for any determinant.
     """
-    if len(columns) != p.q + 1:
-        raise ValueError(f"need {p.q + 1} column indices")
+    if len(columns) != p.nvars - 1:
+        raise ValueError(f"need {p.nvars - 1} column indices")
     return stacked_matrix(p.f, p.omega, columns).determinant()
 
 
-@dataclass
-class MinorSet:
-    """Maximal minors over ascending column sets, plus the principal slice."""
-
-    all: Dict[Tuple[int, ...], Poly]
-    principal: Tuple[Poly, ...]       # principal[i]: columns with i omitted
-
-
-def minors(p: GermProblem) -> MinorSet:
-    p.require_surface()
+def minors(p: GermProblem) -> Tuple[Poly, ...]:
+    """Every maximal minor of the stacked matrix; entry i omits column i."""
     n = p.nvars
-    allm = {cols: minor(p, cols)
-            for cols in itertools.combinations(range(n), p.q + 1)}
-    principal = tuple(allm[tuple(j for j in range(n) if j != i)] for i in range(n))
-    return MinorSet(allm, principal)
+    return tuple(minor(p, [j for j in range(n) if j != i]) for i in range(n))
 
 
-def germ_minors(p: GermProblem, ctx: Optional[Ctx]) -> MinorSet:
+def germ_minors(p: GermProblem, ctx: Optional[Ctx]) -> Tuple[Poly, ...]:
     """minors(p), computed once per germ in ctx (afresh without one)."""
     return (ctx or Ctx()).once(("minors", p), lambda: minors(p))
 
 
 def ideal_J(p: GermProblem, ctx: Optional[Ctx] = None) -> List[Poly]:
-    """Equations plus every maximal minor; its colength is the index."""
+    """f, then the minors by ascending column set; its colength is the index."""
+    return list(p.f) + list(reversed(germ_minors(p, ctx)))
+
+
+def residue_denominators(p: GermProblem,
+                         ctx: Optional[Ctx] = None) -> List[Poly]:
+    """Denominators (m_1, m_2, f_1, ..., f_q) of the germ residue, in order.
+
+    The residue's sign depends on the order; germ_residue's is for this one.
+    """
     ms = germ_minors(p, ctx)
-    return list(p.f) + [ms.all[c] for c in sorted(ms.all)]
+    return [ms[0], ms[1]] + list(p.f)
 
 
 def eg_index(p: GermProblem, ctx: Optional[Ctx] = None):
@@ -116,9 +113,8 @@ def eg_index(p: GermProblem, ctx: Optional[Ctx] = None):
     the index is 0.  An infinite colength means the zero locus is not
     isolated; that raises NotIsolated.
     """
-    p.require_surface()
     ctx = ctx or Ctx()
-    if any(m.is_unit() for m in germ_minors(p, ctx).all.values()):
+    if any(m.is_unit() for m in germ_minors(p, ctx)):
         return 0
     return colength(ctx.finite(
         ideal_J(p, ctx),
@@ -127,9 +123,9 @@ def eg_index(p: GermProblem, ctx: Optional[Ctx] = None):
 
 @dataclass
 class SigmaData:
-    """Signed Jacobian data of the principal minors."""
+    """Signed Jacobian data of the minors."""
 
-    minors: MinorSet
+    minors: Tuple[Poly, ...]
     m_matrix: List[List[Poly]]   # entry [i][j]: (-1)^(i+1) d m_{i+1} / d z_j
     sigma: Poly                  # sum of principal 2x2 minors of m_matrix
     df: Poly                     # last-block Jacobian minor of f
@@ -138,14 +134,12 @@ class SigmaData:
 def sigma_data(p: GermProblem, ctx: Optional[Ctx] = None) -> SigmaData:
     """sigma, DF and the signed minor Jacobian, from the minors in ctx.
 
-    The matrix rows are indexed by the omitted-column index of the
-    principal minor (with alternating sign) and columns by the variable
-    of differentiation.
+    The matrix rows are indexed by the omitted-column index of the minor
+    (with alternating sign) and columns by the variable of differentiation.
     """
-    p.require_surface()
     ms = germ_minors(p, ctx)
     n = p.nvars
-    mat = [[ms.principal[i].diff(j) if (i + 1) % 2 == 0 else -ms.principal[i].diff(j)
+    mat = [[ms[i].diff(j) if (i + 1) % 2 == 0 else -ms[i].diff(j)
             for j in range(n)] for i in range(n)]
     sigma = Poly.zero(n)
     for i in range(n):
@@ -200,12 +194,11 @@ def find_good_coordinates(p: GermProblem, ctx: Optional[Ctx] = None,
     problem's seed; the search is deterministic per seed.  Returns
     (change, transformed germ).
     """
-    p.require_surface()
     ctx = ctx or Ctx()
 
     def regular(pp: GermProblem) -> bool:
         ms = germ_minors(pp, ctx)
-        return is_regular_on_V(pp.f, ms.principal[0], ms.principal[1], ctx)
+        return is_regular_on_V(pp.f, ms[0], ms[1], ctx)
 
     if not force_random:
         if regular(p):
@@ -228,20 +221,17 @@ def germ_residue(p: GermProblem, h: Poly,
                  ctx: Optional[Ctx] = None) -> Fraction:
     """Residue of h dz_1 ^ dz_2 over (m_1, m_2) on the germ, index-oriented.
 
-    The principal minors are labelled by the column they omit, so the pair
-    (m_1, m_2) runs against the orientation of (z_1, z_2) by exactly one
+    Wedging h dz_1 ^ dz_2 with df_1 ^ ... ^ df_q gives h * DF dz, so this
+    is the ambient residue of h * DF over residue_denominators.  The
+    minors are labelled by the column they omit, so the pair (m_1, m_2)
+    runs against the orientation of (z_1, z_2) by exactly one
     transposition.  The sign below restores the orientation in which the
     smooth model omega = x dx + y dy counts +1, making germ residues of
     index data nonnegative.
     """
-    p.require_surface()
-    n = p.nvars
-    ms = germ_minors(p, ctx)
-    nbasis = n * (n - 1) // 2
-    form = [h] + [Poly.zero(n)] * (nbasis - 1)
-    raw = relative_residue(form, [ms.principal[0], ms.principal[1]], list(p.f),
-                           ctx)
-    return -raw
+    ctx = ctx or Ctx()
+    return -grothendieck_residue(h * germ_sigma(p, ctx).df,
+                                 residue_denominators(p, ctx), ctx)
 
 
 def main_residue(p: GermProblem, ctx: Optional[Ctx] = None) -> Fraction:

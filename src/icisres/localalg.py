@@ -63,12 +63,14 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple)
 
 from .errors import (CapExceeded, NotMember, NotZeroDimensional,
                      PowerCapExceeded)
+from .germfile import MAX_POWER_DEGREE
 from .polycore import Exponent, Poly, Terms, mono_deg, mono_divides, mono_lcm
 
 INFINITE = math.inf
@@ -77,6 +79,10 @@ DEFAULT_CAP = 12
 CAP_STEP = 4
 MAX_CAP = 40
 GOOD_COORD_ATTEMPTS = 64
+# knob ceilings, so that no setting hangs a run: max_cap is at most
+# MAX_POWER_DEGREE, the deepest generator a germ file holds (a basis takes
+# seconds at cap 64 and minutes above it), and attempts at most this
+MAX_ATTEMPTS = 1024
 
 
 class LocalOrder:
@@ -502,7 +508,8 @@ class Ctx:
 
     cap and max_cap bound every certified standard basis (the run that
     checks an infinite staircase may reach max_cap + CAP_STEP), and
-    attempts the search for good coordinates.  The memo holds each
+    attempts the search for good coordinates; 1 <= cap <= max_cap <=
+    MAX_POWER_DEGREE and 1 <= attempts <= MAX_ATTEMPTS.  The memo holds each
     certified untracked basis under the set of its generators: its
     staircase, quotient monomials and normal forms depend only on the
     ideal, not on the order of the generators.  It holds each finite
@@ -536,6 +543,12 @@ class Ctx:
         if self.attempts < 1:
             raise ValueError(
                 f"attempts must be at least 1, got {self.attempts}")
+        if self.max_cap > MAX_POWER_DEGREE:
+            raise ValueError(f"max_cap must be at most {MAX_POWER_DEGREE}, "
+                             f"got {self.max_cap}")
+        if self.attempts > MAX_ATTEMPTS:
+            raise ValueError(f"attempts must be at most {MAX_ATTEMPTS}, "
+                             f"got {self.attempts}")
 
     def record(self, key: str, cap: int) -> None:
         """Note that the step key needed cap."""
@@ -684,11 +697,10 @@ def minimal_power_membership(var_index: int, gens: Sequence[Poly],
 
 @dataclass
 class QuotientAlgebra:
-    """Finite dimensional local quotient with multiplication matrices."""
+    """Finite dimensional local quotient on its staircase basis."""
 
     sb: StandardBasis
     basis: List[Exponent]
-    matrices: List[List[List[Fraction]]]  # matrices[i][r][c]: z_i * basis[c] -> basis[r]
 
     def __post_init__(self):
         self._position = {e: i for i, e in enumerate(self.basis)}
@@ -696,6 +708,13 @@ class QuotientAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def matrices(self) -> List[List[List[Fraction]]]:
+        """matrices[i][r][c]: z_i * basis[c] -> basis[r], built on first read."""
+        nvars = self.sb.order.nvars
+        return [self.multiplication_matrix(Poly.variable(nvars, i))
+                for i in range(nvars)]
 
     def coordinates(self, p: Poly) -> List[Fraction]:
         nf = normal_form(p, self.sb)
@@ -721,11 +740,7 @@ class QuotientAlgebra:
 def quotient_algebra(sb: StandardBasis) -> QuotientAlgebra:
     if not sb.is_finite():
         raise NotZeroDimensional("staircase leaves a coordinate direction unbounded")
-    nvars = sb.order.nvars
-    alg = QuotientAlgebra(sb, list(sb.quotient_monomials), [])
-    alg.matrices = [alg.multiplication_matrix(Poly.variable(nvars, i))
-                    for i in range(nvars)]
-    return alg
+    return QuotientAlgebra(sb, list(sb.quotient_monomials))
 
 
 def is_regular_on_V(f: Sequence[Poly], g1: Poly, g2: Poly,

@@ -3,10 +3,10 @@
 In good coordinates the germ residue is a linear functional vanishing on
 the index ideal, so it induces a bilinear pairing beta(u, v) on the index
 algebra A.  The lab measures that pairing: its Gram matrix and rank on
-the staircase basis of A, the auxiliary quotients B (by the two principal
-minors) and C (B modulo the annihilator of DF), the socle of A, whether
-sigma represents the distinguished socle class, and the dimension bound
-soc A <= dim A - dim C + 1.
+the staircase basis of A, the auxiliary quotients B (by the residue
+denominators (m_1, m_2, f)) and C (B modulo the annihilator of DF), the
+socle of A, whether sigma represents the distinguished socle class, and
+the dimension bound soc A <= dim A - dim C + 1.
 
 Each function takes the germ and an optional Ctx.  The algebras A and B
 and the residue functional live in the Ctx memo, so the functions called
@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotIsolated, NotRegularSequence
-from .index import (GermProblem, find_good_coordinates, germ_minors,
-                    germ_sigma, ideal_J)
+from .index import (GermProblem, find_good_coordinates, germ_sigma, ideal_J,
+                    residue_denominators)
 from .localalg import Ctx, QuotientAlgebra, normal_form
 from .polycore import Exponent, Poly, _bareiss, _scaled
 from .residues import ResidueForm
@@ -45,17 +45,12 @@ def rref(rows: List[List[Fraction]]) -> Tuple[int, List[int], List[List[Fraction
 
 
 def matrix_rank(rows: List[List[Fraction]]) -> int:
-    if not rows:
-        return 0
     return rref(rows)[0]
 
 
 def kernel_basis(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
     """Basis of the right kernel, one vector per free column."""
-    if not rows:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)]
-                for j in range(ncols)]
-    rank, pivots, m = rref(rows)
+    _, pivots, m = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -69,11 +64,9 @@ def kernel_basis(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]
 
 def algebra_B(p: GermProblem, ctx: Optional[Ctx] = None) -> QuotientAlgebra:
     """Quotient by (m_1, m_2, f): finite only in good coordinates."""
-    p.require_surface()
     ctx = ctx or Ctx()
-    ms = germ_minors(p, ctx)
     return ctx.algebra(
-        [ms.principal[0], ms.principal[1]] + list(p.f),
+        residue_denominators(p, ctx),
         NotRegularSequence("(m_1, m_2) is not regular on the germ"), "pairing")
 
 
@@ -112,13 +105,11 @@ class ResidueFunctional:
 def residue_functional(p: GermProblem,
                        ctx: Optional[Ctx] = None) -> ResidueFunctional:
     """The germ's residue functional, computed once per germ in ctx."""
-    p.require_surface()
     ctx = ctx or Ctx()
 
     def compute() -> ResidueFunctional:
         algebra = algebra_B(p, ctx)
-        ms = germ_minors(p, ctx)
-        form = ResidueForm([ms.principal[0], ms.principal[1]] + list(p.f), ctx)
+        form = ResidueForm(residue_denominators(p, ctx), ctx)
         values = {e: form.value(Poly.monomial(p.nvars, e, 1))
                   for e in algebra.basis}
         return ResidueFunctional(algebra, values, germ_sigma(p, ctx).df)
@@ -142,10 +133,9 @@ def algebra_C(p: GermProblem, ctx: Optional[Ctx] = None) -> CQuotient:
     ctx = ctx or Ctx()
     algebra = algebra_B(p, ctx)
     df = germ_sigma(p, ctx).df
-    mat = algebra.multiplication_matrix(df)
-    dim_c = matrix_rank(mat)
-    ann = kernel_basis(mat, algebra.dim)
-    return CQuotient(algebra, df, algebra.dim, dim_c, ann,
+    ann = kernel_basis(algebra.multiplication_matrix(df), algebra.dim)
+    # rank-nullity: C = B / ann(DF) has the dimension of DF's image
+    return CQuotient(algebra, df, algebra.dim, algebra.dim - len(ann), ann,
                      [algebra.element(v) for v in ann])
 
 
@@ -174,8 +164,6 @@ def gram_beta(p: GermProblem, ctx: Optional[Ctx] = None) -> GramData:
 
 def socle(alg: QuotientAlgebra) -> List[List[Fraction]]:
     """Coordinates of the elements killed by every variable."""
-    if alg.dim == 0:
-        return []
     stacked = [row for mat in alg.matrices for row in mat]
     return kernel_basis(stacked, alg.dim)
 

@@ -240,7 +240,7 @@ def _trial_lem2(rng: random.Random, t: int, ctx: Ctx) -> Payload:
         return _random_germ(rng, 3, DEGREE)
 
     def proper(p):
-        return not any(m.is_unit() for m in germ_minors(p, ctx).all.values())
+        return not any(m.is_unit() for m in germ_minors(p, ctx))
 
     p, _ = _resample(make, proper)
     try:
@@ -249,8 +249,7 @@ def _trial_lem2(rng: random.Random, t: int, ctx: Ctx) -> Payload:
         return None
     ms, sd = germ_minors(p, ctx), germ_sigma(p, ctx)
     for (j, k) in [(0, 1), (0, 2), (1, 2)]:
-        jac = jacobian_minor(list(p.f) + [ms.principal[j], ms.principal[k]],
-                             range(3), 3)
+        jac = jacobian_minor(list(p.f) + [ms[j], ms[k]], range(3), 3)
         rest = tuple(c for c in range(3) if c not in (j, k))
         target = jac + jacobian_minor(p.f, rest, 3) * sd.sigma
         if not normal_form(target, sb).is_zero():
@@ -269,9 +268,9 @@ def _trial_eq2(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     change = CoordinateChange(tuple(tuple(row) for row in c))
     transformed = change.apply(p)
     cinv = rational_inverse(c)
-    base = minors(p).principal
+    base = minors(p)
     composed: Dict[int, Poly] = {}     # each minor composed at most once
-    for i, lhs in enumerate(minors(transformed).principal):
+    for i, lhs in enumerate(minors(transformed)):
         rhs = Poly.zero(n)
         for jj in range(n):
             coeff = detc * cinv[i][jj]
@@ -300,8 +299,8 @@ def _trial_ann(rng: random.Random, t: int, ctx: Ctx) -> Payload:
         good = change.apply(p)
         cinv = rational_inverse(c)
         msy = minors(good)
-        m1 = _compose(msy.principal[0], cinv)
-        m2 = _compose(msy.principal[1], cinv)
+        m1 = _compose(msy[0], cinv)
+        m2 = _compose(msy[1], cinv)
         dfy = _compose(jacobian_minor(good.f, tuple(range(2, n)), n), cinv)
         return m1, m2, dfy
 
@@ -322,9 +321,7 @@ def _trial_ann(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     det, m1y, m2y, dfy = accepted
     h = random_poly(rng, n, DEGREE, min_degree=0)
     df = jacobian_minor(p.f, tuple(range(2, n)), n)
-    lhs = grothendieck_residue(h * df,
-                               list(p.f) + [ms.principal[0], ms.principal[1]],
-                               ctx)
+    lhs = grothendieck_residue(h * df, list(p.f) + [ms[0], ms[1]], ctx)
     rhs = grothendieck_residue((h * dfy).scale(det),
                                list(p.f) + [m1y, m2y], ctx)
     if lhs != rhs:

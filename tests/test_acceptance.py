@@ -113,7 +113,7 @@ def test_criterion_5_residue_form_properties():
     rng = random.Random(5)
     for name, q in _good_corpus():
         ms = minors(q)
-        denoms = [ms.principal[0], ms.principal[1]] + list(q.f)
+        denoms = [ms[0], ms[1]] + list(q.f)
         fn = residue_functional(q)
         alg = index_algebra(q)
 

@@ -228,6 +228,9 @@ def test_oversized_product_exits_with_position(capsys, tmp_path):
     (["--cap", "20", "--max-cap", "16"], "max_cap must be at least cap (20)"),
     (["--max-cap", "8"], "max_cap must be at least cap (12)"),
     (["--attempts", "0"], "attempts must be at least 1"),
+    (["--max-cap", "65"], "max_cap must be at most 64"),
+    (["--cap", "300", "--max-cap", "300"], "max_cap must be at most 64"),
+    (["--attempts", "1025"], "attempts must be at most 1024"),
 ])
 def test_knob_flags_are_validated(capsys, a1_file, flags, bound):
     code, out, err = run_cli(capsys, ["index", a1_file, "--format", "json"]
@@ -241,6 +244,9 @@ def test_knob_flags_are_validated(capsys, a1_file, flags, bound):
     ("cap = -3", "cap must be at least 1"),
     ("max_cap = 5", "max_cap must be at least cap (12)"),
     ("attempts = 0", "attempts must be at least 1"),
+    ("max_cap = 65", "max_cap must be at most 64"),
+    ("cap = 300; max_cap = 300", "max_cap must be at most 64"),
+    ("attempts = 1025", "attempts must be at most 1024"),
 ])
 def test_knob_file_values_are_validated(capsys, tmp_path, line, bound):
     path = tmp_path / "knob.germ"
@@ -255,6 +261,14 @@ def test_knob_flag_overrides_file_value(capsys, tmp_path):
     path.write_text(A1_TEXT + "cap = 0\n")
     code, _, _ = run_cli(capsys, ["index", str(path), "--format", "json",
                                   "--cap", "12"])
+    assert code == 0
+
+
+def test_knob_ceilings_are_allowed(capsys, a1_file):
+    ctx = Ctx(max_cap=64, attempts=1024)
+    assert (ctx.max_cap, ctx.attempts) == (64, 1024)
+    code, _, _ = run_cli(capsys, ["index", a1_file, "--max-cap", "64",
+                                  "--attempts", "1024"])
     assert code == 0
 
 
@@ -285,6 +299,10 @@ def test_help_exits_0(capsys):
      "max_cap must be at least cap (12), got 8"),
     ({"attempts": 0}, ["--attempts", "0"],
      "attempts must be at least 1, got 0"),
+    ({"cap": 300, "max_cap": 300}, ["--cap", "300", "--max-cap", "300"],
+     "max_cap must be at most 64, got 300"),
+    ({"attempts": 1025}, ["--attempts", "1025"],
+     "attempts must be at most 1024, got 1025"),
 ])
 def test_ctx_raises_the_cli_messages(capsys, a1_file, knobs, flags, message):
     # library callers get the knob checks the command line applies

@@ -7,9 +7,9 @@ import pytest
 
 from icisres.errors import (ArityError, GermSyntaxError,
                             NonRationalCoefficient)
-from icisres.germfile import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_DEGREE,
-                              MAX_POWER_TERMS, GermFile, parse_germ_file,
-                              power_size, product_size)
+from icisres.germfile import (MAX_LITERAL_DIGITS, MAX_NESTING, MAX_POWER_BITS,
+                              MAX_POWER_DEGREE, MAX_POWER_TERMS, GermFile,
+                              parse_germ_file, power_size, product_size)
 from icisres.polycore import Poly
 
 A1_TEXT = """\
@@ -326,3 +326,28 @@ def test_only_ascii_digits_make_integers(text, char, line, column):
         parse_germ_file(text)
     assert str(info.value) == (f"line {line}, column {column}: "
                                f"unexpected character {char!r}")
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("omega = {}*x, y\n", 2, 9),
+    ("omega = x^{}, y\n", 2, 11),
+    ("omega = x, 1/{}\n", 2, 14),
+    ("omega = x, y\nseed = {}\n", 3, 8),
+])
+def test_long_integer_literals_fail_at_their_position(text, line, column):
+    # 5000 digits is past int()'s own limit, whose error has no position
+    with pytest.raises(GermSyntaxError) as info:
+        parse_germ_file("vars = x, y\n" + text.format("7" * 5000))
+    assert str(info.value) == (
+        f"line {line}, column {column}: integer literal of 5000 digits "
+        f"exceeds the {MAX_POWER_BITS}-bit coefficient bound")
+
+
+def test_long_integer_literals_within_the_bound_parse():
+    gf = parse_germ_file(f"vars = x, y\nomega = {'9' * 1000}*x, y\n")
+    assert gf.omega[0] == Poly.monomial(2, (1, 0), int("9" * 1000))
+    top = "1" + "0" * (MAX_LITERAL_DIGITS - 1)
+    assert parse_germ_file(f"vars = x, y\nomega = {top}, y\n").omega[0] == \
+        Poly.const(2, int(top))
+    with pytest.raises(GermSyntaxError):
+        parse_germ_file(f"vars = x, y\nomega = {top}0, y\n")

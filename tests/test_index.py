@@ -5,15 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from icisres.errors import GoodCoordsNotFound, NotIsolated
+from icisres.errors import ArityError, GoodCoordsNotFound, NotIsolated
 from icisres import index
 from icisres.index import (CoordinateChange, GermProblem, curve_index,
                            eg_index, find_good_coordinates, germ_residue,
                            ideal_J, identity_change, main_residue, minor,
-                           minors, sigma_data, solve)
+                           minors, residue_denominators, sigma_data, solve)
 from icisres.localalg import Ctx, standard_basis
 from icisres.pairing import pairing_report
 from icisres.polycore import Poly
+from icisres.residues import relative_residue
 
 N3 = ("x", "y", "z")
 N2 = ("x", "y")
@@ -39,17 +40,43 @@ def test_germ_problem_validation():
         GermProblem(3, (SPHERE,), (ONE3, ONE3))
     with pytest.raises(ValueError):
         GermProblem(3, (SPHERE + ONE3,), (ONE3, ONE3, ONE3))
-    p = sphere_dz()
-    assert p.q == 1
-    p.require_surface()
-    with pytest.raises(ValueError):
-        GermProblem(2, (X,), (X, Y)).require_surface()
+
+
+@pytest.mark.parametrize("nvars, f, omega, message", [
+    (2, (X,), (X, Y), "need 0 equations for 2 variables, got 1"),
+    (3, (), (ONE3,) * 3, "need 1 equations for 3 variables, got 0"),
+    (1, (), (Poly.variable(1, 0),), "need at least 2 variables, got 1"),
+    (0, (), (), "need at least 2 variables, got 0"),
+    # the shape is checked before omega's length
+    (3, (), (ONE3,), "need 1 equations for 3 variables, got 0"),
+])
+def test_germ_problem_is_a_surface_by_construction(nvars, f, omega, message):
+    with pytest.raises(ArityError) as exc:
+        GermProblem(nvars, f, omega)
+    assert str(exc.value) == "surface commands " + message
 
 
 def test_minors_sphere_dz():
     ms = minors(sphere_dz())
-    assert [m.render(N3) for m in ms.principal] == ["2*y", "2*x", "0"]
-    assert set(ms.all.keys()) == {(0, 1), (0, 2), (1, 2)}
+    assert [m.render(N3) for m in ms] == ["2*y", "2*x", "0"]
+    assert ideal_J(sphere_dz())[1:] == [ms[2], ms[1], ms[0]]
+    assert residue_denominators(sphere_dz()) == [ms[0], ms[1], SPHERE]
+
+
+def test_germ_residue_is_the_relative_residue_of_the_one_hot_form():
+    # wedging h dz_1 ^ dz_2 with df gives h * DF: the residue needs no form
+    rng = random.Random(3)
+    for p in (sphere_dz(), diagonal(2, 3),
+              GermProblem(3, (x3**2 + y3**3 + z3**5,), (ONE3,) * 3)):
+        _, good = find_good_coordinates(p)
+        ms = minors(good)
+        n = good.nvars
+        for _ in range(3):
+            h = Poly(n, {tuple(rng.randint(0, 2) for _ in range(n)):
+                         Fraction(rng.randint(-3, 3)) for _ in range(3)})
+            form = [h] + [Poly.zero(n)] * (n * (n - 1) // 2 - 1)
+            assert germ_residue(good, h) == -relative_residue(
+                form, [ms[0], ms[1]], list(good.f))
 
 
 def test_minor_alternating():
@@ -107,7 +134,7 @@ def test_index_and_residue_diagonal_forms():
 def test_index_smooth_plane_section():
     p = GermProblem(3, (z3,), (x3, y3, Poly.zero(3)))
     ms = minors(p)
-    assert [m.render(N3) for m in ms.principal] == ["-y", "-x", "0"]
+    assert [m.render(N3) for m in ms] == ["-y", "-x", "0"]
     sd = sigma_data(p)
     assert sd.sigma == ONE3
     assert sd.df == ONE3
@@ -120,7 +147,7 @@ def test_ideal_membership_j_equals_b_for_unit_df():
     p = GermProblem(3, (z3,), (x3, y3, Poly.zero(3)))
     ms = minors(p)
     sb_j = standard_basis([g for g in ideal_J(p) if not g.is_zero()])
-    sb_b = standard_basis([ms.principal[0], ms.principal[1], z3])
+    sb_b = standard_basis([ms[0], ms[1], z3])
     assert sorted(sb_j.staircase) == sorted(sb_b.staircase)
 
 

@@ -161,7 +161,7 @@ def test_residue_functional_kills_index_ideal():
         alg = index_algebra(p)
         ms = minors(p)
         df = sigma_data(p).df
-        gens = list(p.f) + list(ms.principal) + [df * df]
+        gens = list(p.f) + list(ms) + [df * df]
         for g in gens:
             for e in alg.basis:
                 mono = Poly.monomial(3, e)
@@ -184,7 +184,7 @@ def test_algebra_c_unit_df_is_whole_algebra():
 
 def test_zero_operator_multiplication():
     b = algebra_B(sphere_dz())
-    m1 = minors(sphere_dz()).principal[0]
+    m1 = minors(sphere_dz())[0]
     mat = b.multiplication_matrix(m1)
     assert matrix_rank(mat) == 0
 

@@ -275,7 +275,7 @@ def test_form_matches_per_call_residue_on_corpus_algebras():
     for name, p in builtin_corpus():
         _, good = find_good_coordinates(p)
         ms = minors(good)
-        denoms = [ms.principal[0], ms.principal[1]] + list(good.f)
+        denoms = [ms[0], ms[1]] + list(good.f)
         alg = algebra_B(good)
         fn = residue_functional(good)
         form = ResidueForm(denoms)
