@@ -11,7 +11,7 @@ report still prints), 1 on any error, a usage error included.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -26,6 +26,16 @@ from .pairing import pairing_report
 from .polycore import Poly
 from .residues import intersection_multiplicity_both_ways
 from .verify import SUITES, VerificationPlan, run
+
+# hashlib loads OpenSSL, about 3.4 MB resident; CPython's built-in module
+# gives the same digest (the stdlib's random.py imports it the same way)
+try:
+    from _sha2 import sha256            # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 COMMANDS = ("index", "residue", "sigma", "good-coords", "pairing",
             "curve-index", "mult", "verify", "all")
@@ -213,7 +223,10 @@ def _cmd_verify(args) -> Tuple[Dict, List[str], int]:
     return {"suites": payload}, disc, seed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call and shared
+    by every later one, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="icisres",
         description="Exact index and residue computations for 1-forms on "
@@ -249,10 +262,10 @@ def main(argv=None) -> int:
         else:
             with open(args.germfile, "rb") as fh:
                 raw = fh.read()
-            gf = parse_germ_file(raw.decode("utf-8"))
+            gf = parse_germ_file(raw.decode("utf-8-sig"))
             st = _Settings(gf, args)
             result, disc = _GERM_COMMANDS[args.command](gf, st)
-            input_hash = hashlib.sha256(raw).hexdigest()
+            input_hash = sha256(raw).hexdigest()
             report = _report(args.command, input_hash, st.seed, result,
                              st.ctx.caps_used, disc)
     except (IcisresError, ValueError, OSError) as exc:

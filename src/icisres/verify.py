@@ -31,6 +31,9 @@ from .residues import (grothendieck_residue, intersection_multiplicity_both_ways
 from .pairing import pairing_report
 
 RESAMPLE_LIMIT = 20
+# a trial takes milliseconds and the run's one Ctx keeps what it certifies,
+# so a run of more trials than this would take hours and grow without bound
+MAX_TRIALS = 10000
 DEGREE = 2          # total degree of every random polynomial
 MAX_NVARS = 4       # variables of eq1's germs; eq2-transform draws 2..MAX_NVARS
 
@@ -62,8 +65,12 @@ class VerificationPlan:
         for s in self.suites:
             if s not in DEFAULT_TRIALS:
                 raise ValueError(f"unknown suite {s!r}")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError("trials must be positive")
+        if self.trials is not None:
+            if self.trials < 1:
+                raise ValueError("trials must be positive")
+            if self.trials > MAX_TRIALS:
+                raise ValueError(f"trials must be at most {MAX_TRIALS}, "
+                                 f"got {self.trials}")
 
 
 @dataclass

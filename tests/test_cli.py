@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -279,6 +283,8 @@ def test_knob_ceilings_are_allowed(capsys, a1_file):
      "unrecognized arguments: --cap 3"),
     (["verify", "--max-cap", "-5"], "unrecognized arguments: --max-cap -5"),
     (["verify", "--attempts", "0"], "unrecognized arguments: --attempts 0"),
+    (["verify", "--suite", "eq1", "--trials", "10001"],
+     "trials must be at most 10000, got 10001"),
 ])
 def test_usage_errors_exit_1(capsys, argv, message):
     # exit 2 means a failed cross-check, so a usage error must not use it
@@ -291,6 +297,68 @@ def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, ["all", "--help"])
     assert code == 0
     assert "--max-cap" in out and "germfile" in out
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_one_parser_serves_a_sequence_of_commands(capsys, a1_file):
+    # a freshly built parser per call is what separate processes see; the
+    # shared one must give the same bytes, and no flag may leak onward
+    argvs = [["all", a1_file, "--cap", "x"],
+             ["all", "--help"],
+             ["index", a1_file, "--format", "json", "--seed", "5"],
+             ["index", a1_file, "--format", "json"]]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, argv))
+    cli.build_parser.cache_clear()
+    shared = [run_cli(capsys, argv) for argv in argvs]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0]
+    assert json.loads(shared[2][1])["seed"] == 5
+    assert json.loads(shared[3][1])["seed"] == 0
+
+
+@pytest.mark.parametrize("size", [0, 55, 56, 64, 65, 1000])
+def test_input_hash_is_sha256(size):
+    # 55, 56, 64 and 65 bytes straddle SHA-256's one- and two-block padding
+    data = bytes(i * 7 % 256 for i in range(size))
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_a_command_does_not_load_openssl(tmp_path):
+    path = tmp_path / "a1.germ"
+    path.write_text(A1_TEXT)
+    script = ("import sys\n"
+              "from icisres import cli\n"
+              "code = cli.main(['all', sys.argv[1]])\n"
+              "print(code, '_hashlib' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_byte_order_mark_is_skipped(capsys, tmp_path):
+    plain = tmp_path / "a1.germ"
+    plain.write_bytes(A1_TEXT.encode())
+    marked = tmp_path / "a1-bom.germ"
+    marked.write_bytes(b"\xef\xbb\xbf" + A1_TEXT.encode())
+    reps = []
+    for path in (plain, marked):
+        code, out, err = run_cli(capsys, ["all", str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        reps.append(json.loads(out))
+    assert reps[1]["result"] == reps[0]["result"]
+    # the hash stays that of the raw bytes, mark included
+    assert reps[1]["input_hash"] == hashlib.sha256(
+        marked.read_bytes()).hexdigest()
+    assert reps[1]["input_hash"] != reps[0]["input_hash"]
 
 
 @pytest.mark.parametrize("knobs, flags, message", [

@@ -25,6 +25,10 @@ def test_plan_validation():
         VerificationPlan(suites=("no-such-suite",))
     with pytest.raises(ValueError):
         VerificationPlan(trials=0)
+    with pytest.raises(ValueError, match="^trials must be at most 10000, "
+                                         "got 10001$"):
+        VerificationPlan(trials=10001)
+    assert VerificationPlan(trials=10000).trials == 10000
 
 
 def test_builtin_corpus_shape():
