@@ -40,7 +40,11 @@ the smallest int is the largest monomial, a product is an addition, the
 degree is a shift, truncation is one comparison against
 (cap + 1) << shift, and b divides a exactly when subtracting b from a with
 every guard bit set clears none of them.  LocalOrder.key remains the
-specification of the order.
+specification of the order.  Packing and the product loop (_pack,
+_unpack, _addmul) live in polycore, where series_determinant and
+Poly.substitute run on them too, with fields as wide as their own degree
+bounds and no guard bit.  Poly.__mul__ does not pack: its products are
+small, and packing on every call measured slower than its tuple loop.
 
 Coefficients inside the kernel are integers.  A basis element keeps its
 terms and its representation rows as one primitive integer vector, scaled
@@ -71,7 +75,8 @@ from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
 from .errors import (CapExceeded, NotMember, NotZeroDimensional,
                      PowerCapExceeded)
 from .germfile import MAX_POWER_DEGREE
-from .polycore import Exponent, Poly, Terms, mono_deg, mono_divides, mono_lcm
+from .polycore import (Exponent, Poly, Terms, _addmul, _pack, _unpack,
+                       mono_deg, mono_divides, mono_lcm)
 
 INFINITE = math.inf
 
@@ -117,20 +122,6 @@ class _Elem:
         self.rep = rep
 
 
-def _addmul(dst: Dict[int, int], k: int, mono: int,
-            src: List[Tuple[int, int]], limit: int) -> None:
-    """dst += k * mono * src over packed terms sorted ascending, cut at limit."""
-    for t, v in src:
-        m = mono + t
-        if m >= limit:
-            break
-        s = dst.get(m, 0) + k * v
-        if s:
-            dst[m] = s
-        else:
-            del dst[m]
-
-
 class _Kernel:
     """Packed monomials and fraction-free reduction at one cap.
 
@@ -154,18 +145,10 @@ class _Kernel:
         self._search: List[_Elem] = []
 
     def pack(self, e: Exponent) -> int:
-        m = sum(e)
-        for v in reversed(e):
-            m = (m << self.width) | v
-        return m
+        return _pack(e, self.width)
 
     def unpack(self, m: int) -> Exponent:
-        mask = (1 << self.width) - 1
-        out = []
-        for _ in range(self.nvars):
-            out.append(m & mask)
-            m >>= self.width
-        return tuple(out)
+        return _unpack(m, self.nvars, self.width)
 
     def divides(self, b: int, a: int) -> bool:
         """b | a: a - b, taken with every guard bit of a set, clears none."""

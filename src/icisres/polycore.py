@@ -15,12 +15,22 @@ skipped when the denominator is 1).  `Poly.terms` is the rational view
 for callers that want values: a fresh mapping from exponents to
 Fractions, built on each access and never kept.
 
-Products and substitutions share one loop, `_accumulate`, which adds the
-integer product of two term lists into a dict.  `Poly.__mul__`,
-`Poly.mul_truncated` (which pairs terms only up to a total-degree cap)
-and `Poly.substitute` run on it; `substitute` is the one substitution,
-and `linear_forms` gives it the targets of a linear change of coordinates
-z = C y.
+`Poly.__mul__` and `Poly.mul_truncated` (which pairs terms only up to
+a total-degree cap) run on `_accumulate`, which adds the integer product
+of two term lists into a dict keyed by exponent tuples.  They do not pack:
+their products are small, and packing both operands and unpacking the
+result on every call measured slower than the tuple loop.
+
+`series_determinant` and `Poly.substitute` chain many products, so they
+pack each operand's monomials once into ints (`_pack`), multiply them in
+`_addmul`, and unpack the result once (`_unpack`).  A packed monomial
+holds the total degree in the top field and e_n, ..., e_1 below it, each
+field as wide as the largest degree a kept product can reach; then a
+product is an addition, no field overflows, and a cut at a degree is one
+comparison.  `_addmul` is the one packed product loop: `localalg` runs
+its standard-basis kernel on it too, with its own field widths.
+`substitute` is the one substitution, and `linear_forms` gives it the
+targets of a linear change of coordinates z = C y.
 
 `series_determinant` is the one determinant of a polynomial matrix
 (`PolyMatrix.determinant` calls it): a division-free expansion column by
@@ -29,6 +39,7 @@ total-degree cap.  `_bareiss` is the one elimination of a rational
 matrix: fraction-free Bareiss steps with exact integer division on the
 matrix scaled to one denominator, skipping a column without a pivot.
 `rational_det`, `rational_inverse` and `pairing.rref` are built on it.
+Both determinants and the inverse refuse a ragged or non-square matrix.
 """
 
 from __future__ import annotations
@@ -74,6 +85,44 @@ def _grlex_key(e: Exponent) -> Tuple[int, Exponent]:
 
 def _term_degree(term: Tuple[Exponent, int]) -> int:
     return sum(term[0])
+
+
+def _pack(e: Exponent, width: int) -> int:
+    """e as one int: the total degree in the top field, then e_n, ..., e_1.
+
+    Each exponent field is width bits wide (Bachmann and Schoenemann,
+    "Monomial representations for Groebner bases computations", ISSAC
+    1998).  While no field overflows, the sum of two packed monomials is
+    the packed product, ints order by total degree first, and the degree
+    is the int shifted right by nvars * width.
+    """
+    m = sum(e)
+    for v in reversed(e):
+        m = (m << width) | v
+    return m
+
+
+def _unpack(m: int, nvars: int, width: int) -> Exponent:
+    mask = (1 << width) - 1
+    out = []
+    for _ in range(nvars):
+        out.append(m & mask)
+        m >>= width
+    return tuple(out)
+
+
+def _addmul(dst: Dict[int, int], k: int, mono: int,
+            src: List[Tuple[int, int]], limit: int) -> None:
+    """dst += k * mono * src over packed terms sorted ascending, cut at limit."""
+    for t, v in src:
+        m = mono + t
+        if m >= limit:
+            break
+        s = dst.get(m, 0) + k * v
+        if s:
+            dst[m] = s
+        else:
+            del dst[m]
 
 
 def _accumulate(acc: Dict[Exponent, int], left: IntTerms, right: IntTerms,
@@ -292,41 +341,53 @@ class Poly:
     def substitute(self, targets: Sequence["Poly"]) -> "Poly":
         """Replace variable i by targets[i] (all over the same new ring).
 
-        Target i is taken as its ints over its denominator d_i, and its
-        powers are cached as integer term lists over d_i^k.  Every term of
-        self then expands into one integer accumulator over the common
-        denominator of all terms.
+        Target i is taken as its ints over its denominator d_i, packed
+        once, and its powers are cached as packed integer term lists over
+        d_i^k.  Every term of self then expands into one integer
+        accumulator over the common denominator of all terms, which is
+        unpacked once at the end.  No monomial of the result has degree
+        above deg(self) times the highest target degree, so fields of
+        that width never overflow.
         """
         if len(targets) != self.nvars:
             raise ValueError("substitution needs one target per variable")
         m = targets[0].nvars if targets else 0
-        one = (0,) * m
+        if not self.ints:
+            return Poly.zero(m)
+        bound = self.total_degree() * max(
+            [t.total_degree() for t in targets] + [0])
+        width = bound.bit_length()
+        limit = (bound + 1) << (m * width)
         dens = [t.den for t in targets]
-        powers: List[List[List[Tuple[Exponent, int]]]] = [
-            [[(one, 1)], list(t.ints.items())] for t in targets]
+        powers: List[List[List[Tuple[int, int]]]] = [
+            [[(0, 1)], [(_pack(e, width), c) for e, c in t.ints.items()]]
+            for t in targets]
 
-        def power(i: int, k: int) -> List[Tuple[Exponent, int]]:
+        def power(i: int, k: int) -> List[Tuple[int, int]]:
             cache = powers[i]
             while len(cache) <= k:
-                acc: Dict[Exponent, int] = {}
-                _accumulate(acc, cache[-1], cache[1])
-                cache.append([t for t in acc.items() if t[1]])
+                acc: Dict[int, int] = {}
+                for mono, c in cache[-1]:
+                    _addmul(acc, c, mono, cache[1], limit)
+                cache.append(list(acc.items()))
             return cache[k]
 
         # term e lies over self.den * prod(d_i^e_i)
         term_dens = [prod(d ** k for d, k in zip(dens, e)) for e in self.ints]
         den = lcm(*term_dens)
-        acc: Dict[Exponent, int] = {}
+        acc: Dict[int, int] = {}
         for (e, c), d in zip(self.ints.items(), term_dens):
-            part = [(one, c * (den // d))]
-            factors = [power(i, k) for i, k in enumerate(e) if k] or [[(one, 1)]]
+            part = [(0, c * (den // d))]
+            factors = [power(i, k) for i, k in enumerate(e) if k] or [[(0, 1)]]
             for f in factors[:-1]:
-                step: Dict[Exponent, int] = {}
-                _accumulate(step, part, f)
-                part = [t for t in step.items() if t[1]]
-            _accumulate(acc, part, factors[-1])
-        return Poly.from_ints(m, {e: c for e, c in acc.items() if c},
-                              den * self.den)
+                step: Dict[int, int] = {}
+                for mono, v in part:
+                    _addmul(step, v, mono, f, limit)
+                part = list(step.items())
+            for mono, v in part:
+                _addmul(acc, v, mono, factors[-1], limit)
+        return Poly.from_ints(m, {_unpack(mono, m, width): c
+                                  for mono, c in acc.items()}, den * self.den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         vals = [Fraction(v) for v in point]
@@ -406,19 +467,20 @@ class PolyMatrix:
 
     def __init__(self, rows: Sequence[Sequence[Poly]]):
         self.rows: List[List[Poly]] = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix")
 
     def determinant(self) -> Poly:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        if self.nrows == 0:
-            raise ValueError("empty determinant needs an explicit variable count; "
-                             "build the constant 1 at the call site")
         return series_determinant(self.rows)
+
+
+def _square(m: Sequence[Sequence]) -> int:
+    """The size of a square matrix; ValueError for a ragged or non-square one."""
+    n = len(m)
+    ncols = len(m[0]) if m else 0
+    if any(len(row) != ncols for row in m):
+        raise ValueError("ragged matrix")
+    if ncols != n:
+        raise ValueError("determinant of a non-square matrix")
+    return n
 
 
 def series_determinant(rows: Sequence[Sequence[Poly]],
@@ -431,15 +493,60 @@ def series_determinant(rows: Sequence[Sequence[Poly]],
     cap the entries are truncated once, every product is cut at the cap,
     and the result is the determinant truncated at the cap.  Costs
     O(2^n * n) products, fine for the n <= 8 germs handled here.
+
+    The products run on packed monomials.  Row r is taken as ints over the
+    lcm D_r of its entries' denominators, so a state over the rows in its
+    mask lies over the product of their D_r and states add as ints.  No
+    product that is kept has degree above bound, the cap or else the sum
+    of each row's highest entry degree, so fields of bound's width never
+    overflow below the cut, and the cut is one comparison.  A 1 x 1
+    matrix, or one with a zero row or column, needs no product and is
+    answered without packing.
     """
-    n = len(rows)
-    if cap is not None:
-        rows = [[p.truncate(cap) for p in row] for row in rows]
-    states = {1 << r: rows[r][0] for r in range(n) if not rows[r][0].is_zero()}
+    n = _square(rows)
+    if n == 0:
+        raise ValueError("empty determinant needs an explicit variable count; "
+                         "build the constant 1 at the call site")
+    nvars = rows[0][0].nvars
+    if n == 1:
+        p = rows[0][0]
+        return p if cap is None else p.truncate(cap)
+    tops = []       # each row's highest entry degree, -1 for a zero row
+    live = 0        # bit c is set when column c has a nonzero entry
+    for row in rows:
+        top = -1
+        for c, p in enumerate(row):
+            if p.ints:
+                live |= 1 << c
+                top = max(top, *map(sum, p.ints))
+        tops.append(top)
+    if -1 in tops or live != (1 << n) - 1:
+        return Poly.zero(nvars)
+    cut = cap is not None and cap < sum(tops)
+    bound = cap if cut else sum(tops)
+    width = bound.bit_length()
+    limit = (bound + 1) << (nvars * width)
+    packed: List[List[List[Tuple[int, int]]]] = []
+    den = 1
+    for row in rows:
+        row_den = lcm(*[p.den for p in row])
+        den *= row_den
+        entries = []
+        for p in row:
+            k = row_den // p.den
+            terms = [(_pack(e, width), c * k) for e, c in p.ints.items()]
+            if cut:
+                # packing never clears the degree's bits, so a term above
+                # the cap packs to at least limit even where a field
+                # overflows; _addmul cuts sorted terms
+                terms = sorted(t for t in terms if t[0] < limit)
+            entries.append(terms)
+        packed.append(entries)
+    states = {1 << r: dict(row[0]) for r, row in enumerate(packed) if row[0]}
     for col in range(1, n):
-        nxt: Dict[int, Poly] = {}
+        nxt: Dict[int, Dict[int, int]] = {}
         for mask, val in states.items():
-            if val.is_zero():
+            if not val:
                 continue
             seen = 0
             for row in range(n):
@@ -447,20 +554,19 @@ def series_determinant(rows: Sequence[Sequence[Poly]],
                 if mask & bit:
                     seen += 1
                     continue
-                entry = rows[row][col]
-                if entry.is_zero():
+                entry = packed[row][col]
+                if not entry:
                     continue
-                piece = val * entry if cap is None else val.mul_truncated(entry, cap)
                 # the col - seen used rows after `row` each make one
                 # inversion with it: that parity is the sign
-                key = mask | bit
-                old = nxt.get(key)
-                if (seen + col) % 2 == 0:
-                    nxt[key] = piece if old is None else old + piece
-                else:
-                    nxt[key] = -piece if old is None else old - piece
+                sign = -1 if (seen + col) % 2 else 1
+                dst = nxt.setdefault(mask | bit, {})
+                for mono, c in val.items():
+                    _addmul(dst, sign * c, mono, entry, limit)
         states = nxt
-    return states.get((1 << n) - 1) or Poly.zero(rows[0][0].nvars)
+    full = states.get((1 << n) - 1, {})
+    return Poly.from_ints(nvars, {_unpack(mono, nvars, width): c
+                                  for mono, c in full.items()}, den)
 
 
 def _bareiss(rows: List[List[int]], jordan: bool) -> Tuple[List[int], int]:
@@ -502,16 +608,15 @@ def _bareiss(rows: List[List[int]], jordan: bool) -> Tuple[List[int], int]:
 
 
 def _scaled(m: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
-    """The rational matrix as integer rows over one common denominator."""
-    rows = [[Fraction(a) for a in row] for row in m]
-    den = lcm(*(a.denominator for row in rows for a in row))
+    """The matrix of ints and Fractions as integer rows over one denominator."""
+    den = lcm(*(a.denominator for row in m for a in row))
     return [[a.numerator * (den // a.denominator) for a in row]
-            for row in rows], den
+            for row in m], den
 
 
 def rational_det(m: Sequence[Sequence]) -> Fraction:
     """Exact determinant of a square rational matrix (1 when it is empty)."""
-    n = len(m)
+    n = _square(m)
     if n == 0:
         return Fraction(1)
     rows, den = _scaled(m)
@@ -527,7 +632,7 @@ def rational_inverse(m: Sequence[Sequence]) -> List[List[Fraction]]:
     Elimination turns [M | I] into [L | R] with L diagonal and R = L M^-1,
     so row i of the inverse is den * R_i / L_ii for M = den * m.
     """
-    n = len(m)
+    n = _square(m)
     rows, den = _scaled(m)
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     if _bareiss(aug, jordan=True)[0] != list(range(n)):

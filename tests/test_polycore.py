@@ -7,10 +7,11 @@ from math import gcd
 
 import pytest
 
-from icisres import verify
+from icisres import polycore, verify
 from icisres.index import CoordinateChange, GermProblem
-from icisres.polycore import (Poly, PolyMatrix, default_names, rational_det,
-                              rational_inverse, series_determinant)
+from icisres.polycore import (Poly, PolyMatrix, _scaled, default_names,
+                              rational_det, rational_inverse,
+                              series_determinant)
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -495,3 +496,268 @@ def test_terms_is_a_fresh_view():
     assert p.terms == {(1, 0): HALF, (0, 1): Fraction(1)}
     assert p == X.scale(HALF) + Y
     assert p.terms is not p.terms
+
+
+# packed monomials: the determinant and the substitution ---------------------
+
+# degree bounds around each change of the field width (bound.bit_length())
+BOUNDS = (0, 1, 2, 3, 4, 7, 8, 15, 16, 63, 64)
+
+
+def pure_power(n, i, k, c=1):
+    e = [0] * n
+    e[i] = k
+    return Poly(n, {tuple(e): c})
+
+
+def bounded_rows(rng, n, size, bound):
+    """A size x size matrix whose rows' highest degrees sum to bound.
+
+    Rows of a triangular matrix in shuffled order: the diagonal entry of
+    row r is c * x^d_r plus terms of lower degree, and the entries right of
+    it have degree at most min(d_r, 1).  So the determinant has the term
+    x^bound, whose exponent needs the whole field width.
+    """
+    parts = [bound // size + (r < bound % size) for r in range(size)]
+    rows = []
+    for r, d in enumerate(parts):
+        c = Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2, 5]))
+        diagonal = pure_power(n, 0, d, c)
+        if d:
+            diagonal = diagonal + mixed_poly(rng, n, d - 1, 2)
+        rows.append([Poly.zero(n)] * r + [diagonal] +
+                    [mixed_poly(rng, n, min(d, 1), 2) for _ in range(r + 1, size)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_packed_determinant_at_every_field_width():
+    rng = random.Random(54)
+    for bound in BOUNDS:
+        for n in (1, 2, 3):
+            for size in (2, 3):
+                rows = bounded_rows(rng, n, size, bound)
+                exact = leibniz_det(rows)
+                det = series_determinant(rows)
+                assert_same_stored_form(det, exact)
+                assert_stored_nonzero_fractions(det)
+                assert exact.coefficient((bound,) + (0,) * (n - 1)) != 0
+                for cap in {0, 1, bound - 1, bound, bound + 1}:
+                    if cap >= 0:
+                        assert_same_stored_form(series_determinant(rows, cap),
+                                                exact.truncate(cap))
+
+
+def test_packed_determinant_entry_x_to_the_64():
+    x64 = pure_power(2, 0, 64)
+    rows = [[x64, Y.scale(THIRD)], [Poly.const(2, HALF), X + 2]]
+    want = Poly(2, {(65, 0): 1, (64, 0): 2, (0, 1): Fraction(-1, 6)})
+    assert_same_stored_form(series_determinant(rows), want)
+    assert_same_stored_form(series_determinant(rows, 64),
+                            Poly(2, {(64, 0): 2, (0, 1): Fraction(-1, 6)}))
+    assert_same_stored_form(series_determinant(rows, 63),
+                            Poly(2, {(0, 1): Fraction(-1, 6)}))
+
+
+def test_packed_determinant_caps():
+    rng = random.Random(55)
+    for n in (1, 2, 3):
+        for size in (2, 3, 4):
+            # every entry lies in m^2, so every product of size entries has
+            # degree at least 2 * size
+            rows = [[mixed_poly(rng, n, 2, 3) * pure_power(n, rng.randrange(n), 2)
+                     for _ in range(size)] for _ in range(size)]
+            exact = leibniz_det(rows)
+            bound = sum(max(p.total_degree() for p in row) for row in rows)
+            for cap in [0, 1, 2 * size - 1] + list(range(2 * size, bound + 2)) \
+                    + [bound + 5, 10 * bound + 100]:
+                cut = series_determinant(rows, cap)
+                assert_same_stored_form(cut, exact.truncate(cap))
+                assert_stored_nonzero_fractions(cut)
+            assert series_determinant(rows, 2 * size - 1).is_zero()
+
+
+def test_packed_determinant_zero_rows_columns_and_small_shapes():
+    rng = random.Random(56)
+    zero = Poly.zero(2)
+    for size in (2, 3):
+        for _ in range(5):
+            rows = [[mixed_poly(rng, 2, 2, 3) for _ in range(size)]
+                    for _ in range(size)]
+            r = rng.randrange(size)
+            with_zero_row = [row[:] for row in rows]
+            with_zero_row[r] = [zero] * size
+            with_zero_column = [row[:r] + [zero] + row[r + 1:] for row in rows]
+            for m in (with_zero_row, with_zero_column):
+                for cap in (None, 0, 3):
+                    assert_same_stored_form(series_determinant(m, cap), zero)
+    # 1 x 1: the entry itself, truncated at the cap
+    p = X.scale(HALF) + (X * Y).scale(THIRD) + Poly.const(2, Fraction(-3, 4))
+    assert series_determinant([[p]]) is p
+    assert_same_stored_form(PolyMatrix([[p]]).determinant(), p)
+    for cap in range(4):
+        assert_same_stored_form(series_determinant([[p]], cap), p.truncate(cap))
+    assert_same_stored_form(series_determinant([[zero]]), zero)
+    # no variables: the matrix is rational
+    for size in (1, 2, 3, 4):
+        for _ in range(5):
+            m = [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 7]))
+                  for _ in range(size)] for _ in range(size)]
+            rows = [[Poly.const(0, a) for a in row] for row in m]
+            for cap in (None, 0, 2):
+                det = series_determinant(rows, cap)
+                assert_same_stored_form(det, Poly.const(0, ref_det(m)))
+    # one variable
+    t = Poly.variable(1, 0)
+    rows = [[t.scale(HALF), t * t + 1], [Poly.const(1, THIRD), t - 1]]
+    want = Poly(1, {(2,): HALF, (1,): Fraction(-1, 2), (0,): -THIRD})
+    want = want - (t * t).scale(THIRD)
+    assert_same_stored_form(series_determinant(rows), want)
+    assert_same_stored_form(series_determinant(rows, 1), want.truncate(1))
+
+
+def test_packed_determinant_mixed_denominators():
+    # each row over its own lcm, and the columns mix them too
+    rows = [[X.scale(HALF), Y.scale(THIRD)],
+            [Y.scale(Fraction(1, 5)), X.scale(Fraction(1, 7))]]
+    want = Poly(2, {(2, 0): Fraction(1, 14), (0, 2): Fraction(-1, 15)})
+    assert_same_stored_form(series_determinant(rows), want)
+    assert_same_stored_form(series_determinant([rows[1], rows[0]]), -want)
+    rng = random.Random(57)
+    for size in (2, 3, 4):
+        for _ in range(6):
+            rows = [[mixed_poly(rng, 2, 2, 3).scale(
+                        Fraction(1, rng.choice([1, 2, 3, 5, 7, 11])))
+                     for _ in range(size)] for _ in range(size)]
+            exact = leibniz_det(rows)
+            det = series_determinant(rows)
+            assert_same_stored_form(det, exact)
+            assert_stored_nonzero_fractions(det)
+            for cap in range(5):
+                assert_same_stored_form(series_determinant(rows, cap),
+                                        exact.truncate(cap))
+
+
+def test_packed_substitution_at_every_field_width():
+    rng = random.Random(58)
+    for bound in BOUNDS:
+        # deg(p) * (highest target degree) = bound, through both factors
+        pairs = {(bound, 1), (1, bound)} if bound else {(0, 3), (2, 0)}
+        if bound % 2 == 0 and bound:
+            pairs.add((bound // 2, 2))
+        for k, t in pairs:
+            for m in (1, 2, 3):
+                p = pure_power(2, 0, k, THIRD) + Y + Poly.const(2, HALF)
+                if k == 0:
+                    p = Poly.const(2, Fraction(-5, 6))
+                targets = [pure_power(m, 0, t, HALF) + mixed_poly(rng, m, 1, 2),
+                           mixed_poly(rng, m, 1, 3).scale(Fraction(1, 7))]
+                out = p.substitute(targets)
+                want = ref_substitute(p, targets)
+                assert_same_stored_form(out, want)
+                assert_stored_nonzero_fractions(out)
+                if k:
+                    assert want.coefficient((bound,) + (0,) * (m - 1)) != 0
+
+
+def test_packed_substitution_zero_targets_and_small_rings():
+    rng = random.Random(59)
+    zero1 = Poly.zero(1)
+    u = Poly.variable(1, 0)
+    for _ in range(10):
+        p = mixed_poly(rng, 2, 3, 5)
+        for targets in ([zero1, zero1], [zero1, u.scale(THIRD)],
+                        [Poly.const(1, HALF), zero1],
+                        [Poly.const(1, HALF), Poly.const(1, Fraction(-2, 3))]):
+            out = p.substitute(targets)
+            assert_same_stored_form(out, ref_substitute(p, targets))
+            assert_stored_nonzero_fractions(out)
+        # into no variables: evaluation at a rational point
+        point = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
+                 for _ in range(2)]
+        out = p.substitute([Poly.const(0, a) for a in point])
+        assert_same_stored_form(out, Poly.const(0, p.evaluate(point)))
+    # the zero polynomial, and polynomials in no variables
+    targets = [u.scale(HALF) + 1, u * u]
+    assert_same_stored_form(Poly.zero(2).substitute(targets), zero1)
+    c = Poly.const(0, Fraction(7, 3))
+    assert_same_stored_form(c.substitute([]), c)
+    assert_same_stored_form(Poly.zero(0).substitute([]), Poly.zero(0))
+    # one variable to one variable
+    for _ in range(10):
+        p = mixed_poly(rng, 1, 4, 5)
+        targets = [mixed_poly(rng, 1, 3, 3)]
+        assert_same_stored_form(p.substitute(targets),
+                                ref_substitute(p, targets))
+
+
+def test_packed_paths_do_not_multiply_polys(monkeypatch):
+    rng = random.Random(60)
+    cases = []
+    for size in (2, 3):
+        for _ in range(4):
+            rows = [[mixed_poly(rng, 2, 2, 3) for _ in range(size)]
+                    for _ in range(size)]
+            cases.append((rows, leibniz_det(rows)))
+    subs = []
+    for _ in range(8):
+        p = mixed_poly(rng, 2, 3, 5)
+        targets = [mixed_poly(rng, 3, 2, 3) for _ in range(2)]
+        subs.append((p, targets, ref_substitute(p, targets)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a packed path multiplied Polys")
+
+    monkeypatch.setattr(Poly, "__mul__", forbidden)
+    monkeypatch.setattr(Poly, "__rmul__", forbidden)
+    monkeypatch.setattr(Poly, "mul_truncated", forbidden)
+    monkeypatch.setattr(polycore, "_accumulate", forbidden)
+    for rows, exact in cases:
+        assert_same_stored_form(series_determinant(rows), exact)
+        for cap in range(4):
+            assert_same_stored_form(series_determinant(rows, cap),
+                                    exact.truncate(cap))
+    for p, targets, want in subs:
+        assert_same_stored_form(p.substitute(targets), want)
+
+
+def test_non_square_and_ragged_matrices_are_refused():
+    one = Poly.const(2, 1)
+    non_square = "determinant of a non-square matrix"
+    for rows in ([[X, Y, one], [one, X, Y]], [[X, Y], [one, X], [Y, one]],
+                 [[X, Y]]):
+        with pytest.raises(ValueError, match=non_square):
+            series_determinant(rows)
+        with pytest.raises(ValueError, match=non_square):
+            series_determinant(rows, 3)
+        with pytest.raises(ValueError, match=non_square):
+            PolyMatrix(rows).determinant()
+    for rows in ([[X, Y], [one]], [[X], [one, Y]], [[X, Y, one], [one, X]]):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            series_determinant(rows)
+        with pytest.raises(ValueError, match="ragged matrix"):
+            PolyMatrix(rows).determinant()
+    with pytest.raises(ValueError, match="empty determinant"):
+        series_determinant([])
+    for m in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2]]):
+        with pytest.raises(ValueError, match=non_square):
+            rational_det(m)
+        with pytest.raises(ValueError, match=non_square):
+            rational_inverse(m)
+    for m in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            rational_det(m)
+        with pytest.raises(ValueError, match="ragged matrix"):
+            rational_inverse(m)
+    assert rational_det([]) == 1 and rational_inverse([]) == []
+
+
+def test_rational_elimination_reads_ints_and_fractions():
+    m = [[1, Fraction(1, 2)], [Fraction(-2, 3), 0]]
+    assert _scaled(m) == ([[6, 3], [-4, 0]], 6)
+    assert _scaled([[2, -3], [0, 1]]) == ([[2, -3], [0, 1]], 1)
+    assert rational_det(m) == Fraction(1, 3)
+    assert rational_det([[1, 2], [3, 4]]) == -2
+    inv = rational_inverse(m)
+    assert inv == [[0, Fraction(-3, 2)], [2, 3]]
+    assert all(type(a) is Fraction for row in inv for a in row)
