@@ -23,7 +23,6 @@ from .index import (GermProblem, curve_index, eg_index,
                     find_good_coordinates, main_residue, sigma_data, solve)
 from .localalg import Ctx
 from .pairing import pairing_report
-from .polycore import Poly
 from .residues import intersection_multiplicity_both_ways
 from .verify import SUITES, VerificationPlan, run
 
@@ -46,10 +45,6 @@ def _fr(x) -> object:
     if f.denominator == 1:
         return int(f)
     return f"{f.numerator}/{f.denominator}"
-
-
-def _pol(p: Poly, names) -> str:
-    return p.render(tuple(names)) or "0"
 
 
 def _mat(rows) -> List[List[object]]:
@@ -125,12 +120,12 @@ def _cmd_sigma(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
     sd = sigma_data(p, st.ctx)
     # minor i omits column i; its key lists the 1-based columns it keeps
     all_minors = {"m_" + ",".join(str(c + 1) for c in range(p.nvars) if c != i):
-                  _pol(m, gf.names) for i, m in enumerate(sd.minors)}
-    return {"sigma": _pol(sd.sigma, gf.names),
-            "df": _pol(sd.df, gf.names),
-            "m_matrix": [[_pol(e, gf.names) for e in row]
+                  m.render(gf.names) for i, m in enumerate(sd.minors)}
+    return {"sigma": sd.sigma.render(gf.names),
+            "df": sd.df.render(gf.names),
+            "m_matrix": [[e.render(gf.names) for e in row]
                          for row in sd.m_matrix],
-            "principal_minors": [_pol(m, gf.names) for m in sd.minors],
+            "principal_minors": [m.render(gf.names) for m in sd.minors],
             "all_minors": all_minors}, []
 
 
@@ -139,8 +134,8 @@ def _cmd_good_coords(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
     change, good = find_good_coordinates(p, st.ctx)
     return {"matrix": _mat(change.matrix),
             "identity": change.is_identity(),
-            "f": [_pol(fi, gf.names) for fi in good.f],
-            "omega": [_pol(w, gf.names) for w in good.omega]}, []
+            "f": [fi.render(gf.names) for fi in good.f],
+            "omega": [w.render(gf.names) for w in good.omega]}, []
 
 
 def _cmd_pairing(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
@@ -154,7 +149,7 @@ def _cmd_pairing(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
               "basis": mono_names,
               "gram": _mat(rep.gram.matrix),
               "soc_a_dim": rep.soc_a_dim,
-              "socle": [_pol(e, gf.names) for e in rep.soc_a_elements],
+              "socle": [e.render(gf.names) for e in rep.soc_a_elements],
               "sigma_residue": _fr(rep.sigma_residue),
               "sigma_in_soc_c": rep.sigma_in_soc_c,
               "bound_holds": rep.bound_holds,
@@ -187,8 +182,8 @@ def _cmd_all(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
     verdict = "EQUAL" if rep.match else "UNEQUAL"
     disc = [] if rep.match else ["index_residue_mismatch"]
     result = {"index": rep.index, "residue": _fr(rep.residue),
-              "sigma": _pol(rep.sigma, gf.names),
-              "df": _pol(rep.df, gf.names),
+              "sigma": rep.sigma.render(gf.names),
+              "df": rep.df.render(gf.names),
               "change": _mat(rep.change.matrix),
               "identity_change": rep.change.is_identity(),
               "verdict": verdict}

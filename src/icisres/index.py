@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ArityError, GoodCoordsNotFound, NotIsolated
 from .localalg import Ctx, colength, is_regular_on_V
-from .polycore import (Poly, PolyMatrix, default_names, linear_forms,
-                       rational_det)
+from .polycore import (Poly, default_names, linear_forms, rational_det,
+                       series_determinant)
 from .residues import grothendieck_residue, jacobian_minor
 
 
@@ -63,11 +63,11 @@ class GermProblem:
 
 
 def stacked_matrix(f: Sequence[Poly], omega: Sequence[Poly],
-                   columns: Sequence[int]) -> PolyMatrix:
+                   columns: Sequence[int]) -> List[List[Poly]]:
     """The Jacobian of f over the row of omega's coefficients, in columns."""
     rows = [[fi.diff(j) for j in columns] for fi in f]
     rows.append([omega[j] for j in columns])
-    return PolyMatrix(rows)
+    return rows
 
 
 def minor(p: GermProblem, columns: Sequence[int]) -> Poly:
@@ -77,7 +77,7 @@ def minor(p: GermProblem, columns: Sequence[int]) -> Poly:
     """
     if len(columns) != p.nvars - 1:
         raise ValueError(f"need {p.nvars - 1} column indices")
-    return stacked_matrix(p.f, p.omega, columns).determinant()
+    return series_determinant(stacked_matrix(p.f, p.omega, columns))
 
 
 def minors(p: GermProblem) -> Tuple[Poly, ...]:
@@ -164,9 +164,6 @@ class CoordinateChange:
         n = len(self.matrix)
         return all(self.matrix[i][j] == (1 if i == j else 0)
                    for i in range(n) for j in range(n))
-
-    def determinant(self) -> Fraction:
-        return rational_det(self.matrix)
 
     def apply(self, p: GermProblem) -> GermProblem:
         n = p.nvars
@@ -258,7 +255,7 @@ def curve_index(f: Sequence[Poly], omega: Sequence[Poly],
     n = omega[0].nvars
     if len(f) != n - 1:
         raise ValueError(f"curve germ needs {n - 1} equations, got {len(f)}")
-    m = stacked_matrix(f, omega, range(n)).determinant()
+    m = series_determinant(stacked_matrix(f, omega, range(n)))
     if m.is_unit():
         return 0
     return colength((ctx or Ctx()).finite(

@@ -54,8 +54,9 @@ step on the coefficient c multiplies them by lc / gcd(lc, c) and
 subtracts c / gcd(lc, c) times the shifted element, so nothing is ever
 divided (fraction free, as in Bareiss elimination).  Values leave the
 kernel the same way, as ints over one denominator (Poly.from_ints):
-remainders and lift coefficients over D, basis elements as monic Polys
-over lc (StandardBasis.elements), and from there LiftCertificate.
+remainders and lift coefficients over D, and from there LiftCertificate;
+basis elements as monic Polys over lc only when StandardBasis.elements is
+first read, which nothing in the engine does.
 Selection depends only on leading monomials and ecarts, so every
 staircase, element, remainder and representation is the one exact
 rational arithmetic gives.
@@ -396,21 +397,31 @@ def _quotient_monomials(stair: List[Exponent], nvars: int) -> Optional[List[Expo
 
 @dataclass
 class StandardBasis:
-    """Certified truncated standard basis of an ideal in the local ring."""
+    """Certified truncated standard basis of an ideal in the local ring.
+
+    Its elements stay in the kernel; `elements` builds them as monic Polys
+    on first read.
+    """
 
     gens: Tuple[Poly, ...]
     order: LocalOrder
     cap: int
     rep_cap: int        # tracked representations are exact up to this degree
     certified: bool
-    # monic elements; untracked ones are exact only up to the highest corner
-    # (max_quotient_degree() when the staircase is finite), their tails cut
-    # there, and nothing reads those tails
-    elements: List[Poly] = field(repr=False)
     staircase: List[Exponent]
     quotient_monomials: Optional[List[Exponent]]
     _kernel: _Kernel = field(repr=False)
     tracked: bool = False
+
+    @cached_property
+    def elements(self) -> List[Poly]:
+        # untracked ones are exact only up to the highest corner
+        # (max_quotient_degree() when the staircase is finite), their tails
+        # cut there
+        unpack = self._kernel.unpack
+        return [Poly.from_ints(self.order.nvars, {
+                    unpack(m): v for m, v in [(g.lm, g.lc)] + g.tail}, g.lc)
+                for g in self._kernel.elems]
 
     def is_finite(self) -> bool:
         return self.quotient_monomials is not None
@@ -427,12 +438,8 @@ def _build(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
     kernel = _complete(gens, order.nvars, cap, track, rep_cap)
     stair = _staircase_min_gens(kernel.elems)
     quot = _quotient_monomials(stair, order.nvars)
-    polys = [Poly.from_ints(order.nvars,
-                            {kernel.unpack(m): v
-                             for m, v in [(g.lm, g.lc)] + g.tail}, g.lc)
-             for g in kernel.elems]
-    return StandardBasis(tuple(gens), order, cap, rep_cap, False, polys,
-                         stair, quot, kernel, track)
+    return StandardBasis(tuple(gens), order, cap, rep_cap, False, stair,
+                         quot, kernel, track)
 
 
 def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,

@@ -15,11 +15,12 @@ skipped when the denominator is 1).  `Poly.terms` is the rational view
 for callers that want values: a fresh mapping from exponents to
 Fractions, built on each access and never kept.
 
-`Poly.__mul__` and `Poly.mul_truncated` (which pairs terms only up to
-a total-degree cap) run on `_accumulate`, which adds the integer product
-of two term lists into a dict keyed by exponent tuples.  They do not pack:
-their products are small, and packing both operands and unpacking the
-result on every call measured slower than the tuple loop.
+`Poly.__mul__` is the only product that runs on `_accumulate`, which
+adds the integer product of two term lists into a dict keyed by exponent
+tuples.  It does not pack: its products are small, and packing both
+operands and unpacking the result on every call read the `germ-reports`
+benchmark 2-6% slower than the tuple loop (medians of two sets of four
+alternating runs).
 
 `series_determinant` and `Poly.substitute` chain many products, so they
 pack each operand's monomials once into ints (`_pack`), multiply them in
@@ -32,10 +33,9 @@ its standard-basis kernel on it too, with its own field widths.
 `substitute` is the one substitution, and `linear_forms` gives it the
 targets of a linear change of coordinates z = C y.
 
-`series_determinant` is the one determinant of a polynomial matrix
-(`PolyMatrix.determinant` calls it): a division-free expansion column by
-column over the sets of used rows, which can cut every product at a
-total-degree cap.  `_bareiss` is the one elimination of a rational
+`series_determinant` is the one determinant of a polynomial matrix: a
+division-free expansion column by column over the sets of used rows,
+which can cut every product at a total-degree cap.  `_bareiss` is the one elimination of a rational
 matrix: fraction-free Bareiss steps with exact integer division on the
 matrix scaled to one denominator, skipping a column without a pivot.
 `rational_det`, `rational_inverse` and `pairing.rref` are built on it.
@@ -44,7 +44,6 @@ Both determinants and the inverse refuse a ragged or non-square matrix.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add
@@ -81,10 +80,6 @@ def mono_deg(a: Exponent) -> int:
 
 def _grlex_key(e: Exponent) -> Tuple[int, Exponent]:
     return (sum(e), e)
-
-
-def _term_degree(term: Tuple[Exponent, int]) -> int:
-    return sum(term[0])
 
 
 def _pack(e: Exponent, width: int) -> int:
@@ -125,28 +120,19 @@ def _addmul(dst: Dict[int, int], k: int, mono: int,
             del dst[m]
 
 
-def _accumulate(acc: Dict[Exponent, int], left: IntTerms, right: IntTerms,
-                cap: Optional[int] = None) -> None:
-    """Add the integer product left * right into acc.
-
-    With a cap, right is sorted by degree and each left term pairs only
-    with the prefix of right that keeps the total degree within the cap.
-    """
+def _accumulate(acc: Dict[Exponent, int], left: IntTerms,
+                right: IntTerms) -> None:
+    """Add the integer product left * right into acc."""
     get = acc.get
-    if cap is not None:
-        right = sorted(right, key=_term_degree)
-        degrees = [sum(e) for e, _ in right]
     for e1, c1 in left:
-        partners = right if cap is None else \
-            right[:bisect_right(degrees, cap - sum(e1))]
-        for e2, c2 in partners:
+        for e2, c2 in right:
             e = tuple(map(add, e1, e2))
             acc[e] = get(e, 0) + c1 * c2
 
 
-def _product(p: "Poly", q: "Poly", cap: Optional[int] = None) -> "Poly":
+def _product(p: "Poly", q: "Poly") -> "Poly":
     acc: Dict[Exponent, int] = {}
-    _accumulate(acc, p.ints.items(), q.ints.items(), cap)
+    _accumulate(acc, p.ints.items(), q.ints.items())
     return Poly.from_ints(p.nvars, {e: c for e, c in acc.items() if c},
                           p.den * q.den)
 
@@ -322,8 +308,9 @@ class Poly:
                               self.den * c.denominator)
 
     def mul_truncated(self, other: "Poly", cap: int) -> "Poly":
-        """Product dropping every monomial of total degree above cap."""
-        return _product(self, other, cap)
+        """(self * other).truncate(cap); kept only as a bench/tracing.py
+        target, until the next change to the benchmark."""
+        return (self * other).truncate(cap)
 
     def truncate(self, cap: int) -> "Poly":
         return Poly.from_ints(
@@ -463,7 +450,8 @@ def linear_forms(matrix: Sequence[Sequence]) -> List[Poly]:
 
 
 class PolyMatrix:
-    """Dense matrix of Poly entries."""
+    """Rows whose determinant is series_determinant; kept only as a
+    bench/tracing.py target, until the next change to the benchmark."""
 
     def __init__(self, rows: Sequence[Sequence[Poly]]):
         self.rows: List[List[Poly]] = [list(r) for r in rows]

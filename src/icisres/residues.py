@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import NotRegularSequence, PowerCapExceeded
 from .localalg import (Ctx, StandardBasis, colength, lift, normal_form,
                        standard_basis_at)
-from .polycore import Poly, PolyMatrix, series_determinant
+from .polycore import Poly, series_determinant
 
 
 def monomial_residue(h: Poly, d: Sequence[int]) -> Fraction:
@@ -211,7 +211,7 @@ def jacobian_minor(f: Sequence[Poly], columns: Sequence[int],
         raise ValueError(f"need {len(f)} column indices")
     if not f:
         return Poly.const(nvars, 1)
-    return PolyMatrix([[fi.diff(j) for j in columns] for fi in f]).determinant()
+    return series_determinant([[fi.diff(j) for j in columns] for fi in f])
 
 
 def lambda_map(form: Sequence[Poly], f: Sequence[Poly], nvars: int) -> Poly:

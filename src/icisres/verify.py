@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -24,8 +23,7 @@ from .errors import (CapExceeded, GoodCoordsNotFound, NotIsolated,
 from .index import (CoordinateChange, GermProblem, eg_index, germ_minors,
                     germ_sigma, ideal_J, minor, minors, solve)
 from .localalg import Ctx, normal_form
-from .polycore import (Poly, default_names, linear_forms, rational_det,
-                       rational_inverse)
+from .polycore import Poly, linear_forms, rational_det, rational_inverse
 from .residues import (grothendieck_residue, intersection_multiplicity_both_ways,
                        jacobian_minor)
 from .pairing import pairing_report
@@ -78,7 +76,6 @@ class VerificationOutcome:
     suite: str
     trials_run: int
     failures: List[Tuple[str, Dict[str, str]]]
-    wall_time: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -169,10 +166,6 @@ def _compose(p: Poly, matrix: Sequence[Sequence[Fraction]]) -> Poly:
     return p.substitute(linear_forms(matrix))
 
 
-def _render(p: Poly) -> str:
-    return p.render(default_names(p.nvars)) or "0"
-
-
 def _render_matrix(m: Sequence[Sequence[Fraction]]) -> str:
     return "[" + "; ".join(",".join(str(a) for a in row) for row in m) + "]"
 
@@ -236,8 +229,8 @@ def _trial_eq1(rng: random.Random, t: int, ctx: Ctx) -> Payload:
         piece = jacobian_minor(p.f, rest, n) * minor(p, (jl,) + i_cols)
         rhs = rhs + piece if l % 2 == 0 else rhs - piece
     if lhs != rhs:
-        return {"f": "; ".join(_render(fi) for fi in p.f),
-                "omega": "; ".join(_render(w) for w in p.omega),
+        return {"f": "; ".join(fi.render() for fi in p.f),
+                "omega": "; ".join(w.render() for w in p.omega),
                 "i_cols": str(i_cols), "j_cols": str(j_cols)}
     return None
 
@@ -260,8 +253,8 @@ def _trial_lem2(rng: random.Random, t: int, ctx: Ctx) -> Payload:
         rest = tuple(c for c in range(3) if c not in (j, k))
         target = jac + jacobian_minor(p.f, rest, 3) * sd.sigma
         if not normal_form(target, sb).is_zero():
-            return {"f": _render(p.f[0]),
-                    "omega": "; ".join(_render(w) for w in p.omega),
+            return {"f": p.f[0].render(),
+                    "omega": "; ".join(w.render() for w in p.omega),
                     "pair": str((j + 1, k + 1))}
     return None
 
@@ -288,8 +281,8 @@ def _trial_eq2(rng: random.Random, t: int, ctx: Ctx) -> Payload:
             piece = composed[jj].scale(coeff)
             rhs = rhs + piece if (i + jj) % 2 == 0 else rhs - piece
         if lhs != rhs:
-            return {"f": "; ".join(_render(fi) for fi in p.f),
-                    "omega": "; ".join(_render(w) for w in p.omega),
+            return {"f": "; ".join(fi.render() for fi in p.f),
+                    "omega": "; ".join(w.render() for w in p.omega),
                     "matrix": _render_matrix(c), "minor": str(i + 1)}
     return None
 
@@ -332,7 +325,7 @@ def _trial_ann(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     rhs = grothendieck_residue((h * dfy).scale(det),
                                list(p.f) + [m1y, m2y], ctx)
     if lhs != rhs:
-        return {"germ": name, "matrix": _render_matrix(c), "h": _render(h),
+        return {"germ": name, "matrix": _render_matrix(c), "h": h.render(),
                 "lhs": str(lhs), "rhs": str(rhs)}
     return None
 
@@ -392,7 +385,7 @@ def _trial_smooth_duality(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     if rep.sigma_in_soc_c is False:
         problems.append("sigma not in socle")
     if problems:
-        return {"omega": "; ".join(_render(w) for w in p.omega),
+        return {"omega": "; ".join(w.render() for w in p.omega),
                 "problems": "; ".join(problems)}
     return None
 
@@ -420,8 +413,8 @@ def _trial_cor_mult(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     lhs, rhs = result
     if lhs != rhs:
         f, g = pair
-        return {"f": "; ".join(_render(fi) for fi in f),
-                "g": "; ".join(_render(gi) for gi in g),
+        return {"f": "; ".join(fi.render() for fi in f),
+                "g": "; ".join(gi.render() for gi in g),
                 "colength": str(lhs), "residue": str(rhs)}
     return None
 
@@ -442,7 +435,6 @@ def run(plan: VerificationPlan) -> List[VerificationOutcome]:
     outcomes = []
     ctx = Ctx()
     for suite in plan.suites:
-        start = time.perf_counter()
         trials = plan.trials if plan.trials is not None else DEFAULT_TRIALS[suite]
         failures: List[Tuple[str, Dict[str, str]]] = []
         fn = _TRIALS[suite]
@@ -452,6 +444,5 @@ def run(plan: VerificationPlan) -> List[VerificationOutcome]:
             payload = fn(rng, t, ctx)
             if payload is not None:
                 failures.append((trial_seed, payload))
-        outcomes.append(VerificationOutcome(suite, trials, failures,
-                                            time.perf_counter() - start))
+        outcomes.append(VerificationOutcome(suite, trials, failures))
     return outcomes

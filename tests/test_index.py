@@ -13,7 +13,7 @@ from icisres.index import (CoordinateChange, GermProblem, curve_index,
                            minors, residue_denominators, sigma_data, solve)
 from icisres.localalg import Ctx, standard_basis
 from icisres.pairing import pairing_report
-from icisres.polycore import Poly
+from icisres.polycore import Poly, rational_det
 from icisres.residues import relative_residue
 
 N3 = ("x", "y", "z")
@@ -165,6 +165,22 @@ def test_not_isolated():
         eg_index(cyl)
 
 
+def _parabola_power_form(d):
+    """f = z, omega = (y - x^2, y^d, 0): an isolated zero of index 2d."""
+    return GermProblem(3, (z3,), (y3 - x3**2, y3**d, Poly.zero(3)))
+
+
+@pytest.mark.xfail(raises=NotIsolated, strict=True,
+                   reason="ROADMAP item 1: an infinite staircase is accepted "
+                          "once the runs at c and c + CAP_STEP agree")
+def test_parabola_power_form_index_at_the_default_cap():
+    assert eg_index(_parabola_power_form(12)) == 24
+
+
+def test_parabola_power_form_index_when_the_cap_reaches_it():
+    assert eg_index(_parabola_power_form(12), Ctx(cap=24)) == 24
+
+
 def test_caps_recorded():
     ctx = Ctx()
     eg_index(sphere_dz(), ctx)
@@ -180,7 +196,7 @@ def test_germ_residue_matches_main():
 def test_coordinate_change_identity():
     c = identity_change(3)
     assert c.is_identity()
-    assert c.determinant() == 1
+    assert rational_det(c.matrix) == 1
     p = sphere_dz()
     q = c.apply(p)
     assert q.f == p.f and q.omega == p.omega
@@ -194,7 +210,7 @@ def test_coordinate_change_preserves_index():
         mat = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(2))
                     for _ in range(2))
         c = CoordinateChange(mat)
-        if c.determinant() == 0:
+        if rational_det(c.matrix) == 0:
             continue
         found += 1
         q = c.apply(p)

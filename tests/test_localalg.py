@@ -381,3 +381,18 @@ def test_untracked_elements_stop_at_the_corner():
     sb = standard_basis(_INFINITE)
     assert not sb.is_finite()
     assert max(_tail_degrees(sb)) == sb.cap
+
+
+def test_elements_are_built_on_first_read():
+    for sb in [standard_basis(_ade_section("E8", 1)),
+               standard_basis(_INFINITE),
+               standard_basis_at(_RANDOM_IDEALS[2], 12, track=True)]:
+        assert "elements" not in sb.__dict__
+        kernel = sb._kernel.elems
+        elements = sb.elements
+        assert len(elements) == len(kernel)
+        for p, g in zip(elements, kernel):
+            lead = max(p.terms, key=sb.order.key)
+            assert lead == g.exp
+            assert p.terms[lead] == 1
+        assert sb.elements is elements

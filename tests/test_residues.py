@@ -255,6 +255,23 @@ def test_intersection_multiplicity_rejects_wrong_dimension():
         intersection_multiplicity_both_ways([], [X, X])
 
 
+# (y - x^2, y^d) is zero dimensional of colength 2d, but its staircase has
+# the pure power x^(2d): at a start cap below 2d the truncated runs miss it
+# and call the ideal infinite (ROADMAP item 1)
+
+@pytest.mark.xfail(raises=NotRegularSequence, strict=True,
+                   reason="ROADMAP item 1: an infinite staircase is accepted "
+                          "once the runs at c and c + CAP_STEP agree")
+def test_parabola_power_colength_at_the_default_cap():
+    assert intersection_multiplicity_both_ways([], [Y - X**2, Y**9]) == (18, 18)
+
+
+def test_parabola_power_colength_when_the_cap_reaches_it():
+    assert intersection_multiplicity_both_ways(
+        [], [Y - X**2, Y**9], Ctx(cap=18)) == (18, 18)
+    assert intersection_multiplicity_both_ways([], [Y - X**2, Y**8]) == (16, 16)
+
+
 # residue forms ---------------------------------------------------------------
 
 def _per_call_residue(h, denoms, cap=12):

@@ -91,7 +91,7 @@ def test_cor_mult_computes_each_accepted_pair_once(monkeypatch):
     real = verify.intersection_multiplicity_both_ways
 
     def counting(f, g, *args, **kwargs):
-        computed.append(tuple(verify._render(p) for p in list(f) + list(g)))
+        computed.append(tuple(p.render() for p in list(f) + list(g)))
         return real(f, g, *args, **kwargs)
 
     monkeypatch.setattr(verify, "intersection_multiplicity_both_ways", counting)
@@ -110,7 +110,7 @@ def test_ann_invariance_certifies_each_ideal_once(monkeypatch):
         certified = []
 
         def counting(gens, *args, **kwargs):
-            certified.append(frozenset(verify._render(p) for p in gens))
+            certified.append(frozenset(p.render() for p in gens))
             return real(gens, *args, **kwargs)
 
         monkeypatch.setattr(localalg, "standard_basis", counting)
@@ -129,7 +129,7 @@ def test_ann_invariance_run_certifies_each_ideal_once(monkeypatch):
     certified = []
 
     def counting(gens, *args, **kwargs):
-        certified.append(frozenset(verify._render(p) for p in gens))
+        certified.append(frozenset(p.render() for p in gens))
         return real(gens, *args, **kwargs)
 
     monkeypatch.setattr(localalg, "standard_basis", counting)
@@ -148,7 +148,7 @@ def test_theorem1_certifies_each_ideal_once(monkeypatch):
     certified = []
 
     def counting(gens, *args, **kwargs):
-        certified.append(frozenset(verify._render(p) for p in gens))
+        certified.append(frozenset(p.render() for p in gens))
         return real(gens, *args, **kwargs)
 
     monkeypatch.setattr(localalg, "standard_basis", counting)
