@@ -12,7 +12,12 @@ class IcisresError(Exception):
 
 
 class CapExceeded(IcisresError):
-    """A truncation cap escalation hit the hard maximum without stabilizing."""
+    """A certified standard basis needs a cap above the hard maximum.
+
+    The message names the cause: the requested cap or a generator's degree
+    above the ceiling, a finite staircase that still reaches the cap at
+    the ceiling, or an infinite one that has not stabilized by it.
+    """
 
 
 class NotMember(IcisresError):

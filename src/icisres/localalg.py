@@ -13,8 +13,13 @@ A finite staircase is proved exact by the run that built it once its
 largest quotient degree top lies below the cap: every monomial of degree
 top + 1 <= cap then lies in the computed leading ideal, which agrees
 with the true one up to the cap, so both contain m^(top+1) and agree
-below it.  An infinite staircase has no such proof; it is only observed
-to be stable, when a second run at cap + CAP_STEP gives the same one.
+below it.  That holds at any cap, so standard_basis starts at the deepest
+generator degree.  A run's leading ideal is generated in degrees up to
+its cap and lies in the true one, so a finite staircase that reaches the
+cap bounds the true top from above, and the run at its top + 1 proves
+it.  An infinite staircase has no such proof; it is only observed to be
+stable, when a second run at cap + CAP_STEP gives the same one, and it is
+judged only from the requested cap on, as if no lower run had been made.
 
 An untracked completion also stops at the highest corner (Greuel and
 Pfister, A Singular Introduction to Commutative Algebra, 1.7).  Once the
@@ -444,38 +449,63 @@ def _build(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
 
 def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
                    max_cap: int = MAX_CAP) -> StandardBasis:
-    """Certified untracked standard basis, escalating the cap by CAP_STEP.
+    """Certified untracked standard basis at the lowest cap that proves it.
 
-    A finite staircase is returned as soon as it lies strictly below the
-    cap, which proves it exact; one reaching the cap raises the cap above
-    its top degree.  An infinite staircase is returned once the run at
-    cap + CAP_STEP gives the same one: stable, not proved.  Raises
-    CapExceeded past max_cap.
+    The first run is at the deepest generator degree (at least 1).  A
+    finite staircase whose top degree lies below the run's cap is proved
+    exact there and returned.  One that reaches the cap bounds the true
+    top from above, so the run at top + 1 proves it.  An infinite
+    staircase is judged only at max(cap, deepest) or above: seen lower,
+    the run moves straight there.  From there an infinite staircase is
+    returned once the run at c + CAP_STEP gives the same one (stable, not
+    proved), and a finite one reaching c moves to max(c + CAP_STEP,
+    top + 1), at most max_cap.  Raises CapExceeded when cap or a
+    generator's degree exceeds max_cap, when a finite staircase reaches the
+    cap of the run at max_cap, and when an infinite one has not stabilized
+    by max_cap.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("standard_basis needs at least one generator")
     order = LocalOrder(gens[0].nvars)
+    if cap > max_cap:
+        raise CapExceeded(f"cap {cap} exceeds the cap ceiling {max_cap}")
     # a generator supported entirely above the cap would be invisible to the
     # truncated runs, so the cap must reach every generator's degree
     deepest = max((g.total_degree() for g in gens if not g.is_zero()), default=0)
-    c = max(cap, deepest)
-    if c > max_cap:
+    if deepest > max_cap:
         raise CapExceeded(
             f"generator degree {deepest} exceeds the cap ceiling {max_cap}")
-    while c <= max_cap:
+    floor = max(cap, deepest)
+    c = max(deepest, 1)
+    while True:
         base = _build(gens, order, c, False)
-        if base.is_finite() and base.max_quotient_degree() >= c:
-            c = max(c + CAP_STEP, base.max_quotient_degree() + 1)
-            continue
-        # below the cap a finite staircase is exact; an infinite one must
-        # hold one step up
-        if base.is_finite() or (_build(gens, order, c + CAP_STEP, False)
-                                .staircase == base.staircase):
-            base.certified = True
-            return base
-        c += CAP_STEP
-    raise CapExceeded(f"staircase did not stabilize below cap {max_cap}")
+        if base.is_finite():
+            # below the cap a finite staircase is exact; one reaching the
+            # cap at max_cap has its true top at max_cap or above, since the
+            # run agrees with the true staircase up to its cap
+            top = base.max_quotient_degree()
+            if top < c:
+                break
+            if c >= max_cap:
+                raise CapExceeded(
+                    f"the staircase at cap {c} is finite with top degree "
+                    f"{top}, so proving it needs a cap above the cap ceiling "
+                    f"{max_cap}")
+            c = min(top + 1 if c < floor else max(c + CAP_STEP, top + 1),
+                    max_cap)
+        elif c < floor:
+            c = floor
+        # an infinite staircase must hold one step up
+        elif _build(gens, order, c + CAP_STEP, False).staircase == base.staircase:
+            break
+        elif c + CAP_STEP > max_cap:
+            raise CapExceeded(f"the staircase is infinite and did not "
+                              f"stabilize below the cap ceiling {max_cap}")
+        else:
+            c += CAP_STEP
+    base.certified = True
+    return base
 
 
 def standard_basis_at(gens: Sequence[Poly], cap: int, track: bool = False,
@@ -496,25 +526,28 @@ def standard_basis_at(gens: Sequence[Poly], cap: int, track: bool = False,
 class Ctx:
     """One computation's cap budget, its record of caps, and its memo.
 
-    cap and max_cap bound every certified standard basis (the run that
-    checks an infinite staircase may reach max_cap + CAP_STEP), and
-    attempts the search for good coordinates; 1 <= cap <= max_cap <=
-    MAX_POWER_DEGREE and 1 <= attempts <= MAX_ATTEMPTS.  The memo holds each
-    certified untracked basis under the set of its generators: its
-    staircase, quotient monomials and normal forms depend only on the
-    ideal, not on the order of the generators.  It holds each finite
-    basis's quotient algebra the same way, and per-germ data the index
-    and pairing modules derive once, such as each germ's minors and
+    max_cap bounds every certified standard basis (the run that checks an
+    infinite staircase may reach max_cap + CAP_STEP).  cap is where an
+    infinite staircase is judged, and the floor of the residue lifts; a
+    finite staircase is certified at the lowest cap that proves it, often
+    below cap.  attempts bounds the search for good coordinates.  1 <= cap
+    <= max_cap <= MAX_POWER_DEGREE and 1 <= attempts <= MAX_ATTEMPTS.  The
+    memo holds each certified untracked basis under the set of its
+    generators: its staircase, quotient monomials and normal forms depend
+    only on the ideal, not on the order of the generators.  It holds each
+    finite basis's quotient algebra the same way, and per-germ data the
+    index and pairing modules derive once, such as each germ's minors and
     residue functional.
 
     finite() is the one gate to a finite quotient, and algebra() passes
     it too.  It raises the caller's error on an infinite staircase;
-    otherwise it records the basis's cap under the caller's step, and
-    caps_used keeps per step the highest cap it needed.  The steps are
-    "index" (eg_index, index_algebra), "curve" (curve_index), "pairing"
-    (algebra_B) and "colength" (intersection_multiplicity_both_ways).  A
-    ResidueForm passes the gate with no step and records its working cap
-    under "residue" itself.
+    otherwise it records the cap that certified the basis under the
+    caller's step, and caps_used keeps per step the highest such cap.  The
+    steps are "index" (eg_index, index_algebra), "curve" (curve_index),
+    "pairing" (algebra_B) and "colength"
+    (intersection_multiplicity_both_ways).  A ResidueForm passes the gate
+    with no step and records its working cap, at least cap, under
+    "residue" itself.
     """
 
     cap: int = DEFAULT_CAP
@@ -561,7 +594,8 @@ class Ctx:
         """Certified basis of a zero-dimensional ideal, or raise error.
 
         An infinite staircase raises error and records nothing; a finite
-        one records its cap under step, when there is one.
+        one records the cap that certified it under step, when there is
+        one.
         """
         sb = self.basis(gens)
         if not sb.is_finite():

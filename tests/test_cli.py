@@ -379,3 +379,14 @@ def test_ctx_raises_the_cli_messages(capsys, a1_file, knobs, flags, message):
     assert str(exc.value) == message
     code, out, err = run_cli(capsys, ["all", a1_file] + flags)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_a_finite_staircase_past_the_ceiling_is_named(capsys, tmp_path):
+    # (x^40, y^40) has colength 1600 and top degree 78: no cap up to the
+    # ceiling 40 proves it
+    path = tmp_path / "deep.germ"
+    path.write_text("vars = x, y\nomega = x^40, y^40\n")
+    code, out, err = run_cli(capsys, ["index", str(path)])
+    assert (code, out) == (1, "")
+    assert err == ("error: the staircase at cap 40 is finite with top degree "
+                   "78, so proving it needs a cap above the cap ceiling 40\n")

@@ -8,7 +8,8 @@ relative to the repository root, so the digests do not depend on where
 the checkout lives.
 
 Regenerate after a deliberate output change with
-`PYTHONPATH=src python tests/test_cli_golden.py`, and say why in CHANGES.md.
+`PYTHONPATH=src python tests/test_cli_golden.py`, which prints the argv of
+each run whose digest changed, and say why in CHANGES.md.
 """
 
 import contextlib
@@ -68,5 +69,10 @@ def test_cli_outputs_match_the_golden_digests():
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps({" ".join(a): digest(a) for a in runs()},
-                                  indent=1, sort_keys=True) + "\n")
+    old = json.loads(DIGESTS.read_text())
+    new = {" ".join(a): digest(a) for a in runs()}
+    changed = [key for key in new if old.get(key) != new[key]]
+    for key in changed:
+        print(key)
+    print(f"{len(changed)} of {len(new)} digests changed")
+    DIGESTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")

@@ -148,18 +148,51 @@ def test_a_finite_basis_is_built_once(monkeypatch):
         return real(gens, order, cap, track, rep_cap)
 
     monkeypatch.setattr(localalg, "_build", counting)
-    # a finite staircase below the cap is proved exact by its one run
+    # the first run is at the deepest generator degree, and a finite
+    # staircase below it is proved exact by that one run
+    assert colength(standard_basis([X, Y**3])) == 3
+    assert caps == [3]
+    # one reaching the cap is proved by the run at its top degree + 1
+    del caps[:]
     assert colength(standard_basis([X**2, Y**3])) == 6
-    assert caps == [DEFAULT_CAP]
-    # an infinite one is accepted when the run one step up agrees
+    assert caps == [3, 4]
+    # an infinite one is judged from the default cap on: accepted when the
+    # run one step up agrees
     del caps[:]
     assert colength(standard_basis([X])) == INFINITE
-    assert caps == [DEFAULT_CAP, DEFAULT_CAP + CAP_STEP]
+    assert caps == [1, DEFAULT_CAP, DEFAULT_CAP + CAP_STEP]
 
 
 def test_cap_exceeded():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded,
+                       match="^generator degree 45 exceeds the cap ceiling 20$"):
         standard_basis([x3, y3, z3**45], max_cap=20)
+
+
+@pytest.mark.parametrize("gens, cap, max_cap, message", [
+    ([X**2, Y**3], 50, 40, "cap 50 exceeds the cap ceiling 40"),
+    # finite, with top degree 78 = 39 + 39
+    ([X**40, Y**40], DEFAULT_CAP, 40,
+     "the staircase at cap 40 is finite with top degree 78, so proving it "
+     "needs a cap above the cap ceiling 40"),
+    # infinite along y = 0, z = x^10, where y * x^10 leads an element only
+    # from cap 11 on: the runs at 10 and 14 disagree
+    ([y3 * z3, z3 - x3**10], 10, 12,
+     "the staircase is infinite and did not stabilize below the cap "
+     "ceiling 12"),
+])
+def test_cap_exceeded_names_its_cause(gens, cap, max_cap, message):
+    with pytest.raises(CapExceeded) as info:
+        standard_basis(gens, cap, max_cap)
+    assert str(info.value) == message
+
+
+def test_a_finite_staircase_is_proved_at_the_ceiling():
+    # the first run, at the deepest degree 37, sees top degree 37; the
+    # step to 37 + CAP_STEP would pass the ceiling, and the run at 40
+    # proves it
+    sb = standard_basis([X**37, Y**2], DEFAULT_CAP, 40)
+    assert sb.certified and (sb.cap, colength(sb)) == (40, 74)
 
 
 def test_normal_form_values():
@@ -360,6 +393,32 @@ def test_corner_cut_on_infinite_and_unit_ideals():
                for p in _random_dividends(_UNIT, unit.cap))
 
 
+def _differential_cases():
+    """(id, generator maker): random ideals, corpus ideals, ADE sections."""
+    cases = [(f"random-{k}", lambda k=k: _RANDOM_IDEALS[k])
+             for k in range(len(_RANDOM_IDEALS))]
+    cases += [(f"corpus-{name}", lambda p=p: ideal_J(p))
+              for name, p in builtin_corpus()]
+    cases += [(f"{name}-{seed}", lambda n=name, s=seed: _ade_section(n, s))
+              for name in ["E6", "E7", "E8"] for seed in [1, 2, 3, 4]]
+    return cases
+
+
+@pytest.mark.parametrize("make", [pytest.param(make, id=case)
+                                  for case, make in _differential_cases()])
+def test_the_lowest_proving_cap_matches_the_default_cap(make):
+    # a basis certified below DEFAULT_CAP reads the same as the run at it
+    gens = make()
+    sb = standard_basis(gens)
+    reference = standard_basis_at(gens, DEFAULT_CAP)
+    assert sb.is_finite() and sb.max_quotient_degree() < sb.cap <= DEFAULT_CAP
+    assert sb.staircase == reference.staircase
+    assert sb.quotient_monomials == reference.quotient_monomials
+    for p in _random_dividends(gens, DEFAULT_CAP):
+        assert normal_form(p, sb) == normal_form(p, reference)
+    assert colength(sb) == stable_corank(gens)
+
+
 def _tail_degrees(sb):
     """Total degree of every term of every element but its leading one."""
     out = []
@@ -374,7 +433,7 @@ def test_untracked_elements_stop_at_the_corner():
     for gens in [_ade_section("E8", 1), _RANDOM_IDEALS[2]]:
         sb = standard_basis(gens)
         top = sb.max_quotient_degree()
-        assert max(_tail_degrees(standard_basis_at(gens, sb.cap,
+        assert max(_tail_degrees(standard_basis_at(gens, DEFAULT_CAP,
                                                    track=True))) > top
         assert max(_tail_degrees(sb)) <= top
     # an infinite staircase never cuts
