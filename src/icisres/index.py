@@ -219,10 +219,10 @@ def germ_residue(p: GermProblem, h: Poly,
     """Residue of h dz_1 ^ dz_2 over (m_1, m_2) on the germ, index-oriented.
 
     Wedging h dz_1 ^ dz_2 with df_1 ^ ... ^ df_q gives h * DF dz, so this
-    is the ambient residue of h * DF over residue_denominators.  The
-    minors are labelled by the column they omit, so the pair (m_1, m_2)
-    runs against the orientation of (z_1, z_2) by exactly one
-    transposition.  The sign below restores the orientation in which the
+    is the ambient residue of h * DF over residue_denominators, read off
+    the one ResidueForm ctx keeps for them.  The minors are labelled by
+    the column they omit, so the pair (m_1, m_2) runs against the
+    orientation of (z_1, z_2) by exactly one transposition.  The sign below restores the orientation in which the
     smooth model omega = x dx + y dy counts +1, making germ residues of
     index data nonnegative.
     """

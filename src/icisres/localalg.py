@@ -535,9 +535,9 @@ class Ctx:
     memo holds each certified untracked basis under the set of its
     generators: its staircase, quotient monomials and normal forms depend
     only on the ideal, not on the order of the generators.  It holds each
-    finite basis's quotient algebra the same way, and per-germ data the
-    index and pairing modules derive once, such as each germ's minors and
-    residue functional.
+    finite basis's quotient algebra the same way, per-germ data the index
+    module derives once, such as each germ's minors, and one ResidueForm
+    per ordered denominator tuple (residues.residue_form).
 
     finite() is the one gate to a finite quotient, and algebra() passes
     it too.  It raises the caller's error on an infinite staircase;
@@ -546,8 +546,8 @@ class Ctx:
     steps are "index" (eg_index, index_algebra), "curve" (curve_index),
     "pairing" (algebra_B) and "colength"
     (intersection_multiplicity_both_ways).  A ResidueForm passes the gate
-    with no step and records its working cap, at least cap, under
-    "residue" itself.
+    with no step and records the term cap of its one lift, at least cap,
+    under "residue" itself.
     """
 
     cap: int = DEFAULT_CAP

@@ -9,8 +9,10 @@ socle of A, whether sigma represents the distinguished socle class, and
 the dimension bound soc A <= dim A - dim C + 1.
 
 Each function takes the germ and an optional Ctx.  The algebras A and B
-and the residue functional live in the Ctx memo, so the functions called
-on one Ctx build each of them once.  Both algebras pass the gate
+live in the Ctx memo, and so does the one ResidueForm over (m_1, m_2, f)
+that residue_functional returns and index.germ_residue reads, so the
+functions called on one Ctx build each algebra once and lift the residue
+box once, shared with solve.  Both algebras pass the gate
 Ctx.algebra: index_algebra records A's cap under "index" and raises
 NotIsolated on an infinite staircase, algebra_B records B's cap under
 "pairing" and raises NotRegularSequence, and neither records anything
@@ -24,11 +26,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotIsolated, NotRegularSequence
-from .index import (GermProblem, find_good_coordinates, germ_sigma, ideal_J,
-                    residue_denominators)
-from .localalg import Ctx, QuotientAlgebra, normal_form
+from .index import (GermProblem, find_good_coordinates, germ_residue,
+                    germ_sigma, ideal_J, residue_denominators)
+from .localalg import Ctx, QuotientAlgebra
 from .polycore import Exponent, Poly, _bareiss, _scaled
-from .residues import ResidueForm
+from .residues import ResidueForm, residue_form
 
 
 def rref(rows: List[List[Fraction]]) -> Tuple[int, List[int], List[List[Fraction]]]:
@@ -78,43 +80,17 @@ def index_algebra(p: GermProblem, ctx: Optional[Ctx] = None) -> QuotientAlgebra:
         NotIsolated("the form vanishes along a curve on the germ"), "index")
 
 
-@dataclass
-class ResidueFunctional:
-    """Germ residue as a linear functional through the B quotient.
-
-    values[e] is the raw residue of the basis monomial z^e over
-    (m_1, m_2, f); the oriented germ residue of h dz_1 ^ dz_2 is then
-    -<values, coordinates of h * DF>, matching germ_residue entrywise.
-    All values are read off one ResidueForm, so a functional costs one
-    residue computation however large B is.
-    """
-
-    algebra: QuotientAlgebra
-    values: Dict[Exponent, Fraction]
-    df: Poly
-
-    def raw(self, numerator: Poly) -> Fraction:
-        nf = normal_form(numerator, self.algebra.sb)
-        return sum((c * self.values[e] for e, c in nf.ints.items()),
-                   Fraction(0)) / nf.den
-
-    def v_residue(self, h: Poly) -> Fraction:
-        return -self.raw(h * self.df)
-
-
 def residue_functional(p: GermProblem,
-                       ctx: Optional[Ctx] = None) -> ResidueFunctional:
-    """The germ's residue functional, computed once per germ in ctx."""
+                       ctx: Optional[Ctx] = None) -> ResidueForm:
+    """The germ's ResidueForm over (m_1, m_2, f), shared in ctx.
+
+    algebra_B's gate comes first, so a pair that is not regular raises
+    NotRegularSequence naming (m_1, m_2).  Its values are raw residues;
+    germ_residue reads the same form and orients them.
+    """
     ctx = ctx or Ctx()
-
-    def compute() -> ResidueFunctional:
-        algebra = algebra_B(p, ctx)
-        form = ResidueForm(residue_denominators(p, ctx), ctx)
-        values = {e: form.value(Poly.monomial(p.nvars, e, 1))
-                  for e in algebra.basis}
-        return ResidueFunctional(algebra, values, germ_sigma(p, ctx).df)
-
-    return ctx.once(("functional", p), compute)
+    algebra_B(p, ctx)
+    return residue_form(residue_denominators(p, ctx), ctx)
 
 
 @dataclass
@@ -150,7 +126,11 @@ class GramData:
 
 def gram_beta(p: GermProblem, ctx: Optional[Ctx] = None) -> GramData:
     ctx = ctx or Ctx()
-    functional = residue_functional(p, ctx)
+    # germ_residue(p, u * v, ctx) for each entry, with the form and DF
+    # looked up once: each germ_residue call hashes the germ and the three
+    # denominators again for its memo keys
+    form = residue_functional(p, ctx)
+    df = germ_sigma(p, ctx).df
     alg_a = index_algebra(p, ctx)
     n = alg_a.sb.order.nvars
     d = alg_a.dim
@@ -158,7 +138,7 @@ def gram_beta(p: GermProblem, ctx: Optional[Ctx] = None) -> GramData:
     rows = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            rows[i][j] = rows[j][i] = functional.v_residue(mons[i] * mons[j])
+            rows[i][j] = rows[j][i] = -form.value(mons[i] * mons[j] * df)
     return GramData(list(alg_a.basis), rows, matrix_rank(rows))
 
 
@@ -195,7 +175,6 @@ class PairingReport:
 def pairing_report(p: GermProblem, ctx: Optional[Ctx] = None) -> PairingReport:
     ctx = ctx or Ctx()
     change, good = find_good_coordinates(p, ctx)
-    functional = residue_functional(good, ctx)
     cdata = algebra_C(good, ctx)
     alg_a = index_algebra(good, ctx)
     dim_a = alg_a.dim
@@ -205,14 +184,14 @@ def pairing_report(p: GermProblem, ctx: Optional[Ctx] = None) -> PairingReport:
     soc_elems = [alg_a.element(v) for v in soc_vecs]
 
     sd = germ_sigma(good, ctx)
-    sigma_res = functional.v_residue(sd.sigma)
+    sigma_res = germ_residue(good, sd.sigma, ctx)
     if dim_a == 0:
         sigma_ok: Optional[bool] = None
     else:
         n = good.nvars
         origin = (0,) * n
         sigma_ok = sigma_res != 0 and all(
-            functional.v_residue(Poly.monomial(n, e, 1) * sd.sigma) == 0
+            germ_residue(good, Poly.monomial(n, e, 1) * sd.sigma, ctx) == 0
             for e in alg_a.basis if e != origin)
 
     soc_a_dim = len(soc_vecs)

@@ -6,23 +6,24 @@ z^d = A g, and reading off one Taylor coefficient: the residue is the
 coefficient of z^(d - 1) in h * det(A) (Griffiths-Harris, Principles of
 Algebraic Geometry, 5.1).  Only the coefficients of det(A) in the box
 {e : e_i <= d_i - 1} are ever read, and they do not depend on h, so a
-ResidueForm computes them once per ordered denominator tuple and each
-value is one coefficient extraction.
+ResidueForm computes them once per ordered denominator tuple, the Ctx
+memo shares one form per tuple (residue_form), and each value is one
+coefficient extraction.
 
 With t the staircase height of I, m^(t+1) lies in I, so d_i <= t + 1 and
 the powers come from plain normal forms on the certified basis.  Write
 big = sum(d_i - 1), the highest degree in the box.  The lift rows come
-from a tracked basis at term cap work_cap >= big + t + 2 whose
+from a tracked basis at term cap max(cap, big + t + 2) whose
 representations are kept only up to rep_cap = big + t + 2.  Cutting the
 representations at rep_cap leaves an error z^d - A' g in I and in
-m^(rep_cap + 1), the same kind of error the term cap leaves in
-m^(work_cap + 1).  Such an error does not reach the box.  Since m^(t+1)
-lies in I, an error in m^(N+1) is B g with every entry of B in m^(N-t),
-so A' + B is an exact lift.  For N >= big + t + 1 the entries of B have
-order above big, so det(A') agrees with det(A' + B) up to degree big, and
-every exact lift gives the same box: its coefficients are the residues
-of the monomials z^(d - 1 - e).  So one lift per work_cap proves its box,
-and nothing is recomputed.
+m^(rep_cap + 1), the same kind of error the term cap leaves above it.
+Such an error does not reach the box.  Since m^(t+1) lies in I, an error
+in m^(N+1) is B g with every entry of B in m^(N-t), so A' + B is an exact
+lift.  For N >= big + t + 1 the entries of B have order above big, so
+det(A') agrees with det(A' + B) up to degree big, and every exact lift
+gives the same box: its coefficients are the residues of the monomials
+z^(d - 1 - e).  So the box is proved once, for numerators of every
+degree, and nothing is recomputed.
 
 Residues of forms on the zero set of f reduce to residues on the ambient
 space by wedging with df_1 ^ ... ^ df_q; the reduction is a signed sum of
@@ -40,15 +41,6 @@ from .errors import NotRegularSequence, PowerCapExceeded
 from .localalg import (Ctx, StandardBasis, colength, lift, normal_form,
                        standard_basis_at)
 from .polycore import Poly, series_determinant
-
-
-def monomial_residue(h: Poly, d: Sequence[int]) -> Fraction:
-    """Residue of h over (z_1^{d_1}, ..., z_n^{d_n}): one Taylor coefficient."""
-    if len(d) != h.nvars:
-        raise ValueError("power vector length must match the variable count")
-    if any(k < 1 for k in d):
-        raise ValueError("powers must be positive")
-    return h.coefficient([k - 1 for k in d])
 
 
 def _coefficient_of_product(h: Poly, g: Poly, target: Tuple[int, ...]) -> Fraction:
@@ -97,7 +89,11 @@ def _denominator_list(denominators: Sequence[Poly]) -> List[Poly]:
     denoms = list(denominators)
     if not denoms:
         raise NotRegularSequence("empty denominator list")
-    n = denoms[0].nvars
+    counts = sorted({g.nvars for g in denoms})
+    if len(counts) > 1:
+        raise ValueError("denominators mix variable counts "
+                         + ", ".join(map(str, counts)))
+    n = counts[0]
     if len(denoms) != n:
         raise NotRegularSequence(
             f"{len(denoms)} denominators in {n} variables cannot be a regular "
@@ -127,19 +123,21 @@ class ResidueForm:
     """The residue over one ordered denominator tuple, as a functional of h.
 
     Holds the powers d and the coefficients of det(A) in the box
-    {e : e_i <= d_i - 1}.  The box is computed on the first value() call,
-    at that call's working cap, and again only when a later numerator's
-    degree asks for a higher cap.  The certified basis of the denominators'
-    ideal comes from ctx, so a basis the context already holds for the
-    same generators in any order is not built again.  Raises
-    NotRegularSequence when the denominators do not cut out a finite
-    quotient.
+    {e : e_i <= d_i - 1}.  The box is lifted once, on the first nonzero
+    value, at term cap cap = max(ctx.cap, big + t + 2), which the module
+    docstring proves exact for numerators of every degree; that cap is
+    recorded in ctx.caps_used under "residue" when the box is built.  The
+    certified basis of the denominators' ideal comes from ctx, so a basis
+    the context already holds for the same generators in any order is not
+    built again.  Raises NotRegularSequence when the denominators do not
+    cut out a finite quotient.  residue_form shares one form per ordered
+    tuple in ctx.
     """
 
     def __init__(self, denominators: Sequence[Poly], ctx: Optional[Ctx] = None):
         self.denominators = _denominator_list(denominators)
-        self.ctx = ctx or Ctx()
-        base = self.ctx.finite(self.denominators, NotRegularSequence(
+        ctx = ctx or Ctx()
+        base = ctx.finite(self.denominators, NotRegularSequence(
             "denominator ideal has infinite colength"))
         n = len(self.denominators)
         self.height = base.max_quotient_degree()
@@ -148,31 +146,40 @@ class ResidueForm:
         self.powers: Tuple[int, ...] = tuple(
             _minimal_power(i, base) for i in range(n)) if colength(base) else ()
         self.big = sum(self.powers) - len(self.powers)
-        self.work_cap = 0       # term cap of the lifts behind box
-        self.box = Poly.zero(n)
+        self.cap = max(ctx.cap, self.big + self.height + 2)
+        # the form keeps ctx's record, not ctx: a form in ctx's memo would
+        # otherwise make a reference cycle that only the collector frees
+        self.caps_used = ctx.caps_used
+        self.box: Optional[Poly] = None
 
     def value(self, numerator: Poly) -> Fraction:
-        """Residue of numerator; records the working cap under "residue"."""
+        """Residue of numerator, a polynomial in the denominators' variables."""
+        n = len(self.denominators)
+        if numerator.nvars != n:
+            raise ValueError(f"numerator in {numerator.nvars} variables over "
+                             f"denominators in {n}")
         if numerator.is_zero() or not self.powers:
             return Fraction(0)
-        # exactness bound: box degree + staircase height, and room for the
-        # numerator's own degree as a margin
-        work_cap = max(self.ctx.cap, self.big + self.height + 2,
-                       self.big + numerator.total_degree())
-        if work_cap > self.work_cap:
-            self.box = self._box(work_cap)
-            self.work_cap = work_cap
-        self.ctx.record("residue", work_cap)
+        if self.box is None:
+            self.box = self._box()
         return _coefficient_of_product(numerator, self.box,
                                        tuple(d - 1 for d in self.powers))
 
-    def _box(self, work_cap: int) -> Poly:
-        rows = lift_rows(self.denominators, self.powers, work_cap,
+    def _box(self) -> Poly:
+        rows = lift_rows(self.denominators, self.powers, self.cap,
                          rep_cap=self.big + self.height + 2)
         det = series_determinant(rows, self.big)
+        self.caps_used["residue"] = max(self.caps_used.get("residue", 0),
+                                        self.cap)
         return Poly.from_ints(det.nvars, {
             e: c for e, c in det.ints.items()
             if all(k < d for k, d in zip(e, self.powers))}, det.den)
+
+
+def residue_form(denominators: Sequence[Poly], ctx: Ctx) -> ResidueForm:
+    """The ResidueForm of the ordered tuple, built once per ctx."""
+    denoms = tuple(denominators)
+    return ctx.once(("residue", denoms), lambda: ResidueForm(denoms, ctx))
 
 
 def grothendieck_residue(numerator: Poly, denominators: Sequence[Poly],
@@ -181,13 +188,13 @@ def grothendieck_residue(numerator: Poly, denominators: Sequence[Poly],
 
     The value changes sign under denominator swaps; orientation is carried
     by the determinant of the lift matrix.  Raises NotRegularSequence when
-    the denominators do not cut out a finite quotient.  Several numerators
-    over the same denominators should share one ResidueForm.
+    the denominators do not cut out a finite quotient.  Calls that share
+    ctx share the tuple's ResidueForm, so its box is lifted once.
     """
     denoms = _denominator_list(denominators)
     if numerator.is_zero():
         return Fraction(0)
-    return ResidueForm(denoms, ctx).value(numerator)
+    return residue_form(denoms, ctx or Ctx()).value(numerator)
 
 
 def _perm_sign(seq: Sequence[int]) -> int:

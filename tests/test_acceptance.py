@@ -16,13 +16,14 @@ from icisres.cli import main as cli_main
 from icisres.index import (GermProblem, eg_index, find_good_coordinates,
                            curve_index, germ_residue, ideal_J, main_residue,
                            minors, sigma_data, solve)
-from icisres.localalg import colength, minimal_power_membership, standard_basis
+from icisres.localalg import (Ctx, colength, minimal_power_membership,
+                              standard_basis)
 from icisres.pairing import (algebra_C, index_algebra, pairing_report,
                              residue_functional)
 from icisres.polycore import Poly
 from icisres.residues import (grothendieck_residue,
                               intersection_multiplicity_both_ways, lift_rows,
-                              residue_via_lift)
+                              residue_form, residue_via_lift)
 from icisres.verify import VerificationPlan, builtin_corpus, run
 
 from oracle_macaulay import stable_corank
@@ -114,8 +115,11 @@ def test_criterion_5_residue_form_properties():
     for name, q in _good_corpus():
         ms = minors(q)
         denoms = [ms[0], ms[1]] + list(q.f)
-        fn = residue_functional(q)
-        alg = index_algebra(q)
+        ctx = Ctx()
+        # the germ residue reads the form residue_functional returns
+        form = residue_functional(q, ctx)
+        assert form is residue_form(denoms, ctx), name
+        alg = index_algebra(q, ctx)
 
         # linearity of the residue form
         for _ in range(4):
@@ -126,15 +130,16 @@ def test_criterion_5_residue_form_properties():
                       {tuple(rng.randint(0, 2) for _ in range(q.nvars)):
                        Fraction(rng.randint(-3, 3)) for _ in range(3)})
             a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
-            assert fn.v_residue(h1.scale(a) + h2.scale(b)) == \
-                a * fn.v_residue(h1) + b * fn.v_residue(h2), name
+            assert germ_residue(q, h1.scale(a) + h2.scale(b), ctx) == \
+                a * germ_residue(q, h1, ctx) + b * germ_residue(q, h2, ctx), name
 
         # vanishing on J: every generator times every A-basis monomial
         for g in ideal_J(q):
             if g.is_zero():
                 continue
             for e in alg.basis:
-                assert fn.v_residue(g * Poly.monomial(q.nvars, e)) == 0, name
+                assert germ_residue(q, g * Poly.monomial(q.nvars, e),
+                                    ctx) == 0, name
 
         if colength(standard_basis(denoms)) == 0:
             continue

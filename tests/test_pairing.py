@@ -1,18 +1,24 @@
 """Residue pairing: Gram matrices, annihilator quotient, socle structure."""
 
 import random
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from icisres.errors import NotRegularSequence
-from icisres.index import GermProblem, main_residue, minors, sigma_data
+from icisres.germfile import parse_germ_file
+from icisres.index import (GermProblem, germ_residue, main_residue, minors,
+                           residue_denominators, sigma_data, solve)
 from icisres.localalg import Ctx
 from icisres.pairing import (algebra_B, algebra_C, gram_beta, index_algebra,
                              kernel_basis, matrix_rank, pairing_report,
                              residue_functional, rref, socle)
 from icisres.polycore import Poly
+from icisres.residues import residue_form
 
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 N3 = ("x", "y", "z")
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -134,38 +140,53 @@ def test_index_algebra_matches_eg_index():
 
 
 def test_residue_functional_sphere():
-    fn = residue_functional(sphere_dz())
-    assert dict(fn.values) == {(0, 0, 0): Fraction(0), (0, 0, 1): Fraction(-1, 4)}
-    # the functional agrees with the index-oriented germ residue
-    sigma = sigma_data(sphere_dz()).sigma
-    assert fn.v_residue(sigma) == main_residue(sphere_dz()) == 2
-    assert fn.v_residue(Poly.zero(3)) == 0
+    p, ctx = sphere_dz(), Ctx()
+    fn = residue_functional(p, ctx)
+    values = {e: fn.value(Poly.monomial(3, e))
+              for e in algebra_B(p, ctx).basis}
+    assert values == {(0, 0, 0): Fraction(0), (0, 0, 1): Fraction(-1, 4)}
+    # one form per denominator tuple: germ_residue reads this one and
+    # orients it to agree with the index
+    assert fn is residue_form(residue_denominators(p, ctx), ctx)
+    sigma = sigma_data(p).sigma
+    assert germ_residue(p, sigma, ctx) == -fn.value(sigma * sigma_data(p).df)
+    assert germ_residue(p, sigma, ctx) == main_residue(p) == 2
+    assert germ_residue(p, Poly.zero(3), ctx) == 0
+
+
+def test_residue_functional_gates_a_bad_pair():
+    # omega = df: every principal minor vanishes identically
+    degen = GermProblem(3, (z3,), (Poly.zero(3), Poly.zero(3), ONE3))
+    with pytest.raises(NotRegularSequence) as info:
+        residue_functional(degen)
+    assert str(info.value) == "(m_1, m_2) is not regular on the germ"
 
 
 def test_residue_functional_is_linear():
-    fn = residue_functional(sphere_dz())
+    p, ctx = sphere_dz(), Ctx()
     rng = random.Random(31)
     for _ in range(8):
         h1 = Poly(3, {(rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 2)):
                       Fraction(rng.randint(-3, 3)) for _ in range(2)})
         h2 = Poly(3, {(rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 2)):
                       Fraction(rng.randint(-3, 3)) for _ in range(2)})
-        assert fn.v_residue(h1 + h2) == fn.v_residue(h1) + fn.v_residue(h2)
+        assert germ_residue(p, h1 + h2, ctx) == \
+            germ_residue(p, h1, ctx) + germ_residue(p, h2, ctx)
 
 
 def test_residue_functional_kills_index_ideal():
     # residues of J-multiples vanish: the functional descends to A
     for p in (sphere_dz(),
               GermProblem(3, (x3**2 + y3**3 + z3**5,), (ONE3, ONE3, ONE3), seed=1)):
-        fn = residue_functional(p)
-        alg = index_algebra(p)
+        ctx = Ctx()
+        alg = index_algebra(p, ctx)
         ms = minors(p)
         df = sigma_data(p).df
         gens = list(p.f) + list(ms) + [df * df]
         for g in gens:
             for e in alg.basis:
                 mono = Poly.monomial(3, e)
-                assert fn.v_residue(g * mono) == 0
+                assert germ_residue(p, g * mono, ctx) == 0
 
 
 def test_algebra_c_sphere():
@@ -205,8 +226,8 @@ def test_gram_smooth_diagonal():
 
 
 def test_one_ctx_builds_each_quotient_algebra_once(monkeypatch):
-    # algebra_C and residue_functional share B; gram_beta finds the
-    # functional and A in the memo
+    # algebra_C and residue_functional share B; gram_beta finds B and A
+    # in the memo
     from icisres import localalg
     real = localalg.quotient_algebra
     built = []
@@ -221,6 +242,38 @@ def test_one_ctx_builds_each_quotient_algebra_once(monkeypatch):
     residue_functional(p, ctx)
     gram_beta(p, ctx)
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("name", ["a1-dz", "diag-3-4", "e7-const",
+                                  "e8-generic"])
+def test_pairing_report_then_solve_lift_one_residue_box(name, monkeypatch):
+    from icisres import residues
+    real = residues.standard_basis_at
+    tracked = []
+
+    def counting(*args, **kwargs):
+        tracked.append(kwargs.get("track"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(residues, "standard_basis_at", counting)
+    gf = parse_germ_file((CORPUS / f"{name}.germ").read_text())
+    p, ctx = GermProblem(gf.nvars, gf.f, gf.omega, seed=gf.seed), Ctx()
+    rep = pairing_report(p, ctx)
+    assert solve(p, ctx).match
+    # both read the one form over (m_1, m_2, f) in good coordinates
+    assert tracked == [True]
+    assert rep.caps_used["residue"] == ctx.caps_used["residue"]
+
+
+def test_a_ctx_holding_residue_forms_is_freed_at_once():
+    # a form in the memo must not refer back to its ctx: the cycle would
+    # keep every command's bases alive until the collector runs
+    ctx = Ctx()
+    pairing_report(sphere_dz(), ctx)
+    assert any(key[0] == "residue" for key in ctx.memo)
+    ref = weakref.ref(ctx)
+    del ctx
+    assert ref() is None
 
 
 def test_gram_symmetric():

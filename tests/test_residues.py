@@ -8,7 +8,8 @@ import pytest
 from icisres import residues
 from icisres.errors import NotRegularSequence
 from icisres.index import find_good_coordinates, minors
-from icisres.localalg import (Ctx, colength, minimal_power_membership,
+from icisres.localalg import (DEFAULT_CAP, Ctx, colength,
+                              minimal_power_membership,
                               standard_basis, standard_basis_at)
 from icisres.pairing import algebra_B, residue_functional
 from icisres.polycore import Poly
@@ -16,7 +17,7 @@ from icisres.residues import (ResidueForm, form_index_basis,
                               grothendieck_residue,
                               intersection_multiplicity_both_ways,
                               jacobian_minor, lambda_map, lift_rows,
-                              monomial_residue, relative_residue,
+                              relative_residue, residue_form,
                               residue_via_lift)
 from icisres.verify import builtin_corpus
 
@@ -36,17 +37,6 @@ TRIAL_NINE_G = [x3**2 + (x3 * y3).scale(Fraction(2)) + (y3**2).scale(Fraction(2)
                 - y3 * z3 + z3**2 + y3.scale(Fraction(3)),
                 x3**2 + (x3 * y3).scale(Fraction(2)) + (x3 * z3).scale(Fraction(3))
                 + y3.scale(Fraction(3))]
-
-
-def test_monomial_residue():
-    h = (X * Y**2).scale(Fraction(6)) + X**3
-    assert monomial_residue(h, [2, 3]) == 6
-    assert monomial_residue(h, [4, 1]) == 1
-    assert monomial_residue(h, [1, 1]) == 0
-    with pytest.raises(ValueError):
-        monomial_residue(h, [2, 0])
-    with pytest.raises(ValueError):
-        monomial_residue(h, [2])
 
 
 def test_residue_monomial_denominators():
@@ -77,6 +67,24 @@ def test_residue_input_validation():
         grothendieck_residue(ONE2, [X])
     with pytest.raises(NotRegularSequence):
         grothendieck_residue(ONE2, [X, X])
+
+
+def test_residue_rejects_mixed_variable_counts():
+    # the residue of 1 over (x, y, z) is 1; a numerator in two variables
+    # must not read as 0
+    with pytest.raises(ValueError, match="numerator in 2 variables"):
+        grothendieck_residue(ONE2, [x3, y3, z3])
+    assert grothendieck_residue(ONE3, [x3, y3, z3]) == 1
+    form = ResidueForm([x3, y3, z3])
+    with pytest.raises(ValueError, match="numerator in 2 variables"):
+        form.value(X)
+
+
+def test_denominators_must_share_their_variable_count():
+    with pytest.raises(ValueError, match="mix variable counts 2, 3"):
+        grothendieck_residue(ONE3, [x3, y3, X])
+    with pytest.raises(ValueError, match="mix variable counts 2, 3"):
+        ResidueForm([X, y3, z3])
 
 
 def test_residue_unit_denominator_gives_zero():
@@ -300,7 +308,7 @@ def test_form_matches_per_call_residue_on_corpus_algebras():
             h = Poly.monomial(good.nvars, e, 1)
             expected = _per_call_residue(h, denoms)
             assert form.value(h) == expected, (name, e)
-            assert fn.values[e] == expected, (name, e)
+            assert fn.value(h) == expected, (name, e)
 
 
 def test_form_finds_powers_off_the_staircase():
@@ -323,20 +331,24 @@ def test_form_lifts_once_for_many_numerators(monkeypatch):
     monkeypatch.setattr(residues, "standard_basis_at", counting)
     denoms = [X**2 + Y**3, Y**2]
     ctx = Ctx()
-    form = ResidueForm(denoms, ctx)
+    form = residue_form(denoms, ctx)
     assert (form.powers, form.big, form.height) == ((2, 2), 2, 2)
+    assert tracked == [] and ctx.caps_used == {}
     for a in range(3):
         for b in range(3):
             h = X**a * Y**b
             assert form.value(h) == grothendieck_residue(h, denoms)
-    # the nine form values shared one lift; each grothendieck_residue call
-    # built its own
+            assert grothendieck_residue(h, denoms, ctx) == form.value(h)
+    # the form lifted once and grothendieck_residue on ctx read that form;
+    # each call without a ctx built its own
     assert tracked == [True] * 10
     assert ctx.caps_used == {"residue": 12}
-    # a numerator of degree 11 asks for cap big + 11 = 13: one more lift
+    # the box is proved for numerators of every degree: degree 11 lifts
+    # nothing more
     del tracked[:]
     assert form.value(X * Y**10) == 0
-    assert ctx.caps_used == {"residue": 13} and tracked == [True]
+    assert grothendieck_residue(X * Y + X**11, denoms, ctx) == form.value(X * Y)
+    assert ctx.caps_used == {"residue": 12} and tracked == []
 
 
 def test_lift_rows_rep_cap_keeps_the_residue():
@@ -364,10 +376,48 @@ def test_lift_rows_rep_cap_keeps_the_residue():
             assert form.value(h) == value
             # one step up both caps gives the same value, as the residues
             # module docstring proves
-            for cap, rc in [(form.work_cap, rep_cap),
-                            (form.work_cap + 4, rep_cap + 4)]:
+            assert form.cap == max(DEFAULT_CAP, rep_cap)
+            for cap, rc in [(form.cap, rep_cap), (form.cap + 4, rep_cap + 4)]:
                 rows = lift_rows(denoms, form.powers, cap, rep_cap=rc)
                 assert residue_via_lift(h, rows, form.powers) == value
+
+
+def _deep_numerator(rng, powers, high):
+    """Random terms below the powers, plus terms of degree high and high + 2."""
+    n = len(powers)
+    terms = {tuple(rng.randrange(d) for d in powers): Fraction(rng.randint(1, 5))
+             for _ in range(3)}
+    for top in (high, high + 2):
+        e = [0] * n
+        for _ in range(top):
+            e[rng.randrange(n)] += 1
+        terms[tuple(e)] = Fraction(rng.randint(-5, 5) or 1)
+    return Poly(n, terms)
+
+
+def test_form_matches_the_numerator_margin_lift_on_deep_numerators():
+    # the lift used to grow with the numerator, to term cap
+    # max(cap, big + deg h); the box at max(cap, big + t + 2) gives the same
+    # residue for numerators past that cap
+    rng = random.Random(18)
+    cases = [[X**2 + Y**3, Y**2], [X - Y**2, Y**3], [x3, y3, SPHERE],
+             TRIAL_NINE_G + [TRIAL_NINE_F]]
+    for name in ("diag-3-3", "e8-sum"):
+        _, good = find_good_coordinates(dict(builtin_corpus())[name])
+        ms = minors(good)
+        cases.append([ms[0], ms[1]] + list(good.f))
+    nonzero = 0
+    for denoms in cases:
+        form = ResidueForm(denoms)
+        bound = form.big + form.height + 2
+        for _ in range(3):
+            h = _deep_numerator(rng, form.powers, bound + 1)
+            assert h.total_degree() > bound
+            margin = max(DEFAULT_CAP, form.big + h.total_degree())
+            rows = lift_rows(denoms, form.powers, margin)
+            assert form.value(h) == residue_via_lift(h, rows, form.powers)
+            nonzero += form.value(h) != 0
+    assert nonzero >= 9
 
 
 def test_trial_nine_ideal_against_macaulay_oracle():
