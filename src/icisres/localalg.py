@@ -57,13 +57,14 @@ by its leading coefficient lc.  A dividend starts as the Poly's own ints
 over its denominator D, and its representation rows share D; a reduction
 step on the coefficient c multiplies them by lc / gcd(lc, c) and
 subtracts c / gcd(lc, c) times the shifted element, so nothing is ever
-divided (fraction free, as in Bareiss elimination).  Values leave the
-kernel the same way, as ints over one denominator (Poly.from_ints):
-remainders and lift coefficients over D, and from there LiftCertificate;
-basis elements as monic Polys over lc only when StandardBasis.elements is
-first read, which nothing in the engine does.
-Selection depends only on leading monomials and ecarts, so every
-staircase, element, remainder and representation is the one exact
+divided (fraction free, as in Bareiss elimination).  The rows take every
+step, rescale and subtraction, as the dividend does, and no step is
+replayed afterwards.  Values leave the kernel the same way, as ints over
+one denominator (Poly.from_ints): remainders and lift coefficients over
+D, and from there LiftCertificate; basis elements as monic Polys over lc
+only when StandardBasis.elements is first read, which nothing in the
+engine does.  Selection depends only on leading monomials and ecarts, so
+every staircase, element, remainder and representation is the one exact
 rational arithmetic gives.
 """
 
@@ -193,19 +194,18 @@ class _Kernel:
         strictly smaller monomials, so each is handled once.  A step by an
         element with leading coefficient lc on the coefficient c multiplies
         h and rows by lc / gcd(lc, c) and subtracts c / gcd(lc, c) times
-        the shifted element and its representation; the rows' share of
-        the steps is added at the end, which gives the same rows without
-        rescaling them at every step.  Returns the remainder monomials,
-        largest first, whose coefficients stay in h, and the factor the
-        denominator grew by.  The remainder is the unique
-        representative modulo the ideal supported on staircase monomials,
-        which makes the map linear in the dividend.  Terms are cut at the
-        cap, rows at the representation cap; rows never feed back into h.
+        the shifted element and its representation: the rows follow every
+        step exactly as h does, and nothing is replayed afterwards.
+        Returns the remainder monomials, largest first, whose coefficients
+        stay in h, and the factor the denominator grew by.  The remainder
+        is the unique representative modulo the ideal supported on
+        staircase monomials, which makes the map linear in the dividend.
+        Terms are cut at the cap, rows at the representation cap; rows
+        never feed back into h.
         """
         limit, search, divides = self.limit, self._search, self.divides
         heap = sorted(h)
         remainder: List[int] = []
-        steps = []
         scale = 1
         last = -1
         while heap:
@@ -229,6 +229,10 @@ class _Kernel:
                 scale *= a
                 for k in h:
                     h[k] *= a
+                if rows is not None:
+                    for r in rows:
+                        for k in r:
+                            r[k] *= a
             del h[e]
             for t, v in g.tail:
                 m = mono + t
@@ -245,19 +249,8 @@ class _Kernel:
                     else:
                         del h[m]
             if rows is not None:
-                steps.append((mono, b, g.rep, a))
-        if rows is not None:
-            # rows_end = scale * rows - sum over steps of b * (product of
-            # the later multipliers) * mono * rep, summed last step first
-            if scale != 1:
-                for r in rows:
-                    for k in r:
-                        r[k] *= scale
-            later = 1
-            for mono, b, rep, a in reversed(steps):
-                for r, gr in zip(rows, rep):
-                    _addmul(r, -b * later, mono, gr, self.rep_limit)
-                later *= a
+                for r, gr in zip(rows, g.rep):
+                    _addmul(r, -b, mono, gr, self.rep_limit)
         return remainder, scale
 
 
@@ -282,8 +275,7 @@ def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
             pure.update(support or range(nvars))
         if len(pure) < nvars:
             return
-        quot = _quotient_monomials(_staircase_min_gens(G), nvars)
-        top = max((mono_deg(e) for e in quot), default=-1)
+        top = _top(_quotient_monomials(_staircase_min_gens(G), nvars))
         if top < kernel.bound:
             kernel.cut(top)
 
@@ -370,8 +362,6 @@ def _staircase_min_gens(G: List[_Elem]) -> List[Exponent]:
 
 def _quotient_monomials(stair: List[Exponent], nvars: int) -> Optional[List[Exponent]]:
     """Monomials outside the leading ideal; None when infinitely many."""
-    if any(mono_deg(e) == 0 for e in stair):
-        return []
     bounds = []
     for i in range(nvars):
         pure = [e[i] for e in stair if all(e[j] == 0 for j in range(nvars) if j != i)]
@@ -400,19 +390,25 @@ def _quotient_monomials(stair: List[Exponent], nvars: int) -> Optional[List[Expo
     return out
 
 
+def _top(quot: Optional[List[Exponent]]) -> int:
+    """The largest degree among the quotient monomials; -1 for none."""
+    return max(map(mono_deg, quot or ()), default=-1)
+
+
 @dataclass
 class StandardBasis:
-    """Certified truncated standard basis of an ideal in the local ring.
+    """Truncated standard basis of an ideal in the local ring.
 
-    Its elements stay in the kernel; `elements` builds them as monic Polys
-    on first read.
+    A basis from standard_basis is certified: a finite staircase proved
+    exact, an infinite one stable one step up.  A run of standard_basis_at
+    is not certified.  Its elements stay in the kernel; `elements` builds
+    them as monic Polys on first read.
     """
 
     gens: Tuple[Poly, ...]
     order: LocalOrder
     cap: int
     rep_cap: int        # tracked representations are exact up to this degree
-    certified: bool
     staircase: List[Exponent]
     quotient_monomials: Optional[List[Exponent]]
     _kernel: _Kernel = field(repr=False)
@@ -432,9 +428,7 @@ class StandardBasis:
         return self.quotient_monomials is not None
 
     def max_quotient_degree(self) -> int:
-        if not self.quotient_monomials:
-            return -1
-        return max(mono_deg(e) for e in self.quotient_monomials)
+        return _top(self.quotient_monomials)
 
 
 def _build(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
@@ -443,8 +437,8 @@ def _build(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
     kernel = _complete(gens, order.nvars, cap, track, rep_cap)
     stair = _staircase_min_gens(kernel.elems)
     quot = _quotient_monomials(stair, order.nvars)
-    return StandardBasis(tuple(gens), order, cap, rep_cap, False, stair,
-                         quot, kernel, track)
+    return StandardBasis(tuple(gens), order, cap, rep_cap, stair, quot,
+                         kernel, track)
 
 
 def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
@@ -504,7 +498,6 @@ def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
                               f"stabilize below the cap ceiling {max_cap}")
         else:
             c += CAP_STEP
-    base.certified = True
     return base
 
 
@@ -520,6 +513,11 @@ def standard_basis_at(gens: Sequence[Poly], cap: int, track: bool = False,
     """
     gens = list(gens)
     return _build(gens, LocalOrder(gens[0].nvars), cap, track, rep_cap)
+
+
+def record(caps_used: Dict[str, int], key: str, cap: int) -> None:
+    """Note in caps_used that the step key needed cap, keeping the highest."""
+    caps_used[key] = max(caps_used.get(key, 0), cap)
 
 
 @dataclass
@@ -542,12 +540,13 @@ class Ctx:
     finite() is the one gate to a finite quotient, and algebra() passes
     it too.  It raises the caller's error on an infinite staircase;
     otherwise it records the cap that certified the basis under the
-    caller's step, and caps_used keeps per step the highest such cap.  The
-    steps are "index" (eg_index, index_algebra), "curve" (curve_index),
-    "pairing" (algebra_B) and "colength"
-    (intersection_multiplicity_both_ways).  A ResidueForm passes the gate
-    with no step and records the term cap of its one lift, at least cap,
-    under "residue" itself.
+    caller's step.  Every cap is recorded by the function record, which
+    keeps per step the highest cap in caps_used.  The steps are "index"
+    (eg_index, index_algebra), "curve" (curve_index), "pairing"
+    (algebra_B) and "colength" (intersection_multiplicity_both_ways).  A
+    ResidueForm passes the gate with no step and records the term cap of
+    its one lift, at least cap, under "residue" itself: it calls record on
+    caps_used, which it keeps instead of the Ctx.
     """
 
     cap: int = DEFAULT_CAP
@@ -573,10 +572,6 @@ class Ctx:
             raise ValueError(f"attempts must be at most {MAX_ATTEMPTS}, "
                              f"got {self.attempts}")
 
-    def record(self, key: str, cap: int) -> None:
-        """Note that the step key needed cap."""
-        self.caps_used[key] = max(self.caps_used.get(key, 0), cap)
-
     def once(self, key: Hashable, compute: Callable[[], object]):
         """compute() on the first request for key, the memo afterwards."""
         if key not in self.memo:
@@ -601,7 +596,7 @@ class Ctx:
         if not sb.is_finite():
             raise error
         if step is not None:
-            self.record(step, sb.cap)
+            record(self.caps_used, step, sb.cap)
         return sb
 
     def algebra(self, gens: Sequence[Poly], error: Exception,
@@ -685,7 +680,7 @@ def lift(target: Poly, gens: Sequence[Poly], cap: int = DEFAULT_CAP,
 
 
 def minimal_power_membership(var_index: int, gens: Sequence[Poly],
-                             max_power: int = 64, cap: Optional[int] = None,
+                             max_power: int = 64,
                              sb: Optional[StandardBasis] = None):
     """Smallest d with z_i^d in the ideal, plus its lift certificate.
 
@@ -694,20 +689,10 @@ def minimal_power_membership(var_index: int, gens: Sequence[Poly],
     """
     nvars = gens[0].nvars
     if sb is None:
-        work_cap = cap if cap is not None else DEFAULT_CAP
-        sb = standard_basis_at(gens, work_cap, track=True)
+        sb = standard_basis_at(gens, DEFAULT_CAP, track=True)
     if not sb.tracked:
         raise ValueError("minimal_power_membership needs a tracked basis")
-    start = 1
-    if sb.quotient_monomials is not None:
-        # powers below the pure staircase bound are quotient basis monomials
-        for e in sb.staircase:
-            if all(e[j] == 0 for j in range(nvars) if j != var_index) and e[var_index]:
-                start = e[var_index]
-                break
-    for d in range(start, max_power + 1):
-        if d > sb.cap:
-            break
+    for d in range(1, min(max_power, sb.cap) + 1):
         exps = [0] * nvars
         exps[var_index] = d
         p = Poly.monomial(nvars, exps)

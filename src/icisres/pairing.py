@@ -101,7 +101,6 @@ class CQuotient:
     df: Poly
     dim_b: int
     dim_c: int
-    ann_vectors: List[List[Fraction]]
     ann_elements: List[Poly]
 
 
@@ -111,7 +110,7 @@ def algebra_C(p: GermProblem, ctx: Optional[Ctx] = None) -> CQuotient:
     df = germ_sigma(p, ctx).df
     ann = kernel_basis(algebra.multiplication_matrix(df), algebra.dim)
     # rank-nullity: C = B / ann(DF) has the dimension of DF's image
-    return CQuotient(algebra, df, algebra.dim, algebra.dim - len(ann), ann,
+    return CQuotient(algebra, df, algebra.dim, algebra.dim - len(ann),
                      [algebra.element(v) for v in ann])
 
 

@@ -62,10 +62,6 @@ def default_names(nvars: int) -> Tuple[str, ...]:
     return tuple(f"z{i + 1}" for i in range(nvars))
 
 
-def mono_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_divides(b: Exponent, a: Exponent) -> bool:
     return all(y <= x for x, y in zip(a, b))
 
@@ -243,9 +239,13 @@ class Poly:
     # arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            return other
-        return Poly.const(self.nvars, other)
+        """other as an operand of +, - or *: a Poly in self's variables."""
+        if not isinstance(other, Poly):
+            return Poly.const(self.nvars, other)
+        if other.nvars != self.nvars:
+            raise ValueError(f"polynomials in {self.nvars} and {other.nvars} "
+                             "variables do not combine")
+        return other
 
     def _combine(self, other: "Poly", sign: int) -> "Poly":
         """self + sign * other over the least common denominator."""
@@ -376,17 +376,6 @@ class Poly:
         return Poly.from_ints(m, {_unpack(mono, m, width): c
                                   for mono, c in acc.items()}, den * self.den)
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        vals = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for e, c in self.ints.items():
-            term = Fraction(c)
-            for i, k in enumerate(e):
-                if k:
-                    term *= vals[i] ** k
-            total += term
-        return total / self.den
-
     # comparison / rendering ---------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -396,10 +385,6 @@ class Poly:
             return NotImplemented
         return (self.nvars == other.nvars and self.den == other.den
                 and self.ints == other.ints)
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash((self.nvars, self.den, frozenset(self.ints.items())))

@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import NotRegularSequence, PowerCapExceeded
 from .localalg import (Ctx, StandardBasis, colength, lift, normal_form,
-                       standard_basis_at)
+                       record, standard_basis_at)
 from .polycore import Poly, series_determinant
 
 
@@ -169,8 +169,7 @@ class ResidueForm:
         rows = lift_rows(self.denominators, self.powers, self.cap,
                          rep_cap=self.big + self.height + 2)
         det = series_determinant(rows, self.big)
-        self.caps_used["residue"] = max(self.caps_used.get("residue", 0),
-                                        self.cap)
+        record(self.caps_used, "residue", self.cap)
         return Poly.from_ints(det.nvars, {
             e: c for e, c in det.ints.items()
             if all(k < d for k, d in zip(e, self.powers))}, det.den)

@@ -12,6 +12,7 @@ certified or derived once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ RESAMPLE_LIMIT = 20
 MAX_TRIALS = 10000
 DEGREE = 2          # total degree of every random polynomial
 MAX_NVARS = 4       # variables of eq1's germs; eq2-transform draws 2..MAX_NVARS
+MAX_TERMS = 6       # terms of a random polynomial, at most
 
 DEFAULT_TRIALS = {
     "det-lemmas": 100,
@@ -82,15 +84,11 @@ class VerificationOutcome:
         return not self.failures
 
 
-def _poly(n: int, terms: Dict[tuple, int]) -> Poly:
-    return Poly(n, {e: Fraction(c) for e, c in terms.items()})
-
-
 def builtin_corpus() -> List[Tuple[str, GermProblem]]:
     """The named germs every corpus-driven suite and test runs against."""
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
-    a1 = _poly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-    e8 = _poly(3, {(2, 0, 0): 1, (0, 3, 0): 1, (0, 0, 5): 1})
+    a1 = Poly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    e8 = Poly(3, {(2, 0, 0): 1, (0, 3, 0): 1, (0, 0, 5): 1})
     return [
         ("a1-dz", GermProblem(3, (a1,), (Poly.zero(3), Poly.zero(3),
                                          Poly.const(3, 1)))),
@@ -108,22 +106,16 @@ def builtin_corpus() -> List[Tuple[str, GermProblem]]:
 
 # random instance helpers ---------------------------------------------------
 
-_EXP_CACHE: Dict[Tuple[int, int, int], Tuple[tuple, ...]] = {}
-
-
+@functools.cache
 def _exponents(n: int, degree: int, min_degree: int) -> Tuple[tuple, ...]:
-    key = (n, degree, min_degree)
-    if key not in _EXP_CACHE:
-        _EXP_CACHE[key] = tuple(
-            e for e in itertools.product(range(degree + 1), repeat=n)
-            if min_degree <= sum(e) <= degree)
-    return _EXP_CACHE[key]
+    return tuple(e for e in itertools.product(range(degree + 1), repeat=n)
+                 if min_degree <= sum(e) <= degree)
 
 
 def random_poly(rng: random.Random, n: int, degree: int,
-                min_degree: int = 1, max_terms: int = 6) -> Poly:
+                min_degree: int = 1) -> Poly:
     pool = _exponents(n, degree, min_degree)
-    k = rng.randint(1, min(max_terms, len(pool)))
+    k = rng.randint(1, min(MAX_TERMS, len(pool)))
     support = rng.sample(pool, k)
     terms = {}
     for e in support:

@@ -1,0 +1,89 @@
+"""The Macaulay oracle and the lift identity on the benchmark's own inputs.
+
+colength must equal oracle_macaulay.stable_corank on every ideal the
+benchmark computes a colength of: each bench/ideals ideal (g + f), and for
+each bench/corpus surface germ its index ideal J and, in good coordinates,
+its pairing ideal (m_1, m_2, f).  For the residue denominator tuples among
+them, (g + f) and (m_1, m_2, f), each z_i^{d_i} lifted at the ResidueForm's
+term cap and representation cap must pass LiftCertificate.check: the
+representation rows the reduction kernel carries are an identity up to
+the representation cap.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from icisres.errors import GermFileError
+from icisres.germfile import parse_germ_file
+from icisres.index import (GermProblem, find_good_coordinates, ideal_J,
+                           residue_denominators)
+from icisres.localalg import Ctx, colength, lift, standard_basis_at
+from icisres.polycore import Poly
+from icisres.residues import residue_form
+
+from oracle_macaulay import stable_corank
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+IDEALS = sorted((BENCH / "ideals").glob("*.germ"))
+
+
+def is_surface_germ(path):
+    """A germ file that parses and holds n - 2 equations in n variables."""
+    try:
+        gf = parse_germ_file(path.read_text())
+    except GermFileError:
+        return False
+    return len(gf.f) == gf.nvars - 2
+
+
+SURFACES = [path for path in sorted((BENCH / "corpus").glob("*.germ"))
+            if is_surface_germ(path)]
+# omega = 0: every minor vanishes, so J has no finite colength to compare
+NOT_ISOLATED = {"mult-monomial", "mult-sphere"}
+
+
+def assert_colength_matches_oracle(gens, ctx):
+    assert colength(ctx.basis(gens)) == stable_corank(gens)
+
+
+def assert_lifts_certify(denoms, ctx):
+    form = residue_form(denoms, ctx)
+    rep_cap = form.big + form.height + 2
+    sb = standard_basis_at(denoms, form.cap, track=True, rep_cap=rep_cap)
+    n = len(denoms)
+    for i, d in enumerate(form.powers):
+        power = Poly.monomial(n, [d if j == i else 0 for j in range(n)])
+        cert = lift(power, denoms, sb=sb)
+        assert cert.cap == rep_cap
+        assert cert.check()
+
+
+def test_every_benchmark_input_is_covered():
+    assert len(IDEALS) == 10
+    assert {p.stem for p in SURFACES} >= NOT_ISOLATED | {"a1-dz", "e8-sum"}
+    assert not {"cusp", "nested-parens"} & {p.stem for p in SURFACES}
+
+
+@pytest.mark.parametrize("path", IDEALS, ids=lambda p: p.stem)
+def test_mult_ideal_matches_oracle_and_lifts(path):
+    gf = parse_germ_file(path.read_text())
+    denoms = list(gf.g) + list(gf.f)
+    ctx = Ctx()
+    assert_colength_matches_oracle(denoms, ctx)
+    assert_lifts_certify(denoms, ctx)
+
+
+@pytest.mark.parametrize("path", SURFACES, ids=lambda p: p.stem)
+def test_corpus_germ_ideals_match_oracle_and_lift(path):
+    gf = parse_germ_file(path.read_text())
+    p = GermProblem(gf.nvars, gf.f, gf.omega, seed=gf.seed)
+    ctx = Ctx()
+    if path.stem in NOT_ISOLATED:
+        assert not ctx.basis(ideal_J(p, ctx)).is_finite()
+        return
+    assert_colength_matches_oracle(ideal_J(p, ctx), ctx)
+    _, good = find_good_coordinates(p, ctx)
+    denoms = residue_denominators(good, ctx)
+    assert_colength_matches_oracle(denoms, ctx)
+    assert_lifts_certify(denoms, ctx)

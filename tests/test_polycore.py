@@ -1,6 +1,7 @@
 """Polynomial kernel tests: arithmetic, substitution, determinants."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -16,6 +17,17 @@ from icisres.polycore import (Poly, PolyMatrix, _scaled, default_names,
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
 N2 = ("x", "y")
+
+
+def evaluate(p, point):
+    """p at a rational point, term by term in Fractions."""
+    total = Fraction(0)
+    for e, c in p.ints.items():
+        term = Fraction(c)
+        for v, k in zip(point, e):
+            term *= Fraction(v) ** k
+        total += term
+    return total / p.den
 
 
 def rand_poly(rng, n, deg, terms=5):
@@ -92,8 +104,21 @@ def test_substitute_chain():
 
 def test_evaluate():
     p = X**2 + Y.scale(Fraction(3))
-    assert p.evaluate([Fraction(2), Fraction(-1)]) == 1
-    assert p.evaluate([Fraction(0), Fraction(0)]) == 0
+    assert evaluate(p, [Fraction(2), Fraction(-1)]) == 1
+    assert evaluate(p, [Fraction(0), Fraction(0)]) == 0
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                         ids=["sum", "difference", "product"])
+def test_mixed_variable_counts_do_not_combine(op):
+    x3, x2 = Poly.variable(3, 0), Poly.variable(2, 0)
+    with pytest.raises(ValueError, match="in 3 and 2 variables"):
+        op(x3, x2)
+    with pytest.raises(ValueError, match="in 2 and 3 variables"):
+        op(x2, x3)
+    # a number is a constant in the other operand's variables
+    assert op(x3, 2) == op(x3, Poly.const(3, 2))
+    assert op(2, x3) == op(Poly.const(3, 2), x3)
 
 
 def test_degrees():
@@ -676,7 +701,7 @@ def test_packed_substitution_zero_targets_and_small_rings():
         point = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
                  for _ in range(2)]
         out = p.substitute([Poly.const(0, a) for a in point])
-        assert_same_stored_form(out, Poly.const(0, p.evaluate(point)))
+        assert_same_stored_form(out, Poly.const(0, evaluate(p, point)))
     # the zero polynomial, and polynomials in no variables
     targets = [u.scale(HALF) + 1, u * u]
     assert_same_stored_form(Poly.zero(2).substitute(targets), zero1)
