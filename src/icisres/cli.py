@@ -145,7 +145,7 @@ def _cmd_pairing(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
                            for nm, e in zip(gf.names, expo) if e)
                   or "1" for expo in rep.gram.basis]
     result = {"dim_a": rep.dim_a, "dim_b": rep.dim_b, "dim_c": rep.dim_c,
-              "rank_beta": rep.rank_beta,
+              "rank_beta": rep.gram.rank,
               "basis": mono_names,
               "gram": _mat(rep.gram.matrix),
               "soc_a_dim": rep.soc_a_dim,
@@ -158,9 +158,6 @@ def _cmd_pairing(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
 
 
 def _cmd_curve_index(gf: GermFile, st: _Settings) -> Tuple[Dict, List[str]]:
-    if len(gf.f) != gf.nvars - 1:
-        raise ArityError(f"curve-index needs {gf.nvars - 1} equations for "
-                         f"{gf.nvars} variables, got {len(gf.f)}")
     return {"curve_index": curve_index(gf.f, gf.omega, st.ctx)}, []
 
 

@@ -20,6 +20,12 @@ from .polycore import Poly
 
 KEYS = ("vars", "f", "omega", "g", "seed", "cap", "max_cap", "attempts")
 
+# most variables a file may declare: series_determinant expands over the
+# 2^n subsets of rows, so icisres mult on n dense linear forms with random
+# coefficients (omega = 0) took 0.13 s at n = 12, 1.5 s at n = 16 and
+# 6.1 s at n = 18 on a 2-core Xeon, about four times longer per two more
+MAX_VARS = 12
+
 # deepest parenthesis nesting an expression may use; each level costs the
 # recursive descent four stack frames, so this stays far below the
 # interpreter's recursion limit
@@ -334,8 +340,13 @@ def parse_germ_file(text: str) -> GermFile:
     if "vars" not in entries:
         raise GermSyntaxError("missing 'vars' entry", 0, 0)
     vars_tok, vars_rest = entries["vars"]
+    parts = _split_commas(vars_rest)
+    if len(parts) > MAX_VARS:
+        raise GermSyntaxError(
+            f"{len(parts)} variables exceed the variable bound {MAX_VARS}",
+            vars_tok.line, vars_tok.col)
     names: List[str] = []
-    for part in _split_commas(vars_rest):
+    for part in parts:
         if len(part) != 1 or part[0].kind != "name":
             where = part[0] if part else vars_tok
             raise GermSyntaxError("variable names must be plain identifiers",

@@ -14,6 +14,9 @@ certify each ideal once.  An ideal whose colength is the index passes
 Ctx.finite: eg_index records its cap under "index" and curve_index under
 "curve", and an infinite staircase raises NotIsolated before anything is
 recorded.
+
+solve's report holds no germ: the caller has the input, and
+find_good_coordinates returns the germ in good coordinates.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ArityError, GoodCoordsNotFound, NotIsolated
 from .localalg import Ctx, colength, is_regular_on_V
-from .polycore import (Poly, default_names, linear_forms, rational_det,
-                       series_determinant)
+from .polycore import Poly, linear_forms, rational_det, series_determinant
 from .residues import grothendieck_residue, jacobian_minor
 
 
@@ -58,8 +60,6 @@ class GermProblem:
         for fi in self.f:
             if fi.constant_term() != 0:
                 raise ValueError("equations must vanish at the origin")
-        if not self.names:
-            object.__setattr__(self, "names", default_names(self.nvars))
 
 
 def stacked_matrix(f: Sequence[Poly], omega: Sequence[Poly],
@@ -75,8 +75,6 @@ def minor(p: GermProblem, columns: Sequence[int]) -> Poly:
 
     Repeated columns give 0 and swaps flip the sign, as for any determinant.
     """
-    if len(columns) != p.nvars - 1:
-        raise ValueError(f"need {p.nvars - 1} column indices")
     return series_determinant(stacked_matrix(p.f, p.omega, columns))
 
 
@@ -247,6 +245,7 @@ def curve_index(f: Sequence[Poly], omega: Sequence[Poly],
 
     The single stacked determinant m joins the equations; the index is the
     colength of (f, m).  A unit m means the form has no zero: index 0.
+    Raises ArityError, worded for the command line, unless len(f) = n - 1.
     """
     f = list(f)
     omega = list(omega)
@@ -254,7 +253,8 @@ def curve_index(f: Sequence[Poly], omega: Sequence[Poly],
         raise ValueError("need a form")
     n = omega[0].nvars
     if len(f) != n - 1:
-        raise ValueError(f"curve germ needs {n - 1} equations, got {len(f)}")
+        raise ArityError(f"curve-index needs {n - 1} equations for {n} "
+                         f"variables, got {len(f)}")
     m = series_determinant(stacked_matrix(f, omega, range(n)))
     if m.is_unit():
         return 0
@@ -265,13 +265,11 @@ def curve_index(f: Sequence[Poly], omega: Sequence[Poly],
 
 @dataclass
 class SurfaceIndexReport:
-    """Everything the dual computation produces for one surface germ."""
+    """The index both ways; residue, sigma and df in change's coordinates."""
 
-    problem: GermProblem
     index: int
     residue: Fraction
     change: CoordinateChange
-    transformed: GermProblem
     sigma: Poly
     df: Poly
     caps_used: Dict[str, int] = field(default_factory=dict)
@@ -288,5 +286,5 @@ def solve(p: GermProblem, ctx: Optional[Ctx] = None) -> SurfaceIndexReport:
     change, good = find_good_coordinates(p, ctx)
     sd = germ_sigma(good, ctx)
     res = main_residue(good, ctx)
-    return SurfaceIndexReport(p, idx, res, change, good, sd.sigma, sd.df,
+    return SurfaceIndexReport(idx, res, change, sd.sigma, sd.df,
                               dict(ctx.caps_used))

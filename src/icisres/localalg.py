@@ -406,7 +406,7 @@ class StandardBasis:
     """
 
     gens: Tuple[Poly, ...]
-    order: LocalOrder
+    nvars: int
     cap: int
     rep_cap: int        # tracked representations are exact up to this degree
     staircase: List[Exponent]
@@ -420,7 +420,7 @@ class StandardBasis:
         # (max_quotient_degree() when the staircase is finite), their tails
         # cut there
         unpack = self._kernel.unpack
-        return [Poly.from_ints(self.order.nvars, {
+        return [Poly.from_ints(self.nvars, {
                     unpack(m): v for m, v in [(g.lm, g.lc)] + g.tail}, g.lc)
                 for g in self._kernel.elems]
 
@@ -431,13 +431,14 @@ class StandardBasis:
         return _top(self.quotient_monomials)
 
 
-def _build(gens: Sequence[Poly], order: LocalOrder, cap: int, track: bool,
+def _build(gens: Sequence[Poly], cap: int, track: bool,
            rep_cap: Optional[int] = None) -> StandardBasis:
     rep_cap = cap if rep_cap is None else min(rep_cap, cap)
-    kernel = _complete(gens, order.nvars, cap, track, rep_cap)
+    nvars = gens[0].nvars
+    kernel = _complete(gens, nvars, cap, track, rep_cap)
     stair = _staircase_min_gens(kernel.elems)
-    quot = _quotient_monomials(stair, order.nvars)
-    return StandardBasis(tuple(gens), order, cap, rep_cap, stair, quot,
+    quot = _quotient_monomials(stair, nvars)
+    return StandardBasis(tuple(gens), nvars, cap, rep_cap, stair, quot,
                          kernel, track)
 
 
@@ -461,7 +462,6 @@ def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
     gens = list(gens)
     if not gens:
         raise ValueError("standard_basis needs at least one generator")
-    order = LocalOrder(gens[0].nvars)
     if cap > max_cap:
         raise CapExceeded(f"cap {cap} exceeds the cap ceiling {max_cap}")
     # a generator supported entirely above the cap would be invisible to the
@@ -473,7 +473,7 @@ def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
     floor = max(cap, deepest)
     c = max(deepest, 1)
     while True:
-        base = _build(gens, order, c, False)
+        base = _build(gens, c, False)
         if base.is_finite():
             # below the cap a finite staircase is exact; one reaching the
             # cap at max_cap has its true top at max_cap or above, since the
@@ -491,7 +491,7 @@ def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
         elif c < floor:
             c = floor
         # an infinite staircase must hold one step up
-        elif _build(gens, order, c + CAP_STEP, False).staircase == base.staircase:
+        elif _build(gens, c + CAP_STEP, False).staircase == base.staircase:
             break
         elif c + CAP_STEP > max_cap:
             raise CapExceeded(f"the staircase is infinite and did not "
@@ -511,8 +511,7 @@ def standard_basis_at(gens: Sequence[Poly], cap: int, track: bool = False,
     only the representation terms above it are dropped, so a lift read
     only to low degree can skip the cost of the deep ones.
     """
-    gens = list(gens)
-    return _build(gens, LocalOrder(gens[0].nvars), cap, track, rep_cap)
+    return _build(list(gens), cap, track, rep_cap)
 
 
 def record(caps_used: Dict[str, int], key: str, cap: int) -> None:
@@ -668,11 +667,8 @@ class LiftCertificate:
         return d.is_zero() or d.min_degree() > self.cap
 
 
-def lift(target: Poly, gens: Sequence[Poly], cap: int = DEFAULT_CAP,
-         sb: Optional[StandardBasis] = None) -> LiftCertificate:
-    """Express target in terms of gens modulo degree > cap, or raise NotMember."""
-    if sb is None:
-        sb = standard_basis_at(gens, cap, track=True)
+def lift(target: Poly, sb: StandardBasis) -> LiftCertificate:
+    """Express target through a tracked basis's gens, or raise NotMember."""
     r, coeffs = normal_form_with_lift(target, sb)
     if not r.is_zero():
         raise NotMember(f"remainder {r.render()} is nonzero at cap {sb.cap}")
@@ -721,7 +717,7 @@ class QuotientAlgebra:
     @cached_property
     def matrices(self) -> List[List[List[Fraction]]]:
         """matrices[i][r][c]: z_i * basis[c] -> basis[r], built on first read."""
-        nvars = self.sb.order.nvars
+        nvars = self.sb.nvars
         return [self.multiplication_matrix(Poly.variable(nvars, i))
                 for i in range(nvars)]
 
@@ -737,11 +733,11 @@ class QuotientAlgebra:
         for e, c in zip(self.basis, vec):
             if c:
                 terms[e] = Fraction(c)
-        return Poly(self.sb.order.nvars, terms)
+        return Poly(self.sb.nvars, terms)
 
     def multiplication_matrix(self, p: Poly) -> List[List[Fraction]]:
         """Matrix of multiplication by p on the monomial basis."""
-        nvars = self.sb.order.nvars
+        nvars = self.sb.nvars
         cols = [self.coordinates(p * Poly.monomial(nvars, e)) for e in self.basis]
         return [list(row) for row in zip(*cols)]
 

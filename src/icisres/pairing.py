@@ -6,7 +6,8 @@ algebra A.  The lab measures that pairing: its Gram matrix and rank on
 the staircase basis of A, the auxiliary quotients B (by the residue
 denominators (m_1, m_2, f)) and C (B modulo the annihilator of DF), the
 socle of A, whether sigma represents the distinguished socle class, and
-the dimension bound soc A <= dim A - dim C + 1.
+the dimension bound soc A <= dim A - dim C + 1.  Of C only the dimension
+is kept, and a PairingReport keeps each measurement once.
 
 Each function takes the germ and an optional Ctx.  The algebras A and B
 live in the Ctx memo, and so does the one ResidueForm over (m_1, m_2, f)
@@ -95,23 +96,17 @@ def residue_functional(p: GermProblem,
 
 @dataclass
 class CQuotient:
-    """B modulo the annihilator of DF, with the annihilator spelled out."""
+    """dim B, and dim C = rank of DF on B, since C is isomorphic to DF * B."""
 
-    algebra: QuotientAlgebra
-    df: Poly
     dim_b: int
     dim_c: int
-    ann_elements: List[Poly]
 
 
 def algebra_C(p: GermProblem, ctx: Optional[Ctx] = None) -> CQuotient:
     ctx = ctx or Ctx()
     algebra = algebra_B(p, ctx)
-    df = germ_sigma(p, ctx).df
-    ann = kernel_basis(algebra.multiplication_matrix(df), algebra.dim)
-    # rank-nullity: C = B / ann(DF) has the dimension of DF's image
-    return CQuotient(algebra, df, algebra.dim, algebra.dim - len(ann),
-                     [algebra.element(v) for v in ann])
+    dim_c = matrix_rank(algebra.multiplication_matrix(germ_sigma(p, ctx).df))
+    return CQuotient(algebra.dim, dim_c)
 
 
 @dataclass
@@ -131,9 +126,8 @@ def gram_beta(p: GermProblem, ctx: Optional[Ctx] = None) -> GramData:
     form = residue_functional(p, ctx)
     df = germ_sigma(p, ctx).df
     alg_a = index_algebra(p, ctx)
-    n = alg_a.sb.order.nvars
     d = alg_a.dim
-    mons = [Poly.monomial(n, e, 1) for e in alg_a.basis]
+    mons = [Poly.monomial(p.nvars, e) for e in alg_a.basis]
     rows = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
@@ -155,12 +149,10 @@ class PairingReport:
     list is the healthy outcome.
     """
 
-    problem: GermProblem
     change_matrix: Tuple[Tuple[Fraction, ...], ...]
     dim_a: int
     dim_b: int
     dim_c: int
-    rank_beta: int
     gram: GramData
     soc_a_dim: int
     soc_a_elements: List[Poly]
@@ -190,7 +182,7 @@ def pairing_report(p: GermProblem, ctx: Optional[Ctx] = None) -> PairingReport:
         n = good.nvars
         origin = (0,) * n
         sigma_ok = sigma_res != 0 and all(
-            germ_residue(good, Poly.monomial(n, e, 1) * sd.sigma, ctx) == 0
+            germ_residue(good, Poly.monomial(n, e) * sd.sigma, ctx) == 0
             for e in alg_a.basis if e != origin)
 
     soc_a_dim = len(soc_vecs)
@@ -206,7 +198,6 @@ def pairing_report(p: GermProblem, ctx: Optional[Ctx] = None) -> PairingReport:
     if cdata.dim_c > dim_a:
         discrepancies.append("dim_c_exceeds_dim_a")
 
-    return PairingReport(p, change.matrix, dim_a, cdata.dim_b, cdata.dim_c,
-                         gram.rank, gram, soc_a_dim, soc_elems, sigma_res,
-                         sigma_ok, bound_holds, dict(ctx.caps_used),
-                         discrepancies)
+    return PairingReport(change.matrix, dim_a, cdata.dim_b, cdata.dim_c, gram,
+                         soc_a_dim, soc_elems, sigma_res, sigma_ok,
+                         bound_holds, dict(ctx.caps_used), discrepancies)

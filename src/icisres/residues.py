@@ -63,7 +63,7 @@ def lift_rows(denoms: Sequence[Poly], powers: Sequence[int], cap: int,
     sb = standard_basis_at(denoms, cap, track=True, rep_cap=rep_cap)
     n = denoms[0].nvars
     return [lift(Poly.monomial(n, [d if j == i else 0 for j in range(n)]),
-                 denoms, sb=sb).coefficients
+                 sb).coefficients
             for i, d in enumerate(powers)]
 
 
@@ -107,7 +107,7 @@ def _minimal_power(i: int, base: StandardBasis) -> int:
     With t the staircase height, m^(t+1) lies in the ideal and t is below
     the cap, so the search ends by t + 1 and each normal form is exact.
     """
-    n = base.order.nvars
+    n = base.nvars
     t = base.max_quotient_degree()
     for d in range(1, t + 2):
         exps = [0] * n
@@ -190,10 +190,7 @@ def grothendieck_residue(numerator: Poly, denominators: Sequence[Poly],
     the denominators do not cut out a finite quotient.  Calls that share
     ctx share the tuple's ResidueForm, so its box is lifted once.
     """
-    denoms = _denominator_list(denominators)
-    if numerator.is_zero():
-        return Fraction(0)
-    return residue_form(denoms, ctx or Ctx()).value(numerator)
+    return residue_form(denominators, ctx or Ctx()).value(numerator)
 
 
 def _perm_sign(seq: Sequence[int]) -> int:

@@ -370,8 +370,8 @@ def _trial_smooth_duality(rng: random.Random, t: int, ctx: Ctx) -> Payload:
         return None
     rep = pairing_report(p, ctx)
     problems = []
-    if rep.rank_beta != rep.dim_a:
-        problems.append(f"rank {rep.rank_beta} != dimA {rep.dim_a}")
+    if rep.gram.rank != rep.dim_a:
+        problems.append(f"rank {rep.gram.rank} != dimA {rep.dim_a}")
     if rep.dim_a > 0 and rep.soc_a_dim != 1:
         problems.append(f"socle dim {rep.soc_a_dim}")
     if rep.sigma_in_soc_c is False:

@@ -185,7 +185,7 @@ def test_criterion_6_pairing_structure_on_corpus():
     for name, p in germs:
         rep = pairing_report(p)
         assert rep.discrepancies == [], name
-        assert rep.rank_beta == rep.dim_c, name
+        assert rep.gram.rank == rep.dim_c, name
         assert rep.sigma_residue != 0, name
         assert rep.sigma_in_soc_c is True, name
         assert rep.soc_a_dim <= rep.dim_a - rep.dim_c + 1, name

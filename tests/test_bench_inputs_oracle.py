@@ -54,7 +54,7 @@ def assert_lifts_certify(denoms, ctx):
     n = len(denoms)
     for i, d in enumerate(form.powers):
         power = Poly.monomial(n, [d if j == i else 0 for j in range(n)])
-        cert = lift(power, denoms, sb=sb)
+        cert = lift(power, sb)
         assert cert.cap == rep_cap
         assert cert.check()
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from icisres import cli
+from icisres.germfile import MAX_VARS
 from icisres.localalg import Ctx
 
 A1_TEXT = """\
@@ -121,6 +122,31 @@ def test_mult_requires_g(capsys, a1_file):
     code, _, err = run_cli(capsys, ["mult", a1_file])
     assert code == 1
     assert err.startswith("error:")
+
+
+def _linear_forms_file(tmp_path, n):
+    """g = (J + n I) v in n variables, omega = 0: colength 1."""
+    names = [f"v{i}" for i in range(n)]
+    rows = [" + ".join(f"{1 + n * (i == j)}*{v}" for j, v in enumerate(names))
+            for i in range(n)]
+    path = tmp_path / f"linear-{n}.germ"
+    path.write_text(f"vars = {', '.join(names)}\nomega = {', '.join(['0'] * n)}"
+                    f"\ng = {', '.join(rows)}\n")
+    return str(path)
+
+
+def test_variable_count_is_bounded(capsys, tmp_path):
+    # a file at the bound runs; one variable more is refused at `vars`
+    code, out, err = run_cli(capsys, ["mult", _linear_forms_file(
+        tmp_path, MAX_VARS), "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == {"colength": 1, "equal": True,
+                                         "residue": 1}
+    code, out, err = run_cli(capsys, ["mult", _linear_forms_file(
+        tmp_path, MAX_VARS + 1)])
+    assert (code, out) == (1, "")
+    assert err == (f"error: line 1, column 1: {MAX_VARS + 1} variables "
+                   f"exceed the variable bound {MAX_VARS}\n")
 
 
 def test_text_format(capsys, a1_file):

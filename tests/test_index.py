@@ -303,5 +303,7 @@ def test_curve_index_not_isolated():
 
 
 def test_curve_index_arity():
-    with pytest.raises(ValueError):
+    # the one arity check, worded as the curve-index command prints it
+    with pytest.raises(ArityError, match="^curve-index needs 1 equations "
+                                         "for 2 variables, got 2$"):
         curve_index((Y, X), (X, Y))

@@ -95,6 +95,13 @@ def test_residue_zero_numerator():
     assert grothendieck_residue(Poly.zero(2), [X, Y]) == 0
 
 
+def test_zero_numerator_passes_the_regularity_gate():
+    # (x, x) is not a regular sequence, whatever the numerator
+    for h in (ONE2, Poly.zero(2)):
+        with pytest.raises(NotRegularSequence):
+            grothendieck_residue(h, [X, X])
+
+
 def test_residue_linearity():
     rng = random.Random(12)
     denoms = [X**2 + Y**3, Y**2]
