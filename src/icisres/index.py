@@ -180,6 +180,11 @@ def identity_change(n: int) -> CoordinateChange:
                                         for j in range(n)) for i in range(n)))
 
 
+def random_matrix(rng: random.Random, n: int) -> List[List[Fraction]]:
+    """An n x n matrix of integers drawn from [-3, 3], row by row."""
+    return [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+
+
 def find_good_coordinates(p: GermProblem, ctx: Optional[Ctx] = None,
                           force_random: bool = False):
     """Linear coordinates in which (m_1, m_2) is a regular pair on the germ.
@@ -201,7 +206,7 @@ def find_good_coordinates(p: GermProblem, ctx: Optional[Ctx] = None,
     rng = random.Random(p.seed)
     n = p.nvars
     for _ in range(ctx.attempts):
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        rows = random_matrix(rng, n)
         if rational_det(rows) == 0:
             continue
         change = CoordinateChange(tuple(tuple(r) for r in rows))
@@ -220,9 +225,11 @@ def germ_residue(p: GermProblem, h: Poly,
     is the ambient residue of h * DF over residue_denominators, read off
     the one ResidueForm ctx keeps for them.  The minors are labelled by
     the column they omit, so the pair (m_1, m_2) runs against the
-    orientation of (z_1, z_2) by exactly one transposition.  The sign below restores the orientation in which the
-    smooth model omega = x dx + y dy counts +1, making germ residues of
-    index data nonnegative.
+    orientation of (z_1, z_2) by exactly one transposition.  The sign
+    below restores the orientation in which the smooth model
+    omega = x dx + y dy counts +1, making germ residues of index data
+    nonnegative.  This is the one place that sign and DF are applied:
+    main_residue and every residue of the pairing lab come through here.
     """
     ctx = ctx or Ctx()
     return -grothendieck_residue(h * germ_sigma(p, ctx).df,

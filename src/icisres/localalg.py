@@ -449,12 +449,12 @@ def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
     The first run is at the deepest generator degree (at least 1).  A
     finite staircase whose top degree lies below the run's cap is proved
     exact there and returned.  One that reaches the cap bounds the true
-    top from above, so the run at top + 1 proves it.  An infinite
-    staircase is judged only at max(cap, deepest) or above: seen lower,
-    the run moves straight there.  From there an infinite staircase is
-    returned once the run at c + CAP_STEP gives the same one (stable, not
-    proved), and a finite one reaching c moves to max(c + CAP_STEP,
-    top + 1), at most max_cap.  Raises CapExceeded when cap or a
+    top from above, so the run at min(top + 1, max_cap) proves it,
+    whatever cap the run was at.  An infinite staircase is judged only at
+    max(cap, deepest) or above: seen lower, the run moves straight there.
+    From there an infinite staircase is returned once the run at
+    c + CAP_STEP gives the same one (stable, not proved), and otherwise
+    the run moves to c + CAP_STEP.  Raises CapExceeded when cap or a
     generator's degree exceeds max_cap, when a finite staircase reaches the
     cap of the run at max_cap, and when an infinite one has not stabilized
     by max_cap.
@@ -486,8 +486,7 @@ def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
                     f"the staircase at cap {c} is finite with top degree "
                     f"{top}, so proving it needs a cap above the cap ceiling "
                     f"{max_cap}")
-            c = min(top + 1 if c < floor else max(c + CAP_STEP, top + 1),
-                    max_cap)
+            c = min(top + 1, max_cap)
         elif c < floor:
             c = floor
         # an infinite staircase must hold one step up

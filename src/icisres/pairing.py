@@ -11,13 +11,15 @@ is kept, and a PairingReport keeps each measurement once.
 
 Each function takes the germ and an optional Ctx.  The algebras A and B
 live in the Ctx memo, and so does the one ResidueForm over (m_1, m_2, f)
-that residue_functional returns and index.germ_residue reads, so the
-functions called on one Ctx build each algebra once and lift the residue
-box once, shared with solve.  Both algebras pass the gate
-Ctx.algebra: index_algebra records A's cap under "index" and raises
-NotIsolated on an infinite staircase, algebra_B records B's cap under
-"pairing" and raises NotRegularSequence, and neither records anything
-when it raises.
+that index.germ_residue reads, so the functions called on one Ctx build
+each algebra once and lift the residue box once, shared with solve.
+Every residue the lab reads, the Gram entries included, goes through
+germ_residue, which alone holds the orientation and the factor DF;
+residue_functional returns the same form with raw values.  Both algebras
+pass the gate Ctx.algebra: index_algebra records A's cap under "index"
+and raises NotIsolated on an infinite staircase, algebra_B records B's
+cap under "pairing" and raises NotRegularSequence, and neither records
+anything when it raises.
 """
 
 from __future__ import annotations
@@ -119,19 +121,20 @@ class GramData:
 
 
 def gram_beta(p: GermProblem, ctx: Optional[Ctx] = None) -> GramData:
+    """The Gram matrix of germ_residue(p, u * v) on A's staircase basis.
+
+    algebra_B's gate comes first, so a pair that is not regular raises
+    NotRegularSequence naming (m_1, m_2).
+    """
     ctx = ctx or Ctx()
-    # germ_residue(p, u * v, ctx) for each entry, with the form and DF
-    # looked up once: each germ_residue call hashes the germ and the three
-    # denominators again for its memo keys
-    form = residue_functional(p, ctx)
-    df = germ_sigma(p, ctx).df
+    algebra_B(p, ctx)
     alg_a = index_algebra(p, ctx)
     d = alg_a.dim
     mons = [Poly.monomial(p.nvars, e) for e in alg_a.basis]
     rows = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            rows[i][j] = rows[j][i] = -form.value(mons[i] * mons[j] * df)
+            rows[i][j] = rows[j][i] = germ_residue(p, mons[i] * mons[j], ctx)
     return GramData(list(alg_a.basis), rows, matrix_rank(rows))
 
 

@@ -143,7 +143,7 @@ class Poly:
     as Fractions, in a new dict each time.
     """
 
-    __slots__ = ("nvars", "ints", "den")
+    __slots__ = ("nvars", "ints", "den", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, object]):
         # over the lcm of the denominators of fractions in lowest terms,
@@ -387,7 +387,14 @@ class Poly:
                 and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((self.nvars, self.den, frozenset(self.ints.items())))
+        # memo keys hash the same Polys again and again; a Poly is never
+        # changed, so its hash is computed on first use and kept
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.nvars, self.den,
+                               frozenset(self.ints.items())))
+            return self._hash
 
     def sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
         """Terms in descending graded lexicographic order, for stable output."""

@@ -26,8 +26,11 @@ z^(d - 1 - e).  So the box is proved once, for numerators of every
 degree, and nothing is recomputed.
 
 Residues of forms on the zero set of f reduce to residues on the ambient
-space by wedging with df_1 ^ ... ^ df_q; the reduction is a signed sum of
-Jacobian minors over complementary index sets.
+space by wedging with df_1 ^ ... ^ df_q; the reduction (lambda_map) is a
+signed sum of Jacobian minors over complementary index sets.  For the
+form dg_1 ^ ... ^ dg_k that sum is the generalized Laplace expansion of
+det d(g, f)/dz along its first k rows, so the multiplicity's residue
+numerator is that one n x n Jacobian determinant.
 """
 
 from __future__ import annotations
@@ -261,20 +264,22 @@ def intersection_multiplicity_both_ways(f: Sequence[Poly], g: Sequence[Poly],
                                         ctx: Optional[Ctx] = None):
     """Colength of (f, g) next to the residue of dg_1 ^ ... ^ dg_{n-q} over g.
 
-    Returns the pair (dimension count, residue value); the two agree for
-    every zero dimensional input, which the verify suites exercise.
+    The residue on the zero set of f is the ambient one of
+    det d(g, f)/dz over (g, f), by the Laplace step in the module
+    docstring.  Returns the pair (dimension count, residue value); the two
+    agree for every zero dimensional input, which the verify suites
+    exercise.
     """
     f, g = list(f), list(g)
     if not g:
         raise NotRegularSequence("need at least one g")
-    nvars = g[0].nvars
     ctx = ctx or Ctx()
     lhs = colength(ctx.finite(
         f + g, NotRegularSequence("(f, g) is not zero dimensional"),
         "colength"))
-    form = [jacobian_minor(g, I, nvars)
-            for I in form_index_basis(nvars, len(g))]
     # (g, f) is the ideal of (f, g): the residue finds the colength basis
-    # in ctx
-    rhs = relative_residue(form, g, f, ctx)
-    return lhs, rhs
+    # in ctx, and its denominator check is the one count check
+    denoms = g + f
+    form = residue_form(denoms, ctx)
+    n = len(denoms)
+    return lhs, form.value(jacobian_minor(denoms, range(n), n))

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (CapExceeded, GoodCoordsNotFound, NotIsolated,
-                     NotRegularSequence, NotZeroDimensional)
+                     NotRegularSequence)
 from .index import (CoordinateChange, GermProblem, eg_index, germ_minors,
-                    germ_sigma, ideal_J, minor, minors, solve)
+                    germ_sigma, ideal_J, minor, minors, random_matrix, solve)
 from .localalg import Ctx, normal_form
 from .polycore import Poly, linear_forms, rational_det, rational_inverse
 from .residues import (grothendieck_residue, intersection_multiplicity_both_ways,
@@ -138,10 +138,6 @@ def _resample(make: Callable, test: Callable, limit: int = RESAMPLE_LIMIT):
     return item, value
 
 
-def _random_matrix(rng: random.Random, n: int) -> List[List[Fraction]]:
-    return [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-
-
 def _nonsingular_draw(rng: random.Random, n: int,
                       block: Callable = lambda m: m):
     """A random n x n matrix, resampled until block(matrix) is nonsingular.
@@ -149,7 +145,7 @@ def _nonsingular_draw(rng: random.Random, n: int,
     Returns the matrix and det(block(matrix)), which is 0 when the resample
     limit ran out.
     """
-    return _resample(lambda: _random_matrix(rng, n),
+    return _resample(lambda: random_matrix(rng, n),
                      lambda m: rational_det(block(m)))
 
 
@@ -307,7 +303,7 @@ def _trial_ann(rng: random.Random, t: int, ctx: Ctx) -> Payload:
             return None
         return det, m1, m2, dfy
 
-    c, accepted = _resample(lambda: _random_matrix(rng, n), regular)
+    c, accepted = _resample(lambda: random_matrix(rng, n), regular)
     if not accepted:
         return None
     det, m1y, m2y, dfy = accepted
@@ -395,8 +391,7 @@ def _trial_cor_mult(rng: random.Random, t: int, ctx: Ctx) -> Payload:
         f, g = pair
         try:
             return intersection_multiplicity_both_ways(f, g, ctx)
-        except (NotRegularSequence, CapExceeded, NotIsolated,
-                NotZeroDimensional):
+        except (NotRegularSequence, CapExceeded):
             return None
 
     pair, result = _resample(make, compute)

@@ -183,6 +183,11 @@ def test_cap_exceeded():
     ([y3 * z3, z3 - x3**10], 10, 12,
      "the staircase is infinite and did not stabilize below the cap "
      "ceiling 12"),
+    # the run at 30 sees top degree 58; the next run is clamped to the
+    # ceiling 40, where the staircase still reaches the cap
+    ([X**30, Y**30], DEFAULT_CAP, 40,
+     "the staircase at cap 40 is finite with top degree 58, so proving it "
+     "needs a cap above the cap ceiling 40"),
 ])
 def test_cap_exceeded_names_its_cause(gens, cap, max_cap, message):
     with pytest.raises(CapExceeded) as info:
@@ -191,11 +196,18 @@ def test_cap_exceeded_names_its_cause(gens, cap, max_cap, message):
 
 
 def test_a_finite_staircase_is_proved_at_the_ceiling():
-    # the first run, at the deepest degree 37, sees top degree 37; the
-    # step to 37 + CAP_STEP would pass the ceiling, and the run at 40
-    # proves it
+    # the first run, at the deepest degree 37, sees top degree 37, and the
+    # run at 38, below the ceiling 40, proves it
     sb = standard_basis([X**37, Y**2], DEFAULT_CAP, 40)
-    assert (sb.cap, colength(sb)) == (40, 74)
+    assert (sb.cap, colength(sb)) == (38, 74)
+
+
+def test_a_finite_staircase_reaching_the_cap_moves_to_its_top_plus_one():
+    # the run at the deepest degree 5 sees top degree 5 and the run at 6
+    # proves it, whether or not the run was below the requested cap
+    for cap in (2, DEFAULT_CAP):
+        sb = standard_basis([X**5, Y**2], cap)
+        assert (sb.cap, colength(sb)) == (6, 10)
 
 
 def test_normal_form_values():

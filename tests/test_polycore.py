@@ -469,6 +469,23 @@ def assert_same_stored_form(p, q):
     assert_lowest_terms(p)
 
 
+def test_equal_polys_hash_equal_whichever_route_and_order():
+    # the hash is kept after its first use: taking it first on any route
+    # must give every route the same key
+    def routes():
+        return [Poly(2, {(1, 0): HALF, (0, 2): Fraction(-3, 4)}),
+                Poly.from_ints(2, {(1, 0): 4, (0, 2): -6}, 8),
+                X.scale(HALF) - (Y * Y).scale(Fraction(3, 4)),
+                (X * 2 - (Y ** 2) * 3) * Poly.const(2, Fraction(1, 4))]
+    for first in range(4):
+        polys = routes()
+        key = hash(polys[first])
+        assert all(hash(p) == key for p in polys + polys)
+        memo = {polys[first]: first}
+        assert all(memo[p] == first for p in polys)
+        assert X.scale(HALF) not in memo
+
+
 def test_routes_to_one_polynomial_store_one_form():
     mixed = X.scale(HALF) + Y.scale(THIRD)
     three_x_two_y = Poly(2, {(1, 0): 3, (0, 1): 2})

@@ -19,9 +19,9 @@ from icisres.residues import (ResidueForm, form_index_basis,
                               jacobian_minor, lambda_map, lift_rows,
                               relative_residue, residue_form,
                               residue_via_lift)
-from icisres.verify import builtin_corpus
+from icisres.verify import builtin_corpus, random_poly
 
-from oracle_macaulay import stable_corank
+from oracle_macaulay import corank, stable_corank
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -270,6 +270,51 @@ def test_intersection_multiplicity_rejects_wrong_dimension():
         intersection_multiplicity_both_ways([], [X, X])
 
 
+def test_intersection_multiplicity_rejects_a_wrong_count_after_the_colength():
+    # (x, y, x + y) has colength 1; the residue's denominator check names
+    # the count
+    with pytest.raises(NotRegularSequence, match="^3 denominators in 2 "):
+        intersection_multiplicity_both_ways([], [X, Y, X + Y])
+
+
+# the multiplicity's numerator: one Jacobian determinant ---------------------
+
+def test_laplace_expansion_gives_the_multiplicity_numerator():
+    # wedging the minors of g with df_1 ^ ... ^ df_q is the generalized
+    # Laplace expansion of det d(g, f)/dz along its first len(g) rows
+    rng = random.Random(21)
+    for n in range(2, 5):
+        for q in range(n):
+            for _ in range(34):
+                f = [random_poly(rng, n, 3) for _ in range(q)]
+                g = [random_poly(rng, n, 3) for _ in range(n - q)]
+                form = [jacobian_minor(g, I, n)
+                        for I in form_index_basis(n, len(g))]
+                assert (lambda_map(form, f, n)
+                        == jacobian_minor(g + f, range(n), n))
+
+
+def test_the_multiplicity_residue_is_the_relative_residue_of_dg():
+    # relative_residue, with lambda_map's signed sum of minors, is the
+    # reference for the one determinant the multiplicity reads
+    rng = random.Random(22)
+    checked = 0
+    for t in range(24):
+        q = t % 2
+        n = q + 2
+        f = [random_poly(rng, n, 3) for _ in range(q)]
+        g = [random_poly(rng, n, 3) for _ in range(n - q)]
+        ctx = Ctx()
+        try:
+            lhs, rhs = intersection_multiplicity_both_ways(f, g, ctx)
+        except NotRegularSequence:
+            continue
+        form = [jacobian_minor(g, I, n) for I in form_index_basis(n, len(g))]
+        assert rhs == relative_residue(form, g, f, ctx) == lhs
+        checked += 1
+    assert checked >= 12
+
+
 # (y - x^2, y^d) is zero dimensional of colength 2d, but its staircase has
 # the pure power x^(2d): at a start cap below 2d the truncated runs miss it
 # and call the ideal infinite (ROADMAP item 1)
@@ -285,6 +330,64 @@ def test_parabola_power_colength_when_the_cap_reaches_it():
     assert intersection_multiplicity_both_ways(
         [], [Y - X**2, Y**9], Ctx(cap=18)) == (18, 18)
     assert intersection_multiplicity_both_ways([], [Y - X**2, Y**8]) == (16, 16)
+
+
+# deeper seeded ideals against the Macaulay oracle ---------------------------
+#
+# corank(D) - corank(D - 1) = dim (I + m^D) / (I + m^(D+1)).  Once it is 0,
+# m^D lies in I by Nakayama's lemma, so a rise at degree D means that no
+# power of m up to m^D lies in I.  That is the oracle's bounded check of an
+# infinite verdict: the engine judges at DEFAULT_CAP, and the oracle looks
+# as far.
+
+DEEP_DRAWS = [(n, degree, k) for n in (2, 3) for degree in (3, 4)
+              for k in range(9)]
+
+
+def _deep_draw(n, degree, k):
+    """n generators in n variables of degree at most degree, seeded."""
+    rng = random.Random(f"{n}-{degree}-{k}")
+    return [random_poly(rng, n, degree) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n, degree, k", DEEP_DRAWS,
+                         ids=[f"n{n}-deg{d}-{k}" for n, d, k in DEEP_DRAWS])
+def test_deeper_ideals_against_the_macaulay_oracle(n, degree, k):
+    gens = _deep_draw(n, degree, k)
+    sb = standard_basis(gens)
+    if sb.is_finite():
+        length = colength(sb)
+        assert intersection_multiplicity_both_ways([], gens) == (length,
+                                                                 length)
+        assert length == stable_corank(gens)
+    else:
+        assert corank(gens, DEFAULT_CAP) > corank(gens, DEFAULT_CAP - 1)
+
+
+def test_the_deeper_draws_reach_both_verdicts():
+    finite = sum(standard_basis(_deep_draw(*d)).is_finite() for d in DEEP_DRAWS)
+    assert 0 < finite < len(DEEP_DRAWS)
+
+
+# draw (3, 4, 5) is zero dimensional of colength 29: the oracle's coranks
+# at degrees 18 and 19 are both 29, which puts m^19 in I (seconds each, too
+# slow for this suite).  Its staircase holds the pure power z^19, which the
+# runs at 12 and 16 both miss, so they agree on an infinite staircase
+# (ROADMAP item 1).  Its residue needs a tracked lift at term cap 48, which
+# takes minutes (ROADMAP item 7).
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ROADMAP item 1: an infinite staircase is accepted "
+                          "once the runs at c and c + CAP_STEP agree")
+def test_a_deep_draw_is_finite_at_the_default_cap():
+    assert colength(standard_basis(_deep_draw(3, 4, 5))) == 29
+
+
+def test_a_deep_draw_is_finite_when_the_cap_reaches_it():
+    gens = _deep_draw(3, 4, 5)
+    sb = standard_basis(gens, cap=20)
+    assert (sb.cap, colength(sb), sb.max_quotient_degree()) == (20, 29, 18)
+    assert (0, 0, 19) in sb.staircase
 
 
 # residue forms ---------------------------------------------------------------
