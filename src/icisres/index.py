@@ -24,11 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ArityError, GoodCoordsNotFound, NotIsolated
 from .localalg import Ctx, colength, is_regular_on_V
-from .polycore import Poly, linear_forms, rational_det, series_determinant
+from .polycore import (Poly, linear_forms, maximal_minors, rational_det,
+                       series_determinant)
 from .residues import grothendieck_residue, jacobian_minor
 
 
@@ -73,15 +74,25 @@ def stacked_matrix(f: Sequence[Poly], omega: Sequence[Poly],
 def minor(p: GermProblem, columns: Sequence[int]) -> Poly:
     """Maximal minor of the stacked matrix, columns taken in the given order.
 
-    Repeated columns give 0 and swaps flip the sign, as for any determinant.
+    Swaps flip the sign, as for any determinant, and a repeated column
+    gives 0 without an expansion.  ValueError unless there are n - 1
+    columns.
     """
+    if len(columns) != p.nvars - 1:
+        raise ValueError(f"need {p.nvars - 1} column indices")
+    if len(set(columns)) < len(columns):
+        return Poly.zero(p.nvars)
     return series_determinant(stacked_matrix(p.f, p.omega, columns))
 
 
 def minors(p: GermProblem) -> Tuple[Poly, ...]:
-    """Every maximal minor of the stacked matrix; entry i omits column i."""
-    n = p.nvars
-    return tuple(minor(p, [j for j in range(n) if j != i]) for i in range(n))
+    """Every maximal minor of the stacked matrix; entry i omits column i.
+
+    Entry i is minor(p, the other columns in ascending order), and all n
+    come from one expansion (polycore.maximal_minors).
+    """
+    return tuple(maximal_minors(stacked_matrix(p.f, p.omega,
+                                               range(p.nvars))))
 
 
 def germ_minors(p: GermProblem, ctx: Optional[Ctx]) -> Tuple[Poly, ...]:
@@ -156,7 +167,7 @@ def germ_sigma(p: GermProblem, ctx: Optional[Ctx]) -> SigmaData:
 class CoordinateChange:
     """Linear substitution z = C y applied to equations and form."""
 
-    matrix: Tuple[Tuple[Fraction, ...], ...]
+    matrix: Tuple[Tuple[Union[int, Fraction], ...], ...]
 
     def is_identity(self) -> bool:
         n = len(self.matrix)
@@ -176,13 +187,13 @@ class CoordinateChange:
 
 
 def identity_change(n: int) -> CoordinateChange:
-    return CoordinateChange(tuple(tuple(Fraction(1 if i == j else 0)
-                                        for j in range(n)) for i in range(n)))
+    return CoordinateChange(tuple(tuple(int(i == j) for j in range(n))
+                                  for i in range(n)))
 
 
-def random_matrix(rng: random.Random, n: int) -> List[List[Fraction]]:
-    """An n x n matrix of integers drawn from [-3, 3], row by row."""
-    return [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+def random_matrix(rng: random.Random, n: int) -> List[List[int]]:
+    """An n x n matrix of ints drawn from [-3, 3], row by row."""
+    return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
 
 
 def find_good_coordinates(p: GermProblem, ctx: Optional[Ctx] = None,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import NotIsolated, NotRegularSequence
 from .index import (GermProblem, find_good_coordinates, germ_residue,
@@ -152,7 +152,7 @@ class PairingReport:
     list is the healthy outcome.
     """
 
-    change_matrix: Tuple[Tuple[Fraction, ...], ...]
+    change_matrix: Tuple[Tuple[Union[int, Fraction], ...], ...]
     dim_a: int
     dim_b: int
     dim_c: int

@@ -22,8 +22,8 @@ operands and unpacking the result on every call read the `germ-reports`
 benchmark 2-6% slower than the tuple loop (medians of two sets of four
 alternating runs).
 
-`series_determinant` and `Poly.substitute` chain many products, so they
-pack each operand's monomials once into ints (`_pack`), multiply them in
+`_expand` and `Poly.substitute` chain many products, so they pack each
+operand's monomials once into ints (`_pack`), multiply them in
 `_addmul`, and unpack the result once (`_unpack`).  A packed monomial
 holds the total degree in the top field and e_n, ..., e_1 below it, each
 field as wide as the largest degree a kept product can reach; then a
@@ -33,13 +33,18 @@ its standard-basis kernel on it too, with its own field widths.
 `substitute` is the one substitution, and `linear_forms` gives it the
 targets of a linear change of coordinates z = C y.
 
-`series_determinant` is the one determinant of a polynomial matrix: a
+`_expand` is the one determinant of a polynomial matrix: a
 division-free expansion column by column over the sets of used rows,
-which can cut every product at a total-degree cap.  `_bareiss` is the one elimination of a rational
-matrix: fraction-free Bareiss steps with exact integer division on the
-matrix scaled to one denominator, skipping a column without a pivot.
-`rational_det`, `rational_inverse` and `pairing.rref` are built on it.
-Both determinants and the inverse refuse a ragged or non-square matrix.
+which can cut every product at a total-degree cap.  A state may also
+carry one skipped column, so on a k x (k + 1) matrix one expansion gives
+all k + 1 maximal minors (`maximal_minors`), and each entry is packed
+once for all of them.  `series_determinant` is its case with no skip.
+`_bareiss` is the one elimination of a rational matrix: fraction-free
+Bareiss steps with exact integer division on the matrix scaled to one
+denominator, skipping a column without a pivot.  `rational_det`,
+`rational_inverse` and `pairing.rref` are built on it.  Both
+determinants and the inverse refuse a ragged or non-square matrix, and
+`maximal_minors` one that is not k x (k + 1).
 """
 
 from __future__ import annotations
@@ -437,7 +442,7 @@ def linear_forms(matrix: Sequence[Sequence]) -> List[Poly]:
     """
     n = len(matrix)
     unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    return [Poly(n, {unit[j]: Fraction(a) for j, a in enumerate(row)})
+    return [Poly(n, {unit[j]: a for j, a in enumerate(row)})
             for row in matrix]
 
 
@@ -472,25 +477,57 @@ def series_determinant(rows: Sequence[Sequence[Poly]],
     row extends it into the next column.  Nothing is divided, so with a
     cap the entries are truncated once, every product is cut at the cap,
     and the result is the determinant truncated at the cap.  Costs
-    O(2^n * n) products, fine for the n <= 8 germs handled here.
+    O(2^n * n) products, fine for the n <= 8 germs handled here.  This is
+    `_expand` with no column skipped.
+    """
+    n = _square(rows)
+    if n == 0:
+        raise ValueError("empty determinant needs an explicit variable count; "
+                         "build the constant 1 at the call site")
+    return _expand(rows, cap, 0)[0]
+
+
+def maximal_minors(rows: Sequence[Sequence[Poly]]) -> List[Poly]:
+    """The maximal minors of a nonempty k x (k + 1) matrix, from one expansion.
+
+    Entry i is series_determinant of the matrix without column i, its
+    other columns kept in order.  The expansion's states may skip one
+    column, so the states before column i serve every minor that omits a
+    later column, and each entry is packed once for all of them.
+    """
+    k = len(rows)
+    if k == 0 or any(len(row) != k + 1 for row in rows):
+        raise ValueError("maximal minors need a nonempty k x (k + 1) matrix")
+    return _expand(rows, None, 1)
+
+
+def _expand(rows: Sequence[Sequence[Poly]], cap: Optional[int],
+            skip: int) -> List[Poly]:
+    """The determinants of the k x k matrices in k rows of k + skip columns.
+
+    skip is 0 or 1.  A state is keyed by its row mask and, with skip, the
+    column it skipped (c + 1 in the bits above the mask, 0 before any
+    skip); a state that has skipped nothing also passes to the next
+    column unchanged, as the state that skips this one.  Entry i of the
+    result is the determinant without column i (the one determinant when
+    skip is 0).
 
     The products run on packed monomials.  Row r is taken as ints over the
     lcm D_r of its entries' denominators, so a state over the rows in its
     mask lies over the product of their D_r and states add as ints.  No
     product that is kept has degree above bound, the cap or else the sum
     of each row's highest entry degree, so fields of bound's width never
-    overflow below the cut, and the cut is one comparison.  A 1 x 1
-    matrix, or one with a zero row or column, needs no product and is
+    overflow below the cut, and the cut is one comparison.  A single row,
+    or a zero row, or more zero columns than skip, needs no product and is
     answered without packing.
     """
-    n = _square(rows)
-    if n == 0:
-        raise ValueError("empty determinant needs an explicit variable count; "
-                         "build the constant 1 at the call site")
+    nrows = len(rows)
+    ncols = nrows + skip
     nvars = rows[0][0].nvars
-    if n == 1:
-        p = rows[0][0]
-        return p if cap is None else p.truncate(cap)
+    if nrows == 1:
+        # each determinant is the one entry its columns keep
+        out = [rows[0][ncols - 1 - i] for i in range(ncols)]
+        return out if cap is None else [p.truncate(cap) for p in out]
     tops = []       # each row's highest entry degree, -1 for a zero row
     live = 0        # bit c is set when column c has a nonzero entry
     for row in rows:
@@ -500,8 +537,8 @@ def series_determinant(rows: Sequence[Sequence[Poly]],
                 live |= 1 << c
                 top = max(top, *map(sum, p.ints))
         tops.append(top)
-    if -1 in tops or live != (1 << n) - 1:
-        return Poly.zero(nvars)
+    if -1 in tops or ncols - live.bit_count() > skip:
+        return [Poly.zero(nvars)] * ncols
     cut = cap is not None and cap < sum(tops)
     bound = cap if cut else sum(tops)
     width = bound.bit_length()
@@ -522,14 +559,24 @@ def series_determinant(rows: Sequence[Sequence[Poly]],
                 terms = sorted(t for t in terms if t[0] < limit)
             entries.append(terms)
         packed.append(entries)
+    full = (1 << nrows) - 1
     states = {1 << r: dict(row[0]) for r, row in enumerate(packed) if row[0]}
-    for col in range(1, n):
+    if skip:
+        states[1 << nrows] = {0: 1}         # column 0 skipped: the constant 1
+    for col in range(1, ncols):
         nxt: Dict[int, Dict[int, int]] = {}
-        for mask, val in states.items():
+        for key, val in states.items():
             if not val:
                 continue
+            mask = key & full
+            placed = col                    # the rows in the mask
+            if key != mask:
+                placed -= 1
+            elif skip:
+                # no other state reaches this key, so it may share val
+                nxt[key | ((col + 1) << nrows)] = val
             seen = 0
-            for row in range(n):
+            for row in range(nrows):
                 bit = 1 << row
                 if mask & bit:
                     seen += 1
@@ -537,16 +584,18 @@ def series_determinant(rows: Sequence[Sequence[Poly]],
                 entry = packed[row][col]
                 if not entry:
                     continue
-                # the col - seen used rows after `row` each make one
+                # the placed - seen used rows after `row` each make one
                 # inversion with it: that parity is the sign
-                sign = -1 if (seen + col) % 2 else 1
-                dst = nxt.setdefault(mask | bit, {})
+                sign = -1 if (seen + placed) % 2 else 1
+                dst = nxt.setdefault(key | bit, {})
                 for mono, c in val.items():
                     _addmul(dst, sign * c, mono, entry, limit)
         states = nxt
-    full = states.get((1 << n) - 1, {})
-    return Poly.from_ints(nvars, {_unpack(mono, nvars, width): c
-                                  for mono, c in full.items()}, den)
+    keys = [full | ((i + 1) << nrows) for i in range(ncols)] if skip else [full]
+    return [Poly.from_ints(nvars, {_unpack(mono, nvars, width): c
+                                   for mono, c in states.get(k, {}).items()},
+                           den)
+            for k in keys]
 
 
 def _bareiss(rows: List[List[int]], jordan: bool) -> Tuple[List[int], int]:

@@ -212,11 +212,16 @@ def form_index_basis(n: int, k: int) -> List[Tuple[int, ...]]:
 
 def jacobian_minor(f: Sequence[Poly], columns: Sequence[int],
                    nvars: int) -> Poly:
-    """det d(f_1..f_q)/d(z_{columns}) in nvars variables; 1 when f is empty."""
+    """det d(f_1..f_q)/d(z_{columns}) in nvars variables; 1 when f is empty.
+
+    A repeated column gives 0 without an expansion.
+    """
     if len(columns) != len(f):
         raise ValueError(f"need {len(f)} column indices")
     if not f:
         return Poly.const(nvars, 1)
+    if len(set(columns)) < len(columns):
+        return Poly.zero(nvars)
     return series_determinant([[fi.diff(j) for j in columns] for fi in f])
 
 

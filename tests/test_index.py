@@ -14,7 +14,8 @@ from icisres.index import (CoordinateChange, GermProblem, curve_index,
 from icisres.localalg import DEFAULT_CAP, Ctx, standard_basis
 from icisres.pairing import pairing_report
 from icisres.polycore import Poly, rational_det
-from icisres.residues import relative_residue
+from icisres import residues, verify
+from icisres.residues import jacobian_minor, relative_residue
 
 N3 = ("x", "y", "z")
 N2 = ("x", "y")
@@ -25,6 +26,8 @@ y3 = Poly.variable(3, 1)
 z3 = Poly.variable(3, 2)
 ONE3 = Poly.const(3, Fraction(1))
 SPHERE = x3**2 + y3**2 + z3**2
+x4, y4, z4, w4 = (Poly.variable(4, i) for i in range(4))
+ONE4 = Poly.const(4, 1)
 
 
 def sphere_dz():
@@ -79,11 +82,43 @@ def test_germ_residue_is_the_relative_residue_of_the_one_hot_form():
                 form, [ms[0], ms[1]], list(good.f))
 
 
-def test_minor_alternating():
+def test_minor_alternating(monkeypatch):
     p = GermProblem(3, (SPHERE,), (Poly.zero(3), ONE3, Poly.zero(3)))
     assert minor(p, (0, 1)) == x3.scale(Fraction(2))
     assert minor(p, (1, 0)) == x3.scale(Fraction(-2))
-    assert minor(p, (0, 0)).is_zero()
+    # a wrong column count is refused before a repeat is looked for
+    for columns in ((0,), (0, 0, 0), (0, 1, 2), ()):
+        with pytest.raises(ValueError, match="need 2 column indices"):
+            minor(p, columns)
+    with pytest.raises(ValueError, match="need 1 column indices"):
+        jacobian_minor(p.f, (0, 0), 3)
+
+    # a repeated column is 0 in the germ's variables, with no expansion
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a repeated column was expanded")
+
+    monkeypatch.setattr(index, "series_determinant", forbidden)
+    monkeypatch.setattr(residues, "series_determinant", forbidden)
+    four = GermProblem(4, (x4 * y4 + z4 ** 2, w4 + x4 ** 2),
+                       (ONE4, x4, y4 * z4, w4))
+    for q, columns in ((p, (0, 0)), (p, (2, 2)), (four, (1, 3, 1)),
+                       (four, (0, 0, 0)), (four, (2, 1, 2))):
+        m = minor(q, columns)
+        assert m.is_zero() and m.nvars == q.nvars
+    for f, columns, n in ((four.f, (1, 1), 4), (four.f, (3, 3), 4),
+                          (p.f * 3, (0, 2, 0), 3)):
+        m = jacobian_minor(f, columns, n)
+        assert m.is_zero() and m.nvars == n
+
+
+def test_minors_are_the_column_omitting_minors():
+    # one expansion gives every entry, signs and order as minor's
+    rng = random.Random(7)
+    for n in range(2, 7):
+        for _ in range(3):
+            p = verify._random_germ(rng, n, 2)
+            assert minors(p) == tuple(
+                minor(p, [j for j in range(n) if j != i]) for i in range(n))
 
 
 def test_sigma_sphere_dz():
@@ -265,23 +300,25 @@ def test_solve_report():
 
 
 def test_solve_and_pairing_evaluate_each_minor_once(monkeypatch):
-    # one Ctx per call: every layer reads the germ's minors from it
-    real = index.minor
+    # one Ctx per call: every layer reads the germ's minors from it, and
+    # one expansion gives all of a germ's minors
+    real = index.minors
     evaluated = []
 
-    def counting(p, columns):
-        evaluated.append((p, tuple(columns)))
-        return real(p, columns)
+    def counting(p):
+        evaluated.append(p)
+        return real(p)
 
-    monkeypatch.setattr(index, "minor", counting)
+    monkeypatch.setattr(index, "minors", counting)
     moved = GermProblem(3, (SPHERE,), (ONE3, Poly.zero(3), Poly.zero(3)),
                         seed=2)
     for germ in (sphere_dz(), moved):
         for run in (solve, pairing_report):
             evaluated.clear()
             run(germ)
-            assert len(evaluated) >= 3
+            assert evaluated[0] == germ
             assert len(evaluated) == len(set(evaluated))
+
 
 def test_curve_index_cusp():
     cusp = X**2 - Y**3

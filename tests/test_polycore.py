@@ -11,7 +11,7 @@ import pytest
 from icisres import polycore, verify
 from icisres.index import CoordinateChange, GermProblem
 from icisres.polycore import (Poly, PolyMatrix, _scaled, default_names,
-                              rational_det, rational_inverse,
+                              maximal_minors, rational_det, rational_inverse,
                               series_determinant)
 
 X = Poly.variable(2, 0)
@@ -680,6 +680,75 @@ def test_packed_determinant_mixed_denominators():
                                         exact.truncate(cap))
 
 
+def column_omitting_minors(rows):
+    """Entry i: series_determinant of rows without column i."""
+    return [series_determinant([row[:i] + row[i + 1:] for row in rows])
+            for i in range(len(rows) + 1)]
+
+
+def assert_maximal_minors(rows):
+    got = maximal_minors(rows)
+    want = column_omitting_minors(rows)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_stored_form(g, w)
+        assert_stored_nonzero_fractions(g)
+
+
+def test_maximal_minors_match_the_column_omitting_determinants():
+    # stacked matrices of germs in n = 2..6 variables: n - 1 rows, n columns
+    rng = random.Random(61)
+    for n in range(2, 7):
+        k = n - 1
+        for _ in range(4):
+            nvars = rng.randint(0, 3)
+            zero = Poly.zero(nvars)
+            rows = [[mixed_poly(rng, nvars, 2, 3).scale(
+                        Fraction(1, rng.choice([1, 2, 3, 5, 7])))
+                     for _ in range(n)] for _ in range(k)]
+            assert_maximal_minors(rows)
+            with_zero_row = [row[:] for row in rows]
+            with_zero_row[rng.randrange(k)] = [zero] * n
+            assert_maximal_minors(with_zero_row)
+            assert all(m.is_zero() for m in maximal_minors(with_zero_row))
+            # one zero column leaves only the minor that omits it; two
+            # leave none
+            c, d = rng.sample(range(n), 2)
+            one_zero = [row[:c] + [zero] + row[c + 1:] for row in rows]
+            assert_maximal_minors(one_zero)
+            assert all(m.is_zero() for i, m in
+                       enumerate(maximal_minors(one_zero)) if i != c)
+            two_zero = [row[:d] + [zero] + row[d + 1:] for row in one_zero]
+            assert_maximal_minors(two_zero)
+            assert all(m.is_zero() for m in maximal_minors(two_zero))
+    # every field width: the minor omitting the constant column c has the
+    # term x^bound, whose exponent fills its field
+    for bound in BOUNDS:
+        for nvars in (1, 2, 3):
+            for k in range(1, 6):
+                rows = bounded_rows(rng, nvars, k, bound)
+                c = rng.randrange(k + 1)
+                rows = [row[:c] + [mixed_poly(rng, nvars, 0, 2)] + row[c:]
+                        for row in rows]
+                assert_maximal_minors(rows)
+                x_bound = (bound,) + (0,) * (nvars - 1)
+                assert maximal_minors(rows)[c].coefficient(x_bound) != 0
+
+
+def test_maximal_minors_of_one_row_and_refused_shapes():
+    # 1 x 2, the stacked matrix of a plane germ: each minor is the other
+    # entry, with no packing
+    p, q = X.scale(HALF) + 1, (X * Y).scale(THIRD)
+    got = maximal_minors([[p, q]])
+    assert got[0] is q and got[1] is p
+    one = Poly.const(2, 1)
+    for rows in ([], [[X]], [[X, Y, one]], [[X, Y], [one, X]],
+                 [[X, Y, one], [one, X, Y], [Y, one, X]],
+                 [[X, Y, one], [one, X]], [[X, Y], [one, X, Y]]):
+        with pytest.raises(ValueError, match="k x \\(k \\+ 1\\) matrix"):
+            maximal_minors(rows)
+
+
 def test_packed_substitution_at_every_field_width():
     rng = random.Random(58)
     for bound in BOUNDS:
@@ -741,6 +810,14 @@ def test_packed_paths_do_not_multiply_polys(monkeypatch):
             rows = [[mixed_poly(rng, 2, 2, 3) for _ in range(size)]
                     for _ in range(size)]
             cases.append((rows, leibniz_det(rows)))
+    stacked = []
+    for k in (2, 3):
+        for _ in range(3):
+            rows = [[mixed_poly(rng, 2, 2, 3) for _ in range(k + 1)]
+                    for _ in range(k)]
+            stacked.append((rows, [leibniz_det([row[:i] + row[i + 1:]
+                                                for row in rows])
+                                   for i in range(k + 1)]))
     subs = []
     for _ in range(8):
         p = mixed_poly(rng, 2, 3, 5)
@@ -759,6 +836,9 @@ def test_packed_paths_do_not_multiply_polys(monkeypatch):
         for cap in range(4):
             assert_same_stored_form(series_determinant(rows, cap),
                                     exact.truncate(cap))
+    for rows, want in stacked:
+        for got, exact in zip(maximal_minors(rows), want):
+            assert_same_stored_form(got, exact)
     for p, targets, want in subs:
         assert_same_stored_form(p.substitute(targets), want)
 

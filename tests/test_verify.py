@@ -225,3 +225,17 @@ def test_resample_tests_each_draw_once(accept_at, expected):
 
     assert verify._resample(make, test, limit=5) == expected
     assert draws == tested == list(range(expected[0] + 1))
+
+
+@pytest.mark.parametrize("suite, name, wrong", [
+    # a minor read in sorted column order: no sign for the column order
+    ("eq1", "minor", lambda real: lambda p, columns: real(p, sorted(columns))),
+    # minors with the first one negated
+    ("eq2-transform", "minors",
+     lambda real: lambda p: (-real(p)[0],) + real(p)[1:]),
+])
+def test_suites_catch_wrong_minors(monkeypatch, suite, name, wrong):
+    # a suite whose two sides read one shortcut must not agree with itself
+    monkeypatch.setattr(verify, name, wrong(getattr(verify, name)))
+    [outcome] = verify.run(small_plan([suite], trials=10))
+    assert outcome.failures
