@@ -11,23 +11,25 @@ denominators (m_1, m_2, f) of residue_denominators.
 Every computation takes an optional localalg.Ctx.  Calls that share one
 compute each germ's minors and sigma once (germ_minors, germ_sigma) and
 certify each ideal once.  An ideal whose colength is the index passes
-Ctx.finite: eg_index records its cap under "index" and curve_index under
-"curve", and an infinite staircase raises NotIsolated before anything is
-recorded.
+one gate: index_algebra (Ctx.algebra) records the surface's cap under
+"index", and eg_index reads its dimension; curve_index (Ctx.finite)
+records under "curve".  An infinite staircase raises NotIsolated before
+anything is recorded.
 
-solve's report holds no germ: the caller has the input, and
-find_good_coordinates returns the germ in good coordinates.
+solve's report holds no germ and no caps: the caller has the input,
+find_good_coordinates returns the germ in good coordinates, and the caps
+stay in ctx.caps_used.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import ArityError, GoodCoordsNotFound, NotIsolated
-from .localalg import Ctx, colength, is_regular_on_V
+from .localalg import Ctx, QuotientAlgebra, colength, is_regular_on_V
 from .polycore import (Poly, linear_forms, maximal_minors, rational_det,
                        series_determinant)
 from .residues import grothendieck_residue, jacobian_minor
@@ -115,19 +117,29 @@ def residue_denominators(p: GermProblem,
     return [ms[0], ms[1]] + list(p.f)
 
 
+def index_algebra(p: GermProblem, ctx: Optional[Ctx] = None) -> QuotientAlgebra:
+    """The index algebra A: quotient by the equations and all minors.
+
+    The one gate of the index ideal: it records A's cap under "index" and
+    raises NotIsolated on an infinite staircase.
+    """
+    ctx = ctx or Ctx()
+    return ctx.algebra(
+        ideal_J(p, ctx),
+        NotIsolated("the form vanishes along a curve on the germ"), "index")
+
+
 def eg_index(p: GermProblem, ctx: Optional[Ctx] = None):
     """Dimension of the local algebra attached to the form on the germ.
 
     A minor that is a unit means the form does not vanish on the germ, so
-    the index is 0.  An infinite colength means the zero locus is not
-    isolated; that raises NotIsolated.
+    the index is 0.  Otherwise it is the dimension of index_algebra, which
+    raises NotIsolated when the zero locus is not isolated.
     """
     ctx = ctx or Ctx()
     if any(m.is_unit() for m in germ_minors(p, ctx)):
         return 0
-    return colength(ctx.finite(
-        ideal_J(p, ctx),
-        NotIsolated("the form vanishes along a curve on the germ"), "index"))
+    return index_algebra(p, ctx).dim
 
 
 @dataclass
@@ -290,7 +302,6 @@ class SurfaceIndexReport:
     change: CoordinateChange
     sigma: Poly
     df: Poly
-    caps_used: Dict[str, int] = field(default_factory=dict)
 
     @property
     def match(self) -> bool:
@@ -304,5 +315,4 @@ def solve(p: GermProblem, ctx: Optional[Ctx] = None) -> SurfaceIndexReport:
     change, good = find_good_coordinates(p, ctx)
     sd = germ_sigma(good, ctx)
     res = main_residue(good, ctx)
-    return SurfaceIndexReport(idx, res, change, sd.sigma, sd.df,
-                              dict(ctx.caps_used))
+    return SurfaceIndexReport(idx, res, change, sd.sigma, sd.df)

@@ -454,10 +454,10 @@ def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
     max(cap, deepest) or above: seen lower, the run moves straight there.
     From there an infinite staircase is returned once the run at
     c + CAP_STEP gives the same one (stable, not proved), and otherwise
-    the run moves to c + CAP_STEP.  Raises CapExceeded when cap or a
-    generator's degree exceeds max_cap, when a finite staircase reaches the
-    cap of the run at max_cap, and when an infinite one has not stabilized
-    by max_cap.
+    that run is the next one, so no cap is built twice.  Raises
+    CapExceeded when cap or a generator's degree exceeds max_cap, when a
+    finite staircase reaches the cap of the run at max_cap, and when an
+    infinite one has not stabilized by max_cap.
     """
     gens = list(gens)
     if not gens:
@@ -472,8 +472,8 @@ def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
             f"generator degree {deepest} exceeds the cap ceiling {max_cap}")
     floor = max(cap, deepest)
     c = max(deepest, 1)
+    base = _build(gens, c, False)
     while True:
-        base = _build(gens, c, False)
         if base.is_finite():
             # below the cap a finite staircase is exact; one reaching the
             # cap at max_cap has its true top at max_cap or above, since the
@@ -487,16 +487,20 @@ def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
                     f"{top}, so proving it needs a cap above the cap ceiling "
                     f"{max_cap}")
             c = min(top + 1, max_cap)
+            base = _build(gens, c, False)
         elif c < floor:
             c = floor
-        # an infinite staircase must hold one step up
-        elif _build(gens, c + CAP_STEP, False).staircase == base.staircase:
-            break
-        elif c + CAP_STEP > max_cap:
-            raise CapExceeded(f"the staircase is infinite and did not "
-                              f"stabilize below the cap ceiling {max_cap}")
+            base = _build(gens, c, False)
         else:
-            c += CAP_STEP
+            # an infinite staircase must hold one step up; a run there that
+            # differs is the next run
+            up = _build(gens, c + CAP_STEP, False)
+            if up.staircase == base.staircase:
+                break
+            if c + CAP_STEP > max_cap:
+                raise CapExceeded(f"the staircase is infinite and did not "
+                                  f"stabilize below the cap ceiling {max_cap}")
+            c, base = c + CAP_STEP, up
     return base
 
 
@@ -540,7 +544,7 @@ class Ctx:
     otherwise it records the cap that certified the basis under the
     caller's step.  Every cap is recorded by the function record, which
     keeps per step the highest cap in caps_used.  The steps are "index"
-    (eg_index, index_algebra), "curve" (curve_index), "pairing"
+    (index_algebra, which eg_index reads), "curve" (curve_index), "pairing"
     (algebra_B) and "colength" (intersection_multiplicity_both_ways).  A
     ResidueForm passes the gate with no step and records the term cap of
     its one lift, at least cap, under "residue" itself: it calls record on
@@ -674,29 +678,37 @@ def lift(target: Poly, sb: StandardBasis) -> LiftCertificate:
     return LiftCertificate(target, tuple(sb.gens), coeffs, sb.rep_cap)
 
 
+def minimal_power(var_index: int, sb: StandardBasis, bound: int) -> int:
+    """Least d <= bound with z_i^d in the ideal, read off normal forms on sb.
+
+    Raises PowerCapExceeded naming the bound when no such d exists.  On a
+    certified finite basis of staircase height t the bound t + 1 always
+    suffices, since m^(t+1) lies in the ideal.
+    """
+    nvars = sb.nvars
+    for d in range(1, bound + 1):
+        exps = [0] * nvars
+        exps[var_index] = d
+        if normal_form(Poly.monomial(nvars, exps), sb).is_zero():
+            return d
+    raise PowerCapExceeded(f"no power of variable {var_index} up to {bound} "
+                           f"lies in the ideal at cap {sb.cap}")
+
+
 def minimal_power_membership(var_index: int, gens: Sequence[Poly],
                              max_power: int = 64,
                              sb: Optional[StandardBasis] = None):
     """Smallest d with z_i^d in the ideal, plus its lift certificate.
 
-    pre: the ideal is zero dimensional (otherwise no power is ever a member
-    and the search stops at max_power with PowerCapExceeded).
+    The search is minimal_power on sb (by default tracked at DEFAULT_CAP)
+    with bound min(max_power, sb.cap); only z_i^d is then lifted, so sb
+    must be tracked.  pre: the ideal is zero dimensional (otherwise no
+    power is ever a member and the search raises PowerCapExceeded).
     """
-    nvars = gens[0].nvars
     if sb is None:
         sb = standard_basis_at(gens, DEFAULT_CAP, track=True)
-    if not sb.tracked:
-        raise ValueError("minimal_power_membership needs a tracked basis")
-    for d in range(1, min(max_power, sb.cap) + 1):
-        exps = [0] * nvars
-        exps[var_index] = d
-        p = Poly.monomial(nvars, exps)
-        r, coeffs = normal_form_with_lift(p, sb)
-        if r.is_zero():
-            return d, LiftCertificate(p, tuple(sb.gens), coeffs, sb.rep_cap)
-    raise PowerCapExceeded(
-        f"no power of variable {var_index} below {min(max_power, sb.cap) + 1} "
-        f"lies in the ideal at cap {sb.cap}")
+    d = minimal_power(var_index, sb, min(max_power, sb.cap))
+    return d, lift(Poly.variable(sb.nvars, var_index) ** d, sb)
 
 
 @dataclass

@@ -7,7 +7,9 @@ the staircase basis of A, the auxiliary quotients B (by the residue
 denominators (m_1, m_2, f)) and C (B modulo the annihilator of DF), the
 socle of A, whether sigma represents the distinguished socle class, and
 the dimension bound soc A <= dim A - dim C + 1.  Of C only the dimension
-is kept, and a PairingReport keeps each measurement once.
+is kept, and a PairingReport keeps each measurement once: dim_a and
+soc_a_dim read the lengths of the Gram basis and of the socle elements,
+and the caps stay in ctx.caps_used.
 
 Each function takes the germ and an optional Ctx.  The algebras A and B
 live in the Ctx memo, and so does the one ResidueForm over (m_1, m_2, f)
@@ -16,21 +18,22 @@ each algebra once and lift the residue box once, shared with solve.
 Every residue the lab reads, the Gram entries included, goes through
 germ_residue, which alone holds the orientation and the factor DF;
 residue_functional returns the same form with raw values.  Both algebras
-pass the gate Ctx.algebra: index_algebra records A's cap under "index"
-and raises NotIsolated on an infinite staircase, algebra_B records B's
-cap under "pairing" and raises NotRegularSequence, and neither records
-anything when it raises.
+pass the gate Ctx.algebra: A through index.index_algebra, the index
+ideal's one gate, which records A's cap under "index" and raises
+NotIsolated on an infinite staircase; algebra_B records B's cap under
+"pairing" and raises NotRegularSequence.  Neither records anything when
+it raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from .errors import NotIsolated, NotRegularSequence
+from .errors import NotRegularSequence
 from .index import (GermProblem, find_good_coordinates, germ_residue,
-                    germ_sigma, ideal_J, residue_denominators)
+                    germ_sigma, index_algebra, residue_denominators)
 from .localalg import Ctx, QuotientAlgebra
 from .polycore import Exponent, Poly, _bareiss, _scaled
 from .residues import ResidueForm, residue_form
@@ -73,14 +76,6 @@ def algebra_B(p: GermProblem, ctx: Optional[Ctx] = None) -> QuotientAlgebra:
     return ctx.algebra(
         residue_denominators(p, ctx),
         NotRegularSequence("(m_1, m_2) is not regular on the germ"), "pairing")
-
-
-def index_algebra(p: GermProblem, ctx: Optional[Ctx] = None) -> QuotientAlgebra:
-    """The index algebra A: quotient by the equations and all minors."""
-    ctx = ctx or Ctx()
-    return ctx.algebra(
-        ideal_J(p, ctx),
-        NotIsolated("the form vanishes along a curve on the germ"), "index")
 
 
 def residue_functional(p: GermProblem,
@@ -153,17 +148,22 @@ class PairingReport:
     """
 
     change_matrix: Tuple[Tuple[Union[int, Fraction], ...], ...]
-    dim_a: int
     dim_b: int
     dim_c: int
     gram: GramData
-    soc_a_dim: int
     soc_a_elements: List[Poly]
     sigma_residue: Fraction
     sigma_in_soc_c: Optional[bool]
     bound_holds: bool
-    caps_used: Dict[str, int] = field(default_factory=dict)
     discrepancies: List[str] = field(default_factory=list)
+
+    @property
+    def dim_a(self) -> int:
+        return len(self.gram.basis)
+
+    @property
+    def soc_a_dim(self) -> int:
+        return len(self.soc_a_elements)
 
 
 def pairing_report(p: GermProblem, ctx: Optional[Ctx] = None) -> PairingReport:
@@ -201,6 +201,6 @@ def pairing_report(p: GermProblem, ctx: Optional[Ctx] = None) -> PairingReport:
     if cdata.dim_c > dim_a:
         discrepancies.append("dim_c_exceeds_dim_a")
 
-    return PairingReport(change.matrix, dim_a, cdata.dim_b, cdata.dim_c, gram,
-                         soc_a_dim, soc_elems, sigma_res, sigma_ok,
-                         bound_holds, dict(ctx.caps_used), discrepancies)
+    return PairingReport(change.matrix, cdata.dim_b, cdata.dim_c, gram,
+                         soc_elems, sigma_res, sigma_ok, bound_holds,
+                         discrepancies)

@@ -40,9 +40,9 @@ from fractions import Fraction
 from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import NotRegularSequence, PowerCapExceeded
-from .localalg import (Ctx, StandardBasis, colength, lift, normal_form,
-                       record, standard_basis_at)
+from .errors import NotRegularSequence
+from .localalg import (Ctx, colength, lift, minimal_power, record,
+                       standard_basis_at)
 from .polycore import Poly, series_determinant
 
 
@@ -104,29 +104,12 @@ def _denominator_list(denominators: Sequence[Poly]) -> List[Poly]:
     return denoms
 
 
-def _minimal_power(i: int, base: StandardBasis) -> int:
-    """Least d with z_i^d in the ideal of a certified finite basis.
-
-    With t the staircase height, m^(t+1) lies in the ideal and t is below
-    the cap, so the search ends by t + 1 and each normal form is exact.
-    """
-    n = base.nvars
-    t = base.max_quotient_degree()
-    for d in range(1, t + 2):
-        exps = [0] * n
-        exps[i] = d
-        if normal_form(Poly.monomial(n, exps), base).is_zero():
-            return d
-    raise PowerCapExceeded(
-        f"no power of variable {i} up to {t + 1} lies in the ideal at cap "
-        f"{base.cap}")
-
-
 class ResidueForm:
     """The residue over one ordered denominator tuple, as a functional of h.
 
-    Holds the powers d and the coefficients of det(A) in the box
-    {e : e_i <= d_i - 1}.  The box is lifted once, on the first nonzero
+    Holds the powers d, each found by localalg.minimal_power on the
+    certified basis with bound t + 1, and the coefficients of det(A) in the
+    box {e : e_i <= d_i - 1}.  The box is lifted once, on the first nonzero
     value, at term cap cap = max(ctx.cap, big + t + 2), which the module
     docstring proves exact for numerators of every degree; that cap is
     recorded in ctx.caps_used under "residue" when the box is built.  The
@@ -147,7 +130,8 @@ class ResidueForm:
         # colength 0 means a unit among the denominators: the residue cycle
         # is empty and every value is 0
         self.powers: Tuple[int, ...] = tuple(
-            _minimal_power(i, base) for i in range(n)) if colength(base) else ()
+            minimal_power(i, base, self.height + 1)
+            for i in range(n)) if colength(base) else ()
         self.big = sum(self.powers) - len(self.powers)
         self.cap = max(ctx.cap, self.big + self.height + 2)
         # the form keeps ctx's record, not ctx: a form in ctx's memo would

@@ -208,8 +208,9 @@ def _trial_eq1(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     n = MAX_NVARS
     q = n - 2
     p = _random_germ(rng, n, DEGREE)
-    i_cols = tuple(rng.randrange(n) for _ in range(q))
-    j_cols = tuple(rng.randrange(n) for _ in range(q + 1))
+    # distinct columns: a repeated one makes both sides 0
+    i_cols = tuple(rng.sample(range(n), q))
+    j_cols = tuple(rng.sample(range(n), q + 1))
     lhs = jacobian_minor(p.f, i_cols, n) * minor(p, j_cols)
     rhs = Poly.zero(n)
     for l, jl in enumerate(j_cols):

@@ -1,0 +1,81 @@
+"""Independent residue oracle: the Bezoutian of the denominators.
+
+For a regular sequence g = (g_1, ..., g_n) with local algebra Q = O/(g),
+let Delta_ij(z, w) be the divided difference of g_i in the variable j,
+
+    (g_i(z_1..z_j, w_{j+1}..w_n) - g_i(z_1..z_{j-1}, w_j..w_n)) / (z_j - w_j),
+
+so that sum_j Delta_ij (z_j - w_j) = g_i(z) - g_i(w).  By Scheja and
+Storch ("Ueber Spurfunktionen bei vollstaendigen Durchschnitten", J. Reine
+Angew. Math. 278/279, 1975) the image of det Delta in Q_z (x) Q_w is
+sum_a e_a (x) e_a*, where {e_a*} is the basis dual to the quotient
+monomials {e_a} under the residue pairing Res(u v).  So the matrix M of
+that image on the monomial basis is the inverse of the Gram matrix
+Res(e_a e_b), and Res(h) is NF(h) dotted with the column of M^-1 at the
+monomial 1.  With t the staircase height, every monomial of degree above
+t vanishes in Q, so det Delta is expanded only up to total degree 2t and
+read only where its z-degree and w-degree are both at most t.
+
+It reads normal forms on the certified basis, series_determinant and
+rational_inverse, and nothing of the lifts, minimal powers or tracked
+bases that grothendieck_residue is built on.
+"""
+
+from fractions import Fraction
+from typing import Dict, Optional, Sequence
+
+from icisres.errors import NotRegularSequence
+from icisres.localalg import Ctx
+from icisres.polycore import Exponent, Poly, rational_inverse, series_determinant
+
+
+def divided_difference(g: Poly, j: int) -> Poly:
+    """Delta(z, w) of g in variable j, in 2n variables: z first, then w."""
+    n = g.nvars
+    terms: Dict[Exponent, Fraction] = {}
+    for e, c in g.terms.items():
+        # (z_j^k - w_j^k) / (z_j - w_j) = sum of z_j^a w_j^(k-1-a)
+        for a in range(e[j]):
+            key = (e[:j] + (a,) + (0,) * (n - j - 1)
+                   + (0,) * j + (e[j] - 1 - a,) + e[j + 1:])
+            terms[key] = terms.get(key, 0) + c
+    return Poly(2 * n, terms)
+
+
+class BezoutResidue:
+    """Res(h) over the ordered denominators, from the Bezoutian on Q."""
+
+    def __init__(self, denominators: Sequence[Poly], ctx: Optional[Ctx] = None):
+        g = list(denominators)
+        n = len(g)
+        self.algebra = (ctx or Ctx()).algebra(
+            g, NotRegularSequence("denominator ideal has infinite colength"))
+        self.column = []
+        d = self.algebra.dim
+        if d == 0:
+            return          # a unit among the denominators: every residue 0
+        t = self.algebra.sb.max_quotient_degree()
+        det = series_determinant(
+            [[divided_difference(gi, j) for j in range(n)] for gi in g], 2 * t)
+        # group the kept terms by their z part: det = sum over a of z^a P_a(w)
+        by_z: Dict[Exponent, Dict[Exponent, Fraction]] = {}
+        for e, c in det.terms.items():
+            z, w = e[:n], e[n:]
+            if sum(z) <= t and sum(w) <= t:
+                by_z.setdefault(z, {})[w] = c
+        m = [[Fraction(0)] * d for _ in range(d)]
+        for z, rest in by_z.items():
+            u = self.algebra.coordinates(Poly.monomial(n, z))
+            v = self.algebra.coordinates(Poly(n, rest))
+            for a, ua in enumerate(u):
+                if ua:
+                    for b, vb in enumerate(v):
+                        m[a][b] += ua * vb
+        one = self.algebra.basis.index((0,) * n)
+        self.column = [row[one] for row in rational_inverse(m)]
+
+    def value(self, h: Poly) -> Fraction:
+        if not self.column:
+            return Fraction(0)
+        return sum((a * b for a, b in zip(self.algebra.coordinates(h),
+                                          self.column)), Fraction(0))

@@ -7,21 +7,25 @@ its pairing ideal (m_1, m_2, f).  For the residue denominator tuples among
 them, (g + f) and (m_1, m_2, f), each z_i^{d_i} lifted at the ResidueForm's
 term cap and representation cap must pass LiftCertificate.check: the
 representation rows the reduction kernel carries are an identity up to
-the representation cap.
+the representation cap.  On the same tuples, in both orders for the
+ideals, grothendieck_residue must equal oracle_bezout.BezoutResidue, which
+shares no lift, minimal power or tracked basis with it.
 """
 
+import random
 from pathlib import Path
 
 import pytest
 
 from icisres.errors import GermFileError
 from icisres.germfile import parse_germ_file
-from icisres.index import (GermProblem, find_good_coordinates, ideal_J,
-                           residue_denominators)
+from icisres.index import (GermProblem, find_good_coordinates, germ_sigma,
+                           ideal_J, residue_denominators)
 from icisres.localalg import Ctx, colength, lift, standard_basis_at
 from icisres.polycore import Poly
-from icisres.residues import residue_form
+from icisres.residues import grothendieck_residue, jacobian_minor, residue_form
 
+from oracle_bezout import BezoutResidue
 from oracle_macaulay import stable_corank
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -87,3 +91,37 @@ def test_corpus_germ_ideals_match_oracle_and_lift(path):
     denoms = residue_denominators(good, ctx)
     assert_colength_matches_oracle(denoms, ctx)
     assert_lifts_certify(denoms, ctx)
+
+
+def assert_residues_match_bezoutian(numerators, denoms, ctx):
+    oracle = BezoutResidue(denoms, ctx)
+    for h in numerators:
+        assert grothendieck_residue(h, denoms, ctx) == oracle.value(h), h.render()
+
+
+@pytest.mark.parametrize("path", IDEALS, ids=lambda p: p.stem)
+def test_mult_ideal_residues_match_the_bezoutian(path):
+    gf = parse_germ_file(path.read_text())
+    n = gf.nvars
+    rng = random.Random(path.stem)
+    monomials = [Poly.monomial(n, [rng.randrange(4) for _ in range(n)])
+                 for _ in range(8)]
+    for denoms in (list(gf.g) + list(gf.f), list(gf.f) + list(gf.g)):
+        ctx = Ctx()
+        numerators = [jacobian_minor(denoms, range(n), n)] + monomials
+        assert_residues_match_bezoutian(numerators, denoms, ctx)
+
+
+@pytest.mark.parametrize("path", [p for p in SURFACES
+                                  if p.stem not in NOT_ISOLATED],
+                         ids=lambda p: p.stem)
+def test_corpus_germ_residues_match_the_bezoutian(path):
+    gf = parse_germ_file(path.read_text())
+    p = GermProblem(gf.nvars, gf.f, gf.omega, seed=gf.seed)
+    ctx = Ctx()
+    _, good = find_good_coordinates(p, ctx)
+    denoms = residue_denominators(good, ctx)
+    sd = germ_sigma(good, ctx)
+    monomials = [Poly.monomial(good.nvars, e)
+                 for e in ctx.basis(denoms).quotient_monomials]
+    assert_residues_match_bezoutian([sd.sigma * sd.df] + monomials, denoms, ctx)

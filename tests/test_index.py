@@ -288,14 +288,15 @@ def test_find_good_coordinates_failure():
 
 
 def test_solve_report():
-    rep = solve(sphere_dz())
+    ctx = Ctx()
+    rep = solve(sphere_dz(), ctx)
     assert rep.index == 2 and rep.residue == 2
     assert rep.match
     assert rep.change.is_identity()
     assert rep.sigma == Poly.const(3, Fraction(4))
     assert rep.df == z3.scale(Fraction(2))
     # the cap that proved the index basis, and the residue lifts' floor cap
-    assert rep.caps_used == {"index": 2, "residue": DEFAULT_CAP}
+    assert ctx.caps_used == {"index": 2, "residue": DEFAULT_CAP}
 
 
 

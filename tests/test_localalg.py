@@ -164,6 +164,11 @@ def test_a_finite_basis_is_built_once(monkeypatch):
     del caps[:]
     assert colength(standard_basis([X])) == INFINITE
     assert caps == [1, DEFAULT_CAP, DEFAULT_CAP + CAP_STEP]
+    # a check run that turns an infinite staircase finite is the next run,
+    # not built again
+    del caps[:]
+    assert colength(standard_basis([Y - X**2, Y**7])) == 14
+    assert caps == [7, DEFAULT_CAP, DEFAULT_CAP + CAP_STEP]
 
 
 def test_cap_exceeded():

@@ -21,6 +21,7 @@ from icisres.residues import (ResidueForm, form_index_basis,
                               residue_via_lift)
 from icisres.verify import builtin_corpus, random_poly
 
+from oracle_bezout import BezoutResidue
 from oracle_macaulay import corank, stable_corank
 
 X = Poly.variable(2, 0)
@@ -329,7 +330,18 @@ def test_parabola_power_colength_at_the_default_cap():
 def test_parabola_power_colength_when_the_cap_reaches_it():
     assert intersection_multiplicity_both_ways(
         [], [Y - X**2, Y**9], Ctx(cap=18)) == (18, 18)
-    assert intersection_multiplicity_both_ways([], [Y - X**2, Y**8]) == (16, 16)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_parabola_power_family_below_the_default_cap(d):
+    # (y - x^2, y^d) = (y - x^2, x^(2d)); for d = 7 and 8 the staircase is
+    # infinite at the default cap and the check run at cap 16 is finite
+    assert intersection_multiplicity_both_ways(
+        [], [Y - X**2, Y**d]) == (2 * d, 2 * d)
+    denoms = [Y - X**2, Y**d]
+    oracle = BezoutResidue(denoms)
+    for h in [jacobian_minor(denoms, range(2), 2)] + [X**k for k in range(2 * d)]:
+        assert grothendieck_residue(h, denoms) == oracle.value(h)
 
 
 # deeper seeded ideals against the Macaulay oracle ---------------------------

@@ -227,6 +227,29 @@ def test_resample_tests_each_draw_once(accept_at, expected):
     assert draws == tested == list(range(expected[0] + 1))
 
 
+def test_eq1_draws_distinct_columns(monkeypatch):
+    # a repeated column in i_cols or j_cols makes both sides 0: the left
+    # side's two factors are the first minors each trial reads
+    calls = []
+
+    def recording(name, real):
+        def wrapper(*args):
+            calls.append((name, tuple(args[1])))
+            return real(*args)
+        return wrapper
+
+    for name in ("jacobian_minor", "minor"):
+        monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
+    for seed in range(3):
+        for t in range(DEFAULT_TRIALS["eq1"]):
+            del calls[:]
+            rng = random.Random(f"{seed}:eq1:{t}")
+            assert verify._trial_eq1(rng, t, Ctx()) is None
+            for name in ("jacobian_minor", "minor"):
+                cols = next(c for n, c in calls if n == name)
+                assert len(set(cols)) == len(cols), (seed, t, name, cols)
+
+
 @pytest.mark.parametrize("suite, name, wrong", [
     # a minor read in sorted column order: no sign for the column order
     ("eq1", "minor", lambda real: lambda p, columns: real(p, sorted(columns))),
