@@ -32,8 +32,20 @@ no term above top can change a coefficient at or below it: the
 completion cuts every element, S-polynomial and later dividend at top and
 drops the pairs whose lcm lies above it, and its staircase, quotient
 monomials and remainders are those of the uncut run.  A tracked basis
-keeps its full tails, because a lift reads representations up to rep_cap,
-far above the corner; an infinite staircase never cuts.
+keeps its full tails, because the reductions above the corner still move
+its representation rows; an infinite staircase never cuts.
+
+A tracked basis keeps its representation rows only on a box: the
+monomials of degree <= cap that divide z^box, by default z^(cap, ..., cap),
+which is the cap alone.  The box is closed under division, so a monomial
+shift of a term outside it stays outside.  Every row operation is an
+integer scaling or an added shift of another row, so the box part of a
+row is computed from box parts alone: the rows are the box parts of the
+rows an uncut run carries.  Rows never feed back, so the elements, the
+staircase and every remainder do not depend on the box.  A lift through
+such a basis is exact on the box: no term of target - sum(c_j g_j) lies
+in it (LiftCertificate).  The residues module keeps its lift rows on the
+box {e : e_i <= d_i - 1} of its powers d, where its determinant is read.
 
 Bases, lifts and normal forms all run on one integer kernel (_Kernel),
 built per cap.  A monomial is one int: the total degree in the top field,
@@ -44,7 +56,8 @@ monomials, plus a guard bit on top, so no product overflows a field.  Then
 the smallest int is the largest monomial, a product is an addition, the
 degree is a shift, truncation is one comparison against
 (cap + 1) << shift, and b divides a exactly when subtracting b from a with
-every guard bit set clears none of them.  LocalOrder.key remains the
+every guard bit set clears none of them; the box test on a row term is
+that one subtraction from the packed z^box.  LocalOrder.key remains the
 specification of the order.  Packing and the product loop (_pack,
 _unpack, _addmul) live in polycore, where series_determinant and
 Poly.substitute run on them too, with fields as wide as their own degree
@@ -134,10 +147,11 @@ class _Kernel:
 
     The elements are kept twice: in insertion order, and stably sorted by
     ecart, so the first divisor found there is Mora's choice (least ecart,
-    earliest inserted among equals).
+    earliest inserted among equals).  Representation rows keep only the
+    terms of degree <= cap that divide z^box (the module docstring).
     """
 
-    def __init__(self, nvars: int, cap: int, rep_cap: int):
+    def __init__(self, nvars: int, cap: int, box: Exponent):
         # a field holds the degree of a product of two monomials of degree
         # <= cap, plus the guard bit
         width = (2 * cap).bit_length() + 1
@@ -147,7 +161,10 @@ class _Kernel:
         self.guards = sum(1 << (i * width + width - 1) for i in range(nvars))
         self.bound = cap
         self.limit = (cap + 1) << self.shift
-        self.rep_limit = (rep_cap + 1) << self.shift
+        # row terms come by degree, so the box's degree bound stops a row
+        # early; a term below it is kept when it divides z^box
+        self.box = self.pack(box) | self.guards
+        self.rep_limit = (min(cap, sum(box)) + 1) << self.shift
         self.elems: List[_Elem] = []
         self._search: List[_Elem] = []
 
@@ -163,6 +180,22 @@ class _Kernel:
 
     def degree(self, m: int) -> int:
         return m >> self.shift
+
+    def addrow(self, dst: Dict[int, int], k: int, mono: int,
+               src: List[Tuple[int, int]]) -> None:
+        """dst += k * mono * src, kept on the box: b | a as in divides."""
+        box, guards, limit = self.box, self.guards, self.rep_limit
+        for t, v in src:
+            m = mono + t
+            if m >= limit:
+                break
+            if (box - m) & guards != guards:
+                continue
+            s = dst.get(m, 0) + k * v
+            if s:
+                dst[m] = s
+            else:
+                del dst[m]
 
     def add(self, g: _Elem) -> None:
         self.elems.append(g)
@@ -200,8 +233,8 @@ class _Kernel:
         stay in h, and the factor the denominator grew by.  The remainder
         is the unique representative modulo the ideal supported on
         staircase monomials, which makes the map linear in the dividend.
-        Terms are cut at the cap, rows at the representation cap; rows
-        never feed back into h.
+        Terms are cut at the cap, rows to the box; rows never feed back
+        into h.
         """
         limit, search, divides = self.limit, self._search, self.divides
         heap = sorted(h)
@@ -250,19 +283,19 @@ class _Kernel:
                         del h[m]
             if rows is not None:
                 for r, gr in zip(rows, g.rep):
-                    _addmul(r, -b, mono, gr, self.rep_limit)
+                    self.addrow(r, -b, mono, gr)
         return remainder, scale
 
 
 def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
-              rep_cap: int) -> _Kernel:
+              box: Exponent) -> _Kernel:
     """Truncated completion to a standard basis; returns the kernel holding it.
 
-    Elements are truncated at cap, tracked representations at rep_cap.
-    Untracked, the terms are cut further at the highest corner as soon as
-    the leading monomials leave finitely many quotient monomials.
+    Elements are truncated at cap, tracked representations to the box
+    z^box.  Untracked, the terms are cut further at the highest corner as
+    soon as the leading monomials leave finitely many quotient monomials.
     """
-    kernel = _Kernel(nvars, cap, rep_cap)
+    kernel = _Kernel(nvars, cap, box)
     G = kernel.elems
     m = len(gens)
     pure = set()        # variables with a pure power among the leading monomials
@@ -280,8 +313,8 @@ def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
             kernel.cut(top)
 
     def insert(h: Dict[int, int], rows) -> None:
-        # h = sum(rows[j] * gens[j]) up to rep_cap, over any common scale;
-        # reduction keeps that identity for the remainder
+        # h = sum(rows[j] * gens[j]) on the box and up to cap, over any
+        # common scale; reduction keeps that identity for the remainder
         remainder, _ = kernel.reduce(h, rows)
         if not remainder:
             return
@@ -342,8 +375,8 @@ def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
         if track:
             rows = [dict() for _ in range(m)]
             for r, ri, rj in zip(rows, gi.rep, gj.rep):
-                _addmul(r, ki, mi, ri, kernel.rep_limit)
-                _addmul(r, kj, mj, rj, kernel.rep_limit)
+                kernel.addrow(r, ki, mi, ri)
+                kernel.addrow(r, kj, mj, rj)
         before = len(G)
         insert(s, rows)
         if len(G) > before:
@@ -402,13 +435,14 @@ class StandardBasis:
     A basis from standard_basis is certified: a finite staircase proved
     exact, an infinite one stable one step up.  A run of standard_basis_at
     is not certified.  Its elements stay in the kernel; `elements` builds
-    them as monic Polys on first read.
+    them as monic Polys on first read.  A tracked basis keeps their
+    representations on the monomials of degree <= cap that divide z^box.
     """
 
     gens: Tuple[Poly, ...]
     nvars: int
     cap: int
-    rep_cap: int        # tracked representations are exact up to this degree
+    box: Exponent       # tracked representations are exact on this box
     staircase: List[Exponent]
     quotient_monomials: Optional[List[Exponent]]
     _kernel: _Kernel = field(repr=False)
@@ -432,14 +466,15 @@ class StandardBasis:
 
 
 def _build(gens: Sequence[Poly], cap: int, track: bool,
-           rep_cap: Optional[int] = None) -> StandardBasis:
-    rep_cap = cap if rep_cap is None else min(rep_cap, cap)
+           box: Optional[Exponent] = None) -> StandardBasis:
     nvars = gens[0].nvars
-    kernel = _complete(gens, nvars, cap, track, rep_cap)
+    # no entry of a monomial of degree <= cap exceeds cap
+    box = tuple(min(v, cap) for v in box or (cap,) * nvars)
+    kernel = _complete(gens, nvars, cap, track, box)
     stair = _staircase_min_gens(kernel.elems)
     quot = _quotient_monomials(stair, nvars)
-    return StandardBasis(tuple(gens), nvars, cap, rep_cap, stair, quot,
-                         kernel, track)
+    return StandardBasis(tuple(gens), nvars, cap, box, stair, quot, kernel,
+                         track)
 
 
 def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
@@ -505,16 +540,18 @@ def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
 
 
 def standard_basis_at(gens: Sequence[Poly], cap: int, track: bool = False,
-                      rep_cap: Optional[int] = None) -> StandardBasis:
+                      box: Optional[Exponent] = None) -> StandardBasis:
     """Single run at a fixed cap, no certification; for internal re-runs.
 
     With track=True the representations of the elements through gens are
-    kept up to degree rep_cap (default, and at most, cap).  The elements,
-    the staircase and every remainder are the same whatever rep_cap is;
-    only the representation terms above it are dropped, so a lift read
-    only to low degree can skip the cost of the deep ones.
+    kept on the box: their terms of degree <= cap that divide z^box (by
+    default every term up to cap).  The elements, the staircase and every
+    remainder are the same whatever the box is; only the representation
+    terms outside it are dropped, and those never reach a term inside it
+    (the module docstring), so a lift read only on the box skips the cost
+    of the rest.
     """
-    return _build(list(gens), cap, track, rep_cap)
+    return _build(list(gens), cap, track, box)
 
 
 def record(caps_used: Dict[str, int], key: str, cap: int) -> None:
@@ -619,8 +656,8 @@ def colength(sb: StandardBasis):
 def _remainder(p: Poly, sb: StandardBasis, rows=None):
     """Remainder of p, and the denominator rows end up over.
 
-    The kernel cuts the remainder at the cap and rows at the
-    representation cap, so neither needs truncating here.
+    The kernel cuts the remainder at the cap and rows to the box, so
+    neither needs truncating here.
     """
     kernel = sb._kernel
     h, den = kernel.dividend(p)
@@ -651,23 +688,28 @@ def normal_form_with_lift(p: Poly, sb: StandardBasis):
 
 @dataclass
 class LiftCertificate:
-    """target = sum(coefficients[j] * gens[j]) up to the cap."""
+    """target = sum(coefficients[j] * gens[j]) on the box of the basis.
+
+    The box is the basis's: the monomials of degree <= cap that divide
+    z^box.  With the default box that is every monomial up to cap.
+    """
 
     target: Poly
     gens: Tuple[Poly, ...]
     coefficients: List[Poly]
     cap: int
+    box: Exponent
 
     def defect(self) -> Poly:
-        """target - sum(c_j g_j); every surviving monomial has degree > cap."""
+        """target - sum(c_j g_j); no surviving monomial lies in the box."""
         acc = self.target
         for c, g in zip(self.coefficients, self.gens):
             acc = acc - c * g
         return acc
 
     def check(self) -> bool:
-        d = self.defect()
-        return d.is_zero() or d.min_degree() > self.cap
+        return not any(sum(e) <= self.cap and mono_divides(e, self.box)
+                       for e in self.defect().terms)
 
 
 def lift(target: Poly, sb: StandardBasis) -> LiftCertificate:
@@ -675,7 +717,7 @@ def lift(target: Poly, sb: StandardBasis) -> LiftCertificate:
     r, coeffs = normal_form_with_lift(target, sb)
     if not r.is_zero():
         raise NotMember(f"remainder {r.render()} is nonzero at cap {sb.cap}")
-    return LiftCertificate(target, tuple(sb.gens), coeffs, sb.rep_cap)
+    return LiftCertificate(target, tuple(sb.gens), coeffs, sb.cap, sb.box)
 
 
 def minimal_power(var_index: int, sb: StandardBasis, bound: int) -> int:

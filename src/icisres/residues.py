@@ -12,18 +12,22 @@ coefficient extraction.
 
 With t the staircase height of I, m^(t+1) lies in I, so d_i <= t + 1 and
 the powers come from plain normal forms on the certified basis.  Write
-big = sum(d_i - 1), the highest degree in the box.  The lift rows come
-from a tracked basis at term cap max(cap, big + t + 2) whose
-representations are kept only up to rep_cap = big + t + 2.  Cutting the
-representations at rep_cap leaves an error z^d - A' g in I and in
-m^(rep_cap + 1), the same kind of error the term cap leaves above it.
-Such an error does not reach the box.  Since m^(t+1) lies in I, an error
-in m^(N+1) is B g with every entry of B in m^(N-t), so A' + B is an exact
-lift.  For N >= big + t + 1 the entries of B have order above big, so
-det(A') agrees with det(A' + B) up to degree big, and every exact lift
-gives the same box: its coefficients are the residues of the monomials
-z^(d - 1 - e).  So the box is proved once, for numerators of every
-degree, and nothing is recomputed.
+big = sum(d_i - 1), the highest degree in the box.  The lift rows A' come
+from a tracked basis at term cap N = max(cap, big + t + 2) that keeps its
+representation rows only on the box (localalg: the box is closed under
+division, and every row operation is an integer scaling or an added
+monomial shift of another row, so a shift only raises exponents and a
+row's box part is computed from box parts alone).  So A' is the box part
+of the rows A'' an uncut run gives, whose error z^d - A'' g lies in I and
+in m^(N + 1).  Since m^(t+1) lies in I, that error is B g with every entry
+of B in m^(N - t), of order at least big + 2: B lies wholly outside the
+box, and so does every entry of A'' - A'.  So A = A' + (A'' - A') + B is
+an exact lift, and each product in the expansion of det(A) with a factor
+outside the box lies outside the box too.  The box coefficients of det(A')
+are those of det(A), and every exact lift gives the same box: its
+coefficients are the residues of the monomials z^(d - 1 - e).  So the box
+is proved once, for numerators of every degree, and nothing is
+recomputed.
 
 Residues of forms on the zero set of f reduce to residues on the ambient
 space by wedging with df_1 ^ ... ^ df_q; the reduction (lambda_map) is a
@@ -55,15 +59,16 @@ def _coefficient_of_product(h: Poly, g: Poly, target: Tuple[int, ...]) -> Fracti
 
 
 def lift_rows(denoms: Sequence[Poly], powers: Sequence[int], cap: int,
-              rep_cap: Optional[int] = None) -> List[List[Poly]]:
+              box: Optional[Tuple[int, ...]] = None) -> List[List[Poly]]:
     """Truncated lift matrix: row i expresses z_i^{d_i} through the denominators.
 
-    The basis behind it is built at term cap cap; the entries are kept up
-    to degree rep_cap (default cap).  Raises NotMember when some z_i^{d_i}
-    is not in the ideal at that cap.
+    The basis behind it is built at term cap cap; the entries keep their
+    terms of degree <= cap that divide z^box (by default every term up to
+    cap), and row i equals z_i^{d_i} on those monomials.  Raises NotMember
+    when some z_i^{d_i} is not in the ideal at that cap.
     """
     denoms = list(denoms)
-    sb = standard_basis_at(denoms, cap, track=True, rep_cap=rep_cap)
+    sb = standard_basis_at(denoms, cap, track=True, box=box)
     n = denoms[0].nvars
     return [lift(Poly.monomial(n, [d if j == i else 0 for j in range(n)]),
                  sb).coefficients
@@ -110,14 +115,14 @@ class ResidueForm:
     Holds the powers d, each found by localalg.minimal_power on the
     certified basis with bound t + 1, and the coefficients of det(A) in the
     box {e : e_i <= d_i - 1}.  The box is lifted once, on the first nonzero
-    value, at term cap cap = max(ctx.cap, big + t + 2), which the module
-    docstring proves exact for numerators of every degree; that cap is
-    recorded in ctx.caps_used under "residue" when the box is built.  The
-    certified basis of the denominators' ideal comes from ctx, so a basis
-    the context already holds for the same generators in any order is not
-    built again.  Raises NotRegularSequence when the denominators do not
-    cut out a finite quotient.  residue_form shares one form per ordered
-    tuple in ctx.
+    value, at term cap cap = max(ctx.cap, big + t + 2), with lift rows kept
+    only on the box; the module docstring proves that exact for numerators
+    of every degree.  That cap is recorded in ctx.caps_used under "residue"
+    when the box is built.  The certified basis of the denominators' ideal
+    comes from ctx, so a basis the context already holds for the same
+    generators in any order is not built again.  Raises NotRegularSequence
+    when the denominators do not cut out a finite quotient.  residue_form
+    shares one form per ordered tuple in ctx.
     """
 
     def __init__(self, denominators: Sequence[Poly], ctx: Optional[Ctx] = None):
@@ -154,7 +159,7 @@ class ResidueForm:
 
     def _box(self) -> Poly:
         rows = lift_rows(self.denominators, self.powers, self.cap,
-                         rep_cap=self.big + self.height + 2)
+                         box=tuple(d - 1 for d in self.powers))
         det = series_determinant(rows, self.big)
         record(self.caps_used, "residue", self.cap)
         return Poly.from_ints(det.nvars, {

@@ -5,11 +5,14 @@ benchmark computes a colength of: each bench/ideals ideal (g + f), and for
 each bench/corpus surface germ its index ideal J and, in good coordinates,
 its pairing ideal (m_1, m_2, f).  For the residue denominator tuples among
 them, (g + f) and (m_1, m_2, f), each z_i^{d_i} lifted at the ResidueForm's
-term cap and representation cap must pass LiftCertificate.check: the
-representation rows the reduction kernel carries are an identity up to
-the representation cap.  On the same tuples, in both orders for the
-ideals, grothendieck_residue must equal oracle_bezout.BezoutResidue, which
-shares no lift, minimal power or tracked basis with it.
+term cap with its rows on the form's box {e : e_i <= d_i - 1} must pass
+LiftCertificate.check: the representation rows the reduction kernel
+carries are an identity on every monomial of the box, which lies below
+the term cap.  Its coefficients must be the box parts of the lift's
+coefficients through a basis whose rows are cut only at the term cap.  On
+the same tuples, in both orders for the ideals, grothendieck_residue must
+equal oracle_bezout.BezoutResidue, which shares no lift, minimal power or
+tracked basis with it.
 """
 
 import random
@@ -22,7 +25,7 @@ from icisres.germfile import parse_germ_file
 from icisres.index import (GermProblem, find_good_coordinates, germ_sigma,
                            ideal_J, residue_denominators)
 from icisres.localalg import Ctx, colength, lift, standard_basis_at
-from icisres.polycore import Poly
+from icisres.polycore import Poly, mono_divides
 from icisres.residues import grothendieck_residue, jacobian_minor, residue_form
 
 from oracle_bezout import BezoutResidue
@@ -51,16 +54,28 @@ def assert_colength_matches_oracle(gens, ctx):
     assert colength(ctx.basis(gens)) == stable_corank(gens)
 
 
+def box_part(p, box):
+    return Poly(p.nvars, {e: c for e, c in p.terms.items()
+                          if mono_divides(e, box)})
+
+
 def assert_lifts_certify(denoms, ctx):
     form = residue_form(denoms, ctx)
-    rep_cap = form.big + form.height + 2
-    sb = standard_basis_at(denoms, form.cap, track=True, rep_cap=rep_cap)
+    box = tuple(d - 1 for d in form.powers)
+    assert form.big < form.cap
+    sb = standard_basis_at(denoms, form.cap, track=True, box=box)
+    uncut = standard_basis_at(denoms, form.cap, track=True)
     n = len(denoms)
     for i, d in enumerate(form.powers):
         power = Poly.monomial(n, [d if j == i else 0 for j in range(n)])
         cert = lift(power, sb)
-        assert cert.cap == rep_cap
+        assert (cert.cap, cert.box) == (form.cap, box)
         assert cert.check()
+        assert not any(mono_divides(e, box) for e in cert.defect().terms)
+        full = lift(power, uncut)
+        assert full.check()
+        assert cert.coefficients == [box_part(c, box)
+                                     for c in full.coefficients]
 
 
 def test_every_benchmark_input_is_covered():

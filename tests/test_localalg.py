@@ -49,7 +49,7 @@ def test_local_order_unit_is_largest():
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
 def test_packed_monomials_follow_the_order_spec(nvars):
-    kernel = _Kernel(nvars, DEFAULT_CAP, DEFAULT_CAP)
+    kernel = _Kernel(nvars, DEFAULT_CAP, (DEFAULT_CAP,) * nvars)
     monos = monomials_upto(nvars, 12)
     packed = {e: kernel.pack(e) for e in monos}
     assert all(kernel.unpack(m) == e for e, m in packed.items())
@@ -64,11 +64,18 @@ def test_packed_monomials_follow_the_order_spec(nvars):
         assert all(mono_divides(a, b) for b in multiples)
         pa = packed[a]
         assert {b for b in monos if kernel.divides(pa, packed[b])} == multiples
+    # representation rows keep exactly the terms that divide z^box
+    box = tuple(range(2, 2 + nvars))
+    boxed = _Kernel(nvars, DEFAULT_CAP, box)
+    row = {}
+    boxed.addrow(row, 1, 0, sorted((boxed.pack(e), 1) for e in monos))
+    assert {boxed.unpack(m) for m in row} == {e for e in monos
+                                              if mono_divides(e, box)}
 
 
 def test_packed_fields_widen_with_the_cap():
-    kernel = _Kernel(3, 300, 300)
-    assert kernel.width > _Kernel(3, DEFAULT_CAP, DEFAULT_CAP).width
+    kernel = _Kernel(3, 300, (300,) * 3)
+    assert kernel.width > _Kernel(3, DEFAULT_CAP, (DEFAULT_CAP,) * 3).width
     monos = [(300, 0, 0), (0, 0, 300), (150, 150, 0), (100, 100, 100), (0, 299, 1)]
     for a in monos:
         for b in monos:
@@ -146,9 +153,9 @@ def test_a_finite_basis_is_built_once(monkeypatch):
     caps = []
     real = localalg._build
 
-    def counting(gens, cap, track, rep_cap=None):
+    def counting(gens, cap, track, box=None):
         caps.append(cap)
-        return real(gens, cap, track, rep_cap)
+        return real(gens, cap, track, box)
 
     monkeypatch.setattr(localalg, "_build", counting)
     # the first run is at the deepest generator degree, and a finite

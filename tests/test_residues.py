@@ -7,12 +7,13 @@ import pytest
 
 from icisres import residues
 from icisres.errors import NotRegularSequence
+from icisres.germfile import parse_germ_file
 from icisres.index import find_good_coordinates, minors
 from icisres.localalg import (DEFAULT_CAP, Ctx, colength,
                               minimal_power_membership,
                               standard_basis, standard_basis_at)
 from icisres.pairing import algebra_B, residue_functional
-from icisres.polycore import Poly
+from icisres.polycore import Poly, mono_divides
 from icisres.residues import (ResidueForm, form_index_basis,
                               grothendieck_residue,
                               intersection_multiplicity_both_ways,
@@ -385,8 +386,9 @@ def test_the_deeper_draws_reach_both_verdicts():
 # at degrees 18 and 19 are both 29, which puts m^19 in I (seconds each, too
 # slow for this suite).  Its staircase holds the pure power z^19, which the
 # runs at 12 and 16 both miss, so they agree on an infinite staircase
-# (ROADMAP item 1).  Its residue needs a tracked lift at term cap 48, which
-# takes minutes (ROADMAP item 7).
+# (ROADMAP item 1).  At Ctx(cap=20) its residue needs a tracked lift at term
+# cap 48 on the box of the powers (7, 5, 19): Res(Jac g) = 29 in about 7 s
+# on one core, too slow for this suite.
 
 @pytest.mark.xfail(raises=AssertionError, strict=True,
                    reason="ROADMAP item 1: an infinite staircase is accepted "
@@ -473,35 +475,104 @@ def test_form_lifts_once_for_many_numerators(monkeypatch):
     assert ctx.caps_used == {"residue": 12} and tracked == []
 
 
-def test_lift_rows_rep_cap_keeps_the_residue():
-    cases = [
-        ([X**2 + Y**3, Y**2], [ONE2, X * Y, X + Y, (X * Y).scale(Fraction(5)) + Y]),
-        ([X - Y**2, Y**3], [Y**2, X * Y**2, X + Y]),
-        ([x3, y3, SPHERE], [z3, ONE3 + z3, x3 * z3]),
-        # with the numerator intersection_multiplicity_both_ways builds
-        (TRIAL_NINE_G + [TRIAL_NINE_F],
-         [ONE3, x3 + y3, lambda_map([jacobian_minor(TRIAL_NINE_G, I, 3)
-                                     for I in form_index_basis(3, 2)],
-                                    [TRIAL_NINE_F], 3)]),
-    ]
-    for denoms, numerators in cases:
+BOX_CASES = [
+    ([X**2 + Y**3, Y**2], [ONE2, X * Y, X + Y, (X * Y).scale(Fraction(5)) + Y]),
+    ([X - Y**2, Y**3], [Y**2, X * Y**2, X + Y]),
+    ([x3, y3, SPHERE], [z3, ONE3 + z3, x3 * z3]),
+    # with the numerator intersection_multiplicity_both_ways builds
+    (TRIAL_NINE_G + [TRIAL_NINE_F],
+     [ONE3, x3 + y3, lambda_map([jacobian_minor(TRIAL_NINE_G, I, 3)
+                                 for I in form_index_basis(3, 2)],
+                                [TRIAL_NINE_F], 3)]),
+]
+
+
+def _box_part(p, box):
+    return Poly(p.nvars, {e: c for e, c in p.terms.items()
+                          if mono_divides(e, box)})
+
+
+def test_lift_rows_on_the_box_keep_the_residue():
+    for denoms, numerators in BOX_CASES:
         form = ResidueForm(denoms)
-        rep_cap = form.big + form.height + 2
-        full = lift_rows(denoms, form.powers, 14)
-        cut = lift_rows(denoms, form.powers, 14, rep_cap=rep_cap)
+        box = tuple(d - 1 for d in form.powers)
+        full = lift_rows(denoms, form.powers, form.cap)
+        cut = lift_rows(denoms, form.powers, form.cap, box=box)
         for row_full, row_cut in zip(full, cut):
-            for a, b in zip(row_full, row_cut):
-                assert b == a.truncate(rep_cap)
+            assert row_cut == [_box_part(a, box) for a in row_full]
         for h in numerators:
             value = residue_via_lift(h, full, form.powers)
             assert residue_via_lift(h, cut, form.powers) == value
             assert form.value(h) == value
-            # one step up both caps gives the same value, as the residues
-            # module docstring proves
-            assert form.cap == max(DEFAULT_CAP, rep_cap)
-            for cap, rc in [(form.cap, rep_cap), (form.cap + 4, rep_cap + 4)]:
-                rows = lift_rows(denoms, form.powers, cap, rep_cap=rc)
-                assert residue_via_lift(h, rows, form.powers) == value
+            # four steps up the term cap gives the same value, as the
+            # residues module docstring proves
+            assert form.cap == max(DEFAULT_CAP, form.big + form.height + 2)
+            rows = lift_rows(denoms, form.powers, form.cap + 4, box=box)
+            assert residue_via_lift(h, rows, form.powers) == value
+
+
+def test_a_box_one_lower_changes_a_residue():
+    # control: the box is tight, so a corner one lower in one coordinate
+    # misreads some residue of the case list
+    changed = []
+    for denoms, numerators in BOX_CASES:
+        form = ResidueForm(denoms)
+        box = tuple(d - 1 for d in form.powers)
+        for i in range(len(box)):
+            if box[i] == 0:
+                continue
+            low = tuple(e - (j == i) for j, e in enumerate(box))
+            rows = lift_rows(denoms, form.powers, form.cap, box=low)
+            changed += [(denoms, i, h) for h in numerators
+                        if residue_via_lift(h, rows, form.powers)
+                        != form.value(h)]
+    assert changed
+
+
+def test_a_built_box_tracks_no_term_outside_it(monkeypatch):
+    built = []
+    real = residues.standard_basis_at
+
+    def keeping(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(residues, "standard_basis_at", keeping)
+    for denoms, numerators in BOX_CASES:
+        form = ResidueForm(denoms)
+        del built[:]
+        form.value(numerators[0])
+        [sb] = built
+        box = tuple(d - 1 for d in form.powers)
+        assert sb.tracked and sb.box == box
+        kernel = sb._kernel
+        terms = [kernel.unpack(m) for g in kernel.elems for row in g.rep
+                 for m, _ in row]
+        assert terms and all(mono_divides(e, box) for e in terms)
+
+
+# ROADMAP item 7's family one degree down: colength 18 and powers (6, 6, 6),
+# so the box holds 216 monomials, of the 816 of degree <= big = 15
+HEAVY = ["x^3 + y^4 + z^5 + x*y*z", "x^4 + y^3 + z*x^2", "(x + y + z)^2 + z^6"]
+
+
+def test_a_heavy_three_variable_ideal_against_the_bezoutian():
+    gf = parse_germ_file("vars = x, y, z\nomega = 0, 0, 0\ng = "
+                         + ", ".join(HEAVY) + "\n")
+    g = list(gf.g)
+    ctx = Ctx()
+    form = residue_form(g, ctx)
+    assert (colength(ctx.basis(g)), form.powers) == (18, (6, 6, 6))
+    assert form.value(jacobian_minor(g, range(3), 3)) == 18
+    oracle = BezoutResidue(g, ctx)
+    rng = random.Random("heavy")
+    monomials = [Poly.monomial(3, [rng.randrange(6) for _ in range(3)])
+                 for _ in range(8)]
+    monomials += [Poly.monomial(3, e)
+                  for e in ctx.basis(g).quotient_monomials]
+    values = [form.value(h) for h in monomials]
+    assert values == [oracle.value(h) for h in monomials]
+    assert sum(v != 0 for v in values) >= 3
 
 
 def _deep_numerator(rng, powers, high):
