@@ -32,7 +32,7 @@ from .errors import ArityError, GoodCoordsNotFound, NotIsolated
 from .localalg import Ctx, QuotientAlgebra, colength, is_regular_on_V
 from .polycore import (Poly, linear_forms, maximal_minors, rational_det,
                        series_determinant)
-from .residues import grothendieck_residue, jacobian_minor
+from .residues import ResidueFamily, jacobian_minor, residue_form
 
 
 @dataclass(frozen=True)
@@ -240,23 +240,31 @@ def find_good_coordinates(p: GermProblem, ctx: Optional[Ctx] = None,
         f"no good coordinates after {ctx.attempts} attempts")
 
 
-def germ_residue(p: GermProblem, h: Poly,
-                 ctx: Optional[Ctx] = None) -> Fraction:
-    """Residue of h dz_1 ^ dz_2 over (m_1, m_2) on the germ, index-oriented.
+def germ_residues(p: GermProblem, h: Poly,
+                  ctx: Optional[Ctx] = None) -> ResidueFamily:
+    """Germ residues of z^e h dz_1 ^ dz_2 for every e, index-oriented.
 
-    Wedging h dz_1 ^ dz_2 with df_1 ^ ... ^ df_q gives h * DF dz, so this
-    is the ambient residue of h * DF over residue_denominators, read off
-    the one ResidueForm ctx keeps for them.  The minors are labelled by
-    the column they omit, so the pair (m_1, m_2) runs against the
-    orientation of (z_1, z_2) by exactly one transposition.  The sign
-    below restores the orientation in which the smooth model
-    omega = x dx + y dy counts +1, making germ residues of index data
-    nonnegative.  This is the one place that sign and DF are applied:
-    main_residue and every residue of the pairing lab come through here.
+    Wedging h dz_1 ^ dz_2 with df_1 ^ ... ^ df_q gives h * DF dz, so these
+    are the ambient residues of z^e * h * DF over residue_denominators,
+    read off one product with the box of the ResidueForm ctx keeps for
+    them.  The minors are labelled by the column they omit, so the pair
+    (m_1, m_2) runs against the orientation of (z_1, z_2) by exactly one
+    transposition.  The sign below restores the orientation in which the
+    smooth model omega = x dx + y dy counts +1, making germ residues of
+    index data nonnegative.  This is the one place that sign and DF are
+    applied: germ_residue, main_residue and every residue of the pairing
+    lab come through here.
     """
     ctx = ctx or Ctx()
-    return -grothendieck_residue(h * germ_sigma(p, ctx).df,
-                                 residue_denominators(p, ctx), ctx)
+    return residue_form(residue_denominators(p, ctx), ctx).residues(
+        -(h * germ_sigma(p, ctx).df))
+
+
+def germ_residue(p: GermProblem, h: Poly,
+                 ctx: Optional[Ctx] = None) -> Fraction:
+    """Residue of h dz_1 ^ dz_2 over (m_1, m_2) on the germ: the read of
+    germ_residues at e = 0."""
+    return germ_residues(p, h, ctx).at((0,) * p.nvars)
 
 
 def main_residue(p: GermProblem, ctx: Optional[Ctx] = None) -> Fraction:

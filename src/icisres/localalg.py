@@ -725,10 +725,15 @@ def minimal_power(var_index: int, sb: StandardBasis, bound: int) -> int:
 
     Raises PowerCapExceeded naming the bound when no such d exists.  On a
     certified finite basis of staircase height t the bound t + 1 always
-    suffices, since m^(t+1) lies in the ideal.
+    suffices, since m^(t+1) lies in the ideal.  The search starts at the
+    staircase's pure power of z_i: below it z_i^d is divisible by no
+    leading monomial, so its normal form is z_i^d itself.  Without such a
+    power no z_i^d reduces at all.
     """
     nvars = sb.nvars
-    for d in range(1, bound + 1):
+    start = min((e[var_index] for e in sb.staircase
+                 if sum(e) == e[var_index]), default=bound + 1)
+    for d in range(max(start, 1), bound + 1):
         exps = [0] * nvars
         exps[var_index] = d
         if normal_form(Poly.monomial(nvars, exps), sb).is_zero():
@@ -775,8 +780,15 @@ class QuotientAlgebra:
                 for i in range(nvars)]
 
     def coordinates(self, p: Poly) -> List[Fraction]:
-        nf = normal_form(p, self.sb)
+        """Coordinates of p on the basis; a basis monomial is its own
+        normal form, so its unit vector needs no reduction."""
         vec = [Fraction(0)] * len(self.basis)
+        if len(p.ints) == 1:
+            (e, c), = p.ints.items()
+            if e in self._position:
+                vec[self._position[e]] = Fraction(c, p.den)
+                return vec
+        nf = normal_form(p, self.sb)
         for e, c in nf.ints.items():
             vec[self._position[e]] = Fraction(c, nf.den)
         return vec

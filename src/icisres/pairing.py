@@ -13,26 +13,31 @@ and the caps stay in ctx.caps_used.
 
 Each function takes the germ and an optional Ctx.  The algebras A and B
 live in the Ctx memo, and so does the one ResidueForm over (m_1, m_2, f)
-that index.germ_residue reads, so the functions called on one Ctx build
+that index.germ_residues reads, so the functions called on one Ctx build
 each algebra once and lift the residue box once, shared with solve.
-Every residue the lab reads, the Gram entries included, goes through
-germ_residue, which alone holds the orientation and the factor DF;
-residue_functional returns the same form with raw values.  Both algebras
-pass the gate Ctx.algebra: A through index.index_algebra, the index
-ideal's one gate, which records A's cap under "index" and raises
-NotIsolated on an infinite staircase; algebra_B records B's cap under
-"pairing" and raises NotRegularSequence.  Neither records anything when
-it raises.
+Every residue the lab reads goes through germ_residues, which alone
+holds the orientation and the factor DF, and each family is one product
+with the box: the Gram entry beta(z^a, z^b) is the read at a + b of the
+family over 1, and the sigma test reads the family over sigma at every
+basis exponent.  residue_functional returns the same form with raw
+values.  Ranks count the pivots of one forward fraction-free
+elimination, and a kernel runs Gauss-Jordan only on the pivot rows it
+leaves.  Both algebras pass the gate Ctx.algebra: A through
+index.index_algebra, the index ideal's one gate, which records A's cap
+under "index" and raises NotIsolated on an infinite staircase; algebra_B
+records B's cap under "pairing" and raises NotRegularSequence.  Neither
+records anything when it raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import List, Optional, Tuple, Union
 
 from .errors import NotRegularSequence
-from .index import (GermProblem, find_good_coordinates, germ_residue,
+from .index import (GermProblem, find_good_coordinates, germ_residues,
                     germ_sigma, index_algebra, residue_denominators)
 from .localalg import Ctx, QuotientAlgebra
 from .polycore import Exponent, Poly, _bareiss, _scaled
@@ -52,20 +57,38 @@ def rref(rows: List[List[Fraction]]) -> Tuple[int, List[int], List[List[Fraction
                                  for row, d in zip(m, leads)]
 
 
+def _echelon(rows: List[List[Fraction]]) -> Tuple[List[List[int]], List[int]]:
+    """One forward fraction-free elimination: the integer rows and pivots.
+
+    Zero and repeated rows are dropped first, which keeps the row space.
+    The first len(pivots) rows span it, in echelon form; the rest are zero.
+    """
+    m = [list(row) for row in dict.fromkeys(map(tuple, _scaled(rows)[0]))
+         if any(row)]
+    return m, _bareiss(m, jordan=False)[0]
+
+
 def matrix_rank(rows: List[List[Fraction]]) -> int:
-    return rref(rows)[0]
+    """The number of pivots of one forward elimination."""
+    return len(_echelon(rows)[1])
 
 
 def kernel_basis(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Basis of the right kernel, one vector per free column."""
-    _, pivots, m = rref(rows)
+    """Basis of the right kernel, one vector per free column.
+
+    Gauss-Jordan runs only on the pivot rows a forward elimination leaves:
+    they span the same row space, and the reduced echelon form of a row
+    space is unique, so the basis is the one the rows' own rref gives.
+    """
+    m, pivots = _echelon(rows)
+    _, pivots, ref = rref(m[:len(pivots)])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
+            vec[pc] = -ref[r][fc]
         basis.append(vec)
     return basis
 
@@ -118,19 +141,24 @@ class GramData:
 def gram_beta(p: GermProblem, ctx: Optional[Ctx] = None) -> GramData:
     """The Gram matrix of germ_residue(p, u * v) on A's staircase basis.
 
-    algebra_B's gate comes first, so a pair that is not regular raises
-    NotRegularSequence naming (m_1, m_2).
+    Each entry is read off the one family germ_residues(p, 1), so no
+    entry evaluates a residue of its own.  algebra_B's gate comes first,
+    so a pair that is not regular raises NotRegularSequence naming
+    (m_1, m_2).
     """
     ctx = ctx or Ctx()
     algebra_B(p, ctx)
-    alg_a = index_algebra(p, ctx)
-    d = alg_a.dim
-    mons = [Poly.monomial(p.nvars, e) for e in alg_a.basis]
+    basis = index_algebra(p, ctx).basis
+    d = len(basis)
     rows = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            rows[i][j] = rows[j][i] = germ_residue(p, mons[i] * mons[j], ctx)
-    return GramData(list(alg_a.basis), rows, matrix_rank(rows))
+    if d:
+        # beta(z^a, z^b) is the read at a + b of the one family over 1
+        family = germ_residues(p, Poly.const(p.nvars, 1), ctx)
+        for i in range(d):
+            for j in range(i, d):
+                rows[i][j] = rows[j][i] = family.at(
+                    tuple(map(add, basis[i], basis[j])))
+    return GramData(list(basis), rows, matrix_rank(rows))
 
 
 def socle(alg: QuotientAlgebra) -> List[List[Fraction]]:
@@ -177,16 +205,14 @@ def pairing_report(p: GermProblem, ctx: Optional[Ctx] = None) -> PairingReport:
     soc_vecs = socle(alg_a)
     soc_elems = [alg_a.element(v) for v in soc_vecs]
 
-    sd = germ_sigma(good, ctx)
-    sigma_res = germ_residue(good, sd.sigma, ctx)
+    origin = (0,) * good.nvars
+    sigma = germ_residues(good, germ_sigma(good, ctx).sigma, ctx)
+    sigma_res = sigma.at(origin)
     if dim_a == 0:
         sigma_ok: Optional[bool] = None
     else:
-        n = good.nvars
-        origin = (0,) * n
         sigma_ok = sigma_res != 0 and all(
-            germ_residue(good, Poly.monomial(n, e) * sd.sigma, ctx) == 0
-            for e in alg_a.basis if e != origin)
+            sigma.at(e) == 0 for e in alg_a.basis if e != origin)
 
     soc_a_dim = len(soc_vecs)
     bound_holds = soc_a_dim <= dim_a - cdata.dim_c + 1 if dim_a > 0 else True

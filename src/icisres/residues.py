@@ -6,9 +6,12 @@ z^d = A g, and reading off one Taylor coefficient: the residue is the
 coefficient of z^(d - 1) in h * det(A) (Griffiths-Harris, Principles of
 Algebraic Geometry, 5.1).  Only the coefficients of det(A) in the box
 {e : e_i <= d_i - 1} are ever read, and they do not depend on h, so a
-ResidueForm computes them once per ordered denominator tuple, the Ctx
-memo shares one form per tuple (residue_form), and each value is one
-coefficient extraction.
+ResidueForm computes them once per ordered denominator tuple and the Ctx
+memo shares one form per tuple (residue_form).  The same product holds a
+whole family: the residue of z^e * h is the coefficient of z^(d - 1 - e)
+in h * det(A), so one product of h with the box gives Res(z^e * h) for
+every e (local duality: Scheja-Storch 1975; Eisenbud-Levine, Ann. Math.
+1977), and a single value is that read at e = 0.
 
 With t the staircase height of I, m^(t+1) lies in I, so d_i <= t + 1 and
 the powers come from plain normal forms on the certified basis.  Write
@@ -40,9 +43,10 @@ numerator is that one n x n Jacobian determinant.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
-from typing import List, Optional, Sequence, Tuple
+from operator import add, le, sub
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotRegularSequence
 from .localalg import (Ctx, colength, lift, minimal_power, record,
@@ -50,12 +54,36 @@ from .localalg import (Ctx, colength, lift, minimal_power, record,
 from .polycore import Poly, series_determinant
 
 
-def _coefficient_of_product(h: Poly, g: Poly, target: Tuple[int, ...]) -> Fraction:
-    """Coefficient of z^target in h * g, summed on the ints."""
-    other = g.ints
-    total = sum(c * other.get(tuple(map(sub, target, e)), 0)
-                for e, c in h.ints.items())
-    return Fraction(total, h.den * g.den)
+def _product_below(h: Poly, g: Poly, top: Tuple[int, ...]) -> Poly:
+    """The terms of h * g that divide z^top, multiplied on the ints."""
+    acc: Dict[Tuple[int, ...], int] = {}
+    for e, c in h.ints.items():
+        room = tuple(map(sub, top, e))
+        if min(room) < 0:
+            continue
+        for b, v in g.ints.items():
+            if all(map(le, b, room)):
+                k = tuple(map(add, e, b))
+                acc[k] = acc.get(k, 0) + c * v
+    return Poly.from_ints(h.nvars, {e: c for e, c in acc.items() if c},
+                          h.den * g.den)
+
+
+@dataclass(frozen=True)
+class ResidueFamily:
+    """Res(z^e * h) for every exponent e, read off one product h * box.
+
+    The residue of z^e * h is the coefficient of z^(d - 1) in
+    z^e * h * box, that is of z^(top - e) in h * box with top = d - 1, so
+    the terms of h * box that divide z^top hold the whole family.
+    """
+
+    product: Poly
+    top: Tuple[int, ...]
+
+    def at(self, e: Sequence[int]) -> Fraction:
+        """The residue of z^e * h; 0 once e leaves the box."""
+        return self.product.coefficient(tuple(map(sub, self.top, e)))
 
 
 def lift_rows(denoms: Sequence[Poly], powers: Sequence[int], cap: int,
@@ -88,9 +116,10 @@ def residue_via_lift(numerator: Poly, rows: Sequence[Sequence[Poly]],
     if det_cap is None:
         big = sum(powers) - len(powers)
         det_cap = max(big - max(numerator.min_degree(), 0), 0)
-    target = tuple(d - 1 for d in powers)
-    return _coefficient_of_product(numerator,
-                                   series_determinant(rows, det_cap), target)
+    top = tuple(d - 1 for d in powers)
+    det = series_determinant(rows, det_cap)
+    return ResidueFamily(_product_below(numerator, det, top), top).at(
+        (0,) * len(top))
 
 
 def _denominator_list(denominators: Sequence[Poly]) -> List[Poly]:
@@ -114,15 +143,17 @@ class ResidueForm:
 
     Holds the powers d, each found by localalg.minimal_power on the
     certified basis with bound t + 1, and the coefficients of det(A) in the
-    box {e : e_i <= d_i - 1}.  The box is lifted once, on the first nonzero
-    value, at term cap cap = max(ctx.cap, big + t + 2), with lift rows kept
-    only on the box; the module docstring proves that exact for numerators
-    of every degree.  That cap is recorded in ctx.caps_used under "residue"
-    when the box is built.  The certified basis of the denominators' ideal
-    comes from ctx, so a basis the context already holds for the same
-    generators in any order is not built again.  Raises NotRegularSequence
-    when the denominators do not cut out a finite quotient.  residue_form
-    shares one form per ordered tuple in ctx.
+    box {e : e_i <= d_i - 1}.  residues(h) multiplies h with the box once
+    and reads Res(z^e * h) for every e off that product; value(h) is its
+    read at e = 0, the one extraction formula.  The box is lifted once, on
+    the first nonzero numerator, at term cap max(ctx.cap, big + t + 2), with
+    lift rows kept only on the box; the module docstring proves that exact
+    for numerators of every degree.  That cap is recorded in ctx.caps_used
+    under "residue" when the box is built.  The certified basis of the
+    denominators' ideal comes from ctx, so a basis the context already
+    holds for the same generators in any order is not built again.  Raises
+    NotRegularSequence when the denominators do not cut out a finite
+    quotient.  residue_form shares one form per ordered tuple in ctx.
     """
 
     def __init__(self, denominators: Sequence[Poly], ctx: Optional[Ctx] = None):
@@ -144,18 +175,22 @@ class ResidueForm:
         self.caps_used = ctx.caps_used
         self.box: Optional[Poly] = None
 
-    def value(self, numerator: Poly) -> Fraction:
-        """Residue of numerator, a polynomial in the denominators' variables."""
+    def residues(self, numerator: Poly) -> ResidueFamily:
+        """Res(z^e * numerator) for every e, from one product with the box."""
         n = len(self.denominators)
         if numerator.nvars != n:
             raise ValueError(f"numerator in {numerator.nvars} variables over "
                              f"denominators in {n}")
+        top = tuple(d - 1 for d in self.powers)
         if numerator.is_zero() or not self.powers:
-            return Fraction(0)
+            return ResidueFamily(Poly.zero(n), top)
         if self.box is None:
             self.box = self._box()
-        return _coefficient_of_product(numerator, self.box,
-                                       tuple(d - 1 for d in self.powers))
+        return ResidueFamily(_product_below(numerator, self.box, top), top)
+
+    def value(self, numerator: Poly) -> Fraction:
+        """Residue of numerator, a polynomial in the denominators' variables."""
+        return self.residues(numerator).at((0,) * len(self.denominators))
 
     def _box(self) -> Poly:
         rows = lift_rows(self.denominators, self.powers, self.cap,

@@ -24,7 +24,8 @@ from icisres.errors import GermFileError
 from icisres.germfile import parse_germ_file
 from icisres.index import (GermProblem, find_good_coordinates, germ_sigma,
                            ideal_J, residue_denominators)
-from icisres.localalg import Ctx, colength, lift, standard_basis_at
+from icisres.localalg import (Ctx, colength, lift, minimal_power, normal_form,
+                              standard_basis_at)
 from icisres.polycore import Poly, mono_divides
 from icisres.residues import grothendieck_residue, jacobian_minor, residue_form
 
@@ -140,3 +141,51 @@ def test_corpus_germ_residues_match_the_bezoutian(path):
     monomials = [Poly.monomial(good.nvars, e)
                  for e in ctx.basis(denoms).quotient_monomials]
     assert_residues_match_bezoutian([sd.sigma * sd.df] + monomials, denoms, ctx)
+
+
+def search_from_one(i, sb, bound):
+    """The least d <= bound with a zero normal form of z_i^d, searched
+    from d = 1; None when there is none."""
+    for d in range(1, bound + 1):
+        power = Poly.monomial(sb.nvars, [d if j == i else 0
+                                         for j in range(sb.nvars)])
+        if normal_form(power, sb).is_zero():
+            return d
+    return None
+
+
+def benchmark_residue_ideals():
+    """Every ideal the benchmark takes minimal powers of, or could: each
+    bench/ideals ideal and corpus mult ideal (g + f), and for each isolated
+    corpus germ its index ideal J and, in good coordinates, (m_1, m_2, f)."""
+    out = []
+    for path in IDEALS + sorted((BENCH / "corpus").glob("mult-*.germ")):
+        gf = parse_germ_file(path.read_text())
+        out.append((path.stem, list(gf.g) + list(gf.f)))
+    for path in SURFACES:
+        if path.stem in NOT_ISOLATED:
+            continue
+        gf = parse_germ_file(path.read_text())
+        p = GermProblem(gf.nvars, gf.f, gf.omega, seed=gf.seed)
+        ctx = Ctx()
+        _, good = find_good_coordinates(p, ctx)
+        out.append((path.stem + " J", ideal_J(p, ctx)))
+        out.append((path.stem + " (m_1, m_2, f)",
+                    residue_denominators(good, ctx)))
+    return out
+
+
+def test_minimal_powers_equal_the_search_from_one():
+    # the search starts at the staircase's pure power of z_i; below it no
+    # power reduces, so it finds what the search from 1 finds
+    started_above_one = 0
+    for name, gens in benchmark_residue_ideals():
+        sb = Ctx().basis(gens)
+        if not colength(sb):     # the unit ideal: no residue to take
+            continue
+        bound = sb.max_quotient_degree() + 1
+        for i in range(sb.nvars):
+            want = search_from_one(i, sb, bound)
+            assert minimal_power(i, sb, bound) == want, (name, i)
+            started_above_one += want > 1
+    assert started_above_one > 50

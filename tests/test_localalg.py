@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 from icisres import localalg
-from icisres.errors import CapExceeded, NotMember, NotZeroDimensional
+from icisres.errors import (CapExceeded, NotMember, NotZeroDimensional,
+                            PowerCapExceeded)
 from icisres.index import (GermProblem, eg_index, find_good_coordinates,
                             ideal_J, minors)
 from icisres.localalg import (CAP_STEP, DEFAULT_CAP, INFINITE, LocalOrder,
                               _Kernel, colength, is_regular_on_V, lift,
-                              minimal_power_membership, normal_form,
+                              minimal_power, minimal_power_membership,
+                              normal_form,
                               quotient_algebra, standard_basis,
                               standard_basis_at)
 from icisres.polycore import Poly, mono_divides
@@ -481,3 +483,21 @@ def test_elements_are_built_on_first_read():
             assert lead == g.exp
             assert p.terms[lead] == 1
         assert sb.elements is elements
+
+
+def test_minimal_power_raises_naming_the_bound():
+    # no pure power of y in the staircase of (x): no power reduces
+    sb = standard_basis([X])
+    with pytest.raises(PowerCapExceeded) as info:
+        minimal_power(1, sb, 5)
+    assert str(info.value) == ("no power of variable 1 up to 5 lies in the "
+                               f"ideal at cap {sb.cap}")
+    # the staircase's pure power x^3 lies above the bound 2
+    sb = standard_basis([X**3, Y])
+    with pytest.raises(PowerCapExceeded) as info:
+        minimal_power(0, sb, 2)
+    assert str(info.value) == ("no power of variable 0 up to 2 lies in the "
+                               f"ideal at cap {sb.cap}")
+    assert minimal_power(0, sb, 3) == 3
+    # the unit ideal: its staircase is the pure power z^0 of every variable
+    assert minimal_power(1, standard_basis([X + 1]), 1) == 1

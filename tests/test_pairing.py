@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from icisres.errors import NotRegularSequence
+from icisres.errors import GermFileError, NotRegularSequence
 from icisres.germfile import parse_germ_file
-from icisres.index import (GermProblem, germ_residue, main_residue, minors,
+from icisres.index import (GermProblem, find_good_coordinates, germ_residue,
+                           germ_residues, germ_sigma, main_residue, minors,
                            residue_denominators, sigma_data, solve)
 from icisres.localalg import Ctx
 from icisres.pairing import (algebra_B, algebra_C, gram_beta, index_algebra,
@@ -27,6 +28,21 @@ y3 = Poly.variable(3, 1)
 z3 = Poly.variable(3, 2)
 ONE3 = Poly.const(3, Fraction(1))
 SPHERE = x3**2 + y3**2 + z3**2
+
+
+def isolated_corpus_germs():
+    """The corpus's surface germs with a form: those whose index ideal is
+    finite, the germs the Bezoutian residue check runs on."""
+    germs = []
+    for path in sorted(CORPUS.glob("*.germ")):
+        try:
+            gf = parse_germ_file(path.read_text())
+        except GermFileError:
+            continue
+        if len(gf.f) == gf.nvars - 2 and not gf.g:
+            germs.append(GermProblem(gf.nvars, gf.f, gf.omega, seed=gf.seed))
+    assert len(germs) == 13
+    return germs
 
 
 def sphere_dz():
@@ -88,27 +104,74 @@ def random_rows(rng):
     return rows
 
 
+def ref_kernel(rows, ncols):
+    """The kernel basis ref_rref's reduced rows give, one vector per free
+    column."""
+    _, pivots, ref = ref_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(int(c == fc)) for c in range(ncols)]
+        for r, pc in enumerate(pivots):
+            v[pc] = -ref[r][fc]
+        basis.append(v)
+    return basis
+
+
+def stacked_rows(rng):
+    """n matrices of size d x d stacked into n*d rows, as socle() stacks
+    an algebra's multiplication matrices: sparse, with zero and repeated
+    rows, often rank deficient, with mixed denominators."""
+    n, d = rng.randint(1, 4), rng.randint(1, 7)
+    rows = []
+    for _ in range(n * d):
+        roll = rng.random()
+        if roll < 0.3:
+            rows.append([Fraction(0)] * d)
+        elif roll < 0.45 and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            rows.append([Fraction(0) if rng.random() < 0.6 else
+                         Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 5]))
+                         for _ in range(d)])
+    return rows, d
+
+
+def algebra_stacks():
+    """The stacked multiplication matrices of the isolated corpus germs'
+    index algebras, in good coordinates."""
+    out = []
+    for p in isolated_corpus_germs():
+        ctx = Ctx()
+        _, good = find_good_coordinates(p, ctx)
+        alg = index_algebra(good, ctx)
+        out.append(([row for mat in alg.matrices for row in mat], alg.dim))
+    return out
+
+
 def test_rref_rank_and_kernel_match_the_fraction_elimination():
     rng = random.Random(61)
+    cases = []
     for _ in range(1000):
         rows = random_rows(rng)
+        cases.append((rows, len(rows[0])))
+    # the tall stacks socle() feeds kernel_basis, zero and empty rows
+    cases += [stacked_rows(rng) for _ in range(600)] + algebra_stacks()
+    cases += [([], 0), ([], 3), ([[], []], 0), ([F(0, 0, 0)] * 4, 3),
+              ([F(1, 2), F(1, 2), F(0, 0)], 2)]
+    deficient = 0
+    for rows, ncols in cases:
         want = ref_rref(rows)
         got = rref(rows)
         assert got == want
         assert all(type(a) is Fraction for row in got[2] for a in row)
-        rank, pivots, ref = want
+        rank = want[0]
+        deficient += rank < min(len(rows), ncols)
         assert matrix_rank(rows) == rank
-        ncols = len(rows[0])
-        expected = []
-        for fc in (c for c in range(ncols) if c not in pivots):
-            v = [Fraction(int(c == fc)) for c in range(ncols)]
-            for r, pc in enumerate(pivots):
-                v[pc] = -ref[r][fc]
-            expected.append(v)
         kernel = kernel_basis(rows, ncols)
-        assert kernel == expected
+        assert kernel == ref_kernel(rows, ncols)
         for v in kernel:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+    assert deficient > 500
 
 
 def test_kernel_basis():
@@ -352,3 +415,115 @@ def test_dim_c_coordinate_invariant():
             _, q = find_good_coordinates(shifted, force_random=True)
             dims.append(algebra_C(q).dim_c)
         assert dims == [base, base]
+
+
+def smooth_duality_draws(count, seed):
+    """Seeded planar germs (omega_1, omega_2) with a finite quotient, drawn
+    as the smooth-duality suite draws them."""
+    from icisres.verify import DEGREE, random_poly
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        p = GermProblem(2, (), (random_poly(rng, 2, DEGREE),
+                                random_poly(rng, 2, DEGREE)))
+        if Ctx().basis(p.omega).is_finite():
+            draws.append(p)
+    return draws
+
+
+def good_germs():
+    """Each germ of the one-product checks in good coordinates, with its
+    ctx."""
+    out = []
+    for p in isolated_corpus_germs() + smooth_duality_draws(12, 71):
+        ctx = Ctx()
+        out.append((find_good_coordinates(p, ctx)[1], ctx))
+    return out
+
+
+def per_entry_gram(p, ctx):
+    n = p.nvars
+    mons = [Poly.monomial(n, e) for e in index_algebra(p, ctx).basis]
+    return [[germ_residue(p, u * v, ctx) for v in mons] for u in mons]
+
+
+def per_entry_sigma(p, ctx):
+    """sigma_residue and sigma_in_soc_c, one germ_residue per entry."""
+    n = p.nvars
+    sigma = germ_sigma(p, ctx).sigma
+    res = germ_residue(p, sigma, ctx)
+    basis = index_algebra(p, ctx).basis
+    if not basis:
+        return res, None
+    return res, res != 0 and all(
+        germ_residue(p, Poly.monomial(n, e) * sigma, ctx) == 0
+        for e in basis if any(e))
+
+
+def test_one_product_reads_match_per_entry_residues():
+    for p, ctx in good_germs():
+        assert gram_beta(p, ctx).matrix == per_entry_gram(p, ctx)
+        rep = pairing_report(p, ctx)
+        assert (rep.sigma_residue, rep.sigma_in_soc_c) == per_entry_sigma(p, ctx)
+
+
+def test_every_read_of_a_family_is_the_residue_of_its_monomial_multiple():
+    # within the box of (m_1, m_2, f) and one step past it, for sigma and
+    # for a seeded numerator
+    from icisres.verify import DEGREE, random_poly
+    rng = random.Random(73)
+    for p, ctx in good_germs():
+        n = p.nvars
+        box = ctx.basis(residue_denominators(p, ctx)).quotient_monomials
+        exps = set(box) | {tuple(a + int(i == k) for i, a in enumerate(e))
+                           for e in box for k in range(n)}
+        for h in (germ_sigma(p, ctx).sigma, random_poly(rng, n, DEGREE, 0)):
+            family = germ_residues(p, h, ctx)
+            for e in sorted(exps):
+                assert family.at(e) == germ_residue(
+                    p, Poly.monomial(n, e) * h, ctx), e
+
+
+def test_a_read_shifted_by_one_unit_exponent_disagrees():
+    # the control for the check above: reading each Gram entry one step
+    # off its exponent sum must give a different matrix on some germ
+    shifted_differs = False
+    for p, ctx in good_germs():
+        basis = index_algebra(p, ctx).basis
+        family = germ_residues(p, Poly.const(p.nvars, 1), ctx)
+        unit = (1,) + (0,) * (p.nvars - 1)
+        shifted = [[family.at(tuple(a + b + u for a, b, u in zip(e, f, unit)))
+                    for f in basis] for e in basis]
+        shifted_differs |= shifted != per_entry_gram(p, ctx)
+    assert shifted_differs
+
+
+def test_pairing_report_reads_each_residue_family_from_one_product(monkeypatch):
+    # no per-entry residue: the Gram matrix reads the family over 1 and the
+    # sigma test the family over sigma, one product each
+    from icisres import index, residues
+    per_entry, products = [], []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            per_entry.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    real_residues = residues.ResidueForm.residues
+
+    def counting_products(form, numerator):
+        products.append(numerator)
+        return real_residues(form, numerator)
+
+    monkeypatch.setattr(index, "germ_residue",
+                        counting("germ_residue", index.germ_residue))
+    monkeypatch.setattr(residues, "grothendieck_residue",
+                        counting("grothendieck_residue",
+                                 residues.grothendieck_residue))
+    monkeypatch.setattr(residues.ResidueForm, "residues", counting_products)
+    for p in isolated_corpus_germs():
+        products.clear()
+        rep = pairing_report(p)
+        assert per_entry == []
+        assert len(products) == (2 if rep.dim_a else 1)
