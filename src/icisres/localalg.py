@@ -33,7 +33,11 @@ completion cuts every element, S-polynomial and later dividend at top and
 drops the pairs whose lcm lies above it, and its staircase, quotient
 monomials and remainders are those of the uncut run.  A tracked basis
 keeps its full tails, because the reductions above the corner still move
-its representation rows; an infinite staircase never cuts.
+its representation rows; an infinite staircase never cuts.  The kernel
+keeps the staircase as elements arrive: the minimal leading exponents and
+each variable's pure power (_Kernel.add).  The corner, the finished
+basis's staircase and quotient monomials, and the start of minimal_power
+read that record, and nothing recomputes it from the elements.
 
 A tracked basis keeps its representation rows only on a box: the
 monomials of degree <= cap that divide z^box, by default z^(cap, ..., cap),
@@ -74,9 +78,11 @@ divided (fraction free, as in Bareiss elimination).  The rows take every
 step, rescale and subtraction, as the dividend does, and no step is
 replayed afterwards.  Values leave the kernel the same way, as ints over
 one denominator (Poly.from_ints): remainders and lift coefficients over
-D, and from there LiftCertificate; basis elements as monic Polys over lc
-only when StandardBasis.elements is first read, which nothing in the
-engine does.  Selection depends only on leading monomials and ecarts, so
+D, and from there LiftCertificate; a quotient algebra's multiplication
+matrices as integer rows, D times the matrix for D the lcm of its
+columns' denominators (QuotientAlgebra); basis elements as monic Polys
+over lc only when StandardBasis.elements is first read, which nothing in
+the engine does.  Selection depends only on leading monomials and ecarts, so
 every staircase, element, remainder and representation is the one exact
 rational arithmetic gives.
 """
@@ -149,6 +155,12 @@ class _Kernel:
     ecart, so the first divisor found there is Mora's choice (least ecart,
     earliest inserted among equals).  Representation rows keep only the
     terms of degree <= cap that divide z^box (the module docstring).
+
+    add also keeps the staircase: stair, the minimal leading exponents by
+    (degree, exponent), and pure[i], the pure power of z_i among them (None
+    while there is none).  An element enters as a remainder, so its
+    leading monomial is divisible by no earlier one: it is minimal, and it
+    drops only the minimal exponents it divides.
     """
 
     def __init__(self, nvars: int, cap: int, box: Exponent):
@@ -167,6 +179,8 @@ class _Kernel:
         self.rep_limit = (min(cap, sum(box)) + 1) << self.shift
         self.elems: List[_Elem] = []
         self._search: List[_Elem] = []
+        self.stair: List[Exponent] = []
+        self.pure: List[Optional[int]] = [None] * nvars
 
     def pack(self, e: Exponent) -> int:
         return _pack(e, self.width)
@@ -200,6 +214,13 @@ class _Kernel:
     def add(self, g: _Elem) -> None:
         self.elems.append(g)
         bisect.insort_right(self._search, g, key=lambda el: el.ecart)
+        e = g.exp
+        self.stair = [s for s in self.stair if not mono_divides(e, s)]
+        bisect.insort(self.stair, e, key=lambda s: (mono_deg(s), s))
+        support = [i for i, v in enumerate(e) if v]
+        if len(support) <= 1:
+            for i in support or range(self.nvars):
+                self.pure[i] = e[i]
 
     def cut(self, bound: int) -> None:
         """Drop every term above degree bound, in the elements and from now on.
@@ -298,18 +319,13 @@ def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
     kernel = _Kernel(nvars, cap, box)
     G = kernel.elems
     m = len(gens)
-    pure = set()        # variables with a pure power among the leading monomials
 
     def corner() -> None:
         # the staircase only shrinks, so each new leading monomial may lower
         # the corner; nothing above it changes a staircase or a remainder
-        support = [i for i, v in enumerate(G[-1].exp) if v]
-        if len(support) <= 1:
-            pure.update(support or range(nvars))
-        if len(pure) < nvars:
-            return
-        top = _top(_quotient_monomials(_staircase_min_gens(G), nvars))
-        if top < kernel.bound:
+        quot = _quotient_monomials(kernel.stair, kernel.pure)
+        top = _top(quot)
+        if quot is not None and top < kernel.bound:
             kernel.cut(top)
 
     def insert(h: Dict[int, int], rows) -> None:
@@ -384,30 +400,23 @@ def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
     return kernel
 
 
-def _staircase_min_gens(G: List[_Elem]) -> List[Exponent]:
-    lms = sorted({g.exp for g in G}, key=lambda e: (mono_deg(e), e))
-    minimal: List[Exponent] = []
-    for e in lms:
-        if not any(mono_divides(f, e) for f in minimal):
-            minimal.append(e)
-    return minimal
+def _quotient_monomials(stair: List[Exponent], pure: List[Optional[int]]
+                        ) -> Optional[List[Exponent]]:
+    """Monomials outside the leading ideal; None when infinitely many.
 
-
-def _quotient_monomials(stair: List[Exponent], nvars: int) -> Optional[List[Exponent]]:
-    """Monomials outside the leading ideal; None when infinitely many."""
-    bounds = []
-    for i in range(nvars):
-        pure = [e[i] for e in stair if all(e[j] == 0 for j in range(nvars) if j != i)]
-        if not pure:
-            return None
-        bounds.append(min(pure))
+    stair and pure are a kernel's record: the minimal leading exponents
+    and each variable's pure power, which bounds that variable.
+    """
+    if None in pure:
+        return None
+    nvars = len(pure)
     out: List[Exponent] = []
 
     def walk(prefix: List[int], i: int):
         # prefix + (k, 0, ..., 0) in the leading ideal puts every monomial
         # that starts with prefix + (k', ...), k' >= k, there too
         rest = (0,) * (nvars - i - 1)
-        for k in range(bounds[i]):
+        for k in range(pure[i]):
             e = tuple(prefix) + (k,) + rest
             if any(mono_divides(s, e) for s in stair):
                 return
@@ -471,10 +480,9 @@ def _build(gens: Sequence[Poly], cap: int, track: bool,
     # no entry of a monomial of degree <= cap exceeds cap
     box = tuple(min(v, cap) for v in box or (cap,) * nvars)
     kernel = _complete(gens, nvars, cap, track, box)
-    stair = _staircase_min_gens(kernel.elems)
-    quot = _quotient_monomials(stair, nvars)
-    return StandardBasis(tuple(gens), nvars, cap, box, stair, quot, kernel,
-                         track)
+    return StandardBasis(tuple(gens), nvars, cap, box, kernel.stair,
+                         _quotient_monomials(kernel.stair, kernel.pure),
+                         kernel, track)
 
 
 def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,
@@ -731,8 +739,9 @@ def minimal_power(var_index: int, sb: StandardBasis, bound: int) -> int:
     power no z_i^d reduces at all.
     """
     nvars = sb.nvars
-    start = min((e[var_index] for e in sb.staircase
-                 if sum(e) == e[var_index]), default=bound + 1)
+    start = sb._kernel.pure[var_index]
+    if start is None:
+        start = bound + 1
     for d in range(max(start, 1), bound + 1):
         exps = [0] * nvars
         exps[var_index] = d
@@ -760,38 +769,28 @@ def minimal_power_membership(var_index: int, gens: Sequence[Poly],
 
 @dataclass
 class QuotientAlgebra:
-    """Finite dimensional local quotient on its staircase basis."""
+    """Finite dimensional local quotient on its staircase basis.
+
+    Its matrices are integer rows read straight off the normal forms' ints:
+    D times the matrix, D the lcm of its columns' denominators.  Rank,
+    kernel and socle do not see D, so no Fraction is built on the way to
+    the elimination.
+    """
 
     sb: StandardBasis
     basis: List[Exponent]
-
-    def __post_init__(self):
-        self._position = {e: i for i, e in enumerate(self.basis)}
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     @cached_property
-    def matrices(self) -> List[List[List[Fraction]]]:
-        """matrices[i][r][c]: z_i * basis[c] -> basis[r], built on first read."""
+    def matrices(self) -> List[List[List[int]]]:
+        """matrices[i][r][c]: z_i * basis[c] -> basis[r], each row scaled as
+        in multiplication_matrix, built on first read."""
         nvars = self.sb.nvars
         return [self.multiplication_matrix(Poly.variable(nvars, i))
                 for i in range(nvars)]
-
-    def coordinates(self, p: Poly) -> List[Fraction]:
-        """Coordinates of p on the basis; a basis monomial is its own
-        normal form, so its unit vector needs no reduction."""
-        vec = [Fraction(0)] * len(self.basis)
-        if len(p.ints) == 1:
-            (e, c), = p.ints.items()
-            if e in self._position:
-                vec[self._position[e]] = Fraction(c, p.den)
-                return vec
-        nf = normal_form(p, self.sb)
-        for e, c in nf.ints.items():
-            vec[self._position[e]] = Fraction(c, nf.den)
-        return vec
 
     def element(self, vec: Sequence[Fraction]) -> Poly:
         terms: Terms = {}
@@ -800,11 +799,25 @@ class QuotientAlgebra:
                 terms[e] = Fraction(c)
         return Poly(self.sb.nvars, terms)
 
-    def multiplication_matrix(self, p: Poly) -> List[List[Fraction]]:
-        """Matrix of multiplication by p on the monomial basis."""
-        nvars = self.sb.nvars
-        cols = [self.coordinates(p * Poly.monomial(nvars, e)) for e in self.basis]
-        return [list(row) for row in zip(*cols)]
+    def multiplication_matrix(self, p: Poly) -> List[List[int]]:
+        """Multiplication by p on the monomial basis, as D times its matrix.
+
+        A product supported on basis monomials is its own normal form, so
+        it needs no reduction.
+        """
+        nvars, position = self.sb.nvars, {e: i for i, e in enumerate(self.basis)}
+        cols = []
+        for e in self.basis:
+            q = p * Poly.monomial(nvars, e)
+            cols.append(q if all(k in position for k in q.ints)
+                        else normal_form(q, self.sb))
+        den = math.lcm(*(q.den for q in cols))
+        rows = [[0] * len(cols) for _ in cols]
+        for c, q in enumerate(cols):
+            k = den // q.den
+            for e, v in q.ints.items():
+                rows[position[e]][c] = k * v
+        return rows
 
 
 def quotient_algebra(sb: StandardBasis) -> QuotientAlgebra:

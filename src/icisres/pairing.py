@@ -22,11 +22,17 @@ family over 1, and the sigma test reads the family over sigma at every
 basis exponent.  residue_functional returns the same form with raw
 values.  Ranks count the pivots of one forward fraction-free
 elimination, and a kernel runs Gauss-Jordan only on the pivot rows it
-leaves.  Both algebras pass the gate Ctx.algebra: A through
-index.index_algebra, the index ideal's one gate, which records A's cap
-under "index" and raises NotIsolated on an infinite staircase; algebra_B
-records B's cap under "pairing" and raises NotRegularSequence.  Neither
-records anything when it raises.
+leaves.  They take integer rows as they come: the algebras' matrices
+(QuotientAlgebra.multiplication_matrix) and the Gram matrix's reads of
+the family over 1 (ResidueFamily.read), each an int over one
+denominator that no rank or kernel sees, so no Fraction is built
+between a normal form and the elimination.
+
+Both algebras pass the gate Ctx.algebra: A through index.index_algebra,
+the index ideal's one gate, which records A's cap under "index" and
+raises NotIsolated on an infinite staircase; algebra_B records B's cap
+under "pairing" and raises NotRegularSequence.  Neither records anything
+when it raises.
 """
 
 from __future__ import annotations
@@ -40,41 +46,40 @@ from .errors import NotRegularSequence
 from .index import (GermProblem, find_good_coordinates, germ_residues,
                     germ_sigma, index_algebra, residue_denominators)
 from .localalg import Ctx, QuotientAlgebra
-from .polycore import Exponent, Poly, _bareiss, _scaled
+from .polycore import Exponent, Poly, _bareiss
 from .residues import ResidueForm, residue_form
 
 
-def rref(rows: List[List[Fraction]]) -> Tuple[int, List[int], List[List[Fraction]]]:
-    """Reduced row echelon form over the rationals: (rank, pivot cols, rows).
+def rref(rows: List[List[int]]) -> Tuple[int, List[int], List[List[Fraction]]]:
+    """Reduced row echelon form of integer rows: (rank, pivot cols, rows).
 
-    Fraction-free Gauss-Jordan on the rows scaled to integers, then each
-    pivot row divided by its pivot; the rows below the rank are zero.
+    Fraction-free Gauss-Jordan on a copy of the rows, then each pivot row
+    divided by its pivot; the rows below the rank are zero.
     """
-    m, _ = _scaled(rows)
+    m = [list(row) for row in rows]
     pivots, _ = _bareiss(m, jordan=True)
     leads = [m[r][c] for r, c in enumerate(pivots)] + [1] * (len(m) - len(pivots))
     return len(pivots), pivots, [[Fraction(a, d) for a in row]
                                  for row, d in zip(m, leads)]
 
 
-def _echelon(rows: List[List[Fraction]]) -> Tuple[List[List[int]], List[int]]:
+def _echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
     """One forward fraction-free elimination: the integer rows and pivots.
 
     Zero and repeated rows are dropped first, which keeps the row space.
     The first len(pivots) rows span it, in echelon form; the rest are zero.
     """
-    m = [list(row) for row in dict.fromkeys(map(tuple, _scaled(rows)[0]))
-         if any(row)]
+    m = [list(row) for row in dict.fromkeys(map(tuple, rows)) if any(row)]
     return m, _bareiss(m, jordan=False)[0]
 
 
-def matrix_rank(rows: List[List[Fraction]]) -> int:
-    """The number of pivots of one forward elimination."""
+def matrix_rank(rows: List[List[int]]) -> int:
+    """The number of pivots of one forward elimination of integer rows."""
     return len(_echelon(rows)[1])
 
 
-def kernel_basis(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Basis of the right kernel, one vector per free column.
+def kernel_basis(rows: List[List[int]], ncols: int) -> List[List[Fraction]]:
+    """Basis of the right kernel of integer rows, one vector per free column.
 
     Gauss-Jordan runs only on the pivot rows a forward elimination leaves:
     they span the same row space, and the reduced echelon form of a row
@@ -149,16 +154,16 @@ def gram_beta(p: GermProblem, ctx: Optional[Ctx] = None) -> GramData:
     ctx = ctx or Ctx()
     algebra_B(p, ctx)
     basis = index_algebra(p, ctx).basis
-    d = len(basis)
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    if d:
-        # beta(z^a, z^b) is the read at a + b of the one family over 1
+    rows, den = [], 1
+    if basis:
+        # beta(z^a, z^b) is the read at a + b of the one family over 1, an
+        # int over the product's denominator
         family = germ_residues(p, Poly.const(p.nvars, 1), ctx)
-        for i in range(d):
-            for j in range(i, d):
-                rows[i][j] = rows[j][i] = family.at(
-                    tuple(map(add, basis[i], basis[j])))
-    return GramData(list(basis), rows, matrix_rank(rows))
+        rows = [[family.read(tuple(map(add, a, b))) for b in basis]
+                for a in basis]
+        den = family.product.den
+    return GramData(list(basis), [[Fraction(v, den) for v in row]
+                                  for row in rows], matrix_rank(rows))
 
 
 def socle(alg: QuotientAlgebra) -> List[List[Fraction]]:

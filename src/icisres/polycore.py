@@ -40,9 +40,12 @@ carry one skipped column, so on a k x (k + 1) matrix one expansion gives
 all k + 1 maximal minors (`maximal_minors`), and each entry is packed
 once for all of them.  `series_determinant` is its case with no skip.
 `_bareiss` is the one elimination of a rational matrix: fraction-free
-Bareiss steps with exact integer division on the matrix scaled to one
-denominator, skipping a column without a pivot.  `rational_det`,
-`rational_inverse` and `pairing.rref` are built on it.  Both
+Bareiss steps with exact integer division on integer rows, skipping a
+column without a pivot.  Its rows must be ints: a Fraction would be
+floored by `//` without an error.  `pairing.rref` hands it the integer
+rows the quotient algebra and the residue family give, as they are;
+`_scaled` brings a matrix of ints and Fractions to integer rows over one
+denominator only for `rational_det` and `rational_inverse`.  Both
 determinants and the inverse refuse a ragged or non-square matrix, and
 `maximal_minors` one that is not k x (k + 1).
 """

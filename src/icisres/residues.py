@@ -75,15 +75,21 @@ class ResidueFamily:
 
     The residue of z^e * h is the coefficient of z^(d - 1) in
     z^e * h * box, that is of z^(top - e) in h * box with top = d - 1, so
-    the terms of h * box that divide z^top hold the whole family.
+    the terms of h * box that divide z^top hold the whole family.  read(e)
+    gives a member as an int over the product's denominator, at(e) as a
+    Fraction.
     """
 
     product: Poly
     top: Tuple[int, ...]
 
+    def read(self, e: Sequence[int]) -> int:
+        """product.den times the residue of z^e * h; 0 once e leaves the box."""
+        return self.product.ints.get(tuple(map(sub, self.top, e)), 0)
+
     def at(self, e: Sequence[int]) -> Fraction:
-        """The residue of z^e * h; 0 once e leaves the box."""
-        return self.product.coefficient(tuple(map(sub, self.top, e)))
+        """The residue of z^e * h."""
+        return Fraction(self.read(e), self.product.den)
 
 
 def lift_rows(denoms: Sequence[Poly], powers: Sequence[int], cap: int,

@@ -16,16 +16,18 @@ monomial 1.  With t the staircase height, every monomial of degree above
 t vanishes in Q, so det Delta is expanded only up to total degree 2t and
 read only where its z-degree and w-degree are both at most t.
 
-It reads normal forms on the certified basis, series_determinant and
-rational_inverse, and nothing of the lifts, minimal powers or tracked
-bases that grothendieck_residue is built on.
+It reads normal forms on the certified basis, with coordinates on its
+quotient monomials taken here, series_determinant and rational_inverse,
+and nothing of the lifts, minimal powers or tracked bases that
+grothendieck_residue is built on, nor the quotient algebra the pairing
+lab reads.
 """
 
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from icisres.errors import NotRegularSequence
-from icisres.localalg import Ctx
+from icisres.localalg import Ctx, normal_form
 from icisres.polycore import Exponent, Poly, rational_inverse, series_determinant
 
 
@@ -48,13 +50,14 @@ class BezoutResidue:
     def __init__(self, denominators: Sequence[Poly], ctx: Optional[Ctx] = None):
         g = list(denominators)
         n = len(g)
-        self.algebra = (ctx or Ctx()).algebra(
+        self.sb = (ctx or Ctx()).finite(
             g, NotRegularSequence("denominator ideal has infinite colength"))
+        self.basis = self.sb.quotient_monomials
         self.column = []
-        d = self.algebra.dim
+        d = len(self.basis)
         if d == 0:
             return          # a unit among the denominators: every residue 0
-        t = self.algebra.sb.max_quotient_degree()
+        t = self.sb.max_quotient_degree()
         det = series_determinant(
             [[divided_difference(gi, j) for j in range(n)] for gi in g], 2 * t)
         # group the kept terms by their z part: det = sum over a of z^a P_a(w)
@@ -65,17 +68,22 @@ class BezoutResidue:
                 by_z.setdefault(z, {})[w] = c
         m = [[Fraction(0)] * d for _ in range(d)]
         for z, rest in by_z.items():
-            u = self.algebra.coordinates(Poly.monomial(n, z))
-            v = self.algebra.coordinates(Poly(n, rest))
+            u = self.coordinates(Poly.monomial(n, z))
+            v = self.coordinates(Poly(n, rest))
             for a, ua in enumerate(u):
                 if ua:
                     for b, vb in enumerate(v):
                         m[a][b] += ua * vb
-        one = self.algebra.basis.index((0,) * n)
+        one = self.basis.index((0,) * n)
         self.column = [row[one] for row in rational_inverse(m)]
+
+    def coordinates(self, h: Poly) -> List[Fraction]:
+        """NF(h) on the monomial basis of Q."""
+        terms = normal_form(h, self.sb).terms
+        return [terms.get(e, Fraction(0)) for e in self.basis]
 
     def value(self, h: Poly) -> Fraction:
         if not self.column:
             return Fraction(0)
-        return sum((a * b for a, b in zip(self.algebra.coordinates(h),
-                                          self.column)), Fraction(0))
+        return sum((a * b for a, b in zip(self.coordinates(h), self.column)),
+                   Fraction(0))

@@ -277,11 +277,15 @@ def test_quotient_algebra_sphere():
 
 
 def test_quotient_algebra_coordinates_roundtrip():
+    # an element of the algebra is its own normal form, so its coordinates
+    # read off normal_form on the basis are the vector it was built from
     alg = quotient_algebra(standard_basis([X**2 + Y**3, Y**2]))
     rng = random.Random(9)
     for _ in range(10):
-        vec = [Fraction(rng.randint(-5, 5)) for _ in range(alg.dim)]
-        assert alg.coordinates(alg.element(vec)) == vec
+        vec = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+               for _ in range(alg.dim)]
+        terms = normal_form(alg.element(vec), alg.sb).terms
+        assert [terms.get(e, 0) for e in alg.basis] == vec
 
 
 def test_multiplication_matrices_commute():
@@ -501,3 +505,48 @@ def test_minimal_power_raises_naming_the_bound():
     assert minimal_power(0, sb, 3) == 3
     # the unit ideal: its staircase is the pure power z^0 of every variable
     assert minimal_power(1, standard_basis([X + 1]), 1) == 1
+
+
+# the kernel's staircase record ------------------------------------------------
+#
+# _Kernel.add keeps the minimal leading exponents and each variable's pure
+# power as elements arrive; the reference recomputes both from all the
+# elements so far, as the completion once did after every insert.
+
+def _staircase_from_scratch(kernel):
+    lms = sorted({g.exp for g in kernel.elems}, key=lambda e: (sum(e), e))
+    minimal = []
+    for e in lms:
+        if not any(mono_divides(f, e) for f in minimal):
+            minimal.append(e)
+    pure = [min((e[i] for e in minimal if sum(e) == e[i]), default=None)
+            for i in range(kernel.nvars)]
+    return minimal, pure
+
+
+def _staircase_cases():
+    from test_bench_inputs_oracle import benchmark_residue_ideals
+    return benchmark_residue_ideals() + [
+        (f"random-{k}", gens) for k, gens in enumerate(_RANDOM_IDEALS)] + [
+        ("infinite", _INFINITE), ("unit", _UNIT)]
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["untracked", "tracked"])
+def test_the_staircase_record_matches_a_from_scratch_reference(track,
+                                                               monkeypatch):
+    real = _Kernel.add
+    checked = []
+
+    def checking(kernel, g):
+        real(kernel, g)
+        assert (kernel.stair, kernel.pure) == _staircase_from_scratch(kernel)
+        checked.append(g)
+
+    monkeypatch.setattr(_Kernel, "add", checking)
+    for name, gens in _staircase_cases():
+        sb = standard_basis(gens)
+        if track:
+            sb = standard_basis_at(gens, sb.cap, track=True)
+        assert (sb.staircase, sb._kernel.pure) == \
+            _staircase_from_scratch(sb._kernel), name
+    assert len(checked) > 200

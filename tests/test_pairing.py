@@ -1,5 +1,6 @@
 """Residue pairing: Gram matrices, annihilator quotient, socle structure."""
 
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -9,14 +10,15 @@ import pytest
 
 from icisres.errors import GermFileError, NotRegularSequence
 from icisres.germfile import parse_germ_file
-from icisres.index import (GermProblem, find_good_coordinates, germ_residue,
-                           germ_residues, germ_sigma, main_residue, minors,
+from icisres.index import (CoordinateChange, GermProblem,
+                           find_good_coordinates, germ_residue, germ_residues,
+                           germ_sigma, main_residue, minors, random_matrix,
                            residue_denominators, sigma_data, solve)
-from icisres.localalg import Ctx
+from icisres.localalg import Ctx, normal_form
 from icisres.pairing import (algebra_B, algebra_C, gram_beta, index_algebra,
                              kernel_basis, matrix_rank, pairing_report,
                              residue_functional, rref, socle)
-from icisres.polycore import Poly
+from icisres.polycore import Poly, _scaled, rational_det
 from icisres.residues import residue_form
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
@@ -54,11 +56,11 @@ def F(*vals):
 
 
 def test_rref_and_rank():
-    rows = [F(1, 2, 3), F(2, 4, 6), F(0, 1, 1)]
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert matrix_rank(rows) == 2
-    assert matrix_rank([F(0, 0), F(0, 0)]) == 0
-    assert matrix_rank([F(1, 0), F(0, 1)]) == 2
-    rank, pivots, _ = rref([F(0, 3, 1)])
+    assert matrix_rank([[0, 0], [0, 0]]) == 0
+    assert matrix_rank([[1, 0], [0, 1]]) == 2
+    rank, pivots, _ = rref([[0, 3, 1]])
     assert rank == 1 and pivots == [1]
 
 
@@ -149,6 +151,8 @@ def algebra_stacks():
 
 
 def test_rref_rank_and_kernel_match_the_fraction_elimination():
+    # the integer rows are each case scaled by the lcm of its denominators,
+    # and the reference runs on the Fraction rows themselves
     rng = random.Random(61)
     cases = []
     for _ in range(1000):
@@ -158,16 +162,19 @@ def test_rref_rank_and_kernel_match_the_fraction_elimination():
     cases += [stacked_rows(rng) for _ in range(600)] + algebra_stacks()
     cases += [([], 0), ([], 3), ([[], []], 0), ([F(0, 0, 0)] * 4, 3),
               ([F(1, 2), F(1, 2), F(0, 0)], 2)]
+    assert len(cases) > 1600
     deficient = 0
     for rows, ncols in cases:
+        ints, _ = _scaled(rows)
+        assert all(type(a) is int for row in ints for a in row)
         want = ref_rref(rows)
-        got = rref(rows)
+        got = rref(ints)
         assert got == want
         assert all(type(a) is Fraction for row in got[2] for a in row)
         rank = want[0]
         deficient += rank < min(len(rows), ncols)
-        assert matrix_rank(rows) == rank
-        kernel = kernel_basis(rows, ncols)
+        assert matrix_rank(ints) == rank
+        kernel = kernel_basis(ints, ncols)
         assert kernel == ref_kernel(rows, ncols)
         for v in kernel:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
@@ -176,12 +183,12 @@ def test_rref_rank_and_kernel_match_the_fraction_elimination():
 
 def test_kernel_basis():
     # x + y + z = 0 has a two dimensional kernel
-    vecs = kernel_basis([F(1, 1, 1)], 3)
+    vecs = kernel_basis([[1, 1, 1]], 3)
     assert len(vecs) == 2
     for v in vecs:
         assert sum(v) == 0
     assert kernel_basis([], 2) == [F(1, 0), F(0, 1)]
-    assert kernel_basis([F(1, 0), F(0, 1)], 2) == []
+    assert kernel_basis([[1, 0], [0, 1]], 2) == []
 
 
 def test_algebra_b_sphere():
@@ -527,3 +534,97 @@ def test_pairing_report_reads_each_residue_family_from_one_product(monkeypatch):
         rep = pairing_report(p)
         assert per_entry == []
         assert len(products) == (2 if rep.dim_a else 1)
+
+
+def corpus_germ(name):
+    gf = parse_germ_file((CORPUS / f"{name}.germ").read_text())
+    return GermProblem(gf.nvars, gf.f, gf.omega, seed=gf.seed)
+
+
+def fraction_columns(alg, p):
+    """Multiplication by p on alg's basis, one normal form per column, in
+    Fractions: the reference for the integer rows."""
+    return [normal_form(p * Poly.monomial(alg.sb.nvars, e), alg.sb).terms
+            for e in alg.basis]
+
+
+def test_integer_multiplication_matrices_are_scaled_normal_forms():
+    dens = {}
+    for p in isolated_corpus_germs():
+        ctx = Ctx()
+        _, good = find_good_coordinates(p, ctx)
+        df = germ_sigma(good, ctx).df
+        for name, alg in (("A", index_algebra(good, ctx)),
+                          ("B", algebra_B(good, ctx))):
+            ops = [Poly.variable(good.nvars, i) for i in range(good.nvars)]
+            for op, got in zip(ops + [df], alg.matrices
+                               + [alg.multiplication_matrix(df)]):
+                cols = fraction_columns(alg, op)
+                col_dens = {c.denominator for col in cols for c in col.values()}
+                den = math.lcm(*col_dens)
+                assert got == [[den * col.get(e, 0) for col in cols]
+                               for e in alg.basis]
+                assert all(type(a) is int for row in got for a in row)
+                dens.setdefault((p, name), set()).update(col_dens)
+    # e8-generic's A carries the corpus's widest denominators
+    assert dens[(corpus_germ("e8-generic"), "A")] >= {2, 5, 12, 25}
+
+
+def test_pairing_report_hands_the_elimination_only_ints(monkeypatch):
+    from icisres import pairing
+    real = pairing._bareiss
+    seen = []
+
+    def checking(rows, jordan):
+        assert all(type(a) is int for row in rows for a in row)
+        seen.append(len(rows))
+        return real(rows, jordan)
+
+    monkeypatch.setattr(pairing, "_bareiss", checking)
+    for p in isolated_corpus_germs():
+        pairing_report(p)
+    assert len(seen) >= 3 * 13
+
+
+@pytest.mark.parametrize("name", ["e7-const", "diag-2-3", "e8-generic"])
+def test_a_wrong_sigma_is_not_in_the_socle(name, monkeypatch):
+    # sigma + 1 keeps a nonzero residue at 1 but reads nonzero at some
+    # other basis exponent of A, so the sigma test must come out False
+    # (on a1-dz, where A is spanned by 1 and one more monomial, the shifted
+    # sigma still passes)
+    import dataclasses
+    from icisres import pairing
+    real = pairing.germ_sigma
+
+    def shifted(p, ctx):
+        sd = real(p, ctx)
+        return dataclasses.replace(sd, sigma=sd.sigma + Poly.const(p.nvars, 1))
+
+    assert pairing_report(corpus_germ(name)).sigma_in_soc_c is True
+    monkeypatch.setattr(pairing, "germ_sigma", shifted)
+    rep = pairing_report(corpus_germ(name))
+    assert rep.sigma_residue != 0
+    assert rep.sigma_in_soc_c is False
+    assert "sigma_not_in_soc_c" in rep.discrepancies
+
+
+def report_invariants(rep):
+    return (rep.dim_a, rep.dim_b, rep.dim_c, rep.gram.rank, rep.soc_a_dim,
+            rep.sigma_in_soc_c, rep.bound_holds)
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_the_pairing_report_is_invariant_under_random_coordinates(name):
+    f = {"E6": x3**2 + y3**3 + z3**4,
+         "E7": x3**2 + y3**3 + y3 * z3**3,
+         "E8": x3**2 + y3**3 + z3**5}[name]
+    p = GermProblem(3, (f,), tuple(Poly.const(3, c) for c in (1, 2, 3)))
+    base = report_invariants(pairing_report(p))
+    assert base[0] == {"E6": 8, "E7": 9, "E8": 10}[name]
+    for seed in (301, 302):
+        rng = random.Random(seed)
+        rows = random_matrix(rng, 3)
+        while rational_det(rows) == 0:
+            rows = random_matrix(rng, 3)
+        moved = CoordinateChange(tuple(map(tuple, rows))).apply(p)
+        assert report_invariants(pairing_report(moved)) == base
