@@ -33,11 +33,21 @@ completion cuts every element, S-polynomial and later dividend at top and
 drops the pairs whose lcm lies above it, and its staircase, quotient
 monomials and remainders are those of the uncut run.  A tracked basis
 keeps its full tails, because the reductions above the corner still move
-its representation rows; an infinite staircase never cuts.  The kernel
-keeps the staircase as elements arrive: the minimal leading exponents and
-each variable's pure power (_Kernel.add).  The corner, the finished
-basis's staircase and quotient monomials, and the start of minimal_power
-read that record, and nothing recomputes it from the elements.
+its representation rows; an infinite staircase never cuts.
+
+The kernel keeps the staircase as elements arrive (_Kernel.add): the
+minimal leading exponents, each variable's pure power, and the corners,
+the maximal exponents outside the leading ideal, with cap + 1 in a field
+that no pure power bounds yet.  A new leading exponent e takes monomials
+below a corner c out of the quotient exactly when e divides c; a monomial
+below c stays exactly when it lies below c with one field c_i, e_i > 0,
+lowered to e_i - 1, so those replace c, less any that another corner lies
+above.  top is then the largest corner degree, read after every insert
+without listing a quotient monomial (_Kernel.top).  The cut, finiteness
+(a pure power of every variable), the top that certifies a basis and the
+start of minimal_power read that record, and nothing recomputes it from
+the elements.  The quotient monomials are listed, by one search from 1,
+only when a caller first reads them.
 
 A tracked basis keeps its representation rows only on a box: the
 monomials of degree <= cap that divide z^box, by default z^(cap, ..., cap),
@@ -157,10 +167,11 @@ class _Kernel:
     terms of degree <= cap that divide z^box (the module docstring).
 
     add also keeps the staircase: stair, the minimal leading exponents by
-    (degree, exponent), and pure[i], the pure power of z_i among them (None
-    while there is none).  An element enters as a remainder, so its
-    leading monomial is divisible by no earlier one: it is minimal, and it
-    drops only the minimal exponents it divides.
+    (degree, exponent), pure[i], the pure power of z_i among them (None
+    while there is none), and corners, the maximal exponents outside the
+    leading ideal (the module docstring).  An element enters as a
+    remainder, so its leading monomial is divisible by no earlier one: it
+    is minimal, and it drops only the minimal exponents it divides.
     """
 
     def __init__(self, nvars: int, cap: int, box: Exponent):
@@ -181,6 +192,9 @@ class _Kernel:
         self._search: List[_Elem] = []
         self.stair: List[Exponent] = []
         self.pure: List[Optional[int]] = [None] * nvars
+        # no exponent of a monomial of degree <= cap exceeds cap, so cap + 1
+        # marks an unbounded field
+        self.corners: List[Exponent] = [(cap + 1,) * nvars]
 
     def pack(self, e: Exponent) -> int:
         return _pack(e, self.width)
@@ -221,6 +235,23 @@ class _Kernel:
         if len(support) <= 1:
             for i in support or range(self.nvars):
                 self.pure[i] = e[i]
+        # a corner that e divides gives way to its divisors with one field
+        # lowered to e_i - 1, less those another corner lies above
+        kept, lowered = [], set()
+        for c in self.corners:
+            if mono_divides(e, c):
+                lowered.update(c[:i] + (v - 1,) + c[i + 1:]
+                               for i, v in enumerate(e) if v)
+            else:
+                kept.append(c)
+        above = kept + list(lowered)
+        self.corners = kept + [c for c in lowered if not any(
+            c != d and mono_divides(c, d) for d in above)]
+
+    def top(self) -> int:
+        """The largest corner degree: above the cap while some variable has
+        no pure power, then the top quotient degree; -1 for the unit ideal."""
+        return max(map(mono_deg, self.corners), default=-1)
 
     def cut(self, bound: int) -> None:
         """Drop every term above degree bound, in the elements and from now on.
@@ -313,20 +344,13 @@ def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
     """Truncated completion to a standard basis; returns the kernel holding it.
 
     Elements are truncated at cap, tracked representations to the box
-    z^box.  Untracked, the terms are cut further at the highest corner as
-    soon as the leading monomials leave finitely many quotient monomials.
+    z^box.  Untracked, the terms are cut further at the highest corner,
+    the kernel's largest corner degree, as soon as the leading monomials
+    leave finitely many quotient monomials; no quotient monomial is listed.
     """
     kernel = _Kernel(nvars, cap, box)
     G = kernel.elems
     m = len(gens)
-
-    def corner() -> None:
-        # the staircase only shrinks, so each new leading monomial may lower
-        # the corner; nothing above it changes a staircase or a remainder
-        quot = _quotient_monomials(kernel.stair, kernel.pure)
-        top = _top(quot)
-        if quot is not None and top < kernel.bound:
-            kernel.cut(top)
 
     def insert(h: Dict[int, int], rows) -> None:
         # h = sum(rows[j] * gens[j]) on the box and up to cap, over any
@@ -350,8 +374,10 @@ def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
             rep = [[(e, v // k) for e, v in r] for r in rep]
         ecart = kernel.degree(remainder[-1]) - kernel.degree(remainder[0])
         kernel.add(_Elem(terms, kernel.unpack(remainder[0]), ecart, rep))
-        if not track:
-            corner()
+        # the corners only drop, and with them the highest corner; nothing
+        # above it changes a staircase or a remainder
+        if not track and kernel.top() < kernel.bound:
+            kernel.cut(kernel.top())
 
     for j, g in enumerate(gens):
         if g.is_zero():
@@ -400,41 +426,24 @@ def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
     return kernel
 
 
-def _quotient_monomials(stair: List[Exponent], pure: List[Optional[int]]
-                        ) -> Optional[List[Exponent]]:
-    """Monomials outside the leading ideal; None when infinitely many.
+def _quotient_monomials(stair: List[Exponent], nvars: int) -> List[Exponent]:
+    """Monomials outside the leading ideal of a finite staircase, by degree.
 
-    stair and pure are a kernel's record: the minimal leading exponents
-    and each variable's pure power, which bounds that variable.
+    One search from 1: each step raises one exponent of a quotient monomial,
+    never one before its last nonzero exponent, so each monomial outside
+    the ideal is reached once, from its quotient by its last variable, which
+    lies outside the ideal too.
     """
-    if None in pure:
-        return None
-    nvars = len(pure)
-    out: List[Exponent] = []
-
-    def walk(prefix: List[int], i: int):
-        # prefix + (k, 0, ..., 0) in the leading ideal puts every monomial
-        # that starts with prefix + (k', ...), k' >= k, there too
-        rest = (0,) * (nvars - i - 1)
-        for k in range(pure[i]):
-            e = tuple(prefix) + (k,) + rest
-            if any(mono_divides(s, e) for s in stair):
-                return
-            if rest:
-                prefix.append(k)
-                walk(prefix, i + 1)
-                prefix.pop()
-            else:
-                out.append(e)
-
-    walk([], 0)
+    one = (0,) * nvars
+    out = [] if one in stair else [one]
+    for e in out:       # out grows as the search reaches new monomials
+        last = max((i for i, v in enumerate(e) if v), default=0)
+        for i in range(last, nvars):
+            f = e[:i] + (e[i] + 1,) + e[i + 1:]
+            if not any(mono_divides(s, f) for s in stair):
+                out.append(f)
     out.sort(key=lambda e: (mono_deg(e), e))
     return out
-
-
-def _top(quot: Optional[List[Exponent]]) -> int:
-    """The largest degree among the quotient monomials; -1 for none."""
-    return max(map(mono_deg, quot or ()), default=-1)
 
 
 @dataclass
@@ -444,8 +453,11 @@ class StandardBasis:
     A basis from standard_basis is certified: a finite staircase proved
     exact, an infinite one stable one step up.  A run of standard_basis_at
     is not certified.  Its elements stay in the kernel; `elements` builds
-    them as monic Polys on first read.  A tracked basis keeps their
-    representations on the monomials of degree <= cap that divide z^box.
+    them as monic Polys on first read, and `quotient_monomials` lists the
+    monomials outside the leading ideal on first read, so a basis that no
+    caller asks for them never lists them.  A tracked basis keeps the
+    elements' representations on the monomials of degree <= cap that
+    divide z^box.
     """
 
     gens: Tuple[Poly, ...]
@@ -453,7 +465,6 @@ class StandardBasis:
     cap: int
     box: Exponent       # tracked representations are exact on this box
     staircase: List[Exponent]
-    quotient_monomials: Optional[List[Exponent]]
     _kernel: _Kernel = field(repr=False)
     tracked: bool = False
 
@@ -467,11 +478,20 @@ class StandardBasis:
                     unpack(m): v for m, v in [(g.lm, g.lc)] + g.tail}, g.lc)
                 for g in self._kernel.elems]
 
+    @cached_property
+    def quotient_monomials(self) -> Optional[List[Exponent]]:
+        """By (degree, exponent); None when there are infinitely many."""
+        if not self.is_finite():
+            return None
+        return _quotient_monomials(self.staircase, self.nvars)
+
     def is_finite(self) -> bool:
-        return self.quotient_monomials is not None
+        # finitely many quotient monomials: a pure power of every variable
+        return None not in self._kernel.pure
 
     def max_quotient_degree(self) -> int:
-        return _top(self.quotient_monomials)
+        """The highest corner's degree on a finite staircase; -1 for none."""
+        return self._kernel.top()
 
 
 def _build(gens: Sequence[Poly], cap: int, track: bool,
@@ -480,9 +500,8 @@ def _build(gens: Sequence[Poly], cap: int, track: bool,
     # no entry of a monomial of degree <= cap exceeds cap
     box = tuple(min(v, cap) for v in box or (cap,) * nvars)
     kernel = _complete(gens, nvars, cap, track, box)
-    return StandardBasis(tuple(gens), nvars, cap, box, kernel.stair,
-                         _quotient_monomials(kernel.stair, kernel.pure),
-                         kernel, track)
+    return StandardBasis(tuple(gens), nvars, cap, box, kernel.stair, kernel,
+                         track)
 
 
 def standard_basis(gens: Sequence[Poly], cap: int = DEFAULT_CAP,

@@ -118,6 +118,25 @@ def test_error_positions_are_located():
     assert "line 2" in msg and "column" in msg
 
 
+@pytest.mark.parametrize("text, message", [
+    ("vars = x, y\nomega = 1/0, y\n",
+     "line 2, column 11: denominator must be a nonzero integer"),
+    ("vars = x, y\nomega = (x = y), y\n", "line 2, column 12: expected ')'"),
+])
+def test_a_zero_denominator_and_an_unclosed_parenthesis_are_located(text,
+                                                                   message):
+    with pytest.raises(GermSyntaxError) as err:
+        parse_germ_file(text)
+    assert type(err.value) is GermSyntaxError
+    assert str(err.value) == message
+
+
+def test_an_empty_f_entry_parses_to_no_equations():
+    gf = parse_germ_file("vars = x, y\nf =\nomega = x, y\n")
+    assert gf.f == ()
+    assert gf.omega == (Poly.variable(2, 0), Poly.variable(2, 1))
+
+
 def test_render_parse_roundtrip():
     rng = random.Random(17)
     names = ("x", "y")

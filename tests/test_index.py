@@ -345,3 +345,10 @@ def test_curve_index_arity():
     with pytest.raises(ArityError, match="^curve-index needs 1 equations "
                                          "for 2 variables, got 2$"):
         curve_index((Y, X), (X, Y))
+
+
+def test_curve_index_needs_a_form():
+    with pytest.raises(ValueError) as err:
+        curve_index((Y,), [])
+    assert type(err.value) is ValueError
+    assert str(err.value) == "need a form"

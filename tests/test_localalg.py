@@ -258,6 +258,17 @@ def test_lift_rejects_non_member():
         lift(Y, standard_basis_at([X**2], 10, track=True))
 
 
+def test_a_basis_needs_a_generator_and_a_lift_needs_tracking():
+    with pytest.raises(ValueError) as err:
+        standard_basis([])
+    assert type(err.value) is ValueError
+    assert str(err.value) == "standard_basis needs at least one generator"
+    with pytest.raises(ValueError) as err:
+        localalg.normal_form_with_lift(X, standard_basis([X, Y]))
+    assert type(err.value) is ValueError
+    assert str(err.value) == "standard basis was built without lift tracking"
+
+
 def test_minimal_power_membership():
     gens = [x3, y3, SPHERE]
     assert minimal_power_membership(0, gens, max_power=6)[0] == 1
@@ -550,3 +561,127 @@ def test_the_staircase_record_matches_a_from_scratch_reference(track,
         assert (sb.staircase, sb._kernel.pure) == \
             _staircase_from_scratch(sb._kernel), name
     assert len(checked) > 200
+
+
+# the quotient monomials ------------------------------------------------------
+#
+# A basis lists its quotient monomials by one search from 1, and only when a
+# caller first reads them.  The reference is a recursive prefix walk: for
+# each prefix it raises the next exponent until the monomial
+# prefix + (k, 0, ..., 0) lies in the ideal.
+
+def _prefix_walk(stair, pure):
+    if None in pure:
+        return None
+    nvars = len(pure)
+    out = []
+
+    def walk(prefix, i):
+        rest = (0,) * (nvars - i - 1)
+        for k in range(pure[i]):
+            e = tuple(prefix) + (k,) + rest
+            if any(mono_divides(s, e) for s in stair):
+                return
+            if rest:
+                prefix.append(k)
+                walk(prefix, i + 1)
+                prefix.pop()
+            else:
+                out.append(e)
+
+    walk([], 0)
+    out.sort(key=lambda e: (sum(e), e))
+    return out
+
+
+def test_the_search_from_one_lists_what_the_prefix_walk_lists():
+    finite = 0
+    for name, gens in _staircase_cases():
+        sb = standard_basis(gens)
+        expected = _prefix_walk(sb.staircase, sb._kernel.pure)
+        assert sb.quotient_monomials == expected, name
+        assert sb.is_finite() == (expected is not None), name
+        if expected is not None:
+            finite += 1
+            assert sb.max_quotient_degree() == \
+                max(map(sum, expected), default=-1), name
+    assert finite == len(_staircase_cases()) - 1    # all but the infinite one
+
+
+_BOX = [(9, 0, 0, 0), (0, 9, 0, 0), (0, 0, 9, 0), (0, 0, 0, 9)]
+
+
+@pytest.mark.parametrize("stair, count", [
+    # the exponents below 9 in four variables
+    (_BOX, 9**4),
+    # the same box with corners cut off in every direction
+    (_BOX + [(2, 3, 0, 0), (0, 1, 1, 4), (5, 0, 0, 1), (1, 1, 1, 1)], None),
+    ([(0, 0, 0, 0)], 0),
+], ids=["box", "cut-box", "unit"])
+def test_the_search_from_one_on_four_variable_monomial_ideals(stair, count):
+    pure = [next((s[i] for s in stair if sum(s) == s[i]), None)
+            for i in range(4)]
+    quot = localalg._quotient_monomials(stair, 4)
+    assert quot == _prefix_walk(stair, pure)
+    assert len(quot) == len(set(quot))
+    assert count is None or len(quot) == count
+
+
+def test_the_completion_never_lists_quotient_monomials(monkeypatch):
+    real = localalg._quotient_monomials
+    calls = []
+
+    def counting(stair, nvars):
+        calls.append(stair)
+        return real(stair, nvars)
+
+    cases = [_ade_section("E8", 1), _RANDOM_IDEALS[2], _INFINITE, _UNIT]
+    monkeypatch.setattr(localalg, "_quotient_monomials", counting)
+    for gens in cases:
+        # certifying reads the top off the corners, not off a listing
+        standard_basis(gens)
+        assert calls == []
+        for track in [False, True]:
+            sb = standard_basis_at(gens, DEFAULT_CAP, track=track)
+            assert calls == []
+            assert "quotient_monomials" not in sb.__dict__
+            quot = sb.quotient_monomials
+            assert sb.quotient_monomials is quot
+            assert len(calls) == sb.is_finite()
+            calls.clear()
+
+
+def _corners_from_scratch(stair, pure):
+    """The maximal monomials the prefix walk lists; None when it lists
+    infinitely many."""
+    quot = _prefix_walk(stair, pure)
+    if quot is None:
+        return None
+    return sorted(e for e in quot
+                  if not any(e != f and mono_divides(e, f) for f in quot))
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["untracked", "tracked"])
+def test_the_corners_match_a_from_scratch_reference(track, monkeypatch):
+    real = _Kernel.add
+    checked = []
+
+    def checking(kernel, g):
+        real(kernel, g)
+        expected = _corners_from_scratch(kernel.stair, kernel.pure)
+        if expected is None:
+            # a variable with no pure power yet keeps an unbounded field,
+            # above every cap
+            for i, p in enumerate(kernel.pure):
+                if p is None:
+                    assert any(c[i] > kernel.bound for c in kernel.corners)
+        else:
+            assert sorted(kernel.corners) == expected
+        checked.append(expected is None)
+    monkeypatch.setattr(_Kernel, "add", checking)
+    for _, gens in _staircase_cases():
+        sb = standard_basis(gens)
+        if track:
+            standard_basis_at(gens, sb.cap, track=True)
+    # both states occur: before and after every variable has a pure power
+    assert checked.count(True) > 50 and checked.count(False) > 50

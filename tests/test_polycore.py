@@ -358,6 +358,17 @@ def test_substitute_cancels_to_zero():
     assert (X**2 - Y**2).substitute([t, -t]).terms == {}
 
 
+def test_a_negative_power_and_a_short_substitution_are_rejected():
+    with pytest.raises(ValueError) as err:
+        X ** -1
+    assert type(err.value) is ValueError
+    assert str(err.value) == "negative polynomial power"
+    with pytest.raises(ValueError) as err:
+        (X + Y).substitute([X])
+    assert type(err.value) is ValueError
+    assert str(err.value) == "substitution needs one target per variable"
+
+
 def _inverse_pair(rng, n):
     while True:
         c = [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))

@@ -82,6 +82,13 @@ def test_residue_rejects_mixed_variable_counts():
         form.value(X)
 
 
+def test_residue_rejects_an_empty_denominator_list():
+    with pytest.raises(NotRegularSequence) as err:
+        grothendieck_residue(ONE2, [])
+    assert type(err.value) is NotRegularSequence
+    assert str(err.value) == "empty denominator list"
+
+
 def test_denominators_must_share_their_variable_count():
     with pytest.raises(ValueError, match="mix variable counts 2, 3"):
         grothendieck_residue(ONE3, [x3, y3, X])

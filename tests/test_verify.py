@@ -1,12 +1,17 @@
 """Randomized verification suites: plans, determinism, corpus health."""
 
+import dataclasses
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from icisres import verify
+from icisres import cli, verify
+from icisres.errors import NotIsolated
 from icisres.localalg import Ctx
+from icisres.polycore import Poly
 from icisres.verify import (DEFAULT_TRIALS, SUITES, VerificationPlan,
                             builtin_corpus, random_poly, run)
 
@@ -262,3 +267,89 @@ def test_suites_catch_wrong_minors(monkeypatch, suite, name, wrong):
     monkeypatch.setattr(verify, name, wrong(getattr(verify, name)))
     [outcome] = verify.run(small_plan([suite], trials=10))
     assert outcome.failures
+
+
+# failure payloads -----------------------------------------------------------
+#
+# Each suite compares two values.  Shifting one of them makes the first
+# trial fail, and its payload must carry the fields that reproduce the
+# instance; a field mapped to None is checked for presence only.
+
+def _counted(real, shift):
+    """real, with shift(k, value) applied to the value of its k-th call."""
+    calls = itertools.count(1)
+    return lambda *args, **kwargs: shift(next(calls), real(*args, **kwargs))
+
+
+def _not_isolated(k, report):
+    raise NotIsolated("forced")
+
+
+def _one_more(p):
+    return p + Poly.const(p.nvars, 1)
+
+
+_FORCED_FAILURES = [
+    ("det-lemmas", "rational_det", lambda k, d: d + 1,
+     {"identity": "block-schur", "matrix": None, "split": None}),
+    # the first inverse is the block A's, the second the whole matrix's,
+    # shifted by the unit matrix
+    ("det-lemmas", "rational_inverse",
+     lambda k, m: m if k % 2 else [[a + (r == c) for c, a in enumerate(row)]
+                                   for r, row in enumerate(m)],
+     {"identity": "inverse-block", "matrix": None, "split": None}),
+    ("eq1", "minor", lambda k, m: _one_more(m),
+     {"f": None, "omega": None, "i_cols": None, "j_cols": None}),
+    ("lem2", "normal_form", lambda k, r: _one_more(r),
+     {"f": None, "omega": None, "pair": "(1, 2)"}),
+    # the first call gives the minors in the old coordinates, the second
+    # those in the new ones
+    ("eq2-transform", "minors",
+     lambda k, ms: ms if k % 2 else (_one_more(ms[0]),) + ms[1:],
+     {"f": None, "omega": None, "matrix": None, "minor": "1"}),
+    ("ann-invariance", "grothendieck_residue", lambda k, r: r + k,
+     {"germ": "a1-dz", "matrix": None, "h": None, "lhs": None, "rhs": None}),
+    ("theorem1", "solve",
+     lambda k, rep: dataclasses.replace(rep, residue=rep.residue + 1),
+     {"germ": "a1-dz", "index": "2", "residue": "3"}),
+    ("theorem1", "solve", _not_isolated,
+     {"germ": "a1-dz", "error": "NotIsolated"}),
+    ("smooth-duality", "pairing_report",
+     lambda k, rep: dataclasses.replace(rep, sigma_in_soc_c=False),
+     {"omega": None, "problems": "sigma not in socle"}),
+    ("cor-mult", "intersection_multiplicity_both_ways",
+     lambda k, pair: (pair[0], pair[1] + 1),
+     {"f": None, "g": None, "colength": None, "residue": None}),
+]
+_FORCED_IDS = [f"{s}-{n}-{sorted(f)[0]}" for s, n, _, f in _FORCED_FAILURES]
+
+
+@pytest.mark.parametrize("suite, name, shift, fields", _FORCED_FAILURES,
+                         ids=_FORCED_IDS)
+def test_a_failing_trial_carries_its_payload(monkeypatch, suite, name, shift,
+                                             fields):
+    monkeypatch.setattr(verify, name, _counted(getattr(verify, name), shift))
+    [outcome] = run(small_plan([suite], trials=1))
+    assert not outcome.ok
+    [(seed, payload)] = outcome.failures
+    assert seed == f"0:{suite}:0"
+    assert set(payload) == set(fields)
+    for key, value in payload.items():
+        assert isinstance(value, str), key
+        assert fields[key] in (None, value), key
+
+
+@pytest.mark.parametrize("suite, name, shift, fields", _FORCED_FAILURES,
+                         ids=_FORCED_IDS)
+def test_a_failing_trial_makes_verify_exit_2(monkeypatch, capsys, suite, name,
+                                             shift, fields):
+    monkeypatch.setattr(verify, name, _counted(getattr(verify, name), shift))
+    code = cli.main(["verify", "--suite", suite, "--trials", "1",
+                     "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert rep["discrepancies"] == [f"{suite}:1 failures"]
+    [entry] = rep["result"]["suites"]
+    [failure] = entry["failures"]
+    assert failure["seed"] == f"0:{suite}:0"
+    assert set(failure["payload"]) == set(fields)
