@@ -41,10 +41,15 @@ COMMANDS = ("index", "residue", "sigma", "good-coords", "pairing",
 
 
 def _fr(x) -> object:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return int(f)
-    return f"{f.numerator}/{f.denominator}"
+    # an int is returned as it is and a Fraction read as it is: only
+    # other values are converted
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    if x.denominator == 1:
+        return x.numerator
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _mat(rows) -> List[List[object]]:

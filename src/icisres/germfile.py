@@ -6,14 +6,31 @@ omega (form components), g (map components for multiplicity runs), and
 the integer knobs seed, cap, max_cap, attempts.  Polynomial expressions
 use `+ - * ^ ( )` and rational literals `p/q`; multiplication is always
 explicit and decimals are rejected, so every coefficient stays rational.
+
+A file is read in one validating pass.  Each line is first checked for
+the three tokenizer errors (an unexpected character, a decimal literal,
+an integer literal longer than MAX_LITERAL_DIGITS) by one compiled
+pattern; a line the pattern does not accept, a non-ASCII one say, goes
+through `_check_line`, the per-character loop that defines those errors
+and raises the first of them.  Only then are statements split, and the
+recursive descent builds each token as it reads it, so nothing past the
+point where a parse error stops it is built: a line nested past
+MAX_NESTING is rejected at the bound after one scan.
+
+Errors win in this order: the first tokenizer error anywhere in the file;
+then statement errors (unknown key, missing '=', duplicate key) in file
+order; then the `vars` entry; then `f`, `omega` and `g`, in that order and
+each part by part; then `omega`'s presence and arity; then the knobs seed,
+cap, max_cap and attempts.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import islice
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import ArityError, GermSyntaxError, NonRationalCoefficient
 from .polycore import Poly
@@ -57,7 +74,8 @@ def _variables(p: Poly) -> set:
 
 def _numerator_bits(p: Poly) -> int:
     """Bit length of the largest numerator over p's common denominator D, or of D."""
-    return max([p.den.bit_length()] + [c.bit_length() for c in p.ints.values()])
+    return max(p.den.bit_length(),
+               max(map(int.bit_length, p.ints.values()), default=0))
 
 
 def power_size(p: Poly, k: int) -> Tuple[int, int]:
@@ -67,13 +85,17 @@ def power_size(p: Poly, k: int) -> Tuple[int, int]:
     (one per multiset of k terms) and at most C(v + k deg p, v) (one per
     monomial of degree up to k deg p).  Over the common denominator D of
     p, each numerator of p^k is a sum of at most t^k products of k
-    numerators of p, and its denominator divides D^k.
+    numerators of p, and its denominator divides D^k.  The monomial count
+    is worked out only when the multiset count exceeds MAX_POWER_TERMS, the
+    one case in which it can decide the bound check.
     """
     if not p.ints:
         return 1, 0
     t = len(p.ints)
-    v = len(_variables(p))
-    terms = min(comb(t + k - 1, k), comb(v + k * p.total_degree(), v))
+    terms = comb(t + k - 1, k)
+    if terms > MAX_POWER_TERMS:
+        v = len(_variables(p))
+        terms = min(terms, comb(v + k * p.total_degree(), v))
     return terms, k * (_numerator_bits(p) + t.bit_length())
 
 
@@ -83,27 +105,46 @@ def product_size(p: Poly, q: Poly) -> Tuple[int, int]:
     With t1 and t2 terms in v variables between them, p * q has at most
     t1 t2 terms and at most C(v + deg p + deg q, v).  Over the product of
     the common denominators, each numerator is a sum of at most
-    min(t1, t2) products of a numerator of p and one of q.
+    min(t1, t2) products of a numerator of p and one of q.  As in
+    `power_size`, the monomial count is worked out only above
+    MAX_POWER_TERMS.
     """
     if not p.ints or not q.ints:
         return 0, 0
     t1, t2 = len(p.ints), len(q.ints)
-    v = len(_variables(p) | _variables(q))
-    terms = min(t1 * t2, comb(v + p.total_degree() + q.total_degree(), v))
+    terms = t1 * t2
+    if terms > MAX_POWER_TERMS:
+        v = len(_variables(p) | _variables(q))
+        terms = min(terms,
+                    comb(v + p.total_degree() + q.total_degree(), v))
     return terms, (_numerator_bits(p) + _numerator_bits(q)
                    + min(t1, t2).bit_length())
 
 
-@dataclass
-class Token:
-    kind: str            # "name", "int", or the punctuation itself
-    text: str
-    line: int
-    col: int
+# a token as the parser reads it: (kind, text, line, column), kind being
+# "name", "int", or the punctuation itself
+Tok = Tuple[str, str, int, int]
+
+# a line `_check_line` accepts, in ASCII: names, integer literals of at
+# most MAX_LITERAL_DIGITS digits, spaces, tabs and punctuation, then an
+# optional comment.  Each piece is taken whole (nothing after a name or a
+# literal continues it, nor punctuation after a run of it), so a line that
+# fails is given up in linear time.  A decimal point never matches.
+_PUNCT = r"[ \t+\-*^()/,=;]"
+_CHECKED_LINE = re.compile(
+    rf"(?:{_PUNCT}+(?!{_PUNCT})|[A-Za-z_]\w*(?!\w)"
+    rf"|[0-9]{{1,{MAX_LITERAL_DIGITS}}}(?![0-9]))*(?:#.*)?", re.ASCII)
+
+# the next token on a checked line, after any whitespace: an ASCII integer
+# literal, a name, or one punctuation character.  \s and \w are
+# str.isspace and str.isalnum or '_', so these are the tokens that
+# `_check_line` walks over
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(\w+)|(\S))")
+_KINDS = (None, "int", "name", None)
 
 
-def _tokenize_line(text: str, lineno: int) -> List[Token]:
-    toks: List[Token] = []
+def _check_line(text: str, lineno: int) -> None:
+    """Raise the first tokenizer error on one line; pass a line with none."""
     i = 0
     while i < len(text):
         ch = text[i]
@@ -114,11 +155,9 @@ def _tokenize_line(text: str, lineno: int) -> List[Token]:
             i += 1
             continue
         if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("name", text[i:j], lineno, col))
-            i = j
+            i += 1
+            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+                i += 1
             continue
         if "0" <= ch <= "9":    # str.isdigit would also take '²' and '٣'
             j = i
@@ -132,38 +171,52 @@ def _tokenize_line(text: str, lineno: int) -> List[Token]:
                 raise GermSyntaxError(
                     f"integer literal of {j - i} digits exceeds the "
                     f"{MAX_POWER_BITS}-bit coefficient bound", lineno, col)
-            toks.append(Token("int", text[i:j], lineno, col))
             i = j
             continue
         if ch in "+-*^()/,=;":
-            toks.append(Token(ch, ch, lineno, col))
             i += 1
             continue
         raise GermSyntaxError(f"unexpected character {ch!r}", lineno, col)
-    return toks
 
 
-def _statements(text: str) -> List[List[Token]]:
-    out: List[List[Token]] = []
+def _tokens(code: str, start: int, end: int, lineno: int) -> Iterator[Tok]:
+    """The tokens of code[start:end], each built when it is read."""
+    for m in _TOKEN.finditer(code, start, end):
+        i = m.lastindex
+        text = m[i]
+        yield _KINDS[i] or text, text, lineno, m.start(i) + 1
+
+
+def _statements(text: str) -> List[Tuple[Tok, Iterator[Tok]]]:
+    """Each statement's first token and an iterator over the rest.
+
+    Every line is checked here, before the caller reads any statement, so
+    the first tokenizer error in the file wins over every parse error.
+    """
+    out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        current: List[Token] = []
-        for tok in _tokenize_line(line, lineno):
-            if tok.kind == ";":
-                if current:
-                    out.append(current)
-                current = []
-            else:
-                current.append(tok)
-        if current:
-            out.append(current)
+        if _CHECKED_LINE.fullmatch(line) is None:
+            _check_line(line, lineno)
+        code = line.partition("#")[0]
+        start = 0
+        for piece in code.split(";"):
+            end = start + len(piece)
+            if piece.strip():
+                toks = _tokens(code, start, end, lineno)
+                out.append((next(toks), toks))
+            start = end + 1
     return out
 
 
-def _split_commas(toks: List[Token]) -> List[List[Token]]:
-    parts: List[List[Token]] = []
-    current: List[Token] = []
+def _error(message: str, tok: Tok) -> GermSyntaxError:
+    return GermSyntaxError(message, tok[2], tok[3])
+
+
+def _split_commas(toks: List[Tok]) -> List[List[Tok]]:
+    parts: List[List[Tok]] = []
+    current: List[Tok] = []
     for tok in toks:
-        if tok.kind == ",":
+        if tok[0] == ",":
             parts.append(current)
             current = []
         else:
@@ -175,133 +228,178 @@ def _split_commas(toks: List[Token]) -> List[List[Token]]:
 _PRIMARY_START = ("name", "int", "(")
 
 
-def _check_size(size: Tuple[int, int], what: str, kind: str, tok: Token):
+def _check_size(size: Tuple[int, int], what: str, kind: str, tok: Tok):
     """Reject an expansion whose (terms, bits) bound exceeds the limits."""
     terms, bits = size
     if terms > MAX_POWER_TERMS:
-        raise GermSyntaxError(
+        raise _error(
             f"{what} may expand to {terms} terms, above the {kind}term bound "
-            f"{MAX_POWER_TERMS}", tok.line, tok.col)
+            f"{MAX_POWER_TERMS}", tok)
     if bits > MAX_POWER_BITS:
-        raise GermSyntaxError(
+        raise _error(
             f"{what} may give {bits}-bit coefficients, above the {kind}size "
-            f"bound {MAX_POWER_BITS} bits", tok.line, tok.col)
+            f"bound {MAX_POWER_BITS} bits", tok)
 
 
 class _ExprParser:
-    """Recursive descent over one comma-free token slice."""
+    """Recursive descent over one statement's tokens, one part at a time.
 
-    def __init__(self, toks: List[Token], names: Dict[str, int], anchor: Token):
+    The parts are separated by commas.  A comma looks like the end of the
+    tokens to the part before it, and sets `more`.
+    """
+
+    def __init__(self, toks: Iterator[Tok], names: Dict[str, int]):
         self.toks = toks
-        self.pos = 0
         self.names = names
         self.nvars = len(names)
-        self.anchor = anchor     # for the empty-expression error position
+        self.one = (0,) * self.nvars
         self.depth = 0           # parentheses open at the current position
+        self.more = False        # a comma ended the current part
+        self.anchor: Optional[Tok] = None   # the part's first token
+        self.advance()
 
-    def peek(self) -> Optional[Token]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def advance(self) -> None:
+        tok = next(self.toks, None)
+        if tok is not None and tok[0] == ",":
+            self.more, tok = True, None
+        self.tok: Optional[Tok] = tok
 
-    def take(self) -> Token:
-        tok = self.peek()
+    def take(self) -> Tok:
+        tok = self.tok
         if tok is None:
-            raise GermSyntaxError("unexpected end of expression",
-                                  self.anchor.line, self.anchor.col)
-        self.pos += 1
+            raise _error("unexpected end of expression", self.anchor)
+        self.advance()
         return tok
 
+    def parts(self, key: str, anchor: Tok) -> Tuple[Poly, ...]:
+        """Each part as a polynomial; none when the statement has no tokens."""
+        if self.tok is None and not self.more:
+            return ()
+        polys = []
+        while True:
+            if self.tok is None:
+                raise _error(f"empty entry in {key!r} list", anchor)
+            polys.append(self.parse())
+            if not self.more:
+                return tuple(polys)
+            self.more = False
+            self.advance()
+
     def parse(self) -> Poly:
+        self.anchor = self.tok
         p = self.expr()
-        tok = self.peek()
+        tok = self.tok
         if tok is not None:
-            raise GermSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.col)
+            raise _error(f"unexpected {tok[1]!r}", tok)
         return p
 
     def expr(self) -> Poly:
-        tok = self.peek()
+        tok = self.tok
         negate = False
-        if tok is not None and tok.kind in ("+", "-"):
-            self.take()
-            negate = tok.kind == "-"
-        p = self.term()
-        if negate:
-            p = -p
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind not in ("+", "-"):
-                return p
-            self.take()
-            q = self.term()
-            p = p - q if tok.kind == "-" else p + q
+        if tok is not None and tok[0] in ("+", "-"):
+            self.advance()
+            negate = tok[0] == "-"
+        p = self.product_from(self.factor())
+        return self.sum_from(-p if negate else p)
 
-    def term(self) -> Poly:
-        p = self.factor()
+    def sum_from(self, p: Poly) -> Poly:
+        """p plus the terms that follow it."""
         while True:
-            tok = self.peek()
+            tok = self.tok
+            if tok is None or tok[0] not in ("+", "-"):
+                return p
+            self.advance()
+            q = self.product_from(self.factor())
+            p = p - q if tok[0] == "-" else p + q
+
+    def product_from(self, p: Poly) -> Poly:
+        """p times the factors that follow it."""
+        while True:
+            tok = self.tok
             if tok is None:
                 return p
-            if tok.kind == "*":
-                self.take()
+            if tok[0] == "*":
+                self.advance()
                 q = self.factor()
                 _check_size(product_size(p, q), "product", "", tok)
                 p = p * q
-            elif tok.kind in _PRIMARY_START:
-                raise GermSyntaxError(
-                    "implicit multiplication is not allowed; write '*'",
-                    tok.line, tok.col)
+            elif tok[0] in _PRIMARY_START:
+                raise _error(
+                    "implicit multiplication is not allowed; write '*'", tok)
             else:
                 return p
 
     def factor(self) -> Poly:
-        p = self.primary()
-        tok = self.peek()
-        if tok is not None and tok.kind == "^":
-            self.take()
-            etok = self.take()
-            if etok.kind != "int":
-                raise GermSyntaxError("exponent must be a nonnegative integer",
-                                      etok.line, etok.col)
-            k = int(etok.text)
-            degree = max(p.total_degree(), 1)
-            if k * degree > MAX_POWER_DEGREE:
-                raise GermSyntaxError(
-                    f"exponent {k} on a base of degree {degree} exceeds the "
-                    f"power degree bound {MAX_POWER_DEGREE}", etok.line, etok.col)
-            _check_size(power_size(p, k), f"exponent {k}", "power ", etok)
-            p = p ** k
-        return p
-
-    def primary(self) -> Poly:
         tok = self.take()
-        if tok.kind == "int":
-            value = Fraction(int(tok.text))
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "/":
-                self.take()
-                den = self.take()
-                if den.kind != "int" or int(den.text) == 0:
-                    raise GermSyntaxError("denominator must be a nonzero integer",
-                                          den.line, den.col)
-                value = Fraction(int(tok.text), int(den.text))
-            return Poly.const(self.nvars, value)
-        if tok.kind == "name":
-            if tok.text not in self.names:
-                raise GermSyntaxError(f"unknown variable {tok.text!r}",
-                                      tok.line, tok.col)
-            return Poly.variable(self.nvars, self.names[tok.text])
-        if tok.kind == "(":
+        kind = tok[0]
+        if kind == "int":
+            num, den = int(tok[1]), 1
+            nxt = self.tok
+            if nxt is not None and nxt[0] == "/":
+                self.advance()
+                dtok = self.take()
+                den = int(dtok[1]) if dtok[0] == "int" else 0
+                if not den:
+                    raise _error("denominator must be a nonzero integer", dtok)
+            p = Poly.from_ints(self.nvars, {self.one: num}, den) if num \
+                else Poly.zero(self.nvars)
+        elif kind == "name":
+            i = self.names.get(tok[1])
+            if i is None:
+                raise _error(f"unknown variable {tok[1]!r}", tok)
+            p = Poly.variable(self.nvars, i)
+        elif kind == "(":
+            p = self.group(tok)
+        else:
+            raise _error(f"unexpected {tok[1]!r}", tok)
+        return self.power_of(p)
+
+    def group(self, tok: Tok) -> Poly:
+        """The parenthesized expression that tok opens.
+
+        A run of opening parentheses is read in one loop, not one descent
+        each: every one but the last opens an expression whose first
+        factor is the next group, so once a group closes, the expression
+        around it goes on from that factor.
+        """
+        opened = 0
+        while True:
             if self.depth == MAX_NESTING:
-                raise GermSyntaxError(
-                    f"parentheses nested deeper than {MAX_NESTING} levels",
-                    tok.line, tok.col)
+                raise _error(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", tok)
             self.depth += 1
-            p = self.expr()
-            self.depth -= 1
+            opened += 1
+            if self.tok is None or self.tok[0] != "(":
+                break
+            tok = self.take()
+        p = self.expr()
+        while True:
             closing = self.take()
-            if closing.kind != ")":
-                raise GermSyntaxError("expected ')'", closing.line, closing.col)
+            if closing[0] != ")":
+                raise _error("expected ')'", closing)
+            self.depth -= 1
+            opened -= 1
+            if not opened:
+                return p
+            p = self.sum_from(self.product_from(self.power_of(p)))
+
+    def power_of(self, p: Poly) -> Poly:
+        """p raised to the power a following `^` gives, if one does."""
+        tok = self.tok
+        if tok is None or tok[0] != "^":
             return p
-        raise GermSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.col)
+        self.advance()
+        etok = self.take()
+        if etok[0] != "int":
+            raise _error("exponent must be a nonnegative integer", etok)
+        k = int(etok[1])
+        degree = max(p.total_degree(), 1)
+        if k * degree > MAX_POWER_DEGREE:
+            raise _error(
+                f"exponent {k} on a base of degree {degree} exceeds the "
+                f"power degree bound {MAX_POWER_DEGREE}", etok)
+        _check_size(power_size(p, k), f"exponent {k}", "power ", etok)
+        return p ** k
 
 
 @dataclass
@@ -323,64 +421,53 @@ class GermFile:
 
 
 def parse_germ_file(text: str) -> GermFile:
-    entries: Dict[str, Tuple[Token, List[Token]]] = {}
-    for stmt in _statements(text):
-        head = stmt[0]
-        if head.kind != "name" or head.text not in KEYS:
-            raise GermSyntaxError(
-                f"expected one of {', '.join(KEYS)}", head.line, head.col)
-        if len(stmt) < 2 or stmt[1].kind != "=":
-            raise GermSyntaxError("expected '=' after key", head.line,
-                                  head.col + len(head.text))
-        if head.text in entries:
-            raise GermSyntaxError(f"duplicate key {head.text!r}",
-                                  head.line, head.col)
-        entries[head.text] = (head, stmt[2:])
+    entries: Dict[str, Tuple[Tok, Iterator[Tok]]] = {}
+    for head, rest in _statements(text):
+        kind, key, line, col = head
+        if kind != "name" or key not in KEYS:
+            raise _error(f"expected one of {', '.join(KEYS)}", head)
+        if next(rest, ("",))[0] != "=":
+            raise GermSyntaxError("expected '=' after key", line,
+                                  col + len(key))
+        if key in entries:
+            raise _error(f"duplicate key {key!r}", head)
+        entries[key] = (head, rest)
 
     if "vars" not in entries:
         raise GermSyntaxError("missing 'vars' entry", 0, 0)
     vars_tok, vars_rest = entries["vars"]
-    parts = _split_commas(vars_rest)
+    parts = _split_commas(list(vars_rest))
     if len(parts) > MAX_VARS:
-        raise GermSyntaxError(
+        raise _error(
             f"{len(parts)} variables exceed the variable bound {MAX_VARS}",
-            vars_tok.line, vars_tok.col)
+            vars_tok)
     names: List[str] = []
     for part in parts:
-        if len(part) != 1 or part[0].kind != "name":
-            where = part[0] if part else vars_tok
-            raise GermSyntaxError("variable names must be plain identifiers",
-                                  where.line, where.col)
-        if part[0].text in names:
-            raise GermSyntaxError(f"duplicate variable {part[0].text!r}",
-                                  part[0].line, part[0].col)
-        names.append(part[0].text)
+        if len(part) != 1 or part[0][0] != "name":
+            raise _error("variable names must be plain identifiers",
+                         part[0] if part else vars_tok)
+        if part[0][1] in names:
+            raise _error(f"duplicate variable {part[0][1]!r}", part[0])
+        names.append(part[0][1])
     index = {nm: i for i, nm in enumerate(names)}
 
     def poly_list(key: str) -> Tuple[Poly, ...]:
         if key not in entries:
             return ()
         anchor, rest = entries[key]
-        if not rest:
-            return ()
-        polys = []
-        for part in _split_commas(rest):
-            if not part:
-                raise GermSyntaxError(f"empty entry in {key!r} list",
-                                      anchor.line, anchor.col)
-            polys.append(_ExprParser(part, index, part[0]).parse())
-        return tuple(polys)
+        return _ExprParser(rest, index).parts(key, anchor)
 
     def integer(key: str) -> Optional[int]:
         if key not in entries:
             return None
         anchor, rest = entries[key]
-        if len(rest) == 2 and rest[0].kind == "-" and rest[1].kind == "int":
-            return -int(rest[1].text)
-        if len(rest) != 1 or rest[0].kind != "int":
-            raise GermSyntaxError(f"{key!r} takes a single integer",
-                                  anchor.line, anchor.col)
-        return int(rest[0].text)
+        toks = list(islice(rest, 3))    # more than two is an error
+        kinds = [tok[0] for tok in toks]
+        if kinds == ["-", "int"]:
+            return -int(toks[1][1])
+        if kinds != ["int"]:
+            raise _error(f"{key!r} takes a single integer", anchor)
+        return int(toks[0][1])
 
     f = poly_list("f")
     omega = poly_list("omega")
@@ -391,7 +478,7 @@ def parse_germ_file(text: str) -> GermFile:
         anchor, _ = entries["omega"]
         raise ArityError(
             f"omega needs {len(names)} components, got {len(omega)}",
-            anchor.line, anchor.col)
+            anchor[2], anchor[3])
 
     seed = integer("seed")
     return GermFile(tuple(names), f, omega, g,

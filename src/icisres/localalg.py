@@ -432,16 +432,28 @@ def _quotient_monomials(stair: List[Exponent], nvars: int) -> List[Exponent]:
     One search from 1: each step raises one exponent of a quotient monomial,
     never one before its last nonzero exponent, so each monomial outside
     the ideal is reached once, from its quotient by its last variable, which
-    lies outside the ideal too.
+    lies outside the ideal too.  A staircase element that divides the raised
+    monomial f but not e, the one it was raised from, agrees with f in the
+    raised field, so only the elements with that value there are tested.
     """
     one = (0,) * nvars
-    out = [] if one in stair else [one]
-    for e in out:       # out grows as the search reaches new monomials
-        last = max((i for i, v in enumerate(e) if v), default=0)
-        for i in range(last, nvars):
-            f = e[:i] + (e[i] + 1,) + e[i + 1:]
-            if not any(mono_divides(s, f) for s in stair):
+    if one in stair:
+        return []
+    # by_value[i][v]: the elements whose field i is v > 0
+    by_value: List[Dict[int, List[Exponent]]] = [{} for _ in range(nvars)]
+    for s in stair:
+        for i, v in enumerate(s):
+            if v:
+                by_value[i].setdefault(v, []).append(s)
+    out = [one]
+    last = [0]          # the last nonzero index of each monomial in out
+    for e, start in zip(out, last):     # both grow as the search goes on
+        for i in range(start, nvars):
+            v = e[i] + 1
+            f = e[:i] + (v,) + e[i + 1:]
+            if not any(mono_divides(s, f) for s in by_value[i].get(v, ())):
                 out.append(f)
+                last.append(i)
     out.sort(key=lambda e: (mono_deg(e), e))
     return out
 

@@ -296,14 +296,14 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.const(self.nvars, 1)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return Poly.const(self.nvars, 1) if result is None else result
 
     def scale(self, c) -> "Poly":
         if not isinstance(c, (int, Fraction)):

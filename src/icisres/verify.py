@@ -193,12 +193,19 @@ def _trial_det_lemmas(rng: random.Random, t: int, ctx: Ctx) -> Payload:
             return {"identity": "block-schur", "matrix": _render_matrix(h),
                     "split": str(j)}
 
-    h2, det_h2 = _nonsingular_draw(rng, n)
-    if det_h2 != 0:
+    # H2 and its block D both nonsingular: with det(D) = 0 the identity
+    # reads 0 = 0 whatever the inverse's block E is
+    def dets(m):
+        det_m = rational_det(m)
+        det_d = det_m and rational_det(blocks(m)[3])
+        return (det_m, det_d) if det_d else None
+
+    h2, dets2 = _resample(lambda: random_matrix(rng, n), dets)
+    if dets2:
+        det_h2, det_d2 = dets2
         inv = rational_inverse(h2)
-        d2 = [row[j:] for row in h2[j:]]
         e2 = [row[:j] for row in inv[:j]]
-        if rational_det(d2) != rational_det(e2) * det_h2:
+        if det_d2 != rational_det(e2) * det_h2:
             return {"identity": "inverse-block", "matrix": _render_matrix(h2),
                     "split": str(j)}
     return None

@@ -255,6 +255,22 @@ def test_eq1_draws_distinct_columns(monkeypatch):
                 assert len(set(cols)) == len(cols), (seed, t, name, cols)
 
 
+def test_a_doubled_inverse_fails_the_inverse_block_identity_every_trial(
+        monkeypatch):
+    # with the whole matrix's inverse doubled, its upper-left j x j block E
+    # has 2^j det(E), so det(D) = det(E) det(H) fails unless det(D) = 0:
+    # the draw keeps D nonsingular, so every default trial at seed 0 fails
+    real = verify.rational_inverse
+    for t in range(DEFAULT_TRIALS["det-lemmas"]):
+        seed = f"0:det-lemmas:{t}"
+        n = random.Random(seed).randint(2, 6)     # the trial's first draw
+        monkeypatch.setattr(verify, "rational_inverse", lambda m: [
+            [2 * a for a in row] for row in real(m)] if len(m) == n
+            else real(m))
+        payload = verify._trial_det_lemmas(random.Random(seed), t, Ctx())
+        assert payload is not None and payload["identity"] == "inverse-block", t
+
+
 @pytest.mark.parametrize("suite, name, wrong", [
     # a minor read in sorted column order: no sign for the column order
     ("eq1", "minor", lambda real: lambda p, columns: real(p, sorted(columns))),
