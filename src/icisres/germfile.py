@@ -7,21 +7,30 @@ the integer knobs seed, cap, max_cap, attempts.  Polynomial expressions
 use `+ - * ^ ( )` and rational literals `p/q`; multiplication is always
 explicit and decimals are rejected, so every coefficient stays rational.
 
-A file is read in one validating pass.  Each line is first checked for
-the three tokenizer errors (an unexpected character, a decimal literal,
-an integer literal longer than MAX_LITERAL_DIGITS) by one compiled
-pattern; a line the pattern does not accept, a non-ASCII one say, goes
-through `_check_line`, the per-character loop that defines those errors
-and raises the first of them.  Only then are statements split, and the
-recursive descent builds each token as it reads it, so nothing past the
-point where a parse error stops it is built: a line nested past
-MAX_NESTING is rejected at the bound after one scan.
+A file is read in one validating pass.  The lexical pieces (the ASCII
+literal, the word, the punctuation, and `#`, which starts a comment) are
+written once and compiled into two patterns.  Every line, before its
+comment, first takes the ASCII pre-check `_CHECKED_LINE`, which accepts an
+ordinary line in one match.  A line it does not accept, a non-ASCII one
+say, is scanned by the token pattern `_TOKEN`, which takes a run of
+whitespace and punctuation as one match, so only words, literals and stray
+characters cost a step; the scan raises the first of the three tokenizer
+errors (an unexpected character, a decimal literal, an integer literal
+longer than MAX_LITERAL_DIGITS), or passes the line.  Only then are
+statements split.  Each statement is read part by part, the parts being
+separated by commas: a `vars` part is one name, and an `f`, `omega` or
+`g` part is read by a plain recursive descent (expr, term, factor,
+primary) that checks MAX_NESTING at each `(`.  Tokens are built only
+where the reader reads, so nothing past the point where a parse error
+stops it is built: a line nested past MAX_NESTING is rejected at the
+bound.  The variable count is taken from the commas of the `vars`
+statement, before any of its parts is read.
 
 Errors win in this order: the first tokenizer error anywhere in the file;
 then statement errors (unknown key, missing '=', duplicate key) in file
-order; then the `vars` entry; then `f`, `omega` and `g`, in that order and
-each part by part; then `omega`'s presence and arity; then the knobs seed,
-cap, max_cap and attempts.
+order; then the `vars` entry, its variable count before its parts; then
+`f`, `omega` and `g`, in that order and each part by part; then `omega`'s
+presence and arity; then the knobs seed, cap, max_cap and attempts.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import ArityError, GermSyntaxError, NonRationalCoefficient
 from .polycore import Poly
@@ -125,85 +134,81 @@ def product_size(p: Poly, q: Poly) -> Tuple[int, int]:
 # "name", "int", or the punctuation itself
 Tok = Tuple[str, str, int, int]
 
-# a line `_check_line` accepts, in ASCII: names, integer literals of at
-# most MAX_LITERAL_DIGITS digits, spaces, tabs and punctuation, then an
-# optional comment.  Each piece is taken whole (nothing after a name or a
-# literal continues it, nor punctuation after a run of it), so a line that
-# fails is given up in linear time.  A decimal point never matches.
-_PUNCT = r"[ \t+\-*^()/,=;]"
+# the lexical pieces, each written once; a comment runs from `#` to the end
+# of the line.  A literal is ASCII digits: str.isdigit and \d would also take
+# '²' and '٣'.  A word starts with a letter or '_' under re.ASCII; without
+# it, [^\W\d] also takes a numeral such as '²', which `_scan` rejects.  \s
+# and \w are str.isspace and str.isalnum or '_'.
+_DIGIT = "[0-9]"
+_WORD = r"[^\W\d]\w*"
+_PUNCT = r"[+\-*^()/,=;]"
+_RUN = rf"(?:\s|{_PUNCT})+"
+
+# the ASCII pre-check every ordinary line takes before its comment: runs of
+# whitespace and punctuation, literals of at most MAX_LITERAL_DIGITS digits
+# and words.  Each piece is taken whole (nothing continues a run, a literal
+# or a word after it), so a line that fails is given up in linear time.  A
+# decimal point never matches.
 _CHECKED_LINE = re.compile(
-    rf"(?:{_PUNCT}+(?!{_PUNCT})|[A-Za-z_]\w*(?!\w)"
-    rf"|[0-9]{{1,{MAX_LITERAL_DIGITS}}}(?![0-9]))*(?:#.*)?", re.ASCII)
+    rf"(?:{_RUN}(?!\s|{_PUNCT})|{_DIGIT}{{1,{MAX_LITERAL_DIGITS}}}"
+    rf"(?!{_DIGIT})|{_WORD}(?!\w))*", re.ASCII)
 
-# the next token on a checked line, after any whitespace: an ASCII integer
-# literal, a name, or one punctuation character.  \s and \w are
-# str.isspace and str.isalnum or '_', so these are the tokens that
-# `_check_line` walks over
-_TOKEN = re.compile(r"\s*(?:([0-9]+)|(\w+)|(\S))")
-_KINDS = (None, "int", "name", None)
+# the token pattern: a run of whitespace and punctuation, a literal, a word
+# or a stray character, one match each
+_TOKEN = re.compile(
+    rf"(?P<run>{_RUN})|(?P<int>{_DIGIT}+)|(?P<name>{_WORD})|(?P<stray>.)")
 
 
-def _check_line(text: str, lineno: int) -> None:
-    """Raise the first tokenizer error on one line; pass a line with none."""
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        col = i + 1
-        if ch == "#":
-            break
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            i += 1
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            continue
-        if "0" <= ch <= "9":    # str.isdigit would also take '²' and '٣'
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            if j < len(text) and text[j] == ".":
+def _scan(code: str, lineno: int) -> None:
+    """Raise the first tokenizer error in code, a line before its comment."""
+    for m in _TOKEN.finditer(code):
+        kind = m.lastgroup
+        text = m[0]
+        col = m.start() + 1
+        if kind == "int":
+            if code.startswith(".", m.end()):
                 raise NonRationalCoefficient(
                     "decimal literals are not rational; write p/q",
                     lineno, col)
-            if j - i > MAX_LITERAL_DIGITS:
+            if len(text) > MAX_LITERAL_DIGITS:
                 raise GermSyntaxError(
-                    f"integer literal of {j - i} digits exceeds the "
+                    f"integer literal of {len(text)} digits exceeds the "
                     f"{MAX_POWER_BITS}-bit coefficient bound", lineno, col)
-            i = j
-            continue
-        if ch in "+-*^()/,=;":
-            i += 1
-            continue
-        raise GermSyntaxError(f"unexpected character {ch!r}", lineno, col)
+        elif kind == "stray" or kind == "name" and not (
+                text[0].isalpha() or text[0] == "_"):
+            raise GermSyntaxError(f"unexpected character {text[0]!r}",
+                                  lineno, col)
 
 
 def _tokens(code: str, start: int, end: int, lineno: int) -> Iterator[Tok]:
-    """The tokens of code[start:end], each built when it is read."""
+    """The tokens of code[start:end] on a checked line, built as read."""
     for m in _TOKEN.finditer(code, start, end):
-        i = m.lastindex
-        text = m[i]
-        yield _KINDS[i] or text, text, lineno, m.start(i) + 1
+        kind = m.lastgroup
+        if kind == "run":
+            for col, ch in enumerate(m[0], m.start() + 1):
+                if not ch.isspace():
+                    yield ch, ch, lineno, col
+        else:
+            yield kind, m[0], lineno, m.start() + 1
 
 
-def _statements(text: str) -> List[Tuple[Tok, Iterator[Tok]]]:
-    """Each statement's first token and an iterator over the rest.
+def _statements(text: str) -> List[Tuple[Tok, Iterator[Tok], int]]:
+    """Each statement's first token, an iterator over the rest, and its commas.
 
     Every line is checked here, before the caller reads any statement, so
     the first tokenizer error in the file wins over every parse error.
     """
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if _CHECKED_LINE.fullmatch(line) is None:
-            _check_line(line, lineno)
         code = line.partition("#")[0]
+        if _CHECKED_LINE.fullmatch(code) is None:
+            _scan(code, lineno)
         start = 0
         for piece in code.split(";"):
             end = start + len(piece)
             if piece.strip():
                 toks = _tokens(code, start, end, lineno)
-                out.append((next(toks), toks))
+                out.append((next(toks), toks, piece.count(",")))
             start = end + 1
     return out
 
@@ -212,20 +217,8 @@ def _error(message: str, tok: Tok) -> GermSyntaxError:
     return GermSyntaxError(message, tok[2], tok[3])
 
 
-def _split_commas(toks: List[Tok]) -> List[List[Tok]]:
-    parts: List[List[Tok]] = []
-    current: List[Tok] = []
-    for tok in toks:
-        if tok[0] == ",":
-            parts.append(current)
-            current = []
-        else:
-            current.append(tok)
-    parts.append(current)
-    return parts
-
-
 _PRIMARY_START = ("name", "int", "(")
+_PLAIN_NAMES = "variable names must be plain identifiers"
 
 
 def _check_size(size: Tuple[int, int], what: str, kind: str, tok: Tok):
@@ -241,8 +234,8 @@ def _check_size(size: Tuple[int, int], what: str, kind: str, tok: Tok):
             f"bound {MAX_POWER_BITS} bits", tok)
 
 
-class _ExprParser:
-    """Recursive descent over one statement's tokens, one part at a time.
+class _Reader:
+    """One statement's tokens, read part by part by a plain recursive descent.
 
     The parts are separated by commas.  A comma looks like the end of the
     tokens to the part before it, and sets `more`.
@@ -271,22 +264,31 @@ class _ExprParser:
         self.advance()
         return tok
 
-    def parts(self, key: str, anchor: Tok) -> Tuple[Poly, ...]:
-        """Each part as a polynomial; none when the statement has no tokens."""
+    def parts(self, read: Callable[[], object], empty: str,
+              anchor: Tok) -> Iterator:
+        """read() on each part in turn; none when the statement has no tokens.
+
+        An empty part raises the message `empty` at anchor.
+        """
         if self.tok is None and not self.more:
-            return ()
-        polys = []
+            return
         while True:
             if self.tok is None:
-                raise _error(f"empty entry in {key!r} list", anchor)
-            polys.append(self.parse())
+                raise _error(empty, anchor)
+            self.anchor = self.tok
+            yield read()
             if not self.more:
-                return tuple(polys)
+                return
             self.more = False
             self.advance()
 
-    def parse(self) -> Poly:
-        self.anchor = self.tok
+    def variable(self) -> Tok:
+        tok = self.take()
+        if tok[0] != "name" or self.tok is not None:
+            raise _error(_PLAIN_NAMES, tok)
+        return tok
+
+    def polynomial(self) -> Poly:
         p = self.expr()
         tok = self.tok
         if tok is not None:
@@ -299,21 +301,17 @@ class _ExprParser:
         if tok is not None and tok[0] in ("+", "-"):
             self.advance()
             negate = tok[0] == "-"
-        p = self.product_from(self.factor())
-        return self.sum_from(-p if negate else p)
-
-    def sum_from(self, p: Poly) -> Poly:
-        """p plus the terms that follow it."""
+        p = -self.term() if negate else self.term()
         while True:
             tok = self.tok
             if tok is None or tok[0] not in ("+", "-"):
                 return p
             self.advance()
-            q = self.product_from(self.factor())
+            q = self.term()
             p = p - q if tok[0] == "-" else p + q
 
-    def product_from(self, p: Poly) -> Poly:
-        """p times the factors that follow it."""
+    def term(self) -> Poly:
+        p = self.factor()
         while True:
             tok = self.tok
             if tok is None:
@@ -330,61 +328,7 @@ class _ExprParser:
                 return p
 
     def factor(self) -> Poly:
-        tok = self.take()
-        kind = tok[0]
-        if kind == "int":
-            num, den = int(tok[1]), 1
-            nxt = self.tok
-            if nxt is not None and nxt[0] == "/":
-                self.advance()
-                dtok = self.take()
-                den = int(dtok[1]) if dtok[0] == "int" else 0
-                if not den:
-                    raise _error("denominator must be a nonzero integer", dtok)
-            p = Poly.from_ints(self.nvars, {self.one: num}, den) if num \
-                else Poly.zero(self.nvars)
-        elif kind == "name":
-            i = self.names.get(tok[1])
-            if i is None:
-                raise _error(f"unknown variable {tok[1]!r}", tok)
-            p = Poly.variable(self.nvars, i)
-        elif kind == "(":
-            p = self.group(tok)
-        else:
-            raise _error(f"unexpected {tok[1]!r}", tok)
-        return self.power_of(p)
-
-    def group(self, tok: Tok) -> Poly:
-        """The parenthesized expression that tok opens.
-
-        A run of opening parentheses is read in one loop, not one descent
-        each: every one but the last opens an expression whose first
-        factor is the next group, so once a group closes, the expression
-        around it goes on from that factor.
-        """
-        opened = 0
-        while True:
-            if self.depth == MAX_NESTING:
-                raise _error(
-                    f"parentheses nested deeper than {MAX_NESTING} levels", tok)
-            self.depth += 1
-            opened += 1
-            if self.tok is None or self.tok[0] != "(":
-                break
-            tok = self.take()
-        p = self.expr()
-        while True:
-            closing = self.take()
-            if closing[0] != ")":
-                raise _error("expected ')'", closing)
-            self.depth -= 1
-            opened -= 1
-            if not opened:
-                return p
-            p = self.sum_from(self.product_from(self.power_of(p)))
-
-    def power_of(self, p: Poly) -> Poly:
-        """p raised to the power a following `^` gives, if one does."""
+        p = self.primary()
         tok = self.tok
         if tok is None or tok[0] != "^":
             return p
@@ -400,6 +344,38 @@ class _ExprParser:
                 f"power degree bound {MAX_POWER_DEGREE}", etok)
         _check_size(power_size(p, k), f"exponent {k}", "power ", etok)
         return p ** k
+
+    def primary(self) -> Poly:
+        tok = self.take()
+        kind = tok[0]
+        if kind == "int":
+            num, den = int(tok[1]), 1
+            nxt = self.tok
+            if nxt is not None and nxt[0] == "/":
+                self.advance()
+                dtok = self.take()
+                den = int(dtok[1]) if dtok[0] == "int" else 0
+                if not den:
+                    raise _error("denominator must be a nonzero integer", dtok)
+            return Poly.from_ints(self.nvars, {self.one: num}, den) if num \
+                else Poly.zero(self.nvars)
+        if kind == "name":
+            i = self.names.get(tok[1])
+            if i is None:
+                raise _error(f"unknown variable {tok[1]!r}", tok)
+            return Poly.variable(self.nvars, i)
+        if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise _error(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", tok)
+            self.depth += 1
+            p = self.expr()
+            self.depth -= 1
+            closing = self.take()
+            if closing[0] != ")":
+                raise _error("expected ')'", closing)
+            return p
+        raise _error(f"unexpected {tok[1]!r}", tok)
 
 
 @dataclass
@@ -421,8 +397,8 @@ class GermFile:
 
 
 def parse_germ_file(text: str) -> GermFile:
-    entries: Dict[str, Tuple[Tok, Iterator[Tok]]] = {}
-    for head, rest in _statements(text):
+    entries: Dict[str, Tuple[Tok, Iterator[Tok], int]] = {}
+    for head, rest, commas in _statements(text):
         kind, key, line, col = head
         if kind != "name" or key not in KEYS:
             raise _error(f"expected one of {', '.join(KEYS)}", head)
@@ -431,36 +407,37 @@ def parse_germ_file(text: str) -> GermFile:
                                   col + len(key))
         if key in entries:
             raise _error(f"duplicate key {key!r}", head)
-        entries[key] = (head, rest)
+        entries[key] = (head, rest, commas)
 
     if "vars" not in entries:
         raise GermSyntaxError("missing 'vars' entry", 0, 0)
-    vars_tok, vars_rest = entries["vars"]
-    parts = _split_commas(list(vars_rest))
-    if len(parts) > MAX_VARS:
+    # the count, from the statement's commas, wins over any part's error
+    vars_tok, rest, commas = entries["vars"]
+    if commas >= MAX_VARS:
         raise _error(
-            f"{len(parts)} variables exceed the variable bound {MAX_VARS}",
+            f"{commas + 1} variables exceed the variable bound {MAX_VARS}",
             vars_tok)
-    names: List[str] = []
-    for part in parts:
-        if len(part) != 1 or part[0][0] != "name":
-            raise _error("variable names must be plain identifiers",
-                         part[0] if part else vars_tok)
-        if part[0][1] in names:
-            raise _error(f"duplicate variable {part[0][1]!r}", part[0])
-        names.append(part[0][1])
-    index = {nm: i for i, nm in enumerate(names)}
+    index: Dict[str, int] = {}
+    reader = _Reader(rest, {})
+    for tok in reader.parts(reader.variable, _PLAIN_NAMES, vars_tok):
+        if tok[1] in index:
+            raise _error(f"duplicate variable {tok[1]!r}", tok)
+        index[tok[1]] = len(index)
+    if not index:
+        raise _error(_PLAIN_NAMES, vars_tok)
 
     def poly_list(key: str) -> Tuple[Poly, ...]:
         if key not in entries:
             return ()
-        anchor, rest = entries[key]
-        return _ExprParser(rest, index).parts(key, anchor)
+        anchor, rest, _ = entries[key]
+        reader = _Reader(rest, index)
+        return tuple(reader.parts(reader.polynomial,
+                                  f"empty entry in {key!r} list", anchor))
 
     def integer(key: str) -> Optional[int]:
         if key not in entries:
             return None
-        anchor, rest = entries[key]
+        anchor, rest, _ = entries[key]
         toks = list(islice(rest, 3))    # more than two is an error
         kinds = [tok[0] for tok in toks]
         if kinds == ["-", "int"]:
@@ -474,13 +451,13 @@ def parse_germ_file(text: str) -> GermFile:
     g = poly_list("g")
     if "omega" not in entries:
         raise GermSyntaxError("missing 'omega' entry", 0, 0)
-    if len(omega) != len(names):
-        anchor, _ = entries["omega"]
+    if len(omega) != len(index):
+        anchor, _, _ = entries["omega"]
         raise ArityError(
-            f"omega needs {len(names)} components, got {len(omega)}",
+            f"omega needs {len(index)} components, got {len(omega)}",
             anchor[2], anchor[3])
 
     seed = integer("seed")
-    return GermFile(tuple(names), f, omega, g,
+    return GermFile(tuple(index), f, omega, g,
                     seed if seed is not None else 0,
                     integer("cap"), integer("max_cap"), integer("attempts"))

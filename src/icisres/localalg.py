@@ -635,6 +635,10 @@ class Ctx:
                                          repr=False)
 
     def __post_init__(self):
+        for knob in ("cap", "max_cap", "attempts"):
+            value = getattr(self, knob)
+            if not isinstance(value, int):
+                raise TypeError(f"{knob} must be an int, got {value!r}")
         if self.cap < 1:
             raise ValueError(f"cap must be at least 1, got {self.cap}")
         if self.max_cap < self.cap:

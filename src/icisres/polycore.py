@@ -141,14 +141,26 @@ def _product(p: "Poly", q: "Poly") -> "Poly":
                           p.den * q.den)
 
 
+def _rational(c) -> Fraction:
+    """c, neither int nor Fraction, as a Fraction; a float is refused.
+
+    Fraction(0.1) is the binary value of the float, not 1/10, so a float
+    coefficient would carry its rounding into exact arithmetic.
+    """
+    if isinstance(c, float):
+        raise TypeError(f"coefficient {c!r} is a float; give an int or a "
+                        "Fraction")
+    return Fraction(c)
+
+
 class Poly:
     """Immutable sparse polynomial over Q: nonzero ints over one denominator.
 
     ints maps exponents to nonzero ints and den > 0 divides them, in
     lowest terms; the zero polynomial is ({}, 1).  The constructor takes
-    an exponent -> rational mapping (Fractions, ints, or anything Fraction
-    accepts) and drops zero values; `terms` gives the same mapping back
-    as Fractions, in a new dict each time.
+    an exponent -> rational mapping (Fractions, ints, or anything but a
+    float that Fraction accepts) and drops zero values; `terms` gives the
+    same mapping back as Fractions, in a new dict each time.
     """
 
     __slots__ = ("nvars", "ints", "den", "_hash")
@@ -160,7 +172,7 @@ class Poly:
         values = []
         for e, c in terms.items():
             if not isinstance(c, (int, Fraction)):
-                c = Fraction(c)
+                c = _rational(c)
             if c:
                 values.append((e, c))
         den = lcm(*(c.denominator for _, c in values))
@@ -307,7 +319,7 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
+            c = _rational(c)
         if c == 0:
             return Poly.zero(self.nvars)
         num = c.numerator

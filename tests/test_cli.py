@@ -407,6 +407,14 @@ def test_ctx_raises_the_cli_messages(capsys, a1_file, knobs, flags, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("knob, value", [
+    ("cap", 12.5), ("max_cap", 30.0), ("attempts", 2.5)])
+def test_ctx_refuses_a_knob_that_is_not_an_int(knob, value):
+    # a float cap would pass the range checks and fail deep in the kernel
+    with pytest.raises(TypeError, match=f"{knob} must be an int, got {value}"):
+        Ctx(**{knob: value})
+
+
 def test_a_finite_staircase_past_the_ceiling_is_named(capsys, tmp_path):
     # (x^40, y^40) has colength 1600 and top degree 78: no cap up to the
     # ceiling 40 proves it

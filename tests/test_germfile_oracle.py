@@ -12,12 +12,15 @@ reader, not a reason to draw another sample.
 """
 
 import random
+import re
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 import oracle_germfile
-from icisres.germfile import MAX_LITERAL_DIGITS, MAX_NESTING, parse_germ_file
+from icisres.germfile import (_CHECKED_LINE, MAX_LITERAL_DIGITS, MAX_NESTING,
+                              MAX_VARS, _scan, parse_germ_file)
 
 ROOT = Path(__file__).resolve().parent.parent
 GERMS = sorted((ROOT / "bench" / "corpus").glob("*.germ")) + \
@@ -101,12 +104,67 @@ def test_which_error_wins(text, message):
     "vars = x, y\nomega = 2²\n",
     "vars = x, y\nomega = x, y # 0.5 @ ²\n",
     "vars = x, y\nomega = x, y\nf = \n",
+    "vars = x, y\nomega = x1.5, y\n",
+    "vars = x, x²\nomega = x², x\n",
+    "vars = x, y\nomega = ²x, y\n",
+    "vars = _٣, y\nomega = _٣ - y, y\n",
+    "vars = x, y\nomega = 5², y\n",
+    "vars = x, y\nomega = ٣, y\n",
+    "vars = x\nomega = 7#, y\n",
+    "vars = x, y\nomega = ((\u2003(x)\u2003)^2\u2003), y\n",
+    "vars = x, y,",
+    "vars =\nomega = x, y\n",
+    "vars = 1, " + ", ".join("abcdefghijkl") + "\nomega = 1\n",
+    "vars = " + "(" * 3000 + "\nomega = 1\n",
+    # literals at and past the digit bound on lines the pre-check rejects
+    "vars = é, y\nomega = é + " + "7" * MAX_LITERAL_DIGITS + ", y\n",
+    "vars = é, y\nomega = é + " + "7" * (MAX_LITERAL_DIGITS + 1) + ", y\n",
 ], ids=["knob-three-tokens", "knob-comma", "vars-trailing-comma",
         "omega-trailing-comma", "omega-leading-comma", "empty-statements",
         "unicode-spaces", "unicode-names", "superscript-after-digit",
-        "comment-ignored", "f-empty"])
+        "comment-ignored", "f-empty", "decimal-inside-name",
+        "superscript-in-name", "superscript-first", "underscore-arabic-digit",
+        "superscript-after-literal", "arabic-digit", "literal-then-comment",
+        "em-space-in-parenthesis-run", "vars-trailing-comma-at-end",
+        "vars-empty", "vars-count-before-bad-first", "vars-nested-parens",
+        "scanned-literal-at-bound", "scanned-literal-past-bound"])
 def test_edge_inputs_read_the_same(text):
     assert_same(text)
+
+
+def test_a_count_error_wins_over_every_part_error():
+    result = assert_same("vars = 1, " + ", ".join("abcdefghijkl") + "\n")
+    assert result[1][0] == (f"{MAX_VARS + 1} variables exceed the variable "
+                            f"bound {MAX_VARS}")
+
+
+def test_the_lexical_claims_hold_on_every_code_point():
+    r"""The reader's pieces mean what the per-token reader's loop tests.
+
+    \s is str.isspace and \w is str.isalnum or '_', and the ASCII
+    pre-check accepts no line that the scan rejects: no one-character line
+    at all, and no two-character line of printable ASCII.
+    """
+    every = "".join(map(chr, range(0x110000)))
+    assert set(re.findall(r"\s", every)) == set(filter(str.isspace, every))
+    assert set(re.findall(r"\w", every)) == \
+        set(filter(str.isalnum, every)) | {"_"}
+    printable = [chr(c) for c in range(0x20, 0x7f)]
+    pairs = [a + b for a in printable for b in printable]
+    for line in filter(_CHECKED_LINE.fullmatch, chain(every, pairs)):
+        _scan(line, 1)          # raises on a line the scan rejects
+
+
+def test_the_deepest_nesting_parses_below_400_caller_frames():
+    # the descent spends four frames per level of parentheses, so at the
+    # default recursion limit of 1000 this leaves room for the caller
+    text = ("vars = x, y\nomega = " + "(" * MAX_NESTING + "x" +
+            ")" * MAX_NESTING + ", y\n")
+
+    def descend(frames):
+        return descend(frames - 1) if frames else parse_germ_file(text)
+
+    assert descend(400).omega == oracle_germfile.parse_germ_file(text).omega
 
 
 def test_groups_read_the_same_as_the_descent():

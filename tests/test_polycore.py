@@ -77,6 +77,17 @@ def test_scale_and_neg():
     assert p.scale(Fraction(0)).is_zero()
 
 
+@pytest.mark.parametrize("build, value", [
+    (lambda: Poly.const(2, 0.1), 0.1),
+    (lambda: Poly.variable(2, 0) + 0.5, 0.5),
+    (lambda: Poly.variable(2, 0).scale(0.25), 0.25),
+], ids=["const", "add", "scale"])
+def test_a_float_coefficient_is_refused(build, value):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match=f"coefficient {value!r} is a float"):
+        build()
+
+
 def test_diff():
     p = X**3 * Y + X
     assert p.diff(0) == (X**2 * Y).scale(Fraction(3)) + Poly.const(2, Fraction(1))
