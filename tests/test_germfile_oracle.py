@@ -119,6 +119,10 @@ def test_which_error_wins(text, message):
     # literals at and past the digit bound on lines the pre-check rejects
     "vars = é, y\nomega = é + " + "7" * MAX_LITERAL_DIGITS + ", y\n",
     "vars = é, y\nomega = é + " + "7" * (MAX_LITERAL_DIGITS + 1) + ", y\n",
+    # one match for all of the trailing whitespace: a pattern that skips
+    # whitespace before each token retries it from every position, which
+    # took 15 s on 20000 spaces
+    "vars = x, y\nomega = x, y" + " " * 30000 + "\n",
 ], ids=["knob-three-tokens", "knob-comma", "vars-trailing-comma",
         "omega-trailing-comma", "omega-leading-comma", "empty-statements",
         "unicode-spaces", "unicode-names", "superscript-after-digit",
@@ -127,7 +131,8 @@ def test_which_error_wins(text, message):
         "superscript-after-literal", "arabic-digit", "literal-then-comment",
         "em-space-in-parenthesis-run", "vars-trailing-comma-at-end",
         "vars-empty", "vars-count-before-bad-first", "vars-nested-parens",
-        "scanned-literal-at-bound", "scanned-literal-past-bound"])
+        "scanned-literal-at-bound", "scanned-literal-past-bound",
+        "trailing-whitespace"])
 def test_edge_inputs_read_the_same(text):
     assert_same(text)
 
