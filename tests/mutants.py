@@ -8,7 +8,9 @@ passes there.  Then it applies each mutant in turn, runs its tests under a
 timeout, prints "killed" or "survived", and puts the file back.
 
 It exits 1 when a survivor has no written reason, when an old text does
-not occur exactly once, or when the unmutated tests fail.  A survivor
+not occur exactly once, when a mutated file does not compile (its tests
+would fail for no reason the mutant names), or when the unmutated tests
+fail.  A survivor
 gets a test that kills it, or a reason.  The run takes a few minutes, so
 Tier-1 does not run it: pytest collects only test_*.py files.
 
@@ -40,6 +42,8 @@ class Mutant(NamedTuple):
 
 
 GERMFILE = "src/icisres/germfile.py"
+LOCALALG = "src/icisres/localalg.py"
+PAIRING = "src/icisres/pairing.py"
 READER_TESTS = ("tests/test_germfile_oracle.py", "tests/test_germfile.py")
 
 MUTANTS = [
@@ -67,11 +71,40 @@ MUTANTS = [
     Mutant("float-coefficient-accepted", "src/icisres/polycore.py",
            "if isinstance(c, float):", "if isinstance(c, complex):",
            ("tests/test_polycore.py",)),
-    Mutant("ctx-knob-type-unchecked", "src/icisres/localalg.py",
+    Mutant("ctx-knob-type-unchecked", LOCALALG,
            "if not isinstance(value, int):", "if value is None:",
            ("tests/test_cli.py",)),
-    # the pairing lab's sigma test and the verify payloads
-    Mutant("sigma-test-first-exponent", "src/icisres/pairing.py",
+    # the kernel, the residue box and the power search
+    Mutant("stair-never-drops", LOCALALG,
+           "self.stair = [s for s in self.stair if not mono_divides(e, s)]",
+           "self.stair = list(self.stair)", ("tests/test_localalg.py",)),
+    Mutant("pure-power-never-lowered", LOCALALG,
+           "self.pure[i] = e[i]",
+           "self.pure[i] = e[i] if self.pure[i] is None else self.pure[i]",
+           ("tests/test_localalg.py",)),
+    Mutant("addrow-box-test-dropped", LOCALALG,
+           "if (box - m) & guards != guards:", "if False:",
+           ("tests/test_localalg.py", "tests/test_residues.py")),
+    Mutant("residue-box-first-coordinate-lowered", "src/icisres/residues.py",
+           "box=tuple(d - 1 for d in self.powers))",
+           "box=(self.powers[0] - 2,)\n"
+           "                         + tuple(d - 1 for d in self.powers[1:]))",
+           ("tests/test_residues.py",)),
+    Mutant("power-search-one-above-pure", LOCALALG,
+           "for d in range(max(start, 1), bound + 1):",
+           "for d in range(max(start, 1) + 1, bound + 1):",
+           ("tests/test_localalg.py", "tests/test_bench_inputs_oracle.py")),
+    # the pairing lab, its sigma test, and the verify payloads
+    Mutant("gram-read-at-a-plus-a", PAIRING,
+           "family.read(tuple(map(add, a, b)))",
+           "family.read(tuple(map(add, a, a)))", ("tests/test_pairing.py",)),
+    Mutant("kernel-one-pivot-row-fewer", PAIRING,
+           "rref(m[:len(pivots)])", "rref(m[:len(pivots) - 1])",
+           ("tests/test_pairing.py",)),
+    Mutant("rank-one-lower", PAIRING,
+           "return len(_echelon(rows)[1])",
+           "return len(_echelon(rows)[1]) - 1", ("tests/test_pairing.py",)),
+    Mutant("sigma-test-first-exponent", PAIRING,
            "sigma.at(e) == 0 for e in alg_a.basis if e != origin)",
            "sigma.at(e) == 0 for e in alg_a.basis[:1] if e != origin)",
            ("tests/test_pairing.py",)),
@@ -131,7 +164,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"{m.name}: old text found {count} times in {m.path}")
                 failed = True
                 continue
-            path.write_text(original.replace(m.old, m.new))
+            mutated = original.replace(m.old, m.new)
+            try:
+                compile(mutated, m.path, "exec")
+            except SyntaxError as exc:
+                print(f"{m.name}: the mutated file does not compile: {exc}")
+                failed = True
+                continue
+            path.write_text(mutated)
             try:
                 passed = _tests_pass(checkout, m.tests)
             finally:
