@@ -12,11 +12,12 @@ literal, the word, the punctuation, and `#`, which starts a comment) are
 written once and compiled into two patterns.  Every line, before its
 comment, first takes the ASCII pre-check `_CHECKED_LINE`, which accepts an
 ordinary line in one match.  A line it does not accept, a non-ASCII one
-say, is scanned by the token pattern `_TOKEN`, which takes a run of
-whitespace and punctuation as one match, so only words, literals and stray
-characters cost a step; the scan raises the first of the three tokenizer
-errors (an unexpected character, a decimal literal, an integer literal
-longer than MAX_LITERAL_DIGITS), or passes the line.  Only then are
+say, is scanned by the token pattern `_TOKEN`, whose search steps over
+whitespace and which takes a run of punctuation as one match, so only
+words, literals and stray characters cost a step; the scan raises the
+first of the three tokenizer errors (an unexpected character, a decimal
+literal, an integer literal longer than MAX_LITERAL_DIGITS), or passes
+the line.  Only then are
 statements split.  Each statement is read part by part, the parts being
 separated by commas: a `vars` part is one name, and an `f`, `omega` or
 `g` part is read by a plain recursive descent (expr, term, factor,
@@ -153,10 +154,11 @@ _CHECKED_LINE = re.compile(
     rf"(?:{_RUN}(?!\s|{_PUNCT})|{_DIGIT}{{1,{MAX_LITERAL_DIGITS}}}"
     rf"(?!{_DIGIT})|{_WORD}(?!\w))*", re.ASCII)
 
-# the token pattern: a run of whitespace and punctuation, a literal, a word
-# or a stray character, one match each
+# the token pattern: a run of punctuation, a literal, a word or a stray
+# character, one match each.  Whitespace is no token: the search steps over
+# it, one position at a time, so trailing whitespace costs linear time.
 _TOKEN = re.compile(
-    rf"(?P<run>{_RUN})|(?P<int>{_DIGIT}+)|(?P<name>{_WORD})|(?P<stray>.)")
+    rf"(?P<punct>{_PUNCT}+)|(?P<int>{_DIGIT}+)|(?P<name>{_WORD})|(?P<stray>\S)")
 
 
 def _scan(code: str, lineno: int) -> None:
@@ -181,15 +183,19 @@ def _scan(code: str, lineno: int) -> None:
 
 
 def _tokens(code: str, start: int, end: int, lineno: int) -> Iterator[Tok]:
-    """The tokens of code[start:end] on a checked line, built as read."""
+    """The tokens of code[start:end] on a checked line, built as read.
+
+    A run of punctuation is one match; each of its characters is a token.
+    """
     for m in _TOKEN.finditer(code, start, end):
-        kind = m.lastgroup
-        if kind == "run":
-            for col, ch in enumerate(m[0], m.start() + 1):
-                if not ch.isspace():
-                    yield ch, ch, lineno, col
+        kind, text = m.lastgroup, m[0]
+        if kind != "punct":
+            yield kind, text, lineno, m.start() + 1
+        elif len(text) == 1:
+            yield text, text, lineno, m.start() + 1
         else:
-            yield kind, m[0], lineno, m.start() + 1
+            for col, ch in enumerate(text, m.start() + 1):
+                yield ch, ch, lineno, col
 
 
 def _statements(text: str) -> List[Tuple[Tok, Iterator[Tok], int]]:

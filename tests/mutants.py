@@ -10,16 +10,15 @@ timeout, prints "killed" or "survived", and puts the file back.
 It exits 1 when a survivor has no written reason, when an old text does
 not occur exactly once, when a mutated file does not compile (its tests
 would fail for no reason the mutant names), or when the unmutated tests
-fail.  A survivor
-gets a test that kills it, or a reason.  The run takes a few minutes, so
-Tier-1 does not run it: pytest collects only test_*.py files.
+fail.  A survivor gets a test that kills it, or a reason.  The run takes a
+few minutes, so Tier-1 does not run it: pytest collects only test_*.py
+files.
 
-Usage: python tests/mutants.py [NAME ...]   (every mutant by default)
+Usage: python tests/mutants.py   (runs every mutant)
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -139,24 +138,16 @@ def _tests_pass(checkout: Path, tests: Sequence[str]) -> Optional[bool]:
     return run.returncode == 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    mutants = [m for m in MUTANTS if not args.names or m.name in args.names]
-
+def main() -> int:
     failed = False
     with tempfile.TemporaryDirectory(prefix="icisres-mutants-") as tmp:
         checkout = Path(tmp) / "checkout"
         _copy_checkout(checkout)
-        baseline = sorted({t for m in mutants for t in m.tests})
+        baseline = sorted({t for m in MUTANTS for t in m.tests})
         if not _tests_pass(checkout, baseline):
             print(f"the unmutated tests fail: {' '.join(baseline)}")
             return 1
-        for m in mutants:
+        for m in MUTANTS:
             path = checkout / m.path
             original = path.read_text()
             count = original.count(m.old)
