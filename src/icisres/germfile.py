@@ -1,11 +1,14 @@
 """Parser for germ description files.
 
 Format: `key = value` statements separated by newlines or `;`, comments
-from `#` to end of line.  Keys: vars (variable names), f (equations),
-omega (form components), g (map components for multiplicity runs), and
-the integer knobs seed, cap, max_cap, attempts.  Polynomial expressions
-use `+ - * ^ ( )` and rational literals `p/q`; multiplication is always
-explicit and decimals are rejected, so every coefficient stays rational.
+from `#` to end of line.  A line ends at `\n`, `\r\n` or `\r` and nowhere
+else: a form feed, a vertical tab or U+2028 inside a line is whitespace,
+so a comment keeps it and line numbers match an editor's.  Keys: vars
+(variable names), f (equations), omega (form components), g (map
+components for multiplicity runs), and the integer knobs seed, cap,
+max_cap, attempts.  Polynomial expressions use `+ - * ^ ( )` and
+rational literals `p/q`; multiplication is always explicit and decimals
+are rejected, so every coefficient stays rational.
 
 A file is read in one validating pass.  The lexical pieces (the ASCII
 literal, the word, the punctuation, and `#`, which starts a comment) are
@@ -145,6 +148,10 @@ _WORD = r"[^\W\d]\w*"
 _PUNCT = r"[+\-*^()/,=;]"
 _RUN = rf"(?:\s|{_PUNCT})+"
 
+# where a line ends; str.splitlines would also end one at a vertical tab,
+# a form feed, \x1c-\x1e, \x85, U+2028 or U+2029
+_LINE_END = re.compile(r"\r\n|\r|\n")
+
 # the ASCII pre-check every ordinary line takes before its comment: runs of
 # whitespace and punctuation, literals of at most MAX_LITERAL_DIGITS digits
 # and words.  Each piece is taken whole (nothing continues a run, a literal
@@ -205,7 +212,7 @@ def _statements(text: str) -> List[Tuple[Tok, Iterator[Tok], int]]:
     the first tokenizer error in the file wins over every parse error.
     """
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_LINE_END.split(text), start=1):
         code = line.partition("#")[0]
         if _CHECKED_LINE.fullmatch(code) is None:
             _scan(code, lineno)

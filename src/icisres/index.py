@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import ArityError, GoodCoordsNotFound, NotIsolated
 from .localalg import Ctx, QuotientAlgebra, colength, is_regular_on_V
-from .polycore import (Poly, linear_forms, maximal_minors, rational_det,
+from .polycore import (Poly, det, linear_forms, maximal_minors,
                        series_determinant)
 from .residues import ResidueFamily, jacobian_minor, residue_form
 
@@ -230,7 +230,7 @@ def find_good_coordinates(p: GermProblem, ctx: Optional[Ctx] = None,
     n = p.nvars
     for _ in range(ctx.attempts):
         rows = random_matrix(rng, n)
-        if rational_det(rows) == 0:
+        if det(rows) == 0:
             continue
         change = CoordinateChange(tuple(tuple(r) for r in rows))
         q = change.apply(p)

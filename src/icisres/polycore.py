@@ -39,22 +39,28 @@ which can cut every product at a total-degree cap.  A state may also
 carry one skipped column, so on a k x (k + 1) matrix one expansion gives
 all k + 1 maximal minors (`maximal_minors`), and each entry is packed
 once for all of them.  `series_determinant` is its case with no skip.
-`_bareiss` is the one elimination of a rational matrix: fraction-free
-Bareiss steps with exact integer division on integer rows, skipping a
-column without a pivot.  Its rows must be ints: a Fraction would be
-floored by `//` without an error.  `pairing.rref` hands it the integer
-rows the quotient algebra and the residue family give, as they are;
-`_scaled` brings a matrix of ints and Fractions to integer rows over one
-denominator only for `rational_det` and `rational_inverse`.  Both
-determinants and the inverse refuse a ragged or non-square matrix, and
-`maximal_minors` one that is not k x (k + 1).
+`_bareiss` is the one elimination: fraction-free Bareiss steps with
+exact integer division on integer rows, skipping a column without a
+pivot (Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22, 1968).  Its rows must be ints: a
+Fraction would be floored by `//` without an error, so `det` and `solve`
+read each entry through `operator.index`.  `det` is its forward pass, the
+integer determinant.  `solve` is the one exact solve: one Jordan pass on
+[M | B] leaves every diagonal entry of M's block equal to d = +-det M and
+the integer block X with M X = d B, so no Fraction is built on the way.
+The cores are integer and a caller builds the rational view it needs:
+`pairing.rref` hands `_bareiss` the integer rows the quotient algebra and
+the residue family give and reads its reduced rows as Fractions, and the
+ann-invariance suite of `verify` reads C^-1 as X / d.  `det`,
+`series_determinant` and `solve` refuse a ragged or non-square matrix,
+and `maximal_minors` one that is not k x (k + 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, index
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -651,35 +657,34 @@ def _bareiss(rows: List[List[int]], jordan: bool) -> Tuple[List[int], int]:
     return pivots, sign
 
 
-def _scaled(m: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
-    """The matrix of ints and Fractions as integer rows over one denominator."""
-    den = lcm(*(a.denominator for row in m for a in row))
-    return [[a.numerator * (den // a.denominator) for a in row]
-            for row in m], den
-
-
-def rational_det(m: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a square rational matrix (1 when it is empty)."""
-    n = _square(m)
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square integer matrix (1 when it is empty)."""
+    n = _square(rows)
     if n == 0:
-        return Fraction(1)
-    rows, den = _scaled(m)
-    pivots, sign = _bareiss(rows, jordan=False)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * rows[-1][-1], den ** n)
+        return 1
+    work = [list(map(index, row)) for row in rows]
+    pivots, sign = _bareiss(work, jordan=False)
+    return sign * work[-1][-1] if len(pivots) == n else 0
 
 
-def rational_inverse(m: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Exact inverse of a nonsingular rational matrix.
+def solve(rows: Sequence[Sequence[int]],
+          rhs: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
+    """(d, X) with M X = d B in ints, for square integer rows M and rhs B.
 
-    Elimination turns [M | I] into [L | R] with L diagonal and R = L M^-1,
-    so row i of the inverse is den * R_i / L_ii for M = den * m.
+    One Jordan pass on [M | B].  For a nonsingular M it leaves M's block
+    diagonal with every diagonal entry equal to the last pivot d, which
+    is det M times the sign of the row swaps, so the right block is
+    X = d M^-1 B; the empty M gives d = 1.  A singular M gives d = 0 and
+    X = 0.  ValueError for a ragged or non-square M, or a B that is ragged
+    or has another number of rows.
     """
-    n = _square(m)
-    rows, den = _scaled(m)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    if _bareiss(aug, jordan=True)[0] != list(range(n)):
-        raise ZeroDivisionError("inverse of a singular matrix")
-    return [[Fraction(den * a, row[i]) for a in row[n:]]
-            for i, row in enumerate(aug)]
+    n = _square(rows)
+    width = len(rhs[0]) if rhs else 0
+    if len(rhs) != n or any(len(row) != width for row in rhs):
+        raise ValueError("right-hand side does not fit the matrix")
+    aug = [list(map(index, a)) + list(map(index, b))
+           for a, b in zip(rows, rhs)]
+    if _bareiss(aug, jordan=True)[0][:n] != list(range(n)):
+        return 0, [[0] * width for _ in range(n)]
+    d = aug[-1][n - 1] if n else 1
+    return d, [row[n:] for row in aug]

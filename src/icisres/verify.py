@@ -24,7 +24,7 @@ from .errors import (CapExceeded, GoodCoordsNotFound, NotIsolated,
 from .index import (CoordinateChange, GermProblem, eg_index, germ_minors,
                     germ_sigma, ideal_J, minor, minors, random_matrix, solve)
 from .localalg import Ctx, normal_form
-from .polycore import Poly, linear_forms, rational_det, rational_inverse
+from .polycore import Poly, det, linear_forms, solve as exact_solve
 from .residues import (grothendieck_residue, intersection_multiplicity_both_ways,
                        jacobian_minor)
 from .pairing import pairing_report
@@ -117,11 +117,8 @@ def random_poly(rng: random.Random, n: int, degree: int,
     pool = _exponents(n, degree, min_degree)
     k = rng.randint(1, min(MAX_TERMS, len(pool)))
     support = rng.sample(pool, k)
-    terms = {}
-    for e in support:
-        c = rng.choice([-3, -2, -1, 1, 2, 3])
-        terms[e] = Fraction(c)
-    return Poly(n, terms)
+    return Poly.from_ints(n, {e: rng.choice([-3, -2, -1, 1, 2, 3])
+                              for e in support}, 1)
 
 
 def _resample(make: Callable, test: Callable, limit: int = RESAMPLE_LIMIT):
@@ -146,12 +143,16 @@ def _nonsingular_draw(rng: random.Random, n: int,
     limit ran out.
     """
     return _resample(lambda: random_matrix(rng, n),
-                     lambda m: rational_det(block(m)))
+                     lambda m: det(block(m)))
 
 
 def _compose(p: Poly, matrix: Sequence[Sequence[Fraction]]) -> Poly:
     """p(C y): substitute the linear map given by the matrix rows."""
     return p.substitute(linear_forms(matrix))
+
+
+def _unit(n: int) -> List[List[int]]:
+    return [[int(i == k) for k in range(n)] for i in range(n)]
 
 
 def _render_matrix(m: Sequence[Sequence[Fraction]]) -> str:
@@ -181,31 +182,30 @@ def _trial_det_lemmas(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     h, det_a = _nonsingular_draw(rng, n, lambda m: blocks(m)[0])
     a, b, c, d = blocks(h)
     if det_a != 0:
-        ainv = rational_inverse(a)
-        # D - C A^{-1} B
-        ca = [[sum(c[i][k] * ainv[k][l] for k in range(j)) for l in range(j)]
-              for i in range(n - j)]
-        cab = [[sum(ca[i][k] * b[k][l] for k in range(j)) for l in range(n - j)]
-               for i in range(n - j)]
-        schur = [[d[i][l] - cab[i][l] for l in range(n - j)]
-                 for i in range(n - j)]
-        if rational_det(h) != det_a * rational_det(schur):
+        # X = q A^-1 B, so q D - C X is q times the Schur complement
+        # D - C A^-1 B, whose determinant is det(H) / det(A)
+        q, x = exact_solve(a, b)
+        schur = [[q * d[i][l] - sum(c[i][k] * x[k][l] for k in range(j))
+                  for l in range(n - j)] for i in range(n - j)]
+        if det(h) * q ** (n - j) != det_a * det(schur):
             return {"identity": "block-schur", "matrix": _render_matrix(h),
                     "split": str(j)}
 
     # H2 and its block D both nonsingular: with det(D) = 0 the identity
     # reads 0 = 0 whatever the inverse's block E is
     def dets(m):
-        det_m = rational_det(m)
-        det_d = det_m and rational_det(blocks(m)[3])
+        det_m = det(m)
+        det_d = det_m and det(blocks(m)[3])
         return (det_m, det_d) if det_d else None
 
     h2, dets2 = _resample(lambda: random_matrix(rng, n), dets)
     if dets2:
         det_h2, det_d2 = dets2
-        inv = rational_inverse(h2)
-        e2 = [row[:j] for row in inv[:j]]
-        if det_d2 != rational_det(e2) * det_h2:
+        # X = q H2^-1, so its upper-left block is q E, and det(D) =
+        # det(E) det(H2) times q^j reads in ints
+        q, x = exact_solve(h2, _unit(n))
+        e2 = [row[:j] for row in x[:j]]
+        if det_d2 * q ** j != det(e2) * det_h2:
             return {"identity": "inverse-block", "matrix": _render_matrix(h2),
                     "split": str(j)}
     return None
@@ -263,13 +263,15 @@ def _trial_eq2(rng: random.Random, t: int, ctx: Ctx) -> Payload:
         return None
     change = CoordinateChange(tuple(tuple(row) for row in c))
     transformed = change.apply(p)
-    cinv = rational_inverse(c)
+    # X = q C^-1 with q = +-det(C), so the adjugate det(C) C^-1 is +-X
+    q, x = exact_solve(c, _unit(n))
+    sign = 1 if q == detc else -1
     base = minors(p)
     composed: Dict[int, Poly] = {}     # each minor composed at most once
     for i, lhs in enumerate(minors(transformed)):
         rhs = Poly.zero(n)
         for jj in range(n):
-            coeff = detc * cinv[i][jj]
+            coeff = sign * x[i][jj]
             if coeff == 0:
                 continue
             if jj not in composed:
@@ -293,7 +295,8 @@ def _trial_ann(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     def transformed_pair(c):
         change = CoordinateChange(tuple(tuple(row) for row in c))
         good = change.apply(p)
-        cinv = rational_inverse(c)
+        q, x = exact_solve(c, _unit(n))
+        cinv = [[Fraction(a, q) for a in row] for row in x]
         msy = minors(good)
         m1 = _compose(msy[0], cinv)
         m2 = _compose(msy[1], cinv)
@@ -303,22 +306,22 @@ def _trial_ann(rng: random.Random, t: int, ctx: Ctx) -> Payload:
     # ctx keeps the accepted matrix's basis, and the right-hand residue
     # finds it there
     def regular(c):
-        det = rational_det(c)
-        if det == 0:
+        det_c = det(c)
+        if det_c == 0:
             return None
         m1, m2, dfy = transformed_pair(c)
         if not ctx.basis([m1, m2] + list(p.f)).is_finite():
             return None
-        return det, m1, m2, dfy
+        return det_c, m1, m2, dfy
 
     c, accepted = _resample(lambda: random_matrix(rng, n), regular)
     if not accepted:
         return None
-    det, m1y, m2y, dfy = accepted
+    det_c, m1y, m2y, dfy = accepted
     h = random_poly(rng, n, DEGREE, min_degree=0)
     df = jacobian_minor(p.f, tuple(range(2, n)), n)
     lhs = grothendieck_residue(h * df, list(p.f) + [ms[0], ms[1]], ctx)
-    rhs = grothendieck_residue((h * dfy).scale(det),
+    rhs = grothendieck_residue((h * dfy).scale(det_c),
                                list(p.f) + [m1y, m2y], ctx)
     if lhs != rhs:
         return {"germ": name, "matrix": _render_matrix(c), "h": h.render(),

@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 GERMFILE = "src/icisres/germfile.py"
 LOCALALG = "src/icisres/localalg.py"
 PAIRING = "src/icisres/pairing.py"
+VERIFY = "src/icisres/verify.py"
 READER_TESTS = ("tests/test_germfile_oracle.py", "tests/test_germfile.py")
 
 MUTANTS = [
@@ -66,6 +67,9 @@ MUTANTS = [
            '_DIGIT = "[0-9]"', r'_DIGIT = r"\d"', READER_TESTS),
     Mutant("vars-count-off-by-one", GERMFILE,
            "if commas >= MAX_VARS:", "if commas > MAX_VARS:", READER_TESTS),
+    Mutant("lines-split-at-every-separator", GERMFILE,
+           "enumerate(_LINE_END.split(text), start=1)",
+           "enumerate(text.splitlines(), start=1)", READER_TESTS),
     # exact inputs at the public API
     Mutant("float-coefficient-accepted", "src/icisres/polycore.py",
            "if isinstance(c, float):", "if isinstance(c, complex):",
@@ -111,9 +115,21 @@ MUTANTS = [
            "return SigmaData(ms, mat, sigma, df)",
            "return SigmaData(ms, mat, sigma + 1, df)",
            ("tests/test_pairing.py",)),
-    Mutant("verify-payload-dropped", "src/icisres/verify.py",
+    Mutant("verify-payload-dropped", VERIFY,
            'return {"identity": "inverse-block",',
            '{"identity": "inverse-block",', ("tests/test_verify.py",)),
+    # the fraction-free solve and the identities read off it
+    Mutant("schur-exponent-off-by-one", VERIFY,
+           "if det(h) * q ** (n - j) != det_a * det(schur):",
+           "if det(h) * q ** (n - j + 1) != det_a * det(schur):",
+           ("tests/test_verify.py",)),
+    Mutant("eq2-adjugate-sign-flipped", VERIFY,
+           "sign = 1 if q == detc else -1", "sign = -1 if q == detc else 1",
+           ("tests/test_verify.py",)),
+    Mutant("solve-scaling-dropped", "src/icisres/polycore.py",
+           "return d, [row[n:] for row in aug]",
+           "return d, [[a // d for a in row[n:]] for row in aug]",
+           ("tests/test_polycore.py",)),
 ]
 
 

@@ -16,19 +16,25 @@ monomial 1.  With t the staircase height, every monomial of degree above
 t vanishes in Q, so det Delta is expanded only up to total degree 2t and
 read only where its z-degree and w-degree are both at most t.
 
+M is built as integer rows over one denominator, M = m / den, from the
+normal forms' ints, and one fraction-free solve of m against the unit
+vector at the monomial 1 gives (q, x) with m x = q e_1, so the column of
+M^-1 is den * x / q; nothing else of M^-1 is computed.
+
 It reads normal forms on the certified basis, with coordinates on its
-quotient monomials taken here, series_determinant and rational_inverse,
+quotient monomials taken here, series_determinant and polycore.solve,
 and nothing of the lifts, minimal powers or tracked bases that
 grothendieck_residue is built on, nor the quotient algebra the pairing
 lab reads.
 """
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from math import lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from icisres.errors import NotRegularSequence
 from icisres.localalg import Ctx, normal_form
-from icisres.polycore import Exponent, Poly, rational_inverse, series_determinant
+from icisres.polycore import Exponent, Poly, series_determinant, solve
 
 
 def divided_difference(g: Poly, j: int) -> Poly:
@@ -60,22 +66,40 @@ class BezoutResidue:
         t = self.sb.max_quotient_degree()
         det = series_determinant(
             [[divided_difference(gi, j) for j in range(n)] for gi in g], 2 * t)
-        # group the kept terms by their z part: det = sum over a of z^a P_a(w)
-        by_z: Dict[Exponent, Dict[Exponent, Fraction]] = {}
-        for e, c in det.terms.items():
+        # group the kept terms by their z part: det = (sum over a of
+        # z^a P_a(w)) / det.den, each P_a with integer coefficients
+        by_z: Dict[Exponent, Dict[Exponent, int]] = {}
+        for e, c in det.ints.items():
             z, w = e[:n], e[n:]
             if sum(z) <= t and sum(w) <= t:
                 by_z.setdefault(z, {})[w] = c
-        m = [[Fraction(0)] * d for _ in range(d)]
+        # the image of z^a P_a(w) is u v^T / (du dv det.den)
+        pieces = []
         for z, rest in by_z.items():
-            u = self.coordinates(Poly.monomial(n, z))
-            v = self.coordinates(Poly(n, rest))
+            u, du = self.int_coordinates(Poly.monomial(n, z))
+            v, dv = self.int_coordinates(Poly(n, rest))
+            pieces.append((u, v, du * dv))
+        den = lcm(*(duv for _, _, duv in pieces))
+        m = [[0] * d for _ in range(d)]
+        for u, v, duv in pieces:
+            scale = den // duv
             for a, ua in enumerate(u):
                 if ua:
+                    row, su = m[a], scale * ua
                     for b, vb in enumerate(v):
-                        m[a][b] += ua * vb
+                        if vb:
+                            row[b] += su * vb
+        den *= det.den                      # M = m / den
         one = self.basis.index((0,) * n)
-        self.column = [row[one] for row in rational_inverse(m)]
+        q, x = solve(m, [[int(a == one)] for a in range(d)])
+        if q == 0:
+            raise ZeroDivisionError("singular Bezoutian matrix")
+        self.column = [Fraction(den * xa, q) for (xa,) in x]
+
+    def int_coordinates(self, h: Poly) -> Tuple[List[int], int]:
+        """NF(h) on the monomial basis of Q, as ints over one denominator."""
+        nf = normal_form(h, self.sb)
+        return [nf.ints.get(e, 0) for e in self.basis], nf.den
 
     def coordinates(self, h: Poly) -> List[Fraction]:
         """NF(h) on the monomial basis of Q."""

@@ -5,13 +5,16 @@ with one pattern and built tokens only where the parser reads.  It turns
 every line into `Token` objects, splits statements and comma-separated
 parts up front, and then parses each part.  The code below `Token` is kept
 as it was, so the differential test can demand the same `GermFile`, or
-the same error type, message, line and column, from both readers.  It
+the same error type, message, line and column, from both readers, with
+one change made in both: a line ends at `\n`, `\r\n` or `\r` only, where
+`str.splitlines` also ended one at a form feed and other separators.  It
 shares the bounds, `power_size`, `product_size` and `GermFile` with the
 module under test; only the reading differs.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -75,7 +78,7 @@ def _tokenize_line(text: str, lineno: int) -> List[Token]:
 
 def _statements(text: str) -> List[List[Token]]:
     out: List[List[Token]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         current: List[Token] = []
         for tok in _tokenize_line(line, lineno):
             if tok.kind == ";":

@@ -131,6 +131,23 @@ def test_a_zero_denominator_and_an_unclosed_parenthesis_are_located(text,
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"])
+def test_lines_end_only_at_line_breaks(sep):
+    # a form feed in a comment is whitespace the comment keeps, and a later
+    # error names the line an editor shows
+    text = sep.join(["vars = x, y", "# page\x0cbreak", "omega = x, y"])
+    assert parse_germ_file(text).names == ("x", "y")
+    with pytest.raises(GermSyntaxError) as err:
+        parse_germ_file(sep.join(["vars = x, y", "# page\x0cbreak",
+                                  "omega = @"]))
+    assert str(err.value) == "line 3, column 9: unexpected character '@'"
+    # no other line separator of str.splitlines ends a line
+    for ws in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        with pytest.raises(GermSyntaxError) as err:
+            parse_germ_file(f"vars = x, y{ws}omega = x, y")
+        assert err.value.line == 1, repr(ws)
+
+
 def test_an_empty_f_entry_parses_to_no_equations():
     gf = parse_germ_file("vars = x, y\nf =\nomega = x, y\n")
     assert gf.f == ()

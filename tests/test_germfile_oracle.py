@@ -123,6 +123,11 @@ def test_which_error_wins(text, message):
     # before each token retries it from every position, which took 15 s on
     # 20000 spaces
     "vars = x, y\nomega = x, y" + " " * 30000 + "\n",
+    # a line ends at \n, \r\n or \r only: a form feed inside a comment
+    # does not end it, nor does it shift the line of a later error
+    "vars = x, y\n# page\x0cbreak\nomega = x, y",
+    "vars = x, y\n# page\x0cbreak\nomega = @",
+    "vars = x, y\r\n# page\x0cbreak\romega = @\u2028\x85\n",
 ], ids=["knob-three-tokens", "knob-comma", "vars-trailing-comma",
         "omega-trailing-comma", "omega-leading-comma", "empty-statements",
         "unicode-spaces", "unicode-names", "superscript-after-digit",
@@ -132,7 +137,8 @@ def test_which_error_wins(text, message):
         "em-space-in-parenthesis-run", "vars-trailing-comma-at-end",
         "vars-empty", "vars-count-before-bad-first", "vars-nested-parens",
         "scanned-literal-at-bound", "scanned-literal-past-bound",
-        "trailing-whitespace"])
+        "trailing-whitespace", "form-feed-in-comment",
+        "form-feed-then-error", "mixed-line-ends"])
 def test_edge_inputs_read_the_same(text):
     assert_same(text)
 

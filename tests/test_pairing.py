@@ -18,7 +18,7 @@ from icisres.localalg import Ctx, normal_form
 from icisres.pairing import (algebra_B, algebra_C, gram_beta, index_algebra,
                              kernel_basis, matrix_rank, pairing_report,
                              residue_functional, rref, socle)
-from icisres.polycore import Poly, _scaled, rational_det
+from icisres.polycore import Poly, det
 from icisres.residues import residue_form
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
@@ -88,6 +88,12 @@ def ref_rref(rows):
         if r == nrows:
             break
     return r, pivots, m
+
+
+def scaled(rows):
+    """Rows of ints and Fractions times the lcm of their denominators."""
+    den = math.lcm(*(Fraction(a).denominator for row in rows for a in row))
+    return [[int(a * den) for a in row] for row in rows]
 
 
 def random_rows(rng):
@@ -165,7 +171,7 @@ def test_rref_rank_and_kernel_match_the_fraction_elimination():
     assert len(cases) > 1600
     deficient = 0
     for rows, ncols in cases:
-        ints, _ = _scaled(rows)
+        ints = scaled(rows)
         assert all(type(a) is int for row in ints for a in row)
         want = ref_rref(rows)
         got = rref(ints)
@@ -624,7 +630,7 @@ def test_the_pairing_report_is_invariant_under_random_coordinates(name):
     for seed in (301, 302):
         rng = random.Random(seed)
         rows = random_matrix(rng, 3)
-        while rational_det(rows) == 0:
+        while det(rows) == 0:
             rows = random_matrix(rng, 3)
         moved = CoordinateChange(tuple(map(tuple, rows))).apply(p)
         assert report_invariants(pairing_report(moved)) == base

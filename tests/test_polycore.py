@@ -4,15 +4,15 @@ import itertools
 import operator
 import random
 from fractions import Fraction
+import math
 from math import gcd
 
 import pytest
 
 from icisres import polycore, verify
 from icisres.index import CoordinateChange, GermProblem
-from icisres.polycore import (Poly, PolyMatrix, _scaled, default_names,
-                              maximal_minors, rational_det, rational_inverse,
-                              series_determinant)
+from icisres.polycore import (Poly, PolyMatrix, default_names, det,
+                              maximal_minors, series_determinant, solve)
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -275,6 +275,59 @@ def ref_det(m):
     return det
 
 
+def ref_gauss_jordan(m, b):
+    """Gauss-Jordan on Fractions: (det M, the sign of its row swaps, M^-1 B).
+
+    The pivot is the first nonzero entry at or below the diagonal, as in
+    the fraction-free pass, so both take the same row swaps.  A singular M
+    gives (0, the sign so far, None).
+    """
+    n = len(m)
+    m = [[Fraction(a) for a in row] + [Fraction(c) for c in rhs]
+         for row, rhs in zip(m, b)]
+    det, sign = Fraction(1), 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0), sign, None
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        lead = m[k][k]
+        det *= lead
+        m[k] = [a / lead for a in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                r = m[i][k]
+                m[i] = [a - r * c for a, c in zip(m[i], m[k])]
+    return sign * det, sign, [row[n:] for row in m]
+
+
+def scaled(m):
+    """The matrix of ints and Fractions as integer rows over one denominator."""
+    den = math.lcm(*(Fraction(a).denominator for row in m for a in row))
+    return [[int(a * den) for a in row] for row in m], den
+
+
+def unit(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def rational_det(m):
+    """det of a matrix of ints and Fractions, read off its integer rows."""
+    rows, den = scaled(m)
+    return Fraction(det(rows), den ** len(m))
+
+
+def rational_inverse(m):
+    """M^-1 for M = rows / den: den X / q, with (q, X) = solve(rows, I)."""
+    rows, den = scaled(m)
+    q, x = solve(rows, unit(len(m)))
+    if q == 0:
+        raise ZeroDivisionError("inverse of a singular matrix")
+    return [[Fraction(den * a, q) for a in row] for row in x]
+
+
 def mixed_poly(rng, n, deg, terms):
     """Random terms with mixed denominators; repeats and zeros cancel."""
     out = Poly.zero(n)
@@ -405,8 +458,10 @@ def test_matrix_then_inverse_gives_the_germ_back():
 
 
 def test_rational_det_and_inverse_match_fraction_elimination():
+    # mixed-denominator matrices scaled to integer rows: det and solve on
+    # the rows give the rational determinant and inverse
     rng = random.Random(50)
-    assert rational_det([]) == 1
+    assert rational_det([]) == 1 and rational_inverse([]) == []
     for _ in range(300):
         n = rng.randint(1, 6)
         m = [[Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 5]))
@@ -414,17 +469,79 @@ def test_rational_det_and_inverse_match_fraction_elimination():
         if rng.random() < 0.3:                 # force row swaps
             for row in m:
                 row[0] = Fraction(0) if rng.random() < 0.6 else row[0]
-        det = rational_det(m)
-        assert det == ref_det(m)
-        if det == 0:
+        d = rational_det(m)
+        assert d == ref_det(m)
+        if d == 0:
             with pytest.raises(ZeroDivisionError):
                 rational_inverse(m)
             continue
         inv = rational_inverse(m)
-        assert all(type(a) is Fraction for row in inv for a in row)
+        assert inv == ref_gauss_jordan(m, unit(n))[2]
         for i in range(n):
             for j in range(n):
                 assert sum(m[i][k] * inv[k][j] for k in range(n)) == (i == j)
+
+
+def test_det_and_solve_match_fraction_gauss_jordan():
+    # d is the last pivot, which is det M times the sign of the row swaps,
+    # and X = d M^-1 B in ints; a singular M gives d = 0 and X = 0
+    rng = random.Random(52)
+    odd_swaps = singular = 0
+    for _ in range(600):
+        n, width = rng.randint(0, 6), rng.randint(0, 3)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.4:                 # force row swaps
+            for row in m:
+                row[0] = 0 if rng.random() < 0.6 else row[0]
+        b = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(n)]
+        want_det, sign, want_x = ref_gauss_jordan(m, b)
+        q, x = solve(m, b)
+        assert det(m) == want_det
+        assert all(type(a) is int for row in x for a in row)
+        assert len(x) == n and all(len(row) == width for row in x)
+        if want_x is None:
+            singular += 1
+            assert q == 0 and x == [[0] * width for _ in range(n)]
+            continue
+        odd_swaps += sign < 0
+        assert q == sign * want_det
+        assert x == [[q * a for a in row] for row in want_x]
+        for i in range(n):
+            for c in range(width):
+                assert sum(m[i][k] * x[k][c] for k in range(n)) == q * b[i][c]
+    assert odd_swaps > 50 and singular > 50
+
+
+def test_solve_takes_a_forced_row_swap():
+    # the first column's only nonzero entry is below the diagonal: one swap,
+    # so the common diagonal is -det
+    m = [[0, 2], [3, 1]]
+    assert det(m) == -6
+    assert solve(m, [[1, 0], [0, 1]]) == (6, [[-1, 2], [3, 0]])
+    assert solve([[0, 1], [1, 0]], [[5], [7]]) == (1, [[7], [5]])
+    # both pivots past a swap, with a zero column in the rest of the rows
+    m = [[0, 0, 1], [0, 2, 0], [3, 0, 0]]
+    assert det(m) == -6
+    q, x = solve(m, unit(3))
+    assert q == 6 and x == [[0, 0, 2], [0, 3, 0], [6, 0, 0]]
+
+
+def test_singular_and_empty_inputs_to_det_and_solve():
+    assert det([]) == 1 and solve([], []) == (1, [])
+    assert det([[0]]) == 0 and solve([[0]], [[4]]) == (0, [[0]])
+    assert solve([[2]], [[4, -1]]) == (2, [[4, -1]])
+    for m in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0, 1], [0, 3]],
+              [[1, 2, 3], [4, 5, 6], [7, 8, 9]]):
+        assert det(m) == 0
+        n = len(m)
+        assert solve(m, unit(n)) == (0, [[0] * n for _ in range(n)])
+        assert solve(m, [[] for _ in range(n)]) == (0, [[] for _ in range(n)])
+    # the rows passed in are not changed
+    m = [[0, 2], [3, 1]]
+    b = [[1], [1]]
+    solve(m, b)
+    det(m)
+    assert m == [[0, 2], [3, 1]] and b == [[1], [1]]
 
 
 def leibniz_det(rows):
@@ -885,21 +1002,39 @@ def test_non_square_and_ragged_matrices_are_refused():
         series_determinant([])
     for m in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2]]):
         with pytest.raises(ValueError, match=non_square):
-            rational_det(m)
+            det(m)
         with pytest.raises(ValueError, match=non_square):
-            rational_inverse(m)
+            solve(m, [[0]] * len(m))
     for m in ([[1, 2], [3]], [[1], [2, 3]]):
         with pytest.raises(ValueError, match="ragged matrix"):
-            rational_det(m)
+            det(m)
         with pytest.raises(ValueError, match="ragged matrix"):
-            rational_inverse(m)
-    assert rational_det([]) == 1 and rational_inverse([]) == []
+            solve(m, [[0]] * len(m))
+    # the right-hand side must have one row per row of M, all of one width
+    misfit = "right-hand side does not fit the matrix"
+    for b in ([[1]], [[1], [2], [3]], [[1], [2, 3]], [[1, 2], []], []):
+        with pytest.raises(ValueError, match=misfit):
+            solve([[1, 0], [0, 1]], b)
+    with pytest.raises(ValueError, match=misfit):
+        solve([], [[1]])
+    # a Fraction entry would be floored by the exact division: refused
+    for m, b in (([[Fraction(1, 2), 0], [0, 1]], [[1], [1]]),
+                 ([[1, 0], [0, 1]], [[Fraction(1, 2)], [1]]),
+                 ([[2.0, 0], [0, 1]], [[1], [1]])):
+        with pytest.raises(TypeError):
+            solve(m, b)
+    with pytest.raises(TypeError):
+        det([[Fraction(3), 0], [0, 1]])
 
 
 def test_rational_elimination_reads_ints_and_fractions():
+    # a matrix of ints and Fractions is read as integer rows over one
+    # denominator, M = rows / den, and det and solve run on the rows
     m = [[1, Fraction(1, 2)], [Fraction(-2, 3), 0]]
-    assert _scaled(m) == ([[6, 3], [-4, 0]], 6)
-    assert _scaled([[2, -3], [0, 1]]) == ([[2, -3], [0, 1]], 1)
+    assert scaled(m) == ([[6, 3], [-4, 0]], 6)
+    assert scaled([[2, -3], [0, 1]]) == ([[2, -3], [0, 1]], 1)
+    assert det([[6, 3], [-4, 0]]) == 12
+    assert solve([[6, 3], [-4, 0]], unit(2)) == (12, [[0, -3], [4, 6]])
     assert rational_det(m) == Fraction(1, 3)
     assert rational_det([[1, 2], [3, 4]]) == -2
     inv = rational_inverse(m)

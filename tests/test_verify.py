@@ -197,14 +197,14 @@ def test_eq2_composes_each_principal_minor_once(monkeypatch):
                                           ("eq2-transform", verify._trial_eq2)])
 def test_trials_evaluate_each_determinant_once(monkeypatch, suite, trial):
     # the resample predicate's determinant is kept, not evaluated again
-    real = verify.rational_det
+    real = verify.det
     evaluated = []
 
     def counting(m):
         evaluated.append(m)         # kept alive, so ids stay distinct
         return real(m)
 
-    monkeypatch.setattr(verify, "rational_det", counting)
+    monkeypatch.setattr(verify, "det", counting)
     for t in range(10):
         evaluated.clear()
         rng = random.Random(f"0:{suite}:{t}")
@@ -257,16 +257,23 @@ def test_eq1_draws_distinct_columns(monkeypatch):
 
 def test_a_doubled_inverse_fails_the_inverse_block_identity_every_trial(
         monkeypatch):
-    # with the whole matrix's inverse doubled, its upper-left j x j block E
-    # has 2^j det(E), so det(D) = det(E) det(H) fails unless det(D) = 0:
-    # the draw keeps D nonsingular, so every default trial at seed 0 fails
-    real = verify.rational_inverse
+    # with the whole matrix's solve X = q H^-1 doubled, its upper-left
+    # j x j block E' has 2^j det(E'), so det(D) q^j = det(E') det(H) fails
+    # unless det(D) = 0: the draw keeps D nonsingular, so every default
+    # trial at seed 0 fails
+    real = verify.exact_solve
+
+    def doubled(n):
+        def solve(m, b):
+            q, x = real(m, b)
+            return (q, [[2 * a for a in row] for row in x]) if len(m) == n \
+                else (q, x)
+        return solve
+
     for t in range(DEFAULT_TRIALS["det-lemmas"]):
         seed = f"0:det-lemmas:{t}"
         n = random.Random(seed).randint(2, 6)     # the trial's first draw
-        monkeypatch.setattr(verify, "rational_inverse", lambda m: [
-            [2 * a for a in row] for row in real(m)] if len(m) == n
-            else real(m))
+        monkeypatch.setattr(verify, "exact_solve", doubled(n))
         payload = verify._trial_det_lemmas(random.Random(seed), t, Ctx())
         assert payload is not None and payload["identity"] == "inverse-block", t
 
@@ -306,13 +313,14 @@ def _one_more(p):
 
 
 _FORCED_FAILURES = [
-    ("det-lemmas", "rational_det", lambda k, d: d + 1,
+    ("det-lemmas", "det", lambda k, d: d + 1,
      {"identity": "block-schur", "matrix": None, "split": None}),
-    # the first inverse is the block A's, the second the whole matrix's,
-    # shifted by the unit matrix
-    ("det-lemmas", "rational_inverse",
-     lambda k, m: m if k % 2 else [[a + (r == c) for c, a in enumerate(row)]
-                                   for r, row in enumerate(m)],
+    # the first solve is the block A's against B, the second the whole
+    # matrix's against the unit matrix, its X shifted by the unit matrix
+    ("det-lemmas", "exact_solve",
+     lambda k, qx: qx if k % 2 else (qx[0], [
+         [a + (r == c) for c, a in enumerate(row)]
+         for r, row in enumerate(qx[1])]),
      {"identity": "inverse-block", "matrix": None, "split": None}),
     ("eq1", "minor", lambda k, m: _one_more(m),
      {"f": None, "omega": None, "i_cols": None, "j_cols": None}),
