@@ -101,13 +101,8 @@ class BezoutResidue:
         nf = normal_form(h, self.sb)
         return [nf.ints.get(e, 0) for e in self.basis], nf.den
 
-    def coordinates(self, h: Poly) -> List[Fraction]:
-        """NF(h) on the monomial basis of Q."""
-        terms = normal_form(h, self.sb).terms
-        return [terms.get(e, Fraction(0)) for e in self.basis]
-
     def value(self, h: Poly) -> Fraction:
         if not self.column:
             return Fraction(0)
-        return sum((a * b for a, b in zip(self.coordinates(h), self.column)),
-                   Fraction(0))
+        u, du = self.int_coordinates(h)
+        return sum((a * b for a, b in zip(u, self.column)), Fraction(0)) / du

@@ -1,10 +1,10 @@
 """Polynomial kernel tests: arithmetic, substitution, determinants."""
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
-import math
 from math import gcd
 
 import pytest
