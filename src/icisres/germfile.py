@@ -41,12 +41,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 from math import comb
+from operator import or_
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import ArityError, GermSyntaxError, NonRationalCoefficient
-from .polycore import Poly
+from .polycore import _FIELD, _WIDTH, MAX_EXPONENT, Poly
 
 KEYS = ("vars", "f", "omega", "g", "seed", "cap", "max_cap", "attempts")
 
@@ -82,7 +84,9 @@ MAX_LITERAL_DIGITS = len(str(2 ** MAX_POWER_BITS))
 
 
 def _variables(p: Poly) -> set:
-    return {i for e in p.ints for i, v in enumerate(e) if v}
+    """The variables p involves: the nonzero fields of its monomials."""
+    fields = reduce(or_, p.ints, 0)
+    return {i for i in range(p.nvars) if fields >> (_WIDTH * i) & _FIELD}
 
 
 def _numerator_bits(p: Poly) -> int:
@@ -258,7 +262,6 @@ class _Reader:
         self.toks = toks
         self.names = names
         self.nvars = len(names)
-        self.one = (0,) * self.nvars
         self.depth = 0           # parentheses open at the current position
         self.more = False        # a comma ended the current part
         self.anchor: Optional[Tok] = None   # the part's first token
@@ -332,6 +335,12 @@ class _Reader:
             if tok[0] == "*":
                 self.advance()
                 q = self.factor()
+                # the running degree bounds every exponent of the product
+                degree = p.total_degree() + q.total_degree()
+                if degree > MAX_EXPONENT:
+                    raise _error(
+                        f"product of degree {degree} exceeds the exponent "
+                        f"bound {MAX_EXPONENT}", tok)
                 _check_size(product_size(p, q), "product", "", tok)
                 p = p * q
             elif tok[0] in _PRIMARY_START:
@@ -370,7 +379,7 @@ class _Reader:
                 den = int(dtok[1]) if dtok[0] == "int" else 0
                 if not den:
                     raise _error("denominator must be a nonzero integer", dtok)
-            return Poly.from_ints(self.nvars, {self.one: num}, den) if num \
+            return Poly.from_ints(self.nvars, {0: num}, den) if num \
                 else Poly.zero(self.nvars)
         if kind == "name":
             i = self.names.get(tok[1])

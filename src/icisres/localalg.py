@@ -72,11 +72,10 @@ degree is a shift, truncation is one comparison against
 (cap + 1) << shift, and b divides a exactly when subtracting b from a with
 every guard bit set clears none of them; the box test on a row term is
 that one subtraction from the packed z^box.  LocalOrder.key remains the
-specification of the order.  Packing and the product loop (_pack,
-_unpack, _addmul) live in polycore, where series_determinant and
-Poly.substitute run on them too, with fields as wide as their own degree
-bounds and no guard bit.  Poly.__mul__ does not pack: its products are
-small, and packing on every call measured slower than its tuple loop.
+specification of the order.  A Poly keeps its monomials packed too, in
+fixed 16-bit fields with no degree field (polycore); the kernel repacks
+each monomial it meets once, on the way in (dividend) and on the way out
+(remainders, lift rows and basis elements), and keeps both maps.
 
 Coefficients inside the kernel are integers.  A basis element keeps its
 terms and its representation rows as one primitive integer vector, scaled
@@ -111,7 +110,7 @@ from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
 from .errors import (CapExceeded, NotMember, NotZeroDimensional,
                      PowerCapExceeded)
 from .germfile import MAX_POWER_DEGREE
-from .polycore import (Exponent, Poly, Terms, _addmul, _pack, _unpack,
+from .polycore import (Exponent, Poly, Terms, _exponents, _key,
                        mono_deg, mono_divides, mono_lcm)
 
 INFINITE = math.inf
@@ -195,12 +194,36 @@ class _Kernel:
         # no exponent of a monomial of degree <= cap exceeds cap, so cap + 1
         # marks an unbounded field
         self.corners: List[Exponent] = [(cap + 1,) * nvars]
+        # monomials met at the boundary, each repacked once: Poly's keys to
+        # this kernel's (dividend) and back (to_poly)
+        self._kernel_keys: Dict[int, int] = {}
+        self._poly_keys: Dict[int, int] = {}
 
     def pack(self, e: Exponent) -> int:
-        return _pack(e, self.width)
+        m = sum(e)
+        for v in reversed(e):
+            m = (m << self.width) | v
+        return m
 
     def unpack(self, m: int) -> Exponent:
-        return _unpack(m, self.nvars, self.width)
+        width = self.width
+        mask = (1 << width) - 1
+        out = []
+        for _ in range(self.nvars):
+            out.append(m & mask)
+            m >>= width
+        return tuple(out)
+
+    def to_poly(self, terms: Dict[int, int], den: int) -> Poly:
+        """terms / den as a Poly, each monomial repacked in Poly's fields."""
+        keys, nvars = self._poly_keys, self.nvars
+        out = {}
+        for m, c in terms.items():
+            k = keys.get(m)
+            if k is None:
+                k = keys[m] = _key(self.unpack(m), nvars)
+            out[k] = c
+        return Poly.from_ints(nvars, out, den)
 
     def divides(self, b: int, a: int) -> bool:
         """b | a: a - b, taken with every guard bit of a set, clears none."""
@@ -208,6 +231,20 @@ class _Kernel:
 
     def degree(self, m: int) -> int:
         return m >> self.shift
+
+    def addmul(self, dst: Dict[int, int], k: int, mono: int,
+               src: List[Tuple[int, int]]) -> None:
+        """dst += k * mono * src, cut at the bound; src sorted ascending."""
+        limit = self.limit
+        for t, v in src:
+            m = mono + t
+            if m >= limit:
+                break
+            s = dst.get(m, 0) + k * v
+            if s:
+                dst[m] = s
+            else:
+                del dst[m]
 
     def addrow(self, dst: Dict[int, int], k: int, mono: int,
                src: List[Tuple[int, int]]) -> None:
@@ -266,8 +303,17 @@ class _Kernel:
 
     def dividend(self, p: Poly) -> Tuple[Dict[int, int], int]:
         """p's integer terms of degree <= bound, and p's denominator."""
-        bound, pack = self.bound, self.pack
-        return {pack(e): c for e, c in p.ints.items() if sum(e) <= bound}, p.den
+        keys, limit, nvars = self._kernel_keys, self.limit, self.nvars
+        out = {}
+        for m, c in p.ints.items():
+            k = keys.get(m)
+            if k is None:
+                k = keys[m] = self.pack(_exponents(m, nvars))
+            # packing never clears the degree's bits, so a monomial above
+            # the bound packs to at least limit even where a field overflows
+            if k < limit:
+                out[k] = c
+        return out, p.den
 
     def reduce(self, h: Dict[int, int],
                rows: Optional[List[Dict[int, int]]] = None) -> Tuple[List[int], int]:
@@ -411,8 +457,8 @@ def _complete(gens: Sequence[Poly], nvars: int, cap: int, track: bool,
         d = math.gcd(gi.lc, gj.lc)
         ki, kj = gj.lc // d, -(gi.lc // d)
         s: Dict[int, int] = {}
-        _addmul(s, ki, mi, gi.tail, kernel.limit)
-        _addmul(s, kj, mj, gj.tail, kernel.limit)
+        kernel.addmul(s, ki, mi, gi.tail)
+        kernel.addmul(s, kj, mj, gj.tail)
         rows = None
         if track:
             rows = [dict() for _ in range(m)]
@@ -485,10 +531,9 @@ class StandardBasis:
         # untracked ones are exact only up to the highest corner
         # (max_quotient_degree() when the staircase is finite), their tails
         # cut there
-        unpack = self._kernel.unpack
-        return [Poly.from_ints(self.nvars, {
-                    unpack(m): v for m, v in [(g.lm, g.lc)] + g.tail}, g.lc)
-                for g in self._kernel.elems]
+        kernel = self._kernel
+        return [kernel.to_poly(dict([(g.lm, g.lc)] + g.tail), g.lc)
+                for g in kernel.elems]
 
     @cached_property
     def quotient_monomials(self) -> Optional[List[Exponent]]:
@@ -706,8 +751,7 @@ def _remainder(p: Poly, sb: StandardBasis, rows=None):
     h, den = kernel.dividend(p)
     remainder, scale = kernel.reduce(h, rows)
     den *= scale
-    r = {kernel.unpack(e): h[e] for e in remainder}
-    return Poly.from_ints(p.nvars, r, den), den
+    return kernel.to_poly({e: h[e] for e in remainder}, den), den
 
 
 def normal_form(p: Poly, sb: StandardBasis) -> Poly:
@@ -722,9 +766,8 @@ def normal_form_with_lift(p: Poly, sb: StandardBasis):
     rows = [dict() for _ in range(len(sb.gens))]
     r, den = _remainder(p, sb, rows)
     # the rows hold minus the quotients: p = r - sum(rows[j] * gens[j]) / den
-    unpack = sb._kernel.unpack
-    coeffs = [Poly.from_ints(p.nvars, {unpack(e): -v for e, v in row.items()},
-                             den)
+    kernel = sb._kernel
+    coeffs = [kernel.to_poly({e: -v for e, v in row.items()}, den)
               for row in rows]
     return r, coeffs
 
@@ -840,18 +883,19 @@ class QuotientAlgebra:
         A product supported on basis monomials is its own normal form, so
         it needs no reduction.
         """
-        nvars, position = self.sb.nvars, {e: i for i, e in enumerate(self.basis)}
+        nvars = self.sb.nvars
+        position = {_key(e, nvars): i for i, e in enumerate(self.basis)}
         cols = []
-        for e in self.basis:
-            q = p * Poly.monomial(nvars, e)
+        for m in position:
+            q = p * Poly.from_ints(nvars, {m: 1}, 1)
             cols.append(q if all(k in position for k in q.ints)
                         else normal_form(q, self.sb))
         den = math.lcm(*(q.den for q in cols))
         rows = [[0] * len(cols) for _ in cols]
         for c, q in enumerate(cols):
             k = den // q.den
-            for e, v in q.ints.items():
-                rows[position[e]][c] = k * v
+            for m, v in q.ints.items():
+                rows[position[m]][c] = k * v
         return rows
 
 

@@ -1,11 +1,26 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A polynomial in n variables is stored as nonzero ints over one positive
-denominator in lowest terms: `Poly.ints` maps exponent tuples of length n
-to ints and `Poly.den` divides every one of them, with
-gcd(den, *ints.values()) == 1.  So each rational polynomial has exactly
-one stored form, and equality and hashing compare it directly.  Nothing
-here ever touches floats.
+denominator in lowest terms: `Poly.ints` maps packed monomials to ints and
+`Poly.den` divides every one of them, with gcd(den, *ints.values()) == 1.
+So each rational polynomial has exactly one stored form, and equality and
+hashing compare it directly.  Nothing here ever touches floats.
+
+A packed monomial is one int with a 16-bit field per variable, e_1 in the
+lowest (Bachmann and Schoenemann, "Monomial representations for Groebner
+bases computations", ISSAC 1998); it is the one encoding of a monomial in
+this module.  The top bit of each field is a guard bit that no stored
+exponent sets, so an exponent is at most MAX_EXPONENT = 2^15 - 1.  Two
+fields within the bound add without a carry: the sum of two packed
+monomials is their product, and a guard bit set in it marks an exponent
+above the bound.  The constructor, `*` (and so `**`), `substitute` and the
+determinants raise ValueError naming the bound there, so no field ever
+carries into the next.  b divides a exactly when a - b, taken with every
+guard bit of a set, clears none of them (`residues` reads its box that
+way).  A derivative subtracts one from a field and a truncation compares
+the sum of the fields (`_degree`).  Exponent tuples appear only where a
+caller hands monomials in or reads them out: the constructor, `terms`,
+`coefficient`, `sorted_terms` and `render`.
 
 Every operation works on the ints and builds no Fraction: a sum brings
 both operands over the least common denominator, a product multiplies
@@ -15,42 +30,36 @@ skipped when the denominator is 1).  `Poly.terms` is the rational view
 for callers that want values: a fresh mapping from exponents to
 Fractions, built on each access and never kept.
 
-`Poly.__mul__` is the only product that runs on `_accumulate`, which
-adds the integer product of two term lists into a dict keyed by exponent
-tuples.  It does not pack: its products are small, and packing both
-operands and unpacking the result on every call read the `germ-reports`
-benchmark 2-6% slower than the tuple loop (medians of two sets of four
-alternating runs).
-
-`_expand` and `Poly.substitute` chain many products, so they pack each
-operand's monomials once into ints (`_pack`), multiply them in
-`_addmul`, and unpack the result once (`_unpack`).  A packed monomial
-holds the total degree in the top field and e_n, ..., e_1 below it, each
-field as wide as the largest degree a kept product can reach; then a
-product is an addition, no field overflows, and a cut at a degree is one
-comparison.  `_addmul` is the one packed product loop: `localalg` runs
-its standard-basis kernel on it too, with its own field widths.
-`substitute` is the one substitution, and `linear_forms` gives it the
-targets of a linear change of coordinates z = C y.
+`_accumulate` is the one product loop: it adds the integer product of two
+packed term lists into one dict, optionally cut at a limit.  `Poly.__mul__`
+runs one call of it, and `_expand` and `Poly.substitute` chain many.
+`localalg` keeps its standard-basis kernel on an encoding of its own,
+fields as wide as its cap needs and the degree in a top field, and
+repacks a Poly's monomials once at its boundary.  `substitute` is the one
+substitution, by Horner's scheme, and `linear_forms` gives it the targets
+of a linear change of coordinates z = C y.
 
 `_expand` is the one determinant of a polynomial matrix: a
 division-free expansion column by column over the sets of used rows,
-which can cut every product at a total-degree cap.  A state may also
-carry one skipped column, so on a k x (k + 1) matrix one expansion gives
-all k + 1 maximal minors (`maximal_minors`), and each entry is packed
-once for all of them.  `series_determinant` is its case with no skip.
+which can cut every product at a total-degree cap.  A capped expansion
+puts each entry term's degree in a field above the exponents; degrees
+add like exponents, so the cut is one comparison, and one mask strips
+the field from the result.  A state may also carry one skipped column, so
+on a k x (k + 1) matrix one expansion gives all k + 1 maximal minors
+(`maximal_minors`).  `series_determinant` is its case with no skip.
 `_bareiss` is the one elimination: fraction-free Bareiss steps with
 exact integer division on integer rows, skipping a column without a
 pivot (Bareiss, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination", Math. Comp. 22, 1968).  Its rows must be ints: a
 Fraction would be floored by `//` without an error, so `det` and `solve`
 read each entry through `operator.index`.  `det` is its forward pass, the
-integer determinant.  `solve` is the one exact solve: one Jordan pass on
-[M | B] leaves every diagonal entry of M's block equal to d = +-det M and
-the integer block X with M X = d B, so no Fraction is built on the way.
-The cores are integer and a caller builds the rational view it needs:
-`pairing.rref` hands `_bareiss` the integer rows the quotient algebra and
-the residue family give and reads its reduced rows as Fractions, and the
+integer determinant.  `solve` is the one exact solve: the forward pass on
+[M | B] leaves an upper triangular block U whose last diagonal entry is
+d = +-det M, and fraction-free back-substitution gives the integer block X
+with M X = d B, so no Fraction is built on the way.  The cores are
+integer and a caller builds the rational view it needs: `pairing.rref`
+hands `_bareiss` the integer rows the quotient algebra and the residue
+family give and reads its reduced rows as Fractions, and the
 ann-invariance suite of `verify` reads C^-1 as X / d.  `det`,
 `series_determinant` and `solve` refuse a ragged or non-square matrix,
 and `maximal_minors` one that is not k x (k + 1).
@@ -58,16 +67,26 @@ and `maximal_minors` one that is not k x (k + 1).
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from functools import cache, reduce
 from math import gcd, lcm, prod
-from operator import add, index
+from operator import index, mul, or_
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 Terms = Dict[Exponent, Fraction]
-IntTerms = Iterable[Tuple[Exponent, int]]
 
 _DEFAULT_NAMES = ("x", "y", "z", "w", "u", "v")
+
+# the field of one exponent in a packed monomial; its top bit is the guard
+_WIDTH = 16
+_FIELD = (1 << _WIDTH) - 1
+MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
+
+# the bits a monomial must clear for _degree's remainder to be its degree:
+# at most 16 fields, each below 2^12, sum to less than 2^16 - 1
+_NOT_SMALL = ~sum(0xFFF << (_WIDTH * i) for i in range(16))
 
 
 def default_names(nvars: int) -> Tuple[str, ...]:
@@ -92,59 +111,110 @@ def _grlex_key(e: Exponent) -> Tuple[int, Exponent]:
     return (sum(e), e)
 
 
-def _pack(e: Exponent, width: int) -> int:
-    """e as one int: the total degree in the top field, then e_n, ..., e_1.
+@cache
+def _layout(nvars: int) -> Tuple[struct.Struct, int]:
+    """The fields of nvars variables as little-endian 16-bit words, and the
+    guard bits."""
+    return (struct.Struct(f"<{nvars}H"),
+            sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(nvars)))
 
-    Each exponent field is width bits wide (Bachmann and Schoenemann,
-    "Monomial representations for Groebner bases computations", ISSAC
-    1998).  While no field overflows, the sum of two packed monomials is
-    the packed product, ints order by total degree first, and the degree
-    is the int shifted right by nvars * width.
-    """
-    m = sum(e)
-    for v in reversed(e):
-        m = (m << width) | v
+
+def _key(e: Sequence[int], nvars: int) -> int:
+    """The packed monomial z^e; ValueError unless e is nvars exponents, each
+    an int from 0 to MAX_EXPONENT."""
+    fields, guards = _layout(nvars)
+    try:
+        m = int.from_bytes(fields.pack(*e), "little")
+    except struct.error:
+        m = -1
+    if m < 0 or m & guards:
+        raise ValueError(f"exponents {tuple(e)} are not {nvars} ints from 0 "
+                         f"to the exponent bound {MAX_EXPONENT}")
     return m
 
 
-def _unpack(m: int, nvars: int, width: int) -> Exponent:
-    mask = (1 << width) - 1
-    out = []
-    for _ in range(nvars):
-        out.append(m & mask)
-        m >>= width
-    return tuple(out)
+def _exponents(m: int, nvars: int) -> Exponent:
+    fields = _layout(nvars)[0]
+    return fields.unpack(m.to_bytes(fields.size, "little"))
 
 
-def _addmul(dst: Dict[int, int], k: int, mono: int,
-            src: List[Tuple[int, int]], limit: int) -> None:
-    """dst += k * mono * src over packed terms sorted ascending, cut at limit."""
-    for t, v in src:
-        m = mono + t
-        if m >= limit:
-            break
-        s = dst.get(m, 0) + k * v
-        if s:
-            dst[m] = s
-        else:
-            del dst[m]
+@cache
+def _high_bits(nvars: int, nrows: int) -> int:
+    """The bits of each field from 2^(15 - b) up, for 2^b >= nrows: a sum of
+    nrows fields that all clear them is at most MAX_EXPONENT."""
+    low = _WIDTH - 1 - (nrows - 1).bit_length()
+    return sum(((1 << _WIDTH) - (1 << low)) << (_WIDTH * i)
+               for i in range(nvars))
 
 
-def _accumulate(acc: Dict[Exponent, int], left: IntTerms,
-                right: IntTerms) -> None:
-    """Add the integer product left * right into acc."""
+def _degree(m: int) -> int:
+    """The total degree of the packed monomial m.
+
+    2^16 is 1 modulo 2^16 - 1, so m is its sum of fields modulo 2^16 - 1,
+    which is that sum while it stays below 2^16 - 1.
+    """
+    if m & _NOT_SMALL:
+        d = 0
+        while m:
+            d += m & _FIELD
+            m >>= _WIDTH
+        return d
+    return m % _FIELD
+
+
+def _over_bound(what: str, exponent: int) -> ValueError:
+    return ValueError(f"{what} reaches exponent {exponent}, above the "
+                      f"exponent bound {MAX_EXPONENT}")
+
+
+def _field_maxima(p: "Poly") -> List[int]:
+    """The highest exponent of each variable in p; zeros for the zero poly."""
+    if not p.ints:
+        return [0] * p.nvars
+    return [max(col) for col in zip(*(_exponents(m, p.nvars) for m in p.ints))]
+
+
+def _accumulate(acc: Dict[int, int], left: Iterable[Tuple[int, int]],
+                right: Sequence[Tuple[int, int]],
+                limit: Optional[int] = None) -> None:
+    """Add the integer product left * right of packed terms into acc.
+
+    With a limit, right is sorted ascending and every product at or above
+    the limit is cut.  A zero coefficient in left is skipped; acc keeps the
+    sums that cancel to 0, for the caller to drop once (`_nonzero`).
+    """
     get = acc.get
-    for e1, c1 in left:
-        for e2, c2 in right:
-            e = tuple(map(add, e1, e2))
-            acc[e] = get(e, 0) + c1 * c2
+    if limit is None:
+        for m1, c1 in left:
+            if c1:
+                for m2, c2 in right:
+                    m = m1 + m2
+                    acc[m] = get(m, 0) + c1 * c2
+        return
+    for m1, c1 in left:
+        if c1:
+            room = limit - m1
+            for m2, c2 in right:
+                if m2 >= room:
+                    break
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+
+
+def _nonzero(acc: Dict[int, int]) -> Dict[int, int]:
+    return {m: c for m, c in acc.items() if c}
 
 
 def _product(p: "Poly", q: "Poly") -> "Poly":
-    acc: Dict[Exponent, int] = {}
+    acc: Dict[int, int] = {}
     _accumulate(acc, p.ints.items(), q.ints.items())
-    return Poly.from_ints(p.nvars, {e: c for e, c in acc.items() if c},
-                          p.den * q.den)
+    ints = _nonzero(acc)
+    # two fields within the bound add without a carry, so a guard bit set
+    # in a product marks an exponent above the bound
+    if reduce(or_, ints, 0) & _layout(p.nvars)[1]:
+        raise _over_bound("a product", max(
+            max(_exponents(m, p.nvars)) for m in ints))
+    return Poly.from_ints(p.nvars, ints, p.den * q.den)
 
 
 def _rational(c) -> Fraction:
@@ -162,11 +232,13 @@ def _rational(c) -> Fraction:
 class Poly:
     """Immutable sparse polynomial over Q: nonzero ints over one denominator.
 
-    ints maps exponents to nonzero ints and den > 0 divides them, in
+    ints maps packed monomials to nonzero ints and den > 0 divides them, in
     lowest terms; the zero polynomial is ({}, 1).  The constructor takes
-    an exponent -> rational mapping (Fractions, ints, or anything but a
-    float that Fraction accepts) and drops zero values; `terms` gives the
-    same mapping back as Fractions, in a new dict each time.
+    an exponent tuple -> rational mapping (Fractions, ints, or anything
+    but a float that Fraction accepts), drops zero values and refuses an
+    exponent tuple of another length or with an entry outside 0 to
+    MAX_EXPONENT; `terms` gives the same mapping back as Fractions, in a
+    new dict each time.
     """
 
     __slots__ = ("nvars", "ints", "den", "_hash")
@@ -180,26 +252,26 @@ class Poly:
             if not isinstance(c, (int, Fraction)):
                 c = _rational(c)
             if c:
-                values.append((e, c))
+                values.append((_key(e, nvars), c))
         den = lcm(*(c.denominator for _, c in values))
         self.nvars = nvars
-        self.ints: Dict[Exponent, int] = {
-            e: c.numerator * (den // c.denominator) for e, c in values}
+        self.ints: Dict[int, int] = {
+            m: c.numerator * (den // c.denominator) for m, c in values}
         self.den = den
 
     # construction -------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, nvars: int, ints: Dict[Exponent, int], den: int) -> "Poly":
+    def _wrap(cls, nvars: int, ints: Dict[int, int], den: int) -> "Poly":
         """Wrap ints and den that are already nonzero and in lowest terms."""
         p = object.__new__(cls)
         p.nvars, p.ints, p.den = nvars, ints, den
         return p
 
     @classmethod
-    def from_ints(cls, nvars: int, ints: Dict[Exponent, int],
-                  den: int) -> "Poly":
-        """The polynomial ints / den, for nonzero ints and den > 0.
+    def from_ints(cls, nvars: int, ints: Dict[int, int], den: int) -> "Poly":
+        """The polynomial ints / den, for nonzero ints on packed monomials
+        and den > 0.
 
         One gcd over den and the ints brings them to lowest terms.
         """
@@ -207,7 +279,7 @@ class Poly:
             g = gcd(den, *ints.values())
             if g != 1:
                 den //= g
-                ints = {e: c // g for e, c in ints.items()}
+                ints = {m: c // g for m, c in ints.items()}
         return cls._wrap(nvars, ints, den)
 
     @classmethod
@@ -216,13 +288,17 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "Poly":
-        return cls(nvars, {(0,) * nvars: c})
+        if not isinstance(c, (int, Fraction)):
+            c = _rational(c)
+        if not c:
+            return cls.zero(nvars)
+        return cls._wrap(nvars, {0: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         e = [0] * nvars
         e[i] = 1
-        return cls._wrap(nvars, {tuple(e): 1}, 1)
+        return cls._wrap(nvars, {_key(e, nvars): 1}, 1)
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], c=1) -> "Poly":
@@ -233,34 +309,29 @@ class Poly:
     @property
     def terms(self) -> Terms:
         """Exponent -> nonzero Fraction, a new dict on every access."""
-        den = self.den
-        if den == 1:
-            return {e: Fraction(c) for e, c in self.ints.items()}
-        return {e: Fraction(c, den) for e, c in self.ints.items()}
+        nvars, den = self.nvars, self.den
+        return {_exponents(m, nvars): Fraction(c, den)
+                for m, c in self.ints.items()}
 
     def is_zero(self) -> bool:
         return not self.ints
 
     def is_unit(self) -> bool:
         """Nonzero constant term, i.e. invertible in the local ring."""
-        return (0,) * self.nvars in self.ints
+        return 0 in self.ints
 
     def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.nvars)
+        return Fraction(self.ints.get(0, 0), self.den)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return Fraction(self.ints.get(tuple(exps), 0), self.den)
+        return Fraction(self.ints.get(_key(exps, self.nvars), 0), self.den)
 
     def total_degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
-        if not self.ints:
-            return -1
-        return max(sum(e) for e in self.ints)
+        return max(map(_degree, self.ints), default=-1)
 
     def min_degree(self) -> int:
-        if not self.ints:
-            return -1
-        return min(sum(e) for e in self.ints)
+        return min(map(_degree, self.ints), default=-1)
 
     # arithmetic ---------------------------------------------------------
 
@@ -281,14 +352,14 @@ class Poly:
         else:
             den = d1 // gcd(d1, d2) * d2
             a, k = den // d1, sign * (den // d2)
-            out = {e: c * a for e, c in self.ints.items()}
+            out = {m: c * a for m, c in self.ints.items()}
         get = out.get
-        for e, c in other.ints.items():
-            s = get(e, 0) + k * c
+        for m, c in other.ints.items():
+            s = get(m, 0) + k * c
             if s:
-                out[e] = s
+                out[m] = s
             else:
-                del out[e]
+                del out[m]
         return Poly.from_ints(self.nvars, out, den)
 
     def __add__(self, other) -> "Poly":
@@ -297,7 +368,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._wrap(self.nvars, {e: -c for e, c in self.ints.items()},
+        return Poly._wrap(self.nvars, {m: -c for m, c in self.ints.items()},
                           self.den)
 
     def __sub__(self, other) -> "Poly":
@@ -330,7 +401,7 @@ class Poly:
             return Poly.zero(self.nvars)
         num = c.numerator
         return Poly.from_ints(self.nvars,
-                              {e: num * v for e, v in self.ints.items()},
+                              {m: num * v for m, v in self.ints.items()},
                               self.den * c.denominator)
 
     def mul_truncated(self, other: "Poly", cap: int) -> "Poly":
@@ -340,67 +411,78 @@ class Poly:
 
     def truncate(self, cap: int) -> "Poly":
         return Poly.from_ints(
-            self.nvars, {e: c for e, c in self.ints.items() if sum(e) <= cap},
+            self.nvars,
+            {m: c for m, c in self.ints.items() if _degree(m) <= cap},
             self.den)
 
     def diff(self, i: int) -> "Poly":
-        out: Dict[Exponent, int] = {}
-        for e, c in self.ints.items():
-            k = e[i]
+        if not 0 <= i < self.nvars:
+            raise IndexError(f"no variable {i} in {self.nvars} variables")
+        shift = _WIDTH * i
+        one = 1 << shift
+        out: Dict[int, int] = {}
+        for m, c in self.ints.items():
+            k = m >> shift & _FIELD
             if k:
-                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+                out[m - one] = c * k
         return Poly.from_ints(self.nvars, out, self.den)
 
     def substitute(self, targets: Sequence["Poly"]) -> "Poly":
         """Replace variable i by targets[i] (all over the same new ring).
 
-        Target i is taken as its ints over its denominator d_i, packed
-        once, and its powers are cached as packed integer term lists over
-        d_i^k.  Every term of self then expands into one integer
-        accumulator over the common denominator of all terms, which is
-        unpacked once at the end.  No monomial of the result has degree
-        above deg(self) times the highest target degree, so fields of
-        that width never overflow.
+        Target i is taken as its ints over its denominator d_i, and its
+        powers are cached as integer term lists over d_i^k.  Each term of
+        self is brought over the common denominator of all terms, and they
+        are summed by Horner's scheme, one variable at a time from the
+        last, so terms that agree in their first exponents share one
+        product per variable.  The products add packed monomials as they
+        stand.  ValueError when a term's expansion may take an exponent
+        above MAX_EXPONENT, before anything is multiplied.
         """
         if len(targets) != self.nvars:
             raise ValueError("substitution needs one target per variable")
         m = targets[0].nvars if targets else 0
         if not self.ints:
             return Poly.zero(m)
-        bound = self.total_degree() * max(
-            [t.total_degree() for t in targets] + [0])
-        width = bound.bit_length()
-        limit = (bound + 1) << (m * width)
+        exps = [_exponents(mono, self.nvars) for mono in self.ints]
+        if self.total_degree() * max(
+                [t.total_degree() for t in targets] + [0]) > MAX_EXPONENT:
+            # y_j's exponent in the expansion of term e is at most
+            # sum_i e_i (the highest exponent of y_j in target i)
+            tops = [_field_maxima(t) for t in targets]
+            worst = max(max([sum(map(prod, zip(e, col)))
+                             for col in zip(*tops)], default=0)
+                        for e in exps)
+            if worst > MAX_EXPONENT:
+                raise _over_bound("the substitution", worst)
         dens = [t.den for t in targets]
         powers: List[List[List[Tuple[int, int]]]] = [
-            [[(0, 1)], [(_pack(e, width), c) for e, c in t.ints.items()]]
-            for t in targets]
+            [[(0, 1)], list(t.ints.items())] for t in targets]
 
         def power(i: int, k: int) -> List[Tuple[int, int]]:
             cache = powers[i]
             while len(cache) <= k:
                 acc: Dict[int, int] = {}
-                for mono, c in cache[-1]:
-                    _addmul(acc, c, mono, cache[1], limit)
-                cache.append(list(acc.items()))
+                _accumulate(acc, cache[-1], cache[1])
+                cache.append(list(_nonzero(acc).items()))
             return cache[k]
 
         # term e lies over self.den * prod(d_i^e_i)
-        term_dens = [prod(d ** k for d, k in zip(dens, e)) for e in self.ints]
+        term_dens = [prod(d ** k for d, k in zip(dens, e)) for e in exps]
         den = lcm(*term_dens)
-        acc: Dict[int, int] = {}
-        for (e, c), d in zip(self.ints.items(), term_dens):
-            part = [(0, c * (den // d))]
-            factors = [power(i, k) for i, k in enumerate(e) if k] or [[(0, 1)]]
-            for f in factors[:-1]:
-                step: Dict[int, int] = {}
-                for mono, v in part:
-                    _addmul(step, v, mono, f, limit)
-                part = list(step.items())
-            for mono, v in part:
-                _addmul(acc, v, mono, factors[-1], limit)
-        return Poly.from_ints(m, {_unpack(mono, m, width): c
-                                  for mono, c in acc.items()}, den * self.den)
+        # Horner's scheme, the last variable innermost: level maps the
+        # exponents e_1..e_i to the sum, over the terms that start with
+        # them, of c * prod over j > i of target_j^e_j
+        level: Dict[Exponent, Dict[int, int]] = {
+            e: {0: c * (den // d)}
+            for c, e, d in zip(self.ints.values(), exps, term_dens)}
+        for i in reversed(range(self.nvars)):
+            outer: Dict[Exponent, Dict[int, int]] = {}
+            for e, val in level.items():
+                _accumulate(outer.setdefault(e[:i], {}), val.items(),
+                            power(i, e[i]))
+            level = outer
+        return Poly.from_ints(m, _nonzero(level[()]), den * self.den)
 
     # comparison / rendering ---------------------------------------------
 
@@ -514,7 +596,7 @@ def maximal_minors(rows: Sequence[Sequence[Poly]]) -> List[Poly]:
     Entry i is series_determinant of the matrix without column i, its
     other columns kept in order.  The expansion's states may skip one
     column, so the states before column i serve every minor that omits a
-    later column, and each entry is packed once for all of them.
+    later column.
     """
     k = len(rows)
     if k == 0 or any(len(row) != k + 1 for row in rows):
@@ -533,14 +615,18 @@ def _expand(rows: Sequence[Sequence[Poly]], cap: Optional[int],
     result is the determinant without column i (the one determinant when
     skip is 0).
 
-    The products run on packed monomials.  Row r is taken as ints over the
-    lcm D_r of its entries' denominators, so a state over the rows in its
-    mask lies over the product of their D_r and states add as ints.  No
-    product that is kept has degree above bound, the cap or else the sum
-    of each row's highest entry degree, so fields of bound's width never
-    overflow below the cut, and the cut is one comparison.  A single row,
-    or a zero row, or more zero columns than skip, needs no product and is
-    answered without packing.
+    Row r is taken as ints over the lcm D_r of its entries' denominators,
+    so a state over the rows in its mask lies over the product of their
+    D_r and states add as ints.  A variable's exponent in a product is at
+    most the sum over the rows of its highest exponent there, or the cap
+    when products are cut: ValueError when that passes MAX_EXPONENT, so no
+    field carries (the sum is worked out only when some entry's field
+    reaches MAX_EXPONENT / k).  With a cap below the sum of each row's
+    highest entry degree, each entry term carries its degree in the field
+    above the exponents, so a product is still one addition, the cut is
+    one comparison, and one mask strips the degree from the result.  A
+    single row, or a zero row, or more zero columns than skip, needs no
+    product.
     """
     nrows = len(rows)
     ncols = nrows + skip
@@ -549,21 +635,32 @@ def _expand(rows: Sequence[Sequence[Poly]], cap: Optional[int],
         # each determinant is the one entry its columns keep
         out = [rows[0][ncols - 1 - i] for i in range(ncols)]
         return out if cap is None else [p.truncate(cap) for p in out]
-    tops = []       # each row's highest entry degree, -1 for a zero row
     live = 0        # bit c is set when column c has a nonzero entry
+    spread = 0      # every field at least the highest of its exponents
     for row in rows:
-        top = -1
+        seen = 0
         for c, p in enumerate(row):
             if p.ints:
-                live |= 1 << c
-                top = max(top, *map(sum, p.ints))
-        tops.append(top)
-    if -1 in tops or ncols - live.bit_count() > skip:
+                seen |= 1 << c
+                spread |= reduce(or_, p.ints)
+        if not seen:
+            return [Poly.zero(nvars)] * ncols
+        live |= seen
+    if ncols - live.bit_count() > skip:
         return [Poly.zero(nvars)] * ncols
-    cut = cap is not None and cap < sum(tops)
-    bound = cap if cut else sum(tops)
-    width = bound.bit_length()
-    limit = (bound + 1) << (nvars * width)
+    cut = cap is not None and cap < sum(
+        max(_degree(m) for p in row for m in p.ints) for row in rows)
+    # a field below MAX_EXPONENT / nrows in every entry cannot sum past
+    # the bound; else sum each variable's highest exponent over the rows
+    if spread & _high_bits(nvars, nrows) and not (cut and cap <= MAX_EXPONENT):
+        worst = max(map(sum, zip(*(
+            [max(col) for col in zip(*map(_field_maxima, row))]
+            for row in rows))), default=0)
+        if worst > MAX_EXPONENT:
+            raise _over_bound("the determinant", worst)
+    shift = _WIDTH * nvars          # the degree field, when cut
+    limit = (cap + 1) << shift if cut else None
+    # each entry's terms over the row's lcm, and their negatives on demand
     packed: List[List[List[Tuple[int, int]]]] = []
     den = 1
     for row in rows:
@@ -572,14 +669,18 @@ def _expand(rows: Sequence[Sequence[Poly]], cap: Optional[int],
         entries = []
         for p in row:
             k = row_den // p.den
-            terms = [(_pack(e, width), c * k) for e, c in p.ints.items()]
             if cut:
-                # packing never clears the degree's bits, so a term above
-                # the cap packs to at least limit even where a field
-                # overflows; _addmul cuts sorted terms
-                terms = sorted(t for t in terms if t[0] < limit)
+                # sorted by degree: _accumulate cuts sorted terms
+                terms = sorted(t for t in (
+                    (m | _degree(m) << shift, c * k) for m, c in p.ints.items())
+                    if t[0] < limit)
+            elif k == 1:
+                terms = list(p.ints.items())
+            else:
+                terms = [(m, c * k) for m, c in p.ints.items()]
             entries.append(terms)
         packed.append(entries)
+    negated: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     full = (1 << nrows) - 1
     states = {1 << r: dict(row[0]) for r, row in enumerate(packed) if row[0]}
     if skip:
@@ -607,15 +708,18 @@ def _expand(rows: Sequence[Sequence[Poly]], cap: Optional[int],
                     continue
                 # the placed - seen used rows after `row` each make one
                 # inversion with it: that parity is the sign
-                sign = -1 if (seen + placed) % 2 else 1
-                dst = nxt.setdefault(key | bit, {})
-                for mono, c in val.items():
-                    _addmul(dst, sign * c, mono, entry, limit)
+                if (seen + placed) % 2:
+                    entry = negated.get((row, col))
+                    if entry is None:
+                        entry = negated[row, col] = [
+                            (m, -c) for m, c in packed[row][col]]
+                _accumulate(nxt.setdefault(key | bit, {}), val.items(), entry,
+                            limit)
         states = nxt
     keys = [full | ((i + 1) << nrows) for i in range(ncols)] if skip else [full]
-    return [Poly.from_ints(nvars, {_unpack(mono, nvars, width): c
-                                   for mono, c in states.get(k, {}).items()},
-                           den)
+    exponents = (1 << shift) - 1        # strips the degree field
+    return [Poly.from_ints(nvars, {mono & exponents: c for mono, c in
+                                   states.get(k, {}).items() if c}, den)
             for k in keys]
 
 
@@ -671,12 +775,13 @@ def solve(rows: Sequence[Sequence[int]],
           rhs: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
     """(d, X) with M X = d B in ints, for square integer rows M and rhs B.
 
-    One Jordan pass on [M | B].  For a nonsingular M it leaves M's block
-    diagonal with every diagonal entry equal to the last pivot d, which
-    is det M times the sign of the row swaps, so the right block is
-    X = d M^-1 B; the empty M gives d = 1.  A singular M gives d = 0 and
-    X = 0.  ValueError for a ragged or non-square M, or a B that is ragged
-    or has another number of rows.
+    The forward pass on [M | B] leaves [U | Y] with U upper triangular, U X
+    = d Y for the same X, and U's last diagonal entry d = det M times the
+    sign of the row swaps.  Back-substitution, X_i = (d Y_i - sum over
+    j > i of U_ij X_j) / U_ii, divides exactly, since X = d M^-1 B is an
+    integer matrix (Cramer's rule); the empty M gives d = 1.  A singular M
+    gives d = 0 and X = 0.  ValueError for a ragged or non-square M, or a
+    B that is ragged or has another number of rows.
     """
     n = _square(rows)
     width = len(rhs[0]) if rhs else 0
@@ -684,7 +789,18 @@ def solve(rows: Sequence[Sequence[int]],
         raise ValueError("right-hand side does not fit the matrix")
     aug = [list(map(index, a)) + list(map(index, b))
            for a, b in zip(rows, rhs)]
-    if _bareiss(aug, jordan=True)[0][:n] != list(range(n)):
+    if _bareiss(aug, jordan=False)[0][:n] != list(range(n)):
         return 0, [[0] * width for _ in range(n)]
-    d = aug[-1][n - 1] if n else 1
-    return d, [row[n:] for row in aug]
+    if not n:
+        return 1, []
+    d = aug[-1][n - 1]
+    # X's columns from the last row up, each entry solved from those below
+    cols = [[y] for y in aug[-1][n:]]       # U_nn = d, so X_n = Y_n
+    for i in range(n - 2, -1, -1):
+        row = aug[i]
+        later, p = row[n - 1:i:-1], row[i]
+        for y, col in zip(row[n:], cols):
+            col.append((d * y - sum(map(mul, later, col))) // p)
+    if not cols:
+        return d, [[] for _ in range(n)]
+    return d, [list(r) for r in zip(*cols)][::-1]

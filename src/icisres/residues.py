@@ -45,27 +45,33 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotRegularSequence
 from .localalg import (Ctx, colength, lift, minimal_power, record,
                        standard_basis_at)
-from .polycore import Poly, series_determinant
+from .polycore import Poly, _key, _layout, series_determinant
 
 
 def _product_below(h: Poly, g: Poly, top: Tuple[int, ...]) -> Poly:
-    """The terms of h * g that divide z^top, multiplied on the ints."""
-    acc: Dict[Tuple[int, ...], int] = {}
+    """The terms of h * g that divide z^top, multiplied on the ints.
+
+    b divides a exactly when a - b, with every guard bit of a set, clears
+    none of them (polycore); then a - b is the packed quotient.
+    """
+    guards = _layout(h.nvars)[1]
+    full = _key(top, h.nvars) | guards
+    acc: Dict[int, int] = {}
     for e, c in h.ints.items():
-        room = tuple(map(sub, top, e))
-        if min(room) < 0:
+        room = full - e
+        if room & guards != guards:
             continue
         for b, v in g.ints.items():
-            if all(map(le, b, room)):
-                k = tuple(map(add, e, b))
+            if (room - b) & guards == guards:
+                k = e + b
                 acc[k] = acc.get(k, 0) + c * v
-    return Poly.from_ints(h.nvars, {e: c for e, c in acc.items() if c},
+    return Poly.from_ints(h.nvars, {m: c for m, c in acc.items() if c},
                           h.den * g.den)
 
 
@@ -84,8 +90,23 @@ class ResidueFamily:
     top: Tuple[int, ...]
 
     def read(self, e: Sequence[int]) -> int:
-        """product.den times the residue of z^e * h; 0 once e leaves the box."""
-        return self.product.ints.get(tuple(map(sub, self.top, e)), 0)
+        """product.den times the residue of z^e * h; 0 once e leaves the box.
+
+        z^e divides z^top exactly when top - e, taken with every guard bit
+        of top set, clears none of them (polycore).
+        """
+        if not self.product.ints:
+            return 0
+        guards = _layout(len(self.top))[1]
+        room = self._room - _key(e, len(self.top))
+        if room & guards != guards:
+            return 0
+        return self.product.ints.get(room - guards, 0)
+
+    @cached_property
+    def _room(self) -> int:
+        """z^top packed, with every guard bit set."""
+        return _key(self.top, len(self.top)) | _layout(len(self.top))[1]
 
     def at(self, e: Sequence[int]) -> Fraction:
         """The residue of z^e * h."""
@@ -203,9 +224,12 @@ class ResidueForm:
                          box=tuple(d - 1 for d in self.powers))
         det = series_determinant(rows, self.big)
         record(self.caps_used, "residue", self.cap)
+        # the terms that divide z^(d - 1), by the guard bits
+        guards = _layout(det.nvars)[1]
+        full = _key([d - 1 for d in self.powers], det.nvars) | guards
         return Poly.from_ints(det.nvars, {
-            e: c for e, c in det.ints.items()
-            if all(k < d for k, d in zip(e, self.powers))}, det.den)
+            m: c for m, c in det.ints.items()
+            if (full - m) & guards == guards}, det.den)
 
 
 def residue_form(denominators: Sequence[Poly], ctx: Ctx) -> ResidueForm:

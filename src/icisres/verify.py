@@ -24,7 +24,7 @@ from .errors import (CapExceeded, GoodCoordsNotFound, NotIsolated,
 from .index import (CoordinateChange, GermProblem, eg_index, germ_minors,
                     germ_sigma, ideal_J, minor, minors, random_matrix, solve)
 from .localalg import Ctx, normal_form
-from .polycore import Poly, det, linear_forms, solve as exact_solve
+from .polycore import Poly, _key, det, linear_forms, solve as exact_solve
 from .residues import (grothendieck_residue, intersection_multiplicity_both_ways,
                        jacobian_minor)
 from .pairing import pairing_report
@@ -117,7 +117,7 @@ def random_poly(rng: random.Random, n: int, degree: int,
     pool = _exponents(n, degree, min_degree)
     k = rng.randint(1, min(MAX_TERMS, len(pool)))
     support = rng.sample(pool, k)
-    return Poly.from_ints(n, {e: rng.choice([-3, -2, -1, 1, 2, 3])
+    return Poly.from_ints(n, {_key(e, n): rng.choice([-3, -2, -1, 1, 2, 3])
                               for e in support}, 1)
 
 

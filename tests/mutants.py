@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 GERMFILE = "src/icisres/germfile.py"
 LOCALALG = "src/icisres/localalg.py"
 PAIRING = "src/icisres/pairing.py"
+POLYCORE = "src/icisres/polycore.py"
 VERIFY = "src/icisres/verify.py"
 READER_TESTS = ("tests/test_germfile_oracle.py", "tests/test_germfile.py")
 
@@ -71,7 +72,7 @@ MUTANTS = [
            "enumerate(_LINE_END.split(text), start=1)",
            "enumerate(text.splitlines(), start=1)", READER_TESTS),
     # exact inputs at the public API
-    Mutant("float-coefficient-accepted", "src/icisres/polycore.py",
+    Mutant("float-coefficient-accepted", POLYCORE,
            "if isinstance(c, float):", "if isinstance(c, complex):",
            ("tests/test_polycore.py",)),
     Mutant("ctx-knob-type-unchecked", LOCALALG,
@@ -126,10 +127,20 @@ MUTANTS = [
     Mutant("eq2-adjugate-sign-flipped", VERIFY,
            "sign = 1 if q == detc else -1", "sign = -1 if q == detc else 1",
            ("tests/test_verify.py",)),
-    Mutant("solve-scaling-dropped", "src/icisres/polycore.py",
-           "return d, [row[n:] for row in aug]",
-           "return d, [[a // d for a in row[n:]] for row in aug]",
+    Mutant("solve-scaling-dropped", POLYCORE,
+           "col.append((d * y - sum(map(mul, later, col))) // p)",
+           "col.append((y - sum(map(mul, later, col))) // p)",
            ("tests/test_polycore.py",)),
+    # the packed monomials: one field per variable, a guard bit on top
+    Mutant("diff-shift-off-by-one", POLYCORE,
+           "shift = _WIDTH * i\n", "shift = _WIDTH * i + 1\n",
+           ("tests/test_polycore.py",)),
+    Mutant("product-below-guard-mask-dropped", "src/icisres/residues.py",
+           "if (room - b) & guards == guards:", "if room >= b:",
+           ("tests/test_residues.py",)),
+    Mutant("capped-degree-field-kept", POLYCORE,
+           "exponents = (1 << shift) - 1        # strips the degree field",
+           "exponents = -1", ("tests/test_polycore.py",)),
 ]
 
 

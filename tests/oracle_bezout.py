@@ -69,10 +69,10 @@ class BezoutResidue:
         # group the kept terms by their z part: det = (sum over a of
         # z^a P_a(w)) / det.den, each P_a with integer coefficients
         by_z: Dict[Exponent, Dict[Exponent, int]] = {}
-        for e, c in det.ints.items():
+        for e, c in det.terms.items():
             z, w = e[:n], e[n:]
             if sum(z) <= t and sum(w) <= t:
-                by_z.setdefault(z, {})[w] = c
+                by_z.setdefault(z, {})[w] = int(c * det.den)
         # the image of z^a P_a(w) is u v^T / (du dv det.den)
         pieces = []
         for z, rest in by_z.items():
@@ -99,7 +99,8 @@ class BezoutResidue:
     def int_coordinates(self, h: Poly) -> Tuple[List[int], int]:
         """NF(h) on the monomial basis of Q, as ints over one denominator."""
         nf = normal_form(h, self.sb)
-        return [nf.ints.get(e, 0) for e in self.basis], nf.den
+        coords = nf.terms
+        return [int(coords.get(e, 0) * nf.den) for e in self.basis], nf.den
 
     def value(self, h: Poly) -> Fraction:
         if not self.column:

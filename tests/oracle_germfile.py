@@ -6,10 +6,11 @@ every line into `Token` objects, splits statements and comma-separated
 parts up front, and then parses each part.  The code below `Token` is kept
 as it was, so the differential test can demand the same `GermFile`, or
 the same error type, message, line and column, from both readers, with
-one change made in both: a line ends at `\n`, `\r\n` or `\r` only, where
-`str.splitlines` also ended one at a form feed and other separators.  It
-shares the bounds, `power_size`, `product_size` and `GermFile` with the
-module under test; only the reading differs.
+two changes made in both: a line ends at `\n`, `\r\n` or `\r` only, where
+`str.splitlines` also ended one at a form feed and other separators; and
+a product whose running degree passes polycore's exponent bound is
+rejected at its `*`.  It shares the bounds, `power_size`, `product_size`
+and `GermFile` with the module under test; only the reading differs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from icisres.germfile import (KEYS, MAX_LITERAL_DIGITS, MAX_NESTING,
                               MAX_POWER_BITS, MAX_POWER_DEGREE,
                               MAX_POWER_TERMS, MAX_VARS, GermFile, power_size,
                               product_size)
-from icisres.polycore import Poly
+from icisres.polycore import MAX_EXPONENT, Poly
 
 
 @dataclass
@@ -176,6 +177,11 @@ class _ExprParser:
             if tok.kind == "*":
                 self.take()
                 q = self.factor()
+                degree = p.total_degree() + q.total_degree()
+                if degree > MAX_EXPONENT:
+                    raise GermSyntaxError(
+                        f"product of degree {degree} exceeds the exponent "
+                        f"bound {MAX_EXPONENT}", tok.line, tok.col)
                 _check_size(product_size(p, q), "product", "", tok)
                 p = p * q
             elif tok.kind in _PRIMARY_START:

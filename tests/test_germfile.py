@@ -10,7 +10,7 @@ from icisres.errors import (ArityError, GermSyntaxError,
 from icisres.germfile import (MAX_LITERAL_DIGITS, MAX_NESTING, MAX_POWER_BITS,
                               MAX_POWER_DEGREE, MAX_POWER_TERMS, GermFile,
                               parse_germ_file, power_size, product_size)
-from icisres.polycore import Poly
+from icisres.polycore import MAX_EXPONENT, Poly
 
 A1_TEXT = """\
 # sphere germ, omega = dz
@@ -330,6 +330,22 @@ def test_product_size_bound():
     assert str(MAX_POWER_BITS) in str(info.value)
     gf = parse_germ_file("vars = x, y\nomega = (2^62)^64 * (2^62)^2 * x, 1\n")
     assert gf.omega[0] == Poly.monomial(2, (1, 0), 2 ** (62 * 66))
+
+
+def test_product_degree_bound_names_the_position():
+    # each '*' checks the running degree against the exponent bound: 511
+    # factors x^64 reach 32704, a 512th would reach 32768
+    at_bound = "*".join(["x^64"] * 511)
+    gf = parse_germ_file(f"vars = x, y\nomega = {at_bound}, y\n")
+    assert gf.omega[0] == Poly.monomial(2, (64 * 511, 0))
+    text = "vars = x, y\nomega = " + "*".join(["x^64"] * 600) + ", y\n"
+    with pytest.raises(GermSyntaxError, match="exponent bound") as info:
+        parse_germ_file(text)
+    column = [i for i, ch in enumerate(text.split("\n")[1])
+              if ch == "*"][510] + 1
+    assert (info.value.line, info.value.column) == (2, column)
+    assert "degree 32768" in str(info.value) and str(MAX_EXPONENT) in str(
+        info.value)
 
 
 def test_product_size_bounds_the_product():

@@ -128,6 +128,10 @@ def test_which_error_wins(text, message):
     "vars = x, y\n# page\x0cbreak\nomega = x, y",
     "vars = x, y\n# page\x0cbreak\nomega = @",
     "vars = x, y\r\n# page\x0cbreak\romega = @\u2028\x85\n",
+    # a running product at the exponent bound 32767 (511 factors of degree
+    # 64 make 32704) and past it, rejected at its 511th '*'
+    "vars = x, y\nomega = " + "*".join(["x^64"] * 511) + ", y\n",
+    "vars = x, y\nomega = " + "*".join(["x^64"] * 600) + ", y\n",
 ], ids=["knob-three-tokens", "knob-comma", "vars-trailing-comma",
         "omega-trailing-comma", "omega-leading-comma", "empty-statements",
         "unicode-spaces", "unicode-names", "superscript-after-digit",
@@ -138,7 +142,8 @@ def test_which_error_wins(text, message):
         "vars-empty", "vars-count-before-bad-first", "vars-nested-parens",
         "scanned-literal-at-bound", "scanned-literal-past-bound",
         "trailing-whitespace", "form-feed-in-comment",
-        "form-feed-then-error", "mixed-line-ends"])
+        "form-feed-then-error", "mixed-line-ends", "degree-at-bound",
+        "degree-past-bound"])
 def test_edge_inputs_read_the_same(text):
     assert_same(text)
 

@@ -22,12 +22,12 @@ N2 = ("x", "y")
 def evaluate(p, point):
     """p at a rational point, term by term in Fractions."""
     total = Fraction(0)
-    for e, c in p.ints.items():
-        term = Fraction(c)
+    for e, c in p.terms.items():
+        term = c
         for v, k in zip(point, e):
             term *= Fraction(v) ** k
         total += term
-    return total / p.den
+    return total
 
 
 def rand_poly(rng, n, deg, terms=5):
@@ -602,6 +602,11 @@ def test_bareiss_determinant_matches_leibniz():
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
 
+def packed(*e):
+    """The packed monomial z^e, as Poly.ints keys it."""
+    return polycore._key(e, len(e))
+
+
 def assert_same_stored_form(p, q):
     assert p == q and hash(p) == hash(q)
     assert (p.nvars, p.ints, p.den) == (q.nvars, q.ints, q.den)
@@ -613,7 +618,7 @@ def test_equal_polys_hash_equal_whichever_route_and_order():
     # must give every route the same key
     def routes():
         return [Poly(2, {(1, 0): HALF, (0, 2): Fraction(-3, 4)}),
-                Poly.from_ints(2, {(1, 0): 4, (0, 2): -6}, 8),
+                Poly.from_ints(2, {packed(1, 0): 4, packed(0, 2): -6}, 8),
                 X.scale(HALF) - (Y * Y).scale(Fraction(3, 4)),
                 (X * 2 - (Y ** 2) * 3) * Poly.const(2, Fraction(1, 4))]
     for first in range(4):
@@ -651,7 +656,7 @@ def test_routes_to_one_polynomial_store_one_form():
     # a sum whose coefficients share a factor with the denominator
     assert_same_stored_form(X.scale(HALF) + X.scale(HALF), X)
     assert_same_stored_form((X ** 2).scale(HALF).diff(0), X)
-    assert_same_stored_form(Poly.from_ints(2, {(1, 0): 4, (0, 1): -6}, 8),
+    assert_same_stored_form(Poly.from_ints(2, {packed(1, 0): 4, packed(0, 1): -6}, 8),
                             Poly(2, {(1, 0): HALF, (0, 1): Fraction(-3, 4)}))
 
 
@@ -969,7 +974,8 @@ def test_packed_paths_do_not_multiply_polys(monkeypatch):
     monkeypatch.setattr(Poly, "__mul__", forbidden)
     monkeypatch.setattr(Poly, "__rmul__", forbidden)
     monkeypatch.setattr(Poly, "mul_truncated", forbidden)
-    monkeypatch.setattr(polycore, "_accumulate", forbidden)
+    # and no monomial is packed again from an exponent tuple
+    monkeypatch.setattr(polycore, "_key", forbidden)
     for rows, exact in cases:
         assert_same_stored_form(series_determinant(rows), exact)
         for cap in range(4):
@@ -1040,3 +1046,184 @@ def test_rational_elimination_reads_ints_and_fractions():
     inv = rational_inverse(m)
     assert inv == [[0, Fraction(-3, 2)], [2, 3]]
     assert all(type(a) is Fraction for row in inv for a in row)
+
+
+# Differential tests of the packed kernel against a tuple-keyed reference:
+# {exponent tuple: nonzero Fraction} dicts and loops written here, sharing
+# no code with Poly but .terms and the constructor, which they check too.
+
+def t_clean(a):
+    return {e: c for e, c in a.items() if c}
+
+
+def t_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return t_clean(out)
+
+
+def t_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return t_clean(out)
+
+
+def t_one(n):
+    return {(0,) * n: Fraction(1)}
+
+
+def t_pow(a, k, n):
+    out = t_one(n)
+    for _ in range(k):
+        out = t_mul(out, a)
+    return out
+
+
+def t_diff(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in a.items() if e[i]}
+
+
+def t_truncate(a, cap):
+    return {e: c for e, c in a.items() if sum(e) <= cap}
+
+
+def t_substitute(a, targets, m):
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * m: c}
+        for t, k in zip(targets, e):
+            term = t_mul(term, t_pow(t, k, m))
+        out = t_add(out, term)
+    return out
+
+
+def t_det(rows, n):
+    total = {}
+    k = len(rows)
+    for perm in itertools.permutations(range(k)):
+        sign = (-1) ** sum(1 for i in range(k) for j in range(i + 1, k)
+                           if perm[i] > perm[j])
+        term = t_one(n)
+        for i, j in enumerate(perm):
+            term = t_mul(term, rows[i][j])
+        total = t_add(total, term, sign)
+    return total
+
+
+def t_random(rng, n, deg, terms):
+    """Mixed denominators; a third of the draws are the zero poly."""
+    if rng.random() < 0.3:
+        return {}
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        e = [0] * n
+        for _ in range(rng.randint(0, deg) if n else 0):
+            e[rng.randrange(n)] += 1
+        e = tuple(e)
+        out[e] = out.get(e, 0) + Fraction(rng.randint(-5, 5),
+                                          rng.choice([1, 2, 3, 4, 9, 10]))
+    return t_clean(out)
+
+
+def assert_matches(p, ref):
+    """p holds the reference's terms, in the one stored form."""
+    assert p.terms == ref
+    assert_lowest_terms(p)
+    again = Poly(p.nvars, ref)
+    assert_same_stored_form(p, again)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_packed_arithmetic_matches_the_tuple_reference(n):
+    rng = random.Random(3100 + n)
+    for _ in range(25):
+        a, b = t_random(rng, n, 4, 6), t_random(rng, n, 4, 6)
+        p, q = Poly(n, a), Poly(n, b)
+        # the .terms round trip, and a copy built from it
+        assert_matches(p, a)
+        assert_matches(p + q, t_add(a, b))
+        assert_matches(p - q, t_add(a, b, -1))
+        assert_matches(p * q, t_mul(a, b))
+        # equal by two routes: the same stored form and the same hash
+        assert_same_stored_form((p + q) - q, p)
+        assert_same_stored_form(q * p, p * q)
+        for k in range(4):
+            assert_matches(p ** k, t_pow(a, k, n))
+        for i in range(n):
+            assert_matches(p.diff(i), t_diff(a, i))
+        for cap in range(-1, 6):
+            assert_matches(p.truncate(cap), t_truncate(a, cap))
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (0, 2), (1, 1), (2, 3), (3, 2),
+                                  (4, 4), (5, 1), (6, 6)])
+def test_packed_substitution_matches_the_tuple_reference(n, m):
+    rng = random.Random(3200 + 10 * n + m)
+    for _ in range(8):
+        a = t_random(rng, n, 3, 5)
+        targets = [t_random(rng, m, 2, 3) for _ in range(n)]
+        got = Poly(n, a).substitute([Poly(m, t) for t in targets]) \
+            if n else Poly(n, a).substitute([])
+        want = t_substitute(a, targets, m if n else 0)
+        assert_matches(got, want)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_packed_determinants_match_the_tuple_reference(n):
+    rng = random.Random(3300 + n)
+    for size in (1, 2, 3):
+        for _ in range(6 if n < 5 else 3):
+            refs = [[t_random(rng, n, 2, 3) for _ in range(size + 1)]
+                    for _ in range(size)]
+            rows = [[Poly(n, t) for t in row] for row in refs]
+            square = [row[:size] for row in rows]
+            exact = t_det([row[:size] for row in refs], n)
+            assert_matches(series_determinant(square), exact)
+            for cap in range(0, 7):
+                assert_matches(series_determinant(square, cap),
+                               t_truncate(exact, cap))
+            for i, got in enumerate(maximal_minors(rows)):
+                assert_matches(got, t_det([row[:i] + row[i + 1:]
+                                           for row in refs], n))
+
+
+def test_exponents_at_the_bound_and_one_past():
+    top = polycore.MAX_EXPONENT
+    assert top == 2 ** 15 - 1
+    for n in (1, 3, 6):
+        for i in range(n):
+            e = tuple(top if j == i else j for j in range(n))
+            p = Poly(n, {e: Fraction(1, 3)})
+            assert p.terms == {e: Fraction(1, 3)} and p.total_degree() == sum(e)
+            past = tuple(top + 1 if j == i else 0 for j in range(n))
+            with pytest.raises(ValueError, match=str(top)):
+                Poly(n, {past: 1})
+            with pytest.raises(ValueError, match=str(top)):
+                Poly.monomial(n, past)
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    half = Poly.monomial(2, (top // 2, 1))
+    # at the bound: a product, a power, a substitution and a determinant
+    assert (half * x ** (top - top // 2)).terms == {(top, 1): 1}
+    assert (x ** top).terms == {(top, 0): 1}
+    assert Poly.monomial(2, (top, 0)).substitute([x, y]).terms == {(top, 0): 1}
+    rows = [[half, Poly.zero(2)], [Poly.zero(2), x ** (top - top // 2)]]
+    assert series_determinant(rows).terms == {(top, 1): 1}
+    # one past it: each names the bound and never carries into y
+    for build in (lambda: half * x ** (top - top // 2 + 1),
+                  lambda: x ** (top + 1),
+                  lambda: (x * y) ** (top + 1),
+                  lambda: Poly.monomial(2, (top // 2 + 1, 0)).substitute(
+                      [x * x, y]),
+                  lambda: series_determinant(
+                      [[half, Poly.zero(2)],
+                       [Poly.zero(2), x ** (top - top // 2 + 1)]]),
+                  lambda: maximal_minors(
+                      [[half, Poly.zero(2), y],
+                       [Poly.zero(2), x ** (top - top // 2 + 1), x]])):
+        with pytest.raises(ValueError, match=str(top)):
+            build()

@@ -624,3 +624,22 @@ def test_trial_nine_ideal_against_macaulay_oracle():
     f, g = TRIAL_NINE_F, TRIAL_NINE_G
     assert stable_corank([f] + g) == 2
     assert intersection_multiplicity_both_ways([f], g) == (2, Fraction(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_product_below_keeps_exactly_the_terms_that_divide_the_top(n):
+    # the guard-bit divisibility test against exponent tuples: h * g cut to
+    # the box {e : e <= top}, with factors and products on both sides of it
+    rng = random.Random(70 + n)
+
+    def draw():
+        return Poly(n, {tuple(rng.randint(0, 4) for _ in range(n)):
+                        Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+                        for _ in range(rng.randint(1, 6))})
+
+    for _ in range(40):
+        h, g = draw(), draw()
+        top = tuple(rng.randint(0, 5) for _ in range(n))
+        want = {e: c for e, c in (h * g).terms.items()
+                if all(k <= t for k, t in zip(e, top))}
+        assert residues._product_below(h, g, top) == Poly(n, want)
